@@ -3,9 +3,10 @@ neighborhood into natural-language knowledge lines."""
 
 import io
 
-from nsplan.adaption import AdaptionConfig, adapt_weights, select
+from nsplan.adaption import adapt_weights, select
 from nsplan.embeddings import HashEmbedding
 from nsplan.kg import ingest, sample_subgraph
+from nsplan.planner import PlannerConfig
 from nsplan.verbalize import build_knowledge_prompt
 
 # A graph is just head/relation/tail/weight rows. JSONL keeps this demo
@@ -38,11 +39,11 @@ adapted = adapt_weights(sub, task, provider)
 for t in adapted.triplets:
     print(f"  {t.head} -{t.relation}-> {t.tail}  {t.weight:.2f} -> {t.adapted_weight:.2f}")
 
-kept = select(adapted, AdaptionConfig(edge_threshold=0.0, cos_keep_threshold=-1.0), task)
+kept = select(adapted, PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0), task)
 print(f"kept {len(kept)} of {len(adapted)} triplets after selection")
 
 prompt = build_knowledge_prompt(kept, max_depth=3)
 print()
 print("knowledge prompt:")
-for line in prompt.lines:
+for line in prompt:
     print(" ", line)

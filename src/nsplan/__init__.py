@@ -14,13 +14,12 @@ __version__ = "0.1.0"
 from .admissible import (
     AdmissibleSet,
     AdmissibleStep,
-    TranslatedPrompt,
     build_admissible_set,
     load_admissible_set,
     translate,
     translate_prompt,
 )
-from .adaption import AdaptionConfig, adapt_weights, select
+from .adaption import adapt_weights, select
 from .causal import (
     DiscreteSCM,
     ObservationalJoint,
@@ -57,7 +56,7 @@ from .metrics import (
     sentence_bleu,
     wmd,
 )
-from .planner import PlannerConfig, PlanResult, PlanStep, Prompt, aggregate_prompt, plan
+from .planner import PlannerConfig, PlanResult, PlanStep, plan
 from .programs import (
     StructuredStep,
     TaskSample,
@@ -65,4 +64,4 @@ from .programs import (
     parse_robothow_step,
     render_step,
 )
-from .verbalize import ProceduralPrompt, SymbolicRule, build_knowledge_prompt, verbalize_triplet
+from .verbalize import SymbolicRule, build_knowledge_prompt, verbalize_triplet

@@ -8,31 +8,11 @@ and keeps the top min(k, concept_ratio * task token count) nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import embeddings
 from .entities import tokenize
-from .kg import Subgraph
-
-
-@dataclass(frozen=True)
-class AdaptionConfig:
-    top_k: int = 10
-    edge_threshold: float = 0.6
-    concept_ratio: int = 3
-    cos_keep_threshold: float = 0.4
-
-    def __post_init__(self):
-        if self.top_k < 0:
-            raise ValueError("top_k must be >= 0")
-        if self.edge_threshold < 0:
-            raise ValueError("edge_threshold must be >= 0")
-        if self.concept_ratio < 1:
-            raise ValueError("concept_ratio must be >= 1")
-
-
-def surface(key):
-    return key.replace("_", " ")
+from .kg import Subgraph, surface
 
 
 def adapt_weights(subgraph, task_text, provider):
@@ -55,7 +35,9 @@ def _ordered(triplets):
 
 
 def select(subgraph, cfg, task_text):
-    """Threshold, rank, and cap the adapted subgraph.
+    """Threshold, rank, and cap the adapted subgraph. ``cfg`` is a
+    PlannerConfig; only its top_k, edge_threshold, concept_ratio and
+    cos_keep_threshold are read.
 
     Triplets below edge_threshold go first. Tail nodes whose task-relevance
     cosine (recovered as adapted_weight - weight) is under

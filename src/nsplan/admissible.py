@@ -16,7 +16,6 @@ import numpy as np
 from . import embeddings
 from .errors import ConfigError
 from .programs import StructuredStep
-from .verbalize import ProceduralPrompt
 
 DEFAULT_TEMPLATE = "{action} {object}"
 
@@ -120,31 +119,12 @@ def translate(text, admissible, provider):
 
 
 def translate_prompt(prompt, admissible, provider):
-    """Translate every knowledge line, preserving order and collapsing
-    consecutive duplicates only (repeats further apart are meaningful)."""
+    """Translate every knowledge line into a tuple of admissible step texts,
+    preserving order and collapsing consecutive duplicates only (repeats
+    further apart are meaningful)."""
     out = []
     for line in prompt:
         step, _ = translate(line, admissible, provider)
         if not out or out[-1] != step.text:
             out.append(step.text)
-    # ProceduralPrompt forbids duplicate lines; the translated sequence may
-    # legitimately repeat non-adjacent steps, so it is a plain tuple wrapped
-    # in a prompt-like shim when needed.
-    return TranslatedPrompt(tuple(out))
-
-
-@dataclass(frozen=True)
-class TranslatedPrompt:
-    """Admissible knowledge lines: ordered, consecutive-duplicate free, but
-    allowed to repeat non-adjacently (unlike ProceduralPrompt)."""
-
-    lines: tuple[str, ...] = ()
-
-    def rendered(self):
-        return [f"Step: {line}." for line in self.lines]
-
-    def __iter__(self):
-        return iter(self.lines)
-
-    def __len__(self):
-        return len(self.lines)
+    return tuple(out)

@@ -28,7 +28,12 @@ from . import __version__, causal, counterfactual, kg, metrics, planner, program
 from .admissible import load_admissible_set, translate_prompt
 from .embeddings import HashEmbedding, RemoteEmbedding, TableEmbedding
 from .errors import ConfigError
-from .generation import KnowledgeFollowerGenerator, RemoteGenerator, ScriptedGenerator
+from .generation import (
+    GenerationRequest,
+    KnowledgeFollowerGenerator,
+    RemoteGenerator,
+    ScriptedGenerator,
+)
 
 GENERATOR_KINDS = ("remote", "follower", "scripted")
 EMBEDDING_KINDS = ("hash", "table", "remote")
@@ -38,16 +43,12 @@ EXIT_FAILED = 1
 EXIT_CONFIG = 2
 
 
-@dataclass
-class RunConfig:
-    # planning hyperparameters; defaults are the published configuration
-    theta: float = 0.7
-    max_steps: int = 20
-    hops: int = 3
-    top_k: int = 10
-    edge_threshold: float = 0.6
-    concept_ratio: int = 3
-    cos_keep_threshold: float = 0.4
+@dataclass(frozen=True)
+class RunConfig(planner.PlannerConfig):
+    """The planning hyperparameters (inherited, validated by PlannerConfig)
+    followed by the run settings. A RunConfig is itself the planner config
+    of a run."""
+
     # providers
     generator: str = "follower"
     endpoint: str = None
@@ -83,22 +84,9 @@ class RunConfig:
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
         if self.follower_schedule is not None:
-            self.follower_schedule = tuple(float(c) for c in self.follower_schedule)
-        self.planner_config()  # validates theta, max_steps, hops and friends
-
-    def planner_config(self):
-        try:
-            return planner.PlannerConfig(
-                theta=self.theta,
-                max_steps=self.max_steps,
-                hops=self.hops,
-                top_k=self.top_k,
-                edge_threshold=self.edge_threshold,
-                concept_ratio=self.concept_ratio,
-                cos_keep_threshold=self.cos_keep_threshold,
-            )
-        except ConfigError as err:
-            raise ConfigError(str(err)) from None
+            schedule = tuple(float(c) for c in self.follower_schedule)
+            object.__setattr__(self, "follower_schedule", schedule)
+        super().__post_init__()
 
     def to_json(self):
         obj = dataclasses.asdict(self)
@@ -237,7 +225,6 @@ def run_plan(config):
     samples = programs.load_task_dataset(config.dataset, fmt=config.format, strict=config.strict)
     embedder = build_embedder(config)
     generator = build_generator(config)
-    planner_config = config.planner_config()
 
     os.makedirs(config.out, exist_ok=True)
     started = time.time()
@@ -247,7 +234,7 @@ def run_plan(config):
         tid = task_id(index, sample.task)
         try:
             result = planner.plan(
-                sample.task, graph, admissible, generator, embedder, config=planner_config
+                sample.task, graph, admissible, generator, embedder, config=config
             )
         except Exception as err:  # a failed task is recorded, not fatal
             return tid, sample, None, f"{type(err).__name__}: {err}"
@@ -451,7 +438,6 @@ def run_inspect(config):
     graph = kg.load_graph(config.graph, fmt=config.graph_format)
     admissible = load_admissible_set(config.admissible)
     embedder = build_embedder(config)
-    planner_config = config.planner_config()
 
     from . import entities as entity_parser
 
@@ -461,17 +447,16 @@ def run_inspect(config):
     for ent in parsed.entities:
         marker = "*" if ent.key in graph else " "
         print(f"  {marker} {ent.key} ({ent.kind})")
-    knowledge = planner.knowledge_for_task(config.task, graph, embedder, planner_config)
+    knowledge = planner.knowledge_for_task(config.task, graph, embedder, config)
     print(f"knowledge lines ({len(knowledge)}):")
-    for line in knowledge.lines:
+    for line in knowledge:
         print(f"  {line}")
     grounded = translate_prompt(knowledge, admissible, embedder)
     print(f"grounded lines ({len(grounded)}):")
-    for line in grounded.lines:
+    for line in grounded:
         print(f"  {line}")
-    prompt = planner.aggregate_prompt(config.task, grounded)
     print("prompt:")
-    for line in prompt.rendered().splitlines():
+    for line in GenerationRequest(config.task, grounded).prompt.splitlines():
         print(f"  | {line}")
     return EXIT_OK
 

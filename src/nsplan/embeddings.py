@@ -21,24 +21,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import threading
 
 import numpy as np
 
+from .entities import tokenize
 from .errors import TransportError
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z]+)?")
 
 DEFAULT_DIM = 256
 
 
-def _tokens(text):
-    return _TOKEN_RE.findall(text.lower())
-
-
 def _features(text, bigrams=True):
-    toks = _tokens(text)
+    toks = tokenize(text)
     feats = list(toks)
     if bigrams:
         feats.extend(f"{a} {b}" for a, b in zip(toks, toks[1:]))

@@ -100,6 +100,8 @@ def tag_word(word):
 
 
 def tokenize(text):
+    """Lowercase word tokens (interior apostrophes kept); the one tokenizer
+    shared by entity parsing, hashed embeddings, selection and metrics."""
     return _WORD_RE.findall(text.lower())
 
 

@@ -1,14 +1,18 @@
 """Next-step text generation behind one provider interface.
 
-Providers return (text, confidence) for a rendered prompt. The remote
+Providers return (text, confidence) for a structured prompt: the task,
+its grounded knowledge lines and the accepted step history. The remote
 provider speaks an OpenAI-style completions contract; the two mock
 providers exist so the whole planning loop runs offline and reproducibly:
 
 * follower mock: echoes the first knowledge line of the prompt that the
   step history has not used yet, with a configured confidence schedule.
 * scripted mock: looks responses up by a stable fingerprint of the exact
-  prompt bytes (FNV-1a, 64-bit, lowercase hex; also described in the
-  README).
+  rendered prompt bytes (FNV-1a, 64-bit, lowercase hex; also described in
+  the README).
+
+Only the scripted and remote providers read the rendered text; this module
+is the one place that knows the "Task:"/"Step:"/"Step i:" format.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from .errors import TransportError
@@ -24,8 +29,6 @@ from .errors import TransportError
 MASK_SENTINEL = "<mask>"
 
 _STEP_PREFIX_RE = re.compile(r"^\s*step\s*\d*\s*:\s*", re.IGNORECASE)
-_KNOWLEDGE_LINE_RE = re.compile(r"^Step:\s*(.+?)\.?\s*$")
-_HISTORY_LINE_RE = re.compile(r"^Step\s+(\d+):\s*(.+?)\.?\s*$")
 
 
 class FixtureMissError(KeyError):
@@ -37,17 +40,33 @@ class FixtureMissError(KeyError):
 
 @dataclass(frozen=True)
 class GenerationRequest:
-    prompt: str
+    """One next-step call: the structured prompt plus decoding settings.
+
+    ``knowledge`` holds the grounded knowledge lines and ``history`` the
+    accepted step texts, in order. ``prompt`` is the rendered text, built on
+    first access only.
+    """
+
+    task: str
+    knowledge: tuple[str, ...] = ()
+    history: tuple[str, ...] = ()
     mode: str = "autoregressive"  # or "autoencoder"
     max_tokens: int = 64
     temperature: float = 0.0
     stop: tuple[str, ...] = ("\n",)
 
     def __post_init__(self):
-        if not self.prompt:
-            raise ValueError("prompt must be nonempty")
         if self.mode not in ("autoregressive", "autoencoder"):
             raise ValueError(f"unknown generation mode {self.mode!r}")
+
+    @cached_property
+    def prompt(self):
+        """The task line, one "Step: x." line per knowledge line, then one
+        "Step i: x." line per history step (1-based)."""
+        lines = [f"Task: {self.task}"]
+        lines.extend(f"Step: {text}." for text in self.knowledge)
+        lines.extend(f"Step {i}: {text}." for i, text in enumerate(self.history, 1))
+        return "\n".join(lines)
 
     def payload_prompt(self):
         """Prompt as sent to a completion service; autoencoder mode appends
@@ -86,29 +105,13 @@ def clean_completion(text):
     return text.strip()
 
 
-def parse_prompt_sections(prompt):
-    """Split a rendered prompt into (knowledge line texts, history step
-    texts). Knowledge lines look like "Step: x." and history lines like
-    "Step 3: x."."""
-    knowledge, history = [], []
-    for line in prompt.splitlines():
-        m = _HISTORY_LINE_RE.match(line.strip())
-        if m:
-            history.append(m.group(2))
-            continue
-        m = _KNOWLEDGE_LINE_RE.match(line.strip())
-        if m:
-            knowledge.append(m.group(1))
-    return knowledge, history
-
-
 class KnowledgeFollowerGenerator:
-    """Returns the first knowledge line of the prompt not yet in the step
+    """Returns the first knowledge line of the request not yet in the step
     history; when every line is used up, returns ("", 0.0).
 
     ``schedule`` supplies the confidence for the i-th generated step
-    (indexed by history length, clamped to the last entry). Stateless
-    across calls by construction.
+    (indexed by history length, clamped to the last entry); every entry
+    must lie in [0, 1]. Stateless across calls by construction.
     """
 
     kind = "follower"
@@ -117,14 +120,15 @@ class KnowledgeFollowerGenerator:
         schedule = tuple(float(c) for c in schedule)
         if not schedule:
             raise ValueError("confidence schedule must be nonempty")
+        if not all(0.0 <= c <= 1.0 for c in schedule):
+            raise ValueError(f"confidence schedule entries must lie in [0, 1], got {schedule}")
         self.schedule = schedule
 
     def next_step(self, request):
-        knowledge, history = parse_prompt_sections(request.prompt)
-        used = set(history)
-        for line in knowledge:
+        used = set(request.history)
+        for line in request.knowledge:
             if line not in used:
-                idx = min(len(history), len(self.schedule) - 1)
+                idx = min(len(request.history), len(self.schedule) - 1)
                 return GenerationResult(text=line, confidence=self.schedule[idx])
         return GenerationResult(text="", confidence=0.0)
 
@@ -214,13 +218,14 @@ class RemoteGenerator:
 
 
 def next_step(provider, request):
-    """Run one generation and enforce the single-step output contract."""
+    """Run one generation and enforce the single-step output contract: one
+    line of text and a confidence in [0, 1]."""
     result = provider.next_step(request)
     text = result.text.strip()
     if "\n" in text or _STEP_PREFIX_RE.match(text):
         text = clean_completion(text)
     if text != result.text:
         result = GenerationResult(text, result.confidence, result.raw, result.flagged)
-    if not math.isfinite(result.confidence):
-        raise ValueError(f"provider returned non-finite confidence {result.confidence!r}")
+    if not 0.0 <= result.confidence <= 1.0:  # also rejects NaN
+        raise ValueError(f"provider returned confidence {result.confidence!r} outside [0, 1]")
     return result

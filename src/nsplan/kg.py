@@ -42,6 +42,12 @@ class IngestError(ValueError):
         self.line_no = line_no
 
 
+def surface(key):
+    """Readable text of a node key: node keys are lowercase words joined by
+    underscores, so the underscores become spaces."""
+    return key.replace("_", " ")
+
+
 @dataclass(frozen=True)
 class Triplet:
     head: str

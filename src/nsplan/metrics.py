@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -18,18 +17,13 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .embeddings import cosine, embed
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z]+)?")
+from .entities import tokenize
 
 METRIC_NAMES = ("s_bleu", "rouge1_f1", "wmd_distance", "wmd_similarity", "embed_match_f1")
 
 
 class UndefinedCorrelationError(ValueError):
     pass
-
-
-def tokenize(text):
-    return _TOKEN_RE.findall(text.lower())
 
 
 def plan_text(steps):

@@ -2,8 +2,8 @@
 generate/translate/accept loop.
 
 The knowledge prompt for a task is computed once, before the first step.
-Each iteration renders the aggregate prompt (task line, knowledge lines,
-step history), asks the generator for a candidate, grounds the candidate
+Each iteration hands the generator the structured prompt (task, grounded
+knowledge lines, step history), asks it for a candidate, grounds the candidate
 onto the admissible set, and accepts it only when the effective
 confidence (generator confidence times translation cosine) clears the
 threshold.
@@ -24,6 +24,9 @@ TERMINATIONS = ("MaxSteps", "BelowThreshold", "GeneratorExhausted")
 
 @dataclass(frozen=True)
 class PlannerConfig:
+    """The seven planning hyperparameters; defaults are the published
+    configuration. The only place they are declared and validated."""
+
     theta: float = 0.7
     max_steps: int = 20
     hops: int = 3
@@ -39,46 +42,12 @@ class PlannerConfig:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.hops < 1:
             raise ConfigError(f"hops must be >= 1, got {self.hops}")
-        try:
-            adaption.AdaptionConfig(
-                top_k=self.top_k,
-                edge_threshold=self.edge_threshold,
-                concept_ratio=self.concept_ratio,
-                cos_keep_threshold=self.cos_keep_threshold,
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-
-    def adaption(self):
-        return adaption.AdaptionConfig(
-            top_k=self.top_k,
-            edge_threshold=self.edge_threshold,
-            concept_ratio=self.concept_ratio,
-            cos_keep_threshold=self.cos_keep_threshold,
-        )
-
-
-@dataclass(frozen=True)
-class Prompt:
-    task: str
-    knowledge: tuple[str, ...]
-    history: tuple[str, ...] = ()
-
-    def rendered(self):
-        lines = [f"Task: {self.task}"]
-        lines.extend(f"Step: {text}." for text in self.knowledge)
-        lines.extend(f"Step {i}: {text}." for i, text in enumerate(self.history, 1))
-        return "\n".join(lines)
-
-
-def aggregate_prompt(task, knowledge, history=()):
-    """Bundle the task text, translated knowledge lines, and the step
-    history into one Prompt. ``knowledge`` may be a TranslatedPrompt or any
-    iterable of strings."""
-    lines = getattr(knowledge, "lines", None)
-    if lines is None:
-        lines = tuple(knowledge)
-    return Prompt(task=task, knowledge=tuple(lines), history=tuple(history))
+        if self.top_k < 0:
+            raise ConfigError(f"top_k must be >= 0, got {self.top_k}")
+        if self.edge_threshold < 0:
+            raise ConfigError(f"edge_threshold must be >= 0, got {self.edge_threshold}")
+        if self.concept_ratio < 1:
+            raise ConfigError(f"concept_ratio must be >= 1, got {self.concept_ratio}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +104,7 @@ def knowledge_for_task(task, graph, embedder, config, rules=None):
     anchors = [key for key in parsed.keys() if key in graph]
     sub = kg.sample_subgraph(graph, anchors, hops=config.hops)
     adapted = adaption.adapt_weights(sub, task, embedder)
-    kept = adaption.select(adapted, config.adaption(), task)
+    kept = adaption.select(adapted, config, task)
     return verbalize.build_knowledge_prompt(kept, rules=rules, max_depth=config.hops)
 
 
@@ -154,8 +123,7 @@ def plan(task, graph, admissible, generator, embedder, config=None, rules=None):
     trace = []
     termination = "MaxSteps"
     while len(steps) < config.max_steps:
-        prompt = aggregate_prompt(task, grounded, [s.text for s in steps])
-        request = GenerationRequest(prompt=prompt.rendered())
+        request = GenerationRequest(task, grounded, tuple(s.text for s in steps))
         try:
             result = next_step(generator, request)
         except TransportError as err:

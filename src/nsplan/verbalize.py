@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .kg import surface
+
 PHASES = ("Prerequisite", "Body", "Subevent", "LastSubevent")
 
 
@@ -73,37 +75,12 @@ def load_rules(path):
     return rules
 
 
-@dataclass(frozen=True)
-class ProceduralPrompt:
-    """Ordered, duplicate-free knowledge lines. Stored bare; rendering adds
-    the "Step: <text>." wrapper."""
-
-    lines: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if len(set(self.lines)) != len(self.lines):
-            raise ValueError("prompt lines must be unique")
-
-    def rendered(self):
-        return [f"Step: {line}." for line in self.lines]
-
-    def __iter__(self):
-        return iter(self.lines)
-
-    def __len__(self):
-        return len(self.lines)
-
-
-def _surface(key):
-    return key.replace("_", " ")
-
-
 def verbalize_triplet(triplet, rules=None):
     rules = DEFAULT_RULES if rules is None else rules
     rule = rules.get(triplet.relation)
     if rule is None:
         raise UnmappedRelationError(triplet.relation)
-    return rule.template.format(head=_surface(triplet.head), tail=_surface(triplet.tail))
+    return rule.template.format(head=surface(triplet.head), tail=surface(triplet.tail))
 
 
 def _order_key(t):
@@ -111,8 +88,8 @@ def _order_key(t):
 
 
 def build_knowledge_prompt(subgraph, rules=None, max_depth=3):
-    """Linearize an adapted subgraph into knowledge lines (see the module
-    docstring for the traversal contract)."""
+    """Linearize an adapted subgraph into a tuple of ordered, duplicate-free
+    knowledge lines (see the module docstring for the traversal contract)."""
     rules = DEFAULT_RULES if rules is None else rules
     ordered = sorted(subgraph.triplets, key=_order_key)
     for t in ordered:
@@ -145,4 +122,4 @@ def build_knowledge_prompt(subgraph, rules=None, max_depth=3):
         for t in ordered:
             if rules[t.relation].phase == phase:
                 visit(t, 0)
-    return ProceduralPrompt(tuple(lines))
+    return tuple(lines)

@@ -20,7 +20,7 @@ import pytest
 
 import oracles
 from nsplan import cli
-from nsplan.adaption import AdaptionConfig, adapt_weights, select
+from nsplan.adaption import adapt_weights, select
 from nsplan.admissible import load_admissible_set, translate
 from nsplan.causal import (
     confounded_example,
@@ -86,7 +86,7 @@ def test_criterion_01_published_prompt_verbatim(shower_graph, fixture_path):
     elapsed = time.time() - start
     assert elapsed < 1.0, f"prompt construction took {elapsed:.3f}s"
 
-    got = collections.Counter(prompt.lines)
+    got = collections.Counter(prompt)
     want = collections.Counter(expected)
     if got != want:
         missing = sorted((want - got).elements())
@@ -204,7 +204,7 @@ def test_criterion_05_adaption_properties():
         for t in adapted.triplets:
             assert -1.0 <= t.adapted_weight - t.weight <= 1.0
 
-        cfg = AdaptionConfig(
+        cfg = PlannerConfig(
             top_k=rng.randint(0, 8),
             edge_threshold=rng.uniform(0.0, 2.0),
             concept_ratio=rng.randint(1, 4),
@@ -230,7 +230,7 @@ def test_criterion_05_adaption_properties():
             ),
             anchors=adapted.anchors,
         )
-        loose = AdaptionConfig(
+        loose = PlannerConfig(
             top_k=cfg.top_k, edge_threshold=0.0, concept_ratio=cfg.concept_ratio,
             cos_keep_threshold=-2.0,
         )

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nsplan.adaption import AdaptionConfig, adapt_weights, select, surface
+from nsplan.adaption import adapt_weights, select, surface
 from nsplan.embeddings import HashEmbedding, cosine, embed
 from nsplan.entities import tokenize
 from nsplan.kg import AdaptedTriplet, Subgraph
+from nsplan.planner import PlannerConfig
 
 
 def _adapted(head, relation, tail, weight, adapted_weight, hop=1):
@@ -89,14 +90,14 @@ class TestAdaptWeights:
 
 
 class TestSelect:
-    CFG = AdaptionConfig(top_k=10, edge_threshold=0.6, concept_ratio=3, cos_keep_threshold=0.4)
+    CFG = PlannerConfig(top_k=10, edge_threshold=0.6, concept_ratio=3, cos_keep_threshold=0.4)
 
     @given(subgraphs(), st.integers(min_value=0, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_matches_full_sort_oracle(self, sub, top_k):
         task = "take a shower"
         adapted = adapt_weights(sub, task, HashEmbedding(dim=32))
-        cfg = AdaptionConfig(
+        cfg = PlannerConfig(
             top_k=top_k, edge_threshold=0.5, concept_ratio=2, cos_keep_threshold=-1.0
         )
         got = select(adapted, cfg, task)
@@ -116,7 +117,7 @@ class TestSelect:
             ("a", "UsedFor", "y", 2.0),
             ("b", "HasSubevent", "z", 1.0),
         ]
-        cfg = AdaptionConfig(top_k=2, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-2.0)
+        cfg = PlannerConfig(top_k=2, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-2.0)
 
         def ranked_nodes(shift):
             sub = Subgraph(
@@ -157,10 +158,10 @@ class TestSelect:
         sub = Subgraph(
             tuple(_adapted(h, r, t, w, w) for h, r, t, w in triplets), anchors=("h",)
         )
-        cfg = AdaptionConfig(top_k=10, edge_threshold=0.0, concept_ratio=2, cos_keep_threshold=-1.0)
+        cfg = PlannerConfig(top_k=10, edge_threshold=0.0, concept_ratio=2, cos_keep_threshold=-1.0)
         out = select(sub, cfg, "one two three")  # cap = min(10, 2*3) = 6
         assert len({t.tail for t in out.triplets}) == 6
-        cfg_small = AdaptionConfig(
+        cfg_small = PlannerConfig(
             top_k=4, edge_threshold=0.0, concept_ratio=2, cos_keep_threshold=-1.0
         )
         out_small = select(sub, cfg_small, "one two three")  # cap = min(4, 6) = 4
@@ -175,7 +176,7 @@ class TestSelect:
             ),
             anchors=("a",),
         )
-        cfg = AdaptionConfig(top_k=1, edge_threshold=0.6, concept_ratio=3, cos_keep_threshold=-2.0)
+        cfg = PlannerConfig(top_k=1, edge_threshold=0.6, concept_ratio=3, cos_keep_threshold=-2.0)
         out = select(sub, cfg, "t")
         # x wins the single slot on its best edge; both its surviving edges stay.
         assert {t.tail for t in out.triplets} == {"x"}
@@ -190,7 +191,7 @@ class TestSelect:
             ),
             anchors=("a",),
         )
-        cfg = AdaptionConfig(top_k=5, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-2.0)
+        cfg = PlannerConfig(top_k=5, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-2.0)
         out = select(sub, cfg, "t")
         assert [t.key for t in out.triplets] == [
             ("a", "HasSubevent", "x"),
@@ -203,20 +204,13 @@ class TestSelect:
         sub = Subgraph(
             tuple(_adapted(h, r, t, w, w) for h, r, t, w in triplets), anchors=("h",)
         )
-        cfg = AdaptionConfig(top_k=10, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
+        cfg = PlannerConfig(top_k=10, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
         out = select(sub, cfg, "")
         assert len({t.tail for t in out.triplets}) == 3  # min(10, 3 * max(1, 0))
 
 
 class TestAdaptionConfig:
-    def test_defaults(self):
-        cfg = AdaptionConfig()
-        assert (cfg.top_k, cfg.edge_threshold, cfg.concept_ratio, cfg.cos_keep_threshold) == (
-            10,
-            0.6,
-            3,
-            0.4,
-        )
+    """The selection fields of PlannerConfig."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -224,7 +218,7 @@ class TestAdaptionConfig:
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            AdaptionConfig(**kwargs)
+            PlannerConfig(**kwargs)
 
 
 def test_surface_replaces_underscores():
@@ -237,7 +231,7 @@ def test_pipeline_on_shower_fixture(shower_graph, hash_embedder):
     sub = sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
     adapted = adapt_weights(sub, "take a shower", hash_embedder)
     assert all(np.isfinite(t.adapted_weight) for t in adapted.triplets)
-    cfg = AdaptionConfig(top_k=10, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
+    cfg = PlannerConfig(top_k=10, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
     out = select(adapted, cfg, "take a shower")
     assert 0 < len(out.triplets) <= len(adapted.triplets)
     weights = [t.adapted_weight for t in out.triplets]

@@ -10,7 +10,6 @@ import oracles
 from nsplan.admissible import (
     AdmissibleSet,
     AdmissibleStep,
-    TranslatedPrompt,
     build_admissible_set,
     load_admissible_set,
     translate,
@@ -18,7 +17,6 @@ from nsplan.admissible import (
 )
 from nsplan.embeddings import HashEmbedding, embed
 from nsplan.errors import ConfigError
-from nsplan.verbalize import ProceduralPrompt
 
 
 class _OracleView:
@@ -144,24 +142,14 @@ class TestTranslatePrompt:
 
         steps = AdmissibleSet([AdmissibleStep("alpha"), AdmissibleStep("zoom")])
         # 'a'-texts all map to "alpha"; the far-apart repeat survives.
-        prompt = ProceduralPrompt(("aa", "ab", "xx", "ac"))
-        out = translate_prompt(prompt, steps, TwoBuckets())
-        assert list(out) == ["alpha", "zoom", "alpha"]
-
-    def test_translated_prompt_allows_nonadjacent_repeats(self):
-        tp = TranslatedPrompt(("walk", "sit", "walk"))
-        assert len(tp) == 3
-        assert tp.rendered() == ["Step: walk.", "Step: sit.", "Step: walk."]
-
-    def test_procedural_prompt_would_reject_that(self):
-        with pytest.raises(ValueError):
-            ProceduralPrompt(("walk", "sit", "walk"))
+        out = translate_prompt(("aa", "ab", "xx", "ac"), steps, TwoBuckets())
+        assert out == ("alpha", "zoom", "alpha")
 
     def test_empty_prompt(self, household_admissible, hash_embedder):
-        out = translate_prompt(ProceduralPrompt(()), household_admissible, hash_embedder)
-        assert list(out) == []
+        out = translate_prompt((), household_admissible, hash_embedder)
+        assert out == ()
 
     def test_every_line_admissible(self, household_admissible, hash_embedder):
-        prompt = ProceduralPrompt(("turn on the water", "wash your hair", "dry off"))
+        prompt = ("turn on the water", "wash your hair", "dry off")
         out = translate_prompt(prompt, household_admissible, hash_embedder)
         assert all(line in household_admissible for line in out)

@@ -17,10 +17,11 @@ from nsplan.generation import (
     ScriptedGenerator,
     clean_completion,
     next_step,
-    parse_prompt_sections,
     prompt_fingerprint,
 )
 
+KNOWLEDGE = ("find remote control", "switch on television", "sit on sofa")
+REQUEST = GenerationRequest("Watch TV", KNOWLEDGE, ("find remote control",))
 PROMPT = (
     "Task: Watch TV\n"
     "Step: find remote control.\n"
@@ -71,69 +72,65 @@ class TestFingerprint:
 
 
 class TestRequest:
+    def test_renders_task_knowledge_and_history(self):
+        assert REQUEST.prompt == PROMPT
+
     def test_autoencoder_appends_mask(self):
-        req = GenerationRequest(prompt="Task: X", mode="autoencoder")
+        req = GenerationRequest("X", mode="autoencoder")
         assert req.payload_prompt() == f"Task: X {MASK_SENTINEL}"
 
     def test_autoregressive_unchanged(self):
-        req = GenerationRequest(prompt="Task: X")
+        req = GenerationRequest("X")
         assert req.payload_prompt() == "Task: X"
 
-    def test_rejects_empty_prompt_and_bad_mode(self):
+    def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            GenerationRequest(prompt="")
-        with pytest.raises(ValueError):
-            GenerationRequest(prompt="x", mode="diffusion")
-
-
-class TestPromptSections:
-    def test_splits_knowledge_and_history(self):
-        knowledge, history = parse_prompt_sections(PROMPT)
-        assert knowledge == ["find remote control", "switch on television", "sit on sofa"]
-        assert history == ["find remote control"]
-
-    def test_ignores_task_and_blank_lines(self):
-        knowledge, history = parse_prompt_sections("Task: X\n\nnot a step line\n")
-        assert knowledge == [] and history == []
+            GenerationRequest("x", mode="diffusion")
 
 
 class TestFollower:
     def test_returns_first_unused_knowledge_line(self):
-        result = KnowledgeFollowerGenerator().next_step(GenerationRequest(PROMPT))
+        result = KnowledgeFollowerGenerator().next_step(REQUEST)
         assert result.text == "switch on television"
         assert result.confidence == 1.0
 
+    def test_reads_structured_prompt_without_rendering(self):
+        request = GenerationRequest("Watch TV", KNOWLEDGE, ("find remote control",))
+        KnowledgeFollowerGenerator().next_step(request)
+        assert "prompt" not in vars(request)
+
     def test_schedule_indexed_by_history_length(self):
         gen = KnowledgeFollowerGenerator(schedule=(1.0, 1.0, 0.5))
-        result = gen.next_step(GenerationRequest(PROMPT))  # one history step
+        result = gen.next_step(REQUEST)  # one history step
         assert result.confidence == 1.0
-        longer = PROMPT + "\nStep 2: switch on television."
-        result = gen.next_step(GenerationRequest(longer))
+        longer = GenerationRequest("Watch TV", KNOWLEDGE, KNOWLEDGE[:2])
+        result = gen.next_step(longer)
         assert result.text == "sit on sofa"
         assert result.confidence == 0.5
 
     def test_schedule_clamps_to_last_entry(self):
         gen = KnowledgeFollowerGenerator(schedule=(0.9,))
-        longer = PROMPT + "\nStep 2: switch on television."
-        assert gen.next_step(GenerationRequest(longer)).confidence == 0.9
+        longer = GenerationRequest("Watch TV", KNOWLEDGE, KNOWLEDGE[:2])
+        assert gen.next_step(longer).confidence == 0.9
 
     def test_exhaustion_returns_empty_zero(self):
-        done = (
-            "Task: Watch TV\n"
-            "Step: sit on sofa.\n"
-            "Step 1: sit on sofa."
-        )
-        result = KnowledgeFollowerGenerator().next_step(GenerationRequest(done))
+        done = GenerationRequest("Watch TV", ("sit on sofa",), ("sit on sofa",))
+        result = KnowledgeFollowerGenerator().next_step(done)
         assert (result.text, result.confidence) == ("", 0.0)
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
             KnowledgeFollowerGenerator(schedule=())
 
+    @pytest.mark.parametrize("schedule", [(1.5,), (1.0, -0.1), (float("nan"),)])
+    def test_schedule_outside_unit_interval_rejected(self, schedule):
+        with pytest.raises(ValueError):
+            KnowledgeFollowerGenerator(schedule=schedule)
+
     def test_stateless_across_calls(self):
         gen = KnowledgeFollowerGenerator()
-        first = gen.next_step(GenerationRequest(PROMPT))
-        second = gen.next_step(GenerationRequest(PROMPT))
+        first = gen.next_step(REQUEST)
+        second = gen.next_step(REQUEST)
         assert first == second
 
 
@@ -141,21 +138,21 @@ class TestScripted:
     def test_lookup_by_fingerprint(self):
         fp = prompt_fingerprint("Task: X")
         gen = ScriptedGenerator(responses={fp: {"text": "Step 1: walk.", "confidence": 0.7}})
-        result = gen.next_step(GenerationRequest("Task: X"))
+        result = gen.next_step(GenerationRequest("X"))
         assert result.text == "walk"
         assert result.confidence == 0.7
 
     def test_miss_raises_with_fingerprint(self):
         gen = ScriptedGenerator(responses={})
         with pytest.raises(FixtureMissError) as err:
-            gen.next_step(GenerationRequest("Task: X"))
+            gen.next_step(GenerationRequest("X"))
         assert err.value.fingerprint == prompt_fingerprint("Task: X")
 
     def test_loads_from_file(self, tmp_path):
         fp = prompt_fingerprint("Task: Y")
         path = tmp_path / "responses.json"
         path.write_text(json.dumps({fp: {"text": "sit", "confidence": 0.5}}))
-        result = ScriptedGenerator(path=path).next_step(GenerationRequest("Task: Y"))
+        result = ScriptedGenerator(path=path).next_step(GenerationRequest("Y"))
         assert (result.text, result.confidence) == ("sit", 0.5)
 
 
@@ -175,7 +172,7 @@ class TestRemote:
             return 200, self._ok_body(logprobs=[-0.1])
 
         gen = RemoteGenerator("http://svc/v1", model="m1", transport=transport)
-        gen.next_step(GenerationRequest("Task: X", max_tokens=32, temperature=0.2))
+        gen.next_step(GenerationRequest("X", max_tokens=32, temperature=0.2))
         assert seen == [
             {
                 "model": "m1",
@@ -195,7 +192,7 @@ class TestRemote:
             return 200, self._ok_body(logprobs=[-0.1])
 
         gen = RemoteGenerator("http://svc/v1", model="m", transport=transport)
-        gen.next_step(GenerationRequest("Task: X", mode="autoencoder"))
+        gen.next_step(GenerationRequest("X", mode="autoencoder"))
         assert seen == [f"Task: X {MASK_SENTINEL}"]
 
     def test_confidence_is_exp_mean_logprob(self):
@@ -205,7 +202,7 @@ class TestRemote:
             model="m",
             transport=lambda p: (200, self._ok_body(logprobs=logprobs)),
         )
-        result = gen.next_step(GenerationRequest("Task: X"))
+        result = gen.next_step(GenerationRequest("X"))
         want = oracles.mean_logprob_confidence_oracle(logprobs)
         assert result.confidence == pytest.approx(want, abs=1e-15)
         assert result.confidence == pytest.approx(math.exp(-1.75 / 3), abs=1e-12)
@@ -215,7 +212,7 @@ class TestRemote:
         gen = RemoteGenerator(
             "http://svc/v1", model="m", transport=lambda p: (200, self._ok_body())
         )
-        result = gen.next_step(GenerationRequest("Task: X"))
+        result = gen.next_step(GenerationRequest("X"))
         assert result.confidence == 1.0
         assert result.flagged
 
@@ -228,7 +225,7 @@ class TestRemote:
                 self._ok_body(text="Step 2: sit on sofa. Then nap.", logprobs=[-0.1]),
             ),
         )
-        assert gen.next_step(GenerationRequest("Task: X")).text == "sit on sofa"
+        assert gen.next_step(GenerationRequest("X")).text == "sit on sofa"
 
     def test_retries_then_succeeds(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda _: None)
@@ -241,7 +238,7 @@ class TestRemote:
             return 200, self._ok_body(logprobs=[-0.2])
 
         gen = RemoteGenerator("http://svc/v1", model="m", transport=transport, retries=3)
-        assert gen.next_step(GenerationRequest("Task: X")).text == "walk to sofa"
+        assert gen.next_step(GenerationRequest("X")).text == "walk to sofa"
         assert len(calls) == 3
 
     def test_transport_error_after_retries(self, monkeypatch):
@@ -250,7 +247,7 @@ class TestRemote:
             "http://svc/v1", model="m", transport=lambda p: (503, {}), retries=2
         )
         with pytest.raises(TransportError) as err:
-            gen.next_step(GenerationRequest("Task: X"))
+            gen.next_step(GenerationRequest("X"))
         assert err.value.status == 503
 
     def test_non_retryable_status_raises_immediately(self):
@@ -262,7 +259,7 @@ class TestRemote:
 
         gen = RemoteGenerator("http://svc/v1", model="m", transport=transport)
         with pytest.raises(TransportError):
-            gen.next_step(GenerationRequest("Task: X"))
+            gen.next_step(GenerationRequest("X"))
         assert len(calls) == 1
 
     def test_malformed_body_raises(self):
@@ -270,7 +267,7 @@ class TestRemote:
             "http://svc/v1", model="m", transport=lambda p: (200, {"choices": []})
         )
         with pytest.raises(TransportError, match="choices"):
-            gen.next_step(GenerationRequest("Task: X"))
+            gen.next_step(GenerationRequest("X"))
 
 
 class TestNextStepContract:
@@ -279,7 +276,7 @@ class TestNextStepContract:
             def next_step(self, request):
                 return GenerationResult("Step 4: walk.\ngarbage", 0.5)
 
-        assert next_step(Sloppy(), GenerationRequest("Task: X")).text == "walk"
+        assert next_step(Sloppy(), GenerationRequest("X")).text == "walk"
 
     def test_rejects_non_finite_confidence(self):
         class Bad:
@@ -287,8 +284,15 @@ class TestNextStepContract:
                 return GenerationResult("walk", float("nan"))
 
         with pytest.raises(ValueError):
-            next_step(Bad(), GenerationRequest("Task: X"))
+            next_step(Bad(), GenerationRequest("X"))
+
+    @pytest.mark.parametrize("confidence", [1.5, -0.1])
+    def test_rejects_confidence_outside_unit_interval(self, confidence):
+        fp = prompt_fingerprint("Task: X")
+        gen = ScriptedGenerator(responses={fp: {"text": "walk", "confidence": confidence}})
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            next_step(gen, GenerationRequest("X"))
 
     def test_passes_through_clean_results(self):
-        result = next_step(KnowledgeFollowerGenerator(), GenerationRequest(PROMPT))
+        result = next_step(KnowledgeFollowerGenerator(), REQUEST)
         assert result.text == "switch on television"

@@ -5,21 +5,23 @@ import json
 
 import pytest
 
-from nsplan.admissible import AdmissibleSet, AdmissibleStep, TranslatedPrompt
+import oracles
+from nsplan.adaption import select
+from nsplan.admissible import AdmissibleSet, AdmissibleStep, translate_prompt
 from nsplan.errors import ConfigError, TransportError
 from nsplan.generation import (
+    GenerationRequest,
     GenerationResult,
     KnowledgeFollowerGenerator,
     RemoteGenerator,
     ScriptedGenerator,
 )
+from nsplan.kg import AdaptedTriplet, Subgraph
 from nsplan.planner import (
     TERMINATIONS,
     PlannerConfig,
     PlanResult,
     PlanStep,
-    Prompt,
-    aggregate_prompt,
     knowledge_for_task,
     plan,
 )
@@ -58,6 +60,7 @@ class TestPlannerConfig:
             {"max_steps": 0},
             {"hops": 0},
             {"top_k": -1},
+            {"edge_threshold": -0.1},
             {"concept_ratio": 0},
         ],
     )
@@ -70,36 +73,45 @@ class TestPlannerConfig:
             PlannerConfig().theta = 0.5
 
     def test_adaption_view(self):
-        a = PlannerConfig(top_k=4, edge_threshold=0.1, concept_ratio=2, cos_keep_threshold=0.0).adaption()
-        assert (a.top_k, a.edge_threshold, a.concept_ratio, a.cos_keep_threshold) == (
-            4,
-            0.1,
-            2,
-            0.0,
+        # select() reads the four adaption fields straight off PlannerConfig;
+        # the defaults would keep three nodes here, this config keeps five.
+        cfg = PlannerConfig(top_k=5, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
+        triplets = tuple(
+            AdaptedTriplet("h", "UsedFor", f"n{i}", 1.0, 1.0 + 0.1 * i, 1) for i in range(8)
         )
+        got = select(Subgraph(triplets, anchors=("h",)), cfg, "one two")
+        want = oracles.select_oracle(
+            triplets, ["one", "two"], top_k=5, edge_threshold=0.0, cos_keep_threshold=-1.0,
+            concept_ratio=3,
+        )
+        assert list(got.triplets) == want
+        assert len(want) == 5
 
 
 class TestPromptRendering:
     def test_matches_golden_fixture(self, fixture_path):
-        prompt = aggregate_prompt(
+        request = GenerationRequest(
             "Watch TV",
             ("find remote control", "switch on television", "sit on sofa"),
             ("find remote control", "switch on television"),
         )
         with open(fixture_path("golden_prompt.txt"), encoding="utf-8") as fh:
-            assert prompt.rendered() == fh.read().rstrip("\n")
+            assert request.prompt == fh.read().rstrip("\n")
 
-    def test_accepts_translated_prompt(self):
-        tp = TranslatedPrompt(("walk", "sit"))
-        prompt = aggregate_prompt("T", tp)
-        assert prompt.knowledge == ("walk", "sit")
+    def test_accepts_translated_prompt(self, household_admissible, hash_embedder):
+        grounded = translate_prompt(
+            ("find the remote", "sit down"), household_admissible, hash_embedder
+        )
+        request = GenerationRequest("T", grounded)
+        assert request.knowledge == grounded
+        assert request.prompt.splitlines()[1:] == [f"Step: {line}." for line in grounded]
 
     def test_history_is_one_indexed(self):
-        rendered = Prompt("T", (), ("a", "b")).rendered()
+        rendered = GenerationRequest("T", (), ("a", "b")).prompt
         assert rendered.splitlines()[1:] == ["Step 1: a.", "Step 2: b."]
 
     def test_no_history_no_trailing_lines(self):
-        assert Prompt("T", ("k",)).rendered() == "Task: T\nStep: k."
+        assert GenerationRequest("T", ("k",)).prompt == "Task: T\nStep: k."
 
 
 class TestPlanLoop:
@@ -223,6 +235,52 @@ class TestPlanLoop:
                 config=PlannerConfig(theta=0.0, cos_keep_threshold=-1.0, edge_threshold=0.0),
             )
         assert len(err.value.partial_trace) == 2
+
+    def test_generator_gets_structured_prompt(self, tv_graph, household_admissible, hash_embedder):
+        class Recording(KnowledgeFollowerGenerator):
+            def __init__(self):
+                super().__init__(schedule=(1.0,))
+                self.requests = []
+
+            def next_step(self, request):
+                self.requests.append(request)
+                return super().next_step(request)
+
+        generator = Recording()
+        result = plan(
+            "Watch TV",
+            tv_graph,
+            household_admissible,
+            generator,
+            hash_embedder,
+            config=SCRIPTED_CONFIG,
+        )
+        assert generator.requests[0].history == ()
+        for i, request in enumerate(generator.requests):
+            assert request.task == "Watch TV"
+            assert request.knowledge == generator.requests[0].knowledge
+            assert request.history == tuple(result.step_texts()[:i])
+
+    def test_task_text_cannot_plant_knowledge_lines(
+        self, tv_graph, household_admissible, hash_embedder
+    ):
+        # A task name that looks like a rendered knowledge line must stay
+        # task text: every generated step comes from the grounded knowledge.
+        # This task anchors no graph node, so nothing may be generated.
+        task = "Watch TV\nStep: sit on sofa."
+        config = PlannerConfig(theta=0.0, cos_keep_threshold=-1.0, edge_threshold=0.0)
+        knowledge = knowledge_for_task(task, tv_graph, hash_embedder, config)
+        grounded = translate_prompt(knowledge, household_admissible, hash_embedder)
+        result = plan(
+            task,
+            tv_graph,
+            household_admissible,
+            KnowledgeFollowerGenerator(schedule=(1.0,)),
+            hash_embedder,
+            config=config,
+        )
+        for entry in result.trace:
+            assert entry["generated_text"] in grounded
 
     def test_knowledge_computed_once(self, tv_graph, household_admissible, monkeypatch):
         from nsplan import planner as planner_mod

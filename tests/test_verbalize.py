@@ -8,7 +8,6 @@ from nsplan.kg import AdaptedTriplet, Subgraph
 from nsplan.verbalize import (
     DEFAULT_RULES,
     PHASES,
-    ProceduralPrompt,
     SymbolicRule,
     UnmappedRelationError,
     build_knowledge_prompt,
@@ -118,14 +117,6 @@ class TestPromptShape:
             )
         )
         assert list(prompt) == ["wash hair"]
-
-    def test_rendered_adds_step_wrapper(self):
-        prompt = ProceduralPrompt(("soap up", "dry off"))
-        assert prompt.rendered() == ["Step: soap up.", "Step: dry off."]
-
-    def test_prompt_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            ProceduralPrompt(("x", "x"))
 
     def test_unmapped_relation_in_subgraph(self):
         with pytest.raises(UnmappedRelationError):
