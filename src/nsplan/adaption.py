@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from . import embeddings
 from .entities import tokenize
-from .kg import Subgraph, surface
+from .kg import Subgraph, adapted_sort_key, surface
 
 
 def adapt_weights(subgraph, task_text, provider):
@@ -28,10 +28,6 @@ def adapt_weights(subgraph, task_text, provider):
             tail_cos[t.tail] = cos
         adapted.append(replace(t, adapted_weight=t.weight + cos))
     return Subgraph(tuple(adapted), anchors=subgraph.anchors)
-
-
-def _ordered(triplets):
-    return sorted(triplets, key=lambda t: (-t.adapted_weight, t.head, t.relation, t.tail))
 
 
 def select(subgraph, cfg, task_text):
@@ -58,5 +54,5 @@ def select(subgraph, cfg, task_text):
 
     cap = min(cfg.top_k, cfg.concept_ratio * max(1, len(tokenize(task_text))))
     keep_nodes = set(ranked[:cap])
-    chosen = _ordered(t for t in kept if t.tail in keep_nodes)
+    chosen = sorted((t for t in kept if t.tail in keep_nodes), key=adapted_sort_key)
     return Subgraph(tuple(chosen), anchors=subgraph.anchors)

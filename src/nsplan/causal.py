@@ -42,6 +42,14 @@ def _check_rows(name, table, axis=-1):
     return arr
 
 
+def _support_index(supports, variable, value):
+    support = supports[variable]
+    try:
+        return support.index(value)
+    except ValueError:
+        raise ValueError(f"value {value!r} not in support of {variable} {list(support)}") from None
+
+
 @dataclass(frozen=True)
 class DiscreteSCM:
     supports: dict  # variable name -> tuple of value labels
@@ -73,13 +81,7 @@ class DiscreteSCM:
             object.__setattr__(self, name, arr)
 
     def index(self, variable, value):
-        support = self.supports[variable]
-        try:
-            return support.index(value)
-        except ValueError:
-            raise ValueError(
-                f"value {value!r} not in support of {variable} {list(support)}"
-            ) from None
+        return _support_index(self.supports, variable, value)
 
     def joint(self):
         """Exact joint over (D, T, S_prev, P, S)."""
@@ -168,13 +170,7 @@ class ObservationalJoint:
         object.__setattr__(self, "table", arr)
 
     def index(self, variable, value):
-        support = self.supports[variable]
-        try:
-            return support.index(value)
-        except ValueError:
-            raise ValueError(
-                f"value {value!r} not in support of {variable} {list(support)}"
-            ) from None
+        return _support_index(self.supports, variable, value)
 
     def conditional_s_given_t(self, t_value):
         """Observational pi(S | T=t), what a naive reader of the data uses."""
@@ -238,6 +234,20 @@ def surgery_marginal(scm, do_assignments, variable):
     return dict(zip(scm.supports[variable], joint.sum(axis=keep).tolist()))
 
 
+def _mediator_terms(table):
+    """pi(t, v), pi(t, v, p) and pi(S | p, t, v) of a [T, S_prev, P, S]
+    joint; the conditional is zero where pi(t, v, p) is."""
+    m_tv = table.sum(axis=(2, 3))
+    denom_tvp = table.sum(axis=3)
+    cond_s = np.divide(
+        table,
+        denom_tvp[:, :, :, None],
+        out=np.zeros_like(table),
+        where=denom_tvp[:, :, :, None] > 0,
+    )
+    return m_tv, denom_tvp, cond_s
+
+
 def frontdoor_estimate(joint, do_assignments):
     """Front-door adjustment from observational data alone:
 
@@ -252,7 +262,7 @@ def frontdoor_estimate(joint, do_assignments):
     ti = joint.index("T", do_assignments["T"])
     vi = joint.index("S_prev", do_assignments["S_prev"])
     table = joint.table
-    m_tv = table.sum(axis=(2, 3))  # pi(t, v)
+    m_tv, denom_tvp, cond_s = _mediator_terms(table)
     denom_star = m_tv[ti, vi]
     if denom_star == 0.0:
         raise ZeroProbabilityEvent(
@@ -261,7 +271,6 @@ def frontdoor_estimate(joint, do_assignments):
         )
     p_given_star = table[ti, vi].sum(axis=1) / denom_star  # pi(p | t*, v*)
 
-    denom_tvp = table.sum(axis=3)  # pi(t, v, p)
     needed = (m_tv[:, :, None] > 0) & (p_given_star[None, None, :] > 0)
     undefined = needed & (denom_tvp == 0)
     if np.any(undefined):
@@ -271,12 +280,6 @@ def frontdoor_estimate(joint, do_assignments):
             f"T={joint.supports['T'][t_i]}, S_prev={joint.supports['S_prev'][v_i]}, "
             f"P={joint.supports['P'][p_i]} has zero probability"
         )
-    cond_s = np.divide(
-        table,
-        denom_tvp[:, :, :, None],
-        out=np.zeros_like(table),
-        where=denom_tvp[:, :, :, None] > 0,
-    )
     estimate = np.einsum("p,tv,tvps->s", p_given_star, m_tv, cond_s)
     return dict(zip(joint.supports["S"], estimate.tolist()))
 
@@ -296,16 +299,7 @@ def front1_gap(scm):
 def front2_gap(scm):
     """Max deviation of pi(S | do(P=p)) from the mediator-side summation
     sum_{t,v} pi(S | p, t, v) pi(t, v)."""
-    joint = scm.observational_joint()
-    table = joint.table
-    m_tv = table.sum(axis=(2, 3))
-    denom_tvp = table.sum(axis=3)
-    cond_s = np.divide(
-        table,
-        denom_tvp[:, :, :, None],
-        out=np.zeros_like(table),
-        where=denom_tvp[:, :, :, None] > 0,
-    )
+    m_tv, _, cond_s = _mediator_terms(scm.observational_joint().table)
     worst = 0.0
     for pi_, p in enumerate(scm.supports["P"]):
         by_surgery = surgery_distribution(scm, {"P": p})

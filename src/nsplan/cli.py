@@ -101,12 +101,6 @@ class RunConfig(planner.PlannerConfig):
         return self
 
 
-_INT_FIELDS = {"max_steps", "hops", "top_k", "concept_ratio", "embedding_dim", "seed", "jobs", "trials"}
-_FLOAT_FIELDS = {"theta", "edge_threshold", "cos_keep_threshold"}
-_BOOL_FIELDS = {"strict"}
-_LIST_FIELDS = {"follower_schedule"}
-
-
 def _parse_schedule(text):
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
@@ -114,20 +108,33 @@ def _parse_schedule(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+# Per field annotation: the argparse keywords of its flag, and the JSON
+# types a config file may give it (a list for a tuple holds numbers).
+_FIELD_KINDS = {
+    "int": ({"type": int, "metavar": "N"}, (int,)),
+    "float": ({"type": float, "metavar": "R"}, (int, float)),
+    "bool": ({"action": "store_true"}, (bool,)),
+    "tuple": ({"type": _parse_schedule, "metavar": "R,R,..."}, (list,)),
+    "str": ({}, (str,)),
+}
+
+
 def add_config_flags(parser):
     parser.add_argument("--config", default=None, metavar="PATH", help="JSON config (or a prior run manifest)")
     for f in dataclasses.fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.name in _BOOL_FIELDS:
-            parser.add_argument(flag, action="store_true", default=None)
-        elif f.name in _LIST_FIELDS:
-            parser.add_argument(flag, type=_parse_schedule, default=None, metavar="R,R,...")
-        elif f.name in _INT_FIELDS:
-            parser.add_argument(flag, type=int, default=None, metavar="N")
-        elif f.name in _FLOAT_FIELDS:
-            parser.add_argument(flag, type=float, default=None, metavar="R")
-        else:
-            parser.add_argument(flag, default=None)
+        parser.add_argument(flag, default=None, **_FIELD_KINDS[f.type][0])
+
+
+def _check_config_value(f, value):
+    """A config-file value must fit the field's JSON types; null only where the default is None."""
+    if value is None and f.default is None:
+        return
+    fits = type(value) in _FIELD_KINDS[f.type][1]
+    if fits and f.type == "tuple":
+        fits = all(type(v) in (int, float) for v in value)
+    if not fits:
+        raise ConfigError(f"{f.name}: expected a {f.type} value, got {json.dumps(value)}")
 
 
 def load_config(args):
@@ -136,12 +143,16 @@ def load_config(args):
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             document = json.load(fh)
+        if not isinstance(document, dict):
+            raise ConfigError(f"config file must hold a JSON object: {args.config}")
         if "config" in document and isinstance(document["config"], dict):
             document = document["config"]  # a manifest echoes its config
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = sorted(set(document) - known)
+        known = {f.name: f for f in dataclasses.fields(RunConfig)}
+        unknown = sorted(set(document) - set(known))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for name, value in document.items():
+            _check_config_value(known[name], value)
         values.update(document)
     for f in dataclasses.fields(RunConfig):
         override = getattr(args, f.name, None)
@@ -279,7 +290,8 @@ def run_plan(config):
 
 def run_eval(config):
     """Score a directory of plan files against the reference dataset,
-    aligned by task id."""
+    aligned by task id. A task that cannot be scored (an empty plan) is
+    listed in the report; the exit code is 1 then."""
     config.require("predictions", "dataset")
     references = programs.load_task_dataset(config.dataset, fmt=config.format, strict=config.strict)
     ref_by_id = {task_id(i, s.task): s for i, s in enumerate(references)}
@@ -318,7 +330,9 @@ def run_eval(config):
     with open(os.path.join(config.out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     print(table)
-    return EXIT_OK
+    for row in report.failed:
+        print(f"  failed {row['id']}: {row['error']}", file=sys.stderr)
+    return EXIT_FAILED if report.failed else EXIT_OK
 
 
 def run_ingest(config):

@@ -4,6 +4,11 @@ Ingests weighted (head, relation, tail) triplets from ConceptNet-style TSV
 or from JSONL, indexes them for neighbor queries, and samples hop-bounded
 task-relevant subgraphs.
 
+A (head, relation, tail) key is stored once: of its copies the heaviest is
+kept, the first one on a tie, and the others are counted in
+``IngestStats.duplicates``. Triplets are ordered by weight descending, then
+lexicographically on the key, wherever an order is promised.
+
 Relations are plain strings. The nine household relations below form the
 ingestion whitelist; anything else is dropped when filtering is enabled.
 """
@@ -13,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
 
@@ -88,6 +93,11 @@ class AdaptedTriplet:
         return self.adapted_weight - self.weight
 
 
+def adapted_sort_key(t):
+    """Adapted weight descending, then lexicographic: selection and knowledge-line order."""
+    return (-t.adapted_weight, t.head, t.relation, t.tail)
+
+
 @dataclass(frozen=True)
 class Subgraph:
     triplets: tuple[AdaptedTriplet, ...]
@@ -111,8 +121,6 @@ class IngestStats:
 
 
 def _triplet_sort_key(t):
-    # weight descending, then lexicographic; used everywhere a
-    # deterministic triplet order is promised
     return (-t.weight, t.head, t.relation, t.tail)
 
 
@@ -120,31 +128,19 @@ class KnowledgeGraph:
     """Immutable after construction; all queries are read-only."""
 
     def __init__(self, triplets=(), stats=None):
-        self._by_key = {}
-        self._incident = {}  # node -> list of triplets touching it, either direction
         self.stats = stats if stats is not None else IngestStats()
+        self._by_key = {}
         for t in triplets:
-            self._add(t)
+            prior = self._by_key.get(t.key)
+            if prior is None or t.weight > prior.weight:
+                self._by_key[t.key] = t
+        self._incident = {}  # node -> list of triplets touching it, either direction
+        for t in self._by_key.values():
+            self._incident.setdefault(t.head, []).append(t)
+            if t.tail != t.head:
+                self._incident.setdefault(t.tail, []).append(t)
         for lst in self._incident.values():
             lst.sort(key=_triplet_sort_key)
-
-    def _add(self, t: Triplet):
-        prior = self._by_key.get(t.key)
-        if prior is not None:
-            # duplicate (head, relation, tail): keep the maximum weight
-            if t.weight > prior.weight:
-                self._replace(prior, t)
-            return
-        self._by_key[t.key] = t
-        self._incident.setdefault(t.head, []).append(t)
-        if t.tail != t.head:
-            self._incident.setdefault(t.tail, []).append(t)
-
-    def _replace(self, old, new):
-        self._by_key[new.key] = new
-        for node in {old.head, old.tail}:
-            lst = self._incident[node]
-            lst[lst.index(old)] = new
 
     @property
     def triplets(self):
@@ -169,10 +165,10 @@ class KnowledgeGraph:
         restricted to a relation subset, in (weight desc, lexicographic)
         order. Unknown nodes yield an empty list."""
         found = self._incident.get(node, [])
-        if relations is not None:
-            relations = set(relations)
-            found = [t for t in found if t.relation in relations]
-        return list(found)
+        if relations is None:
+            return list(found)
+        relations = set(relations)
+        return [t for t in found if t.relation in relations]
 
 
 def _parse_conceptnet_uri(uri, column, line_no):
@@ -231,7 +227,6 @@ def ingest(source, fmt="conceptnet-tsv", language="en", filter_relations=True, s
 
     stats = IngestStats()
     triplets = []
-    seen_keys = {}
     for line_no, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
@@ -252,14 +247,11 @@ def ingest(source, fmt="conceptnet-tsv", language="en", filter_relations=True, s
         if filter_relations and t.relation not in HOUSEHOLD_RELATIONS:
             stats.dropped_relation += 1
             continue
-        if t.key in seen_keys:
-            stats.duplicates += 1
-        else:
-            stats.kept += 1
-        seen_keys[t.key] = True
         triplets.append(t)
 
     graph = KnowledgeGraph(triplets, stats=stats)
+    stats.kept = graph.edge_count
+    stats.duplicates = len(triplets) - graph.edge_count
     if graph.edge_count == 0:
         log.warning("ingestion produced an empty graph (%d lines dropped)", stats.dropped)
     return graph
@@ -293,8 +285,7 @@ def sample_subgraph(graph, anchors, hops, per_node_fanout_cap=DEFAULT_FANOUT_CAP
         d = dist[node]
         if d >= hops:
             continue
-        incident = [t for t in graph.neighbors(node) if t.relation in HOUSEHOLD_RELATIONS]
-        for t in incident[:per_node_fanout_cap]:
+        for t in graph.neighbors(node, HOUSEHOLD_RELATIONS)[:per_node_fanout_cap]:
             included.setdefault(t.key, t)
             other = t.tail if t.head == node else t.head
             if other not in dist:
@@ -307,5 +298,5 @@ def sample_subgraph(graph, anchors, hops, per_node_fanout_cap=DEFAULT_FANOUT_CAP
         adapted.append(
             AdaptedTriplet(t.head, t.relation, t.tail, t.weight, adapted_weight=t.weight, hop=hop)
         )
-    adapted.sort(key=lambda a: (-a.weight, a.head, a.relation, a.tail))
+    adapted.sort(key=_triplet_sort_key)
     return Subgraph(tuple(adapted), anchors=anchors)

@@ -199,13 +199,17 @@ def pearson(xs, ys):
 
 @dataclass(frozen=True)
 class MetricReport:
+    """Scores and means of the ``count`` scored samples; ``failed`` holds the others' errors."""
+
     per_sample: tuple  # of dicts: {"id": ..., metric: value, ...}
     means: dict
     count: int
+    failed: tuple = ()  # of dicts: {"id": ..., "error": ...}
 
     def to_json(self):
         return {
             "count": self.count,
+            "failed": [dict(row) for row in self.failed],
             "means": dict(self.means),
             "per_sample": [dict(row) for row in self.per_sample],
         }
@@ -219,6 +223,7 @@ class MetricReport:
             per_sample=tuple(obj["per_sample"]),
             means=dict(obj["means"]),
             count=obj["count"],
+            failed=tuple(obj.get("failed", ())),
         )
 
     def to_table(self):
@@ -227,12 +232,14 @@ class MetricReport:
         rows = []
         for row in self.per_sample:
             rows.append([str(row["id"])] + [f"{row[m]:.4f}" for m in METRIC_NAMES])
-        rows.append(["mean"] + [f"{self.means[m]:.4f}" for m in METRIC_NAMES])
-        widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
+        if self.count:
+            rows.append(["mean"] + [f"{self.means[m]:.4f}" for m in METRIC_NAMES])
+        widths = [max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)]
         lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
         lines.append("  ".join("-" * w for w in widths))
         for r in rows:
             lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(headers))))
+        lines.extend(f"failed {row['id']}: {row['error']}" for row in self.failed)
         return "\n".join(lines)
 
 
@@ -248,13 +255,17 @@ def evaluate_pair(pred, ref, provider):
 
 
 def evaluate_corpus(samples, provider):
-    """samples: iterable of (sample_id, predicted text, reference text)."""
-    per_sample = []
+    """samples: iterable of (sample_id, predicted text, reference text). A
+    pair that cannot be scored (an empty side) is recorded in ``failed``;
+    means cover the scored pairs and are empty when none was scored."""
+    per_sample, failed = [], []
     for sample_id, pred, ref in samples:
-        row = {"id": sample_id}
-        row.update(evaluate_pair(pred, ref, provider))
-        per_sample.append(row)
-    if not per_sample:
+        try:
+            per_sample.append({"id": sample_id, **evaluate_pair(pred, ref, provider)})
+        except ValueError as err:
+            failed.append({"id": sample_id, "error": f"{type(err).__name__}: {err}"})
+    if not per_sample and not failed:
         raise ValueError("no samples to evaluate")
-    means = {m: sum(r[m] for r in per_sample) / len(per_sample) for m in METRIC_NAMES}
-    return MetricReport(per_sample=tuple(per_sample), means=means, count=len(per_sample))
+    n = len(per_sample)
+    means = {m: sum(r[m] for r in per_sample) / n for m in METRIC_NAMES} if n else {}
+    return MetricReport(tuple(per_sample), means, n, tuple(failed))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .kg import surface
+from .kg import adapted_sort_key, surface
 
 PHASES = ("Prerequisite", "Body", "Subevent", "LastSubevent")
 
@@ -60,9 +60,6 @@ DEFAULT_RULES = _rules(
     ("HasLastSubevent", "{tail}", False, "LastSubevent"),
 )
 
-RECURSIVE_RELATIONS = tuple(r.relation for r in DEFAULT_RULES.values() if r.recursive)
-
-
 def load_rules(path):
     """Read a rule-set override: a JSON list of objects with keys
     relation, template, recursive, phase."""
@@ -83,15 +80,11 @@ def verbalize_triplet(triplet, rules=None):
     return rule.template.format(head=surface(triplet.head), tail=surface(triplet.tail))
 
 
-def _order_key(t):
-    return (-t.adapted_weight, t.head, t.relation, t.tail)
-
-
 def build_knowledge_prompt(subgraph, rules=None, max_depth=3):
     """Linearize an adapted subgraph into a tuple of ordered, duplicate-free
     knowledge lines (see the module docstring for the traversal contract)."""
     rules = DEFAULT_RULES if rules is None else rules
-    ordered = sorted(subgraph.triplets, key=_order_key)
+    ordered = sorted(subgraph.triplets, key=adapted_sort_key)
     for t in ordered:
         if t.relation not in rules:
             raise UnmappedRelationError(t.relation)

@@ -73,6 +73,49 @@ class TestConfigResolution:
         assert config.theta == 0.0
         assert config.dataset == _fixture("watch_tv.jsonl")
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"hops": "3"}, "hops"),
+            ({"theta": None}, "theta"),
+            ({"max_steps": True}, "max_steps"),
+            ({"strict": 1}, "strict"),
+            ({"follower_schedule": "1,0.5"}, "follower_schedule"),
+            ({"follower_schedule": [1.0, "x"]}, "follower_schedule"),
+            ({"graph": 7}, "graph"),
+        ],
+    )
+    def test_config_file_value_of_wrong_type_is_exit_2(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["plan", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_file_that_is_not_an_object_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        assert cli.main(["plan", "--config", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_config_file_accepts_int_for_float_list_for_tuple_null_for_optional(self, tmp_path):
+        path = tmp_path / "config.json"
+        payload = {"theta": 1, "follower_schedule": [1, 0.5], "seed": None, "graph": None}
+        path.write_text(json.dumps(payload))
+        config = cli.load_config(cli.build_parser().parse_args(["plan", "--config", str(path)]))
+        assert config.theta == 1
+        assert config.follower_schedule == (1.0, 0.5)
+        assert config.seed is None and config.graph is None
+
+    def test_flag_types_follow_field_annotations(self):
+        args = cli.build_parser().parse_args(
+            ["plan", "--hops", "2", "--theta", "0.5", "--strict", "--model", "m"]
+        )
+        assert (args.hops, args.theta, args.strict, args.model) == (2, 0.5, True, "m")
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["plan", "--hops", "2.5"])
+
     def test_schedule_flag_parsing(self):
         args = cli.build_parser().parse_args(["plan", "--follower-schedule", "1,1,0.5"])
         config = cli.load_config(args)
@@ -264,6 +307,40 @@ class TestEvalCommand:
         printed = capsys.readouterr().out
         assert "mean" in printed and "s_bleu" in printed
         assert (out / "report.txt").exists()
+
+    def test_empty_plan_is_listed_and_the_rest_scored(self, tmp_path, capsys):
+        preds = tmp_path / "preds"
+        self._write_predictions(
+            preds,
+            {
+                "0000-watch-tv": [
+                    "walk to television",
+                    "switch on television",
+                    "walk to sofa",
+                    "sit on sofa",
+                    "watch television",
+                ],
+                "0001-work": [],
+            },
+        )
+        out = tmp_path / "evalout"
+        argv = [
+            "eval",
+            "--predictions", str(preds),
+            "--dataset", _fixture("watch_tv.jsonl"),
+            "--out", str(out),
+        ]
+        assert cli.main(argv) == 1
+        with open(out / "report.json") as fh:
+            report = json.load(fh)
+        assert report["count"] == 1
+        assert [row["id"] for row in report["per_sample"]] == ["0000-watch-tv"]
+        assert report["per_sample"][0]["wmd_distance"] == 0.0
+        assert report["means"]["s_bleu"] == report["per_sample"][0]["s_bleu"]
+        assert [row["id"] for row in report["failed"]] == ["0001-work"]
+        assert "nonempty" in report["failed"][0]["error"]
+        assert "0001-work" in (out / "report.txt").read_text()
+        assert "failed 0001-work" in capsys.readouterr().err
 
     def test_id_mismatch_lists_both_directions(self, tmp_path, capsys):
         preds = tmp_path / "preds"

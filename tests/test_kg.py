@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsplan import kg
 from nsplan.kg import IngestError, KnowledgeGraph, Triplet
@@ -92,6 +94,44 @@ class TestIngest:
         assert graph.edge_count == 1
         assert graph.stats.duplicates == 2
         assert graph.triplets[0].weight == 3.0
+        for node in ("a", "b"):
+            assert [(t.key, t.weight) for t in graph.neighbors(node)] == [
+                (("a", "UsedFor", "b"), 3.0)
+            ]
+
+    def test_duplicate_tie_keeps_first_copy(self):
+        first, second = Triplet("a", "Causes", "b", 2.0), Triplet("a", "Causes", "b", 2.0)
+        graph = KnowledgeGraph([first, second])
+        assert graph.triplets[0] is first
+        assert graph.neighbors("b")[0] is first
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("abc"),
+                st.sampled_from(["Causes", "UsedFor", "AtLocation"]),
+                st.sampled_from("abc"),
+                st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_dedup_matches_max_weight_reference(self, rows):
+        best = {}
+        for h, r, t, w in rows:
+            best[(h, r, t)] = max(w, best.get((h, r, t), w))
+        want = sorted((-w, h, r, t) for (h, r, t), w in best.items())
+        lines = [json.dumps({"head": h, "relation": r, "tail": t, "weight": w}) for h, r, t, w in rows]
+        ingested = kg.ingest(lines, fmt="jsonl")
+        built = KnowledgeGraph([Triplet(*row) for row in rows])
+        for graph in (ingested, built):
+            assert [(-t.weight, *t.key) for t in graph.triplets] == want
+            for node in "abc":
+                incident = [k for k in want if node in (k[1], k[3])]
+                assert [(-t.weight, *t.key) for t in graph.neighbors(node)] == incident
+        assert ingested.stats.kept == len(best)
+        assert ingested.stats.kept + ingested.stats.duplicates == len(rows)
 
     def test_jsonl_format(self):
         lines = [json.dumps({"head": "a", "relation": "Causes", "tail": "b", "weight": 2.0})]

@@ -242,6 +242,25 @@ class TestReports:
         with pytest.raises(ValueError):
             evaluate_corpus([], hash_embedder)
 
+    def test_unscorable_pair_is_recorded_not_raised(self, hash_embedder):
+        report = evaluate_corpus(
+            [("0001", "sit on sofa", "sit on sofa"), ("0002", "", "walk to sofa")],
+            hash_embedder,
+        )
+        assert report.count == 1
+        assert [r["id"] for r in report.per_sample] == ["0001"]
+        assert report.means["wmd_distance"] == 0.0
+        assert [r["id"] for r in report.failed] == ["0002"]
+        again = MetricReport.from_json(json.loads(report.dumps()))
+        assert again.failed == report.failed
+
+    def test_all_pairs_unscorable(self, hash_embedder):
+        report = evaluate_corpus([("0001", "", "walk")], hash_embedder)
+        assert (report.count, report.means, len(report.failed)) == (0, {}, 1)
+        lines = report.to_table().splitlines()
+        assert lines[0].split() == ["id"] + list(METRIC_NAMES)
+        assert lines[-1].startswith("failed 0001: ValueError")
+
     def test_evaluate_pair_keys(self, hash_embedder):
         row = evaluate_pair("walk", "walk", hash_embedder)
         assert tuple(sorted(row)) == tuple(sorted(METRIC_NAMES))
