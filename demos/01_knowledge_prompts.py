@@ -28,6 +28,8 @@ rows = io.StringIO(
 graph = ingest(rows, fmt="jsonl")
 print(f"graph: {graph.node_count} nodes, {graph.edge_count} edges")
 
+# Each stage hands over a plain tuple of triplets: sampling gives the
+# graph's own triplets, adaption returns them with task-adapted weights.
 sub = sample_subgraph(graph, ["take_a_shower"], hops=3)
 print(f"subgraph around take_a_shower: {len(sub)} triplets")
 
@@ -36,7 +38,7 @@ print(f"subgraph around take_a_shower: {len(sub)} triplets")
 provider = HashEmbedding()
 task = "take a shower"
 adapted = adapt_weights(sub, task, provider)
-for t in adapted.triplets:
+for t in adapted:
     print(f"  {t.head} -{t.relation}-> {t.tail}  {t.weight:.2f} -> {t.adapted_weight:.2f}")
 
 kept = select(adapted, PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0), task)

@@ -46,7 +46,7 @@ from .generation import (
     ScriptedGenerator,
     next_step,
 )
-from .kg import KnowledgeGraph, Subgraph, Triplet, ingest, load_graph, sample_subgraph
+from .kg import KnowledgeGraph, Triplet, ingest, load_graph, sample_subgraph
 from .metrics import (
     MetricReport,
     embed_match_f1,

@@ -84,15 +84,8 @@ class DiscreteSCM:
         return _support_index(self.supports, variable, value)
 
     def joint(self):
-        """Exact joint over (D, T, S_prev, P, S)."""
-        return np.einsum(
-            "d,dt,v,tvp,ptvds->dtvps",
-            self.p_d,
-            self.p_t_given_d,
-            self.p_sprev,
-            self.p_p_given_t_sprev,
-            self.p_s,
-        )
+        """Exact joint over (D, T, S_prev, P, S): surgery with no intervention."""
+        return _surgery_joint(self, {})
 
     def observational_joint(self):
         return ObservationalJoint(
@@ -172,22 +165,22 @@ class ObservationalJoint:
     def index(self, variable, value):
         return _support_index(self.supports, variable, value)
 
+    def _conditional_given_t(self, variable, t_value):
+        """Observational pi(variable | T=t) for variable P or S."""
+        ti = self.index("T", t_value)
+        axis = ("S_prev", "P", "S").index(variable)
+        slice_t = self.table[ti].sum(axis=tuple(i for i in range(3) if i != axis))
+        denom = slice_t.sum()
+        if denom == 0.0:
+            raise ZeroProbabilityEvent(f"conditioning event T={t_value} has zero probability")
+        return dict(zip(self.supports[variable], (slice_t / denom).tolist()))
+
     def conditional_s_given_t(self, t_value):
         """Observational pi(S | T=t), what a naive reader of the data uses."""
-        ti = self.index("T", t_value)
-        slice_t = self.table[ti].sum(axis=(0, 1))
-        denom = slice_t.sum()
-        if denom == 0.0:
-            raise ZeroProbabilityEvent(f"conditioning event T={t_value} has zero probability")
-        return dict(zip(self.supports["S"], (slice_t / denom).tolist()))
+        return self._conditional_given_t("S", t_value)
 
     def conditional_p_given_t(self, t_value):
-        ti = self.index("T", t_value)
-        slice_t = self.table[ti].sum(axis=(0, 2))
-        denom = slice_t.sum()
-        if denom == 0.0:
-            raise ZeroProbabilityEvent(f"conditioning event T={t_value} has zero probability")
-        return dict(zip(self.supports["P"], (slice_t / denom).tolist()))
+        return self._conditional_given_t("P", t_value)
 
 
 def _one_hot(size, index):
@@ -220,9 +213,7 @@ def _surgery_joint(scm, do_assignments):
 def surgery_distribution(scm, do_assignments):
     """Ground-truth interventional distribution over S: point-mass the
     intervened mechanisms, enumerate the joint, marginalize."""
-    joint = _surgery_joint(scm, do_assignments)
-    marginal = joint.sum(axis=(0, 1, 2, 3))
-    return dict(zip(scm.supports["S"], marginal.tolist()))
+    return surgery_marginal(scm, do_assignments, "S")
 
 
 def surgery_marginal(scm, do_assignments, variable):

@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import __version__, causal, counterfactual, kg, metrics, planner, programs, verbalize
+from . import __version__, causal, counterfactual, kg, metrics, planner, programs
 from .admissible import load_admissible_set, translate_prompt
 from .embeddings import HashEmbedding, RemoteEmbedding, TableEmbedding
 from .errors import ConfigError
@@ -41,6 +41,9 @@ EMBEDDING_KINDS = ("hash", "table", "remote")
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_CONFIG = 2
+
+# Fields naming an input file, which must exist when a command requires them.
+INPUT_FILES = ("graph", "dataset", "admissible", "generator_fixture", "embedding_path")
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,14 @@ class RunConfig(planner.PlannerConfig):
         return obj
 
     def require(self, *fields):
-        """Command-specific presence checks with field-level messages."""
+        """Command-specific presence checks with field-level messages; a
+        required input file must also exist."""
         for name in fields:
-            if getattr(self, name) in (None, ""):
+            value = getattr(self, name)
+            if value in (None, ""):
                 raise ConfigError(f"{name}: required for this command (set --{name.replace('_', '-')})")
+            if name in INPUT_FILES and not os.path.exists(value):
+                raise ConfigError(f"{name}: file not found: {value}")
         return self
 
 
@@ -141,8 +148,11 @@ def load_config(args):
     """Resolve defaults < config file < command-line flags."""
     values = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                document = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"cannot read config file {args.config}: {err}") from None
         if not isinstance(document, dict):
             raise ConfigError(f"config file must hold a JSON object: {args.config}")
         if "config" in document and isinstance(document["config"], dict):
@@ -226,11 +236,6 @@ def run_plan(config):
     """Plan every task in the dataset; one PlanResult JSON per task plus a
     manifest. Exit 0 only when no task aborted."""
     config.require("graph", "dataset", "admissible")
-    for path_field in ("graph", "dataset", "admissible"):
-        path = getattr(config, path_field)
-        if not os.path.exists(path):
-            raise ConfigError(f"{path_field}: file not found: {path}")
-
     graph = kg.load_graph(config.graph, fmt=config.graph_format)
     admissible = load_admissible_set(config.admissible)
     samples = programs.load_task_dataset(config.dataset, fmt=config.format, strict=config.strict)
@@ -339,8 +344,6 @@ def run_ingest(config):
     """Parse and filter a knowledge graph file; write it back out as JSONL
     triplets with ingest statistics."""
     config.require("graph")
-    if not os.path.exists(config.graph):
-        raise ConfigError(f"graph: file not found: {config.graph}")
     graph = kg.load_graph(config.graph, fmt=config.graph_format, strict=config.strict)
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, "graph.jsonl")
@@ -505,9 +508,6 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except verbalize.UnmappedRelationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILED
     except (OSError, ValueError, RuntimeError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED

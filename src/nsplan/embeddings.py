@@ -9,7 +9,7 @@ Three providers share one small interface (``.dim``, ``.kind``,
   would not be).
 * table: exact rows loaded from a JSONL file, L2-normalized at load; a
   missing text falls back to an internal hash provider and the miss is
-  counted.
+  counted under a lock.
 * remote: POST {"input": [text]} to an embedding service; results are
   memoized per exact input text.
 
@@ -103,13 +103,15 @@ class TableEmbedding:
         self._fallback = HashEmbedding(dim=self.dim, seed=seed)
         self.miss_count = 0
         self.missed_texts = set()
+        self._lock = threading.Lock()  # threads of a --jobs run share one provider
 
     def embed(self, text):
         row = self._table.get(text)
         if row is not None:
             return row.copy()
-        self.miss_count += 1
-        self.missed_texts.add(text)
+        with self._lock:
+            self.miss_count += 1
+            self.missed_texts.add(text)
         return self._fallback.embed(text)
 
 

@@ -2,7 +2,9 @@
 
 Ingests weighted (head, relation, tail) triplets from ConceptNet-style TSV
 or from JSONL, indexes them for neighbor queries, and samples hop-bounded
-task-relevant subgraphs.
+task-relevant subgraphs as plain tuples of the graph's own triplets.
+``AdaptedTriplet``, a triplet with its task-adapted weight, is made only by
+``adaption.adapt_weights``.
 
 A (head, relation, tail) key is stored once: of its copies the heaviest is
 kept, the first one on a tie, and the others are counted in
@@ -73,15 +75,14 @@ class Triplet:
 
 @dataclass(frozen=True)
 class AdaptedTriplet:
-    """A triplet inside a sampled subgraph: original weight plus the
-    task-adapted weight and the hop distance at which it was reached."""
+    """A sampled triplet with its task-adapted weight, as
+    ``adaption.adapt_weights`` makes it."""
 
     head: str
     relation: str
     tail: str
     weight: float
     adapted_weight: float
-    hop: int
 
     @property
     def key(self):
@@ -96,15 +97,6 @@ class AdaptedTriplet:
 def adapted_sort_key(t):
     """Adapted weight descending, then lexicographic: selection and knowledge-line order."""
     return (-t.adapted_weight, t.head, t.relation, t.tail)
-
-
-@dataclass(frozen=True)
-class Subgraph:
-    triplets: tuple[AdaptedTriplet, ...]
-    anchors: tuple[str, ...]
-
-    def __len__(self):
-        return len(self.triplets)
 
 
 @dataclass
@@ -268,35 +260,26 @@ def sample_subgraph(graph, anchors, hops, per_node_fanout_cap=DEFAULT_FANOUT_CAP
     Traversal is undirected. Only nodes strictly closer than ``hops`` are
     expanded; at each expanded node only its top ``per_node_fanout_cap``
     incident whitelisted triplets by weight (ties lexicographic) are
-    followed. Each included triplet is annotated with the smaller of its two
-    endpoints' final BFS distances.
+    followed. Returns a tuple of the graph's own triplets in (weight desc,
+    lexicographic) order.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")
     if per_node_fanout_cap < 1:
         raise ValueError("per_node_fanout_cap must be >= 1")
 
-    anchors = tuple(sorted(set(anchors)))
-    dist = {a: 0 for a in anchors if a in graph}
-    included = {}
-    queue = deque(sorted(dist))
+    dist = {a: 0 for a in sorted(set(anchors)) if a in graph}
+    included = set()
+    queue = deque(dist)
     while queue:
         node = queue.popleft()
         d = dist[node]
         if d >= hops:
             continue
         for t in graph.neighbors(node, HOUSEHOLD_RELATIONS)[:per_node_fanout_cap]:
-            included.setdefault(t.key, t)
+            included.add(t)
             other = t.tail if t.head == node else t.head
             if other not in dist:
                 dist[other] = d + 1
                 queue.append(other)
-
-    adapted = []
-    for t in included.values():
-        hop = min(dist.get(t.head, hops), dist.get(t.tail, hops))
-        adapted.append(
-            AdaptedTriplet(t.head, t.relation, t.tail, t.weight, adapted_weight=t.weight, hop=hop)
-        )
-    adapted.sort(key=_triplet_sort_key)
-    return Subgraph(tuple(adapted), anchors=anchors)
+    return tuple(sorted(included, key=_triplet_sort_key))

@@ -1,4 +1,4 @@
-"""Verbalization of adapted triplets into the knowledge prompt.
+"""Verbalization of a tuple of adapted triplets into the knowledge prompt.
 
 Each relation owns one template rule with a phase. Lines come out grouped
 by phase (Prerequisite, Body, Subevent, LastSubevent) and ordered by
@@ -80,11 +80,11 @@ def verbalize_triplet(triplet, rules=None):
     return rule.template.format(head=surface(triplet.head), tail=surface(triplet.tail))
 
 
-def build_knowledge_prompt(subgraph, rules=None, max_depth=3):
-    """Linearize an adapted subgraph into a tuple of ordered, duplicate-free
+def build_knowledge_prompt(triplets, rules=None, max_depth=3):
+    """Linearize adapted triplets into a tuple of ordered, duplicate-free
     knowledge lines (see the module docstring for the traversal contract)."""
     rules = DEFAULT_RULES if rules is None else rules
-    ordered = sorted(subgraph.triplets, key=adapted_sort_key)
+    ordered = sorted(triplets, key=adapted_sort_key)
     for t in ordered:
         if t.relation not in rules:
             raise UnmappedRelationError(t.relation)

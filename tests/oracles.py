@@ -76,6 +76,36 @@ def select_oracle(triplets, task_tokens, top_k, edge_threshold, cos_keep_thresho
     return kept
 
 
+# ---------------------------------------------------------------- graph sampling
+
+def sample_subgraph_oracle(triplets, anchors, hops, fanout_cap, relations):
+    """Layered BFS over the undirected edges whose relation is in
+    ``relations``. Each node of layers 0..hops-1 follows its ``fanout_cap``
+    heaviest incident edges (ties by head, relation, tail). ``triplets``
+    must hold each (head, relation, tail) once. Returns the followed
+    triplets, heaviest first with the same ties, and every reached node's
+    BFS distance."""
+    def rank(t):
+        return (-t.weight, t.head, t.relation, t.tail)
+
+    edges = [t for t in triplets if t.relation in relations]
+    frontier = sorted(set(anchors))
+    dist = {node: 0 for node in frontier}
+    followed = {}
+    for depth in range(hops):
+        next_frontier = []
+        for node in frontier:
+            incident = sorted((t for t in edges if node in (t.head, t.tail)), key=rank)
+            for t in incident[:fanout_cap]:
+                followed[(t.head, t.relation, t.tail)] = t
+                other = t.tail if t.head == node else t.head
+                if other not in dist:
+                    dist[other] = depth + 1
+                    next_frontier.append(other)
+        frontier = next_frontier
+    return sorted(followed.values(), key=rank), dist
+
+
 # ---------------------------------------------------------------- translator
 
 def translate_scan_oracle(text, candidates, provider):

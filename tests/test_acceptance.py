@@ -36,7 +36,7 @@ from nsplan.counterfactual import (
 )
 from nsplan.embeddings import HashEmbedding, embed
 from nsplan.generation import KnowledgeFollowerGenerator
-from nsplan.kg import AdaptedTriplet, Subgraph, sample_subgraph
+from nsplan.kg import AdaptedTriplet, sample_subgraph
 from nsplan.metrics import (
     pearson,
     rouge1_f1,
@@ -196,12 +196,12 @@ def test_criterion_05_adaption_properties():
                 continue
             seen.add(key)
             w = rng.uniform(0.0, 8.0)
-            triplets.append(AdaptedTriplet(*key, weight=w, adapted_weight=w, hop=1))
-        sub = Subgraph(tuple(triplets), anchors=(nodes[0],))
+            triplets.append(AdaptedTriplet(*key, weight=w, adapted_weight=w))
+        sub = tuple(triplets)
         task = " ".join(rng.choice(nodes).replace("_", " ") for _ in range(rng.randint(1, 4)))
 
         adapted = adapt_weights(sub, task, provider)
-        for t in adapted.triplets:
+        for t in adapted:
             assert -1.0 <= t.adapted_weight - t.weight <= 1.0
 
         cfg = PlannerConfig(
@@ -212,30 +212,27 @@ def test_criterion_05_adaption_properties():
         )
         got = select(adapted, cfg, task)
         want = oracles.select_oracle(
-            adapted.triplets,
+            adapted,
             task.split(),
             top_k=cfg.top_k,
             edge_threshold=cfg.edge_threshold,
             cos_keep_threshold=cfg.cos_keep_threshold,
             concept_ratio=cfg.concept_ratio,
         )
-        assert list(got.triplets) == want, trial
+        assert list(got) == want, trial
 
         # Constant shift: same retained nodes in the same output order.
         shift = rng.uniform(0.1, 2.0)
-        shifted = Subgraph(
-            tuple(
-                AdaptedTriplet(t.head, t.relation, t.tail, t.weight, t.adapted_weight + shift, t.hop)
-                for t in adapted.triplets
-            ),
-            anchors=adapted.anchors,
+        shifted = tuple(
+            AdaptedTriplet(t.head, t.relation, t.tail, t.weight, t.adapted_weight + shift)
+            for t in adapted
         )
         loose = PlannerConfig(
             top_k=cfg.top_k, edge_threshold=0.0, concept_ratio=cfg.concept_ratio,
             cos_keep_threshold=-2.0,
         )
-        base_keys = [t.key for t in select(adapted, loose, task).triplets]
-        shifted_keys = [t.key for t in select(shifted, loose, task).triplets]
+        base_keys = [t.key for t in select(adapted, loose, task)]
+        shifted_keys = [t.key for t in select(shifted, loose, task)]
         assert base_keys == shifted_keys, trial
 
 

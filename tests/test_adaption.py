@@ -9,19 +9,17 @@ import oracles
 from nsplan.adaption import adapt_weights, select, surface
 from nsplan.embeddings import HashEmbedding, cosine, embed
 from nsplan.entities import tokenize
-from nsplan.kg import AdaptedTriplet, Subgraph
+from nsplan.kg import AdaptedTriplet, Triplet
 from nsplan.planner import PlannerConfig
 
 
-def _adapted(head, relation, tail, weight, adapted_weight, hop=1):
-    return AdaptedTriplet(head, relation, tail, weight, adapted_weight, hop)
+def _adapted(head, relation, tail, weight, adapted_weight):
+    return AdaptedTriplet(head, relation, tail, weight, adapted_weight)
 
 
-def _fresh(triplets, anchors=("t0",)):
-    """Subgraph as sample_subgraph hands it over: adapted == original."""
-    return Subgraph(
-        tuple(_adapted(h, r, t, w, w) for h, r, t, w in triplets), anchors=anchors
-    )
+def _fresh(triplets):
+    """Adapted triplets whose adapted weight is still the original weight."""
+    return tuple(_adapted(h, r, t, w, w) for h, r, t, w in triplets)
 
 
 WEIGHTS = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -49,7 +47,7 @@ class TestAdaptWeights:
         sub = _fresh([("shower", "HasSubevent", "wash_hair", 2.0)])
         task = "wash your hair"
         out = adapt_weights(sub, task, hash_embedder)
-        t = out.triplets[0]
+        t = out[0]
         want = cosine(
             embed(hash_embedder, surface("wash_hair")), embed(hash_embedder, task)
         )
@@ -60,33 +58,27 @@ class TestAdaptWeights:
     @settings(max_examples=50, deadline=None)
     def test_shift_bounded_by_one(self, sub):
         out = adapt_weights(sub, "take a shower", HashEmbedding(dim=32))
-        for t in out.triplets:
+        for t in out:
             assert -1.0 <= t.adapted_weight - t.weight <= 1.0
 
-    def test_preserves_order_anchors_and_hops(self, hash_embedder):
-        sub = Subgraph(
-            (
-                _adapted("a", "UsedFor", "b", 1.0, 1.0, hop=0),
-                _adapted("b", "UsedFor", "c", 2.0, 2.0, hop=2),
-            ),
-            anchors=("a",),
-        )
+    def test_preserves_order_and_weights(self, hash_embedder):
+        # the graph's own triplets, as sample_subgraph hands them over
+        sub = (Triplet("a", "UsedFor", "b", 1.0), Triplet("b", "UsedFor", "c", 2.0))
         out = adapt_weights(sub, "task", hash_embedder)
-        assert [t.key for t in out.triplets] == [t.key for t in sub.triplets]
-        assert out.anchors == ("a",)
-        assert [t.hop for t in out.triplets] == [0, 2]
+        assert [t.key for t in out] == [t.key for t in sub]
+        assert [t.weight for t in out] == [1.0, 2.0]
+        assert all(type(t) is AdaptedTriplet for t in out)
 
     def test_same_tail_same_shift(self, hash_embedder):
         sub = _fresh(
             [("a", "UsedFor", "shared", 1.0), ("b", "HasSubevent", "shared", 5.0)]
         )
         out = adapt_weights(sub, "some task", hash_embedder)
-        shifts = {round(t.adapted_weight - t.weight, 12) for t in out.triplets}
+        shifts = {round(t.adapted_weight - t.weight, 12) for t in out}
         assert len(shifts) == 1
 
     def test_empty_subgraph(self, hash_embedder):
-        out = adapt_weights(Subgraph((), anchors=()), "task", hash_embedder)
-        assert out.triplets == ()
+        assert adapt_weights((), "task", hash_embedder) == ()
 
 
 class TestSelect:
@@ -102,14 +94,14 @@ class TestSelect:
         )
         got = select(adapted, cfg, task)
         want = oracles.select_oracle(
-            adapted.triplets,
+            adapted,
             tokenize(task),
             top_k=top_k,
             edge_threshold=0.5,
             cos_keep_threshold=-1.0,
             concept_ratio=2,
         )
-        assert list(got.triplets) == want
+        assert list(got) == want
 
     def test_constant_shift_keeps_node_ranking(self):
         base = [
@@ -120,80 +112,63 @@ class TestSelect:
         cfg = PlannerConfig(top_k=2, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-2.0)
 
         def ranked_nodes(shift):
-            sub = Subgraph(
-                tuple(_adapted(h, r, t, w, w + shift) for h, r, t, w in base),
-                anchors=("a",),
-            )
+            sub = tuple(_adapted(h, r, t, w, w + shift) for h, r, t, w in base)
             out = select(sub, cfg, "do the thing")
-            return sorted({t.tail for t in out.triplets})
+            return sorted({t.tail for t in out})
 
         assert ranked_nodes(0.0) == ranked_nodes(0.7) == ["x", "y"]
 
     def test_edge_threshold_drops_triplets(self):
         # Both pass the cosine gate (shift 0.49 / 0.51); only y clears 0.6.
-        sub = Subgraph(
-            (
-                _adapted("a", "UsedFor", "x", 0.1, 0.59),
-                _adapted("a", "UsedFor", "y", 0.1, 0.61),
-            ),
-            anchors=("a",),
+        sub = (
+            _adapted("a", "UsedFor", "x", 0.1, 0.59),
+            _adapted("a", "UsedFor", "y", 0.1, 0.61),
         )
         out = select(sub, self.CFG, "task words here")
-        assert [t.tail for t in out.triplets] == ["y"]
+        assert [t.tail for t in out] == ["y"]
 
     def test_cosine_gate_uses_recovered_shift(self):
         # adapted - weight is 0.39 for x (dropped) and 0.41 for y (kept).
-        sub = Subgraph(
-            (
-                _adapted("a", "UsedFor", "x", 1.0, 1.39),
-                _adapted("a", "UsedFor", "y", 1.0, 1.41),
-            ),
-            anchors=("a",),
+        sub = (
+            _adapted("a", "UsedFor", "x", 1.0, 1.39),
+            _adapted("a", "UsedFor", "y", 1.0, 1.41),
         )
         out = select(sub, self.CFG, "task words here")
-        assert [t.tail for t in out.triplets] == ["y"]
+        assert [t.tail for t in out] == ["y"]
 
     def test_cap_is_min_of_topk_and_ratio_times_tokens(self):
         triplets = [("h", "UsedFor", f"n{i}", float(10 - i)) for i in range(8)]
-        sub = Subgraph(
-            tuple(_adapted(h, r, t, w, w) for h, r, t, w in triplets), anchors=("h",)
-        )
+        sub = tuple(_adapted(h, r, t, w, w) for h, r, t, w in triplets)
         cfg = PlannerConfig(top_k=10, edge_threshold=0.0, concept_ratio=2, cos_keep_threshold=-1.0)
         out = select(sub, cfg, "one two three")  # cap = min(10, 2*3) = 6
-        assert len({t.tail for t in out.triplets}) == 6
+        assert len({t.tail for t in out}) == 6
         cfg_small = PlannerConfig(
             top_k=4, edge_threshold=0.0, concept_ratio=2, cos_keep_threshold=-1.0
         )
         out_small = select(sub, cfg_small, "one two three")  # cap = min(4, 6) = 4
-        assert {t.tail for t in out_small.triplets} == {"n0", "n1", "n2", "n3"}
+        assert {t.tail for t in out_small} == {"n0", "n1", "n2", "n3"}
 
     def test_node_rank_uses_best_incident_edge(self):
-        sub = Subgraph(
-            (
-                _adapted("a", "UsedFor", "x", 1.0, 5.0),
-                _adapted("b", "UsedFor", "x", 1.0, 0.7),
-                _adapted("a", "UsedFor", "y", 1.0, 3.0),
-            ),
-            anchors=("a",),
+        sub = (
+            _adapted("a", "UsedFor", "x", 1.0, 5.0),
+            _adapted("b", "UsedFor", "x", 1.0, 0.7),
+            _adapted("a", "UsedFor", "y", 1.0, 3.0),
         )
         cfg = PlannerConfig(top_k=1, edge_threshold=0.6, concept_ratio=3, cos_keep_threshold=-2.0)
         out = select(sub, cfg, "t")
         # x wins the single slot on its best edge; both its surviving edges stay.
-        assert {t.tail for t in out.triplets} == {"x"}
-        assert len(out.triplets) == 2
+        assert {t.tail for t in out} == {"x"}
+        assert len(out) == 2
 
     def test_output_sorted_by_adapted_weight_then_lex(self):
-        sub = Subgraph(
-            (
-                _adapted("b", "UsedFor", "x", 1.0, 2.0),
-                _adapted("a", "UsedFor", "x", 1.0, 2.0),
-                _adapted("a", "HasSubevent", "x", 1.0, 3.0),
-            ),
-            anchors=("a",),
+        sub = (
+            _adapted("b", "UsedFor", "x", 1.0, 2.0),
+            _adapted("a", "UsedFor", "x", 1.0, 2.0),
+            _adapted("a", "HasSubevent", "x", 1.0, 3.0),
         )
         cfg = PlannerConfig(top_k=5, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-2.0)
         out = select(sub, cfg, "t")
-        assert [t.key for t in out.triplets] == [
+        assert [t.key for t in out] == [
             ("a", "HasSubevent", "x"),
             ("a", "UsedFor", "x"),
             ("b", "UsedFor", "x"),
@@ -201,12 +176,10 @@ class TestSelect:
 
     def test_empty_task_text_still_has_cap_one_token_floor(self):
         triplets = [("h", "UsedFor", f"n{i}", float(9 - i)) for i in range(5)]
-        sub = Subgraph(
-            tuple(_adapted(h, r, t, w, w) for h, r, t, w in triplets), anchors=("h",)
-        )
+        sub = tuple(_adapted(h, r, t, w, w) for h, r, t, w in triplets)
         cfg = PlannerConfig(top_k=10, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
         out = select(sub, cfg, "")
-        assert len({t.tail for t in out.triplets}) == 3  # min(10, 3 * max(1, 0))
+        assert len({t.tail for t in out}) == 3  # min(10, 3 * max(1, 0))
 
 
 class TestAdaptionConfig:
@@ -230,9 +203,9 @@ def test_pipeline_on_shower_fixture(shower_graph, hash_embedder):
 
     sub = sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
     adapted = adapt_weights(sub, "take a shower", hash_embedder)
-    assert all(np.isfinite(t.adapted_weight) for t in adapted.triplets)
+    assert all(np.isfinite(t.adapted_weight) for t in adapted)
     cfg = PlannerConfig(top_k=10, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
     out = select(adapted, cfg, "take a shower")
-    assert 0 < len(out.triplets) <= len(adapted.triplets)
-    weights = [t.adapted_weight for t in out.triplets]
+    assert 0 < len(out) <= len(adapted)
+    weights = [t.adapted_weight for t in out]
     assert weights == sorted(weights, reverse=True)

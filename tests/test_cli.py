@@ -99,6 +99,16 @@ class TestConfigResolution:
         assert cli.main(["plan", "--config", str(path)]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, '{"theta": 0.5,'], ids=["missing", "not-json"])
+    def test_config_file_missing_or_not_json_is_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        assert cli.main(["plan", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
+        assert not (tmp_path / "run").exists()
+
     def test_config_file_accepts_int_for_float_list_for_tuple_null_for_optional(self, tmp_path):
         path = tmp_path / "config.json"
         payload = {"theta": 1, "follower_schedule": [1, 0.5], "seed": None, "graph": None}
@@ -477,6 +487,48 @@ class TestInspectCommand:
         assert "knowledge lines" in printed
         assert "grounded lines" in printed
         assert "| Task: Watch TV" in printed
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["inspect", "--task", "Watch TV", "--graph", "MISSING",
+          "--admissible", _fixture("admissible_household.json")], "graph"),
+        (["inspect", "--task", "Watch TV", "--graph", _fixture("tv_graph.jsonl"),
+          "--graph-format", "jsonl", "--admissible", "MISSING"], "admissible"),
+        (["counterfactual", "--dataset", "MISSING", "--seed", "1",
+          "--admissible", _fixture("admissible_household.json")], "dataset"),
+        (["eval", "--dataset", "MISSING", "--predictions", "PREDICTIONS"], "dataset"),
+        (["plan", "--graph", _fixture("tv_graph.jsonl"), "--graph-format", "jsonl",
+          "--dataset", _fixture("watch_tv.jsonl"),
+          "--admissible", _fixture("admissible_household.json"),
+          "--generator", "scripted", "--generator-fixture", "MISSING"], "generator_fixture"),
+    ],
+    ids=["inspect-graph", "inspect-admissible", "counterfactual-dataset", "eval-dataset",
+         "plan-generator-fixture"],
+)
+def test_missing_input_file_is_exit_2_for_every_command(tmp_path, capsys, argv, field):
+    missing = str(tmp_path / "nope.jsonl")
+    argv = [missing if a == "MISSING" else str(tmp_path) if a == "PREDICTIONS" else a for a in argv]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: file not found: {missing}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unmapped_relation_is_exit_1(monkeypatch, capsys):
+    from nsplan.verbalize import UnmappedRelationError
+
+    def unmapped(*args, **kwargs):
+        raise UnmappedRelationError("RelatedTo")
+
+    monkeypatch.setattr(cli.planner, "knowledge_for_task", unmapped)
+    argv = [
+        "inspect", "--task", "Watch TV", "--graph", _fixture("tv_graph.jsonl"),
+        "--graph-format", "jsonl", "--admissible", _fixture("admissible_household.json"),
+    ]
+    assert cli.main(argv) == 1
+    assert "no symbolic rule for relation 'RelatedTo'" in capsys.readouterr().err
 
 
 class TestEntryPoint:

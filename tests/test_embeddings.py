@@ -1,6 +1,8 @@
 """Embedding providers: hash determinism, table lookup, remote transport."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -128,6 +130,32 @@ class TestTableEmbedding:
         provider = TableEmbedding(rows={"x": [1.0, 0.0]})
         provider.embed("x")[0] = 99.0
         assert np.allclose(provider.embed("x"), [1.0, 0.0])
+
+    def test_miss_counters_exact_under_threads(self):
+        # --jobs > 1 shares one provider; a tiny switch interval makes the
+        # threads interleave inside embed() as often as the interpreter allows.
+        provider = TableEmbedding(rows={"x": [1.0, 0.0]})
+        threads, per_thread = 8, 300
+        start = threading.Barrier(threads, timeout=30)
+
+        def work(i):
+            start.wait()
+            for j in range(per_thread):
+                provider.embed(f"miss {i} {j % 50}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        assert provider.miss_count == threads * per_thread
+        assert provider.missed_texts == {f"miss {i} {j}" for i in range(threads) for j in range(50)}
 
 
 class TestRemoteEmbedding:

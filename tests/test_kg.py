@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nsplan import kg
 from nsplan.kg import IngestError, KnowledgeGraph, Triplet
 
@@ -206,13 +207,8 @@ class TestSampleSubgraph:
     def test_hop_bound(self):
         graph = self.chain()
         sub = kg.sample_subgraph(graph, ["n0"], hops=2)
-        heads = {t.head for t in sub.triplets}
+        heads = {t.head for t in sub}
         assert heads == {"n0", "n1"}  # n2 sits at the boundary, not expanded
-
-    def test_hop_annotation_is_min_endpoint_distance(self):
-        sub = kg.sample_subgraph(self.chain(), ["n0"], hops=3)
-        by_head = {t.head: t.hop for t in sub.triplets}
-        assert by_head == {"n0": 0, "n1": 1, "n2": 2}
 
     def test_zero_hops_empty(self):
         assert len(kg.sample_subgraph(self.chain(), ["n0"], hops=0)) == 0
@@ -220,25 +216,20 @@ class TestSampleSubgraph:
     def test_unknown_anchor_ignored(self):
         sub = kg.sample_subgraph(self.chain(), ["n0", "ghost"], hops=1)
         assert len(sub) == 1
-        assert sub.anchors == ("ghost", "n0")
 
     def test_fanout_cap_prefers_heavier_edges(self):
         graph = KnowledgeGraph(
             [Triplet("hub", "Causes", f"t{i}", float(i + 1)) for i in range(6)]
         )
         sub = kg.sample_subgraph(graph, ["hub"], hops=1, per_node_fanout_cap=3)
-        assert sorted(t.weight for t in sub.triplets) == [4.0, 5.0, 6.0]
+        assert sorted(t.weight for t in sub) == [4.0, 5.0, 6.0]
 
     def test_non_whitelisted_edges_never_traversed(self):
         graph = KnowledgeGraph(
             [Triplet("a", "RelatedTo", "b", 9.0), Triplet("a", "Causes", "c", 1.0)]
         )
         sub = kg.sample_subgraph(graph, ["a"], hops=2)
-        assert [t.key for t in sub.triplets] == [("a", "Causes", "c")]
-
-    def test_adapted_weight_starts_at_weight(self, shower_graph):
-        sub = kg.sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
-        assert all(t.adapted_weight == t.weight for t in sub.triplets)
+        assert [t.key for t in sub] == [("a", "Causes", "c")]
 
     def test_deterministic(self, shower_graph):
         a = kg.sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
@@ -247,8 +238,44 @@ class TestSampleSubgraph:
 
     def test_output_sorted_by_weight_then_lex(self, shower_graph):
         sub = kg.sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
-        keys = [(-t.weight, t.head, t.relation, t.tail) for t in sub.triplets]
+        keys = [(-t.weight, t.head, t.relation, t.tail) for t in sub]
         assert keys == sorted(keys)
+
+    def test_hands_over_the_graphs_own_triplets(self, shower_graph):
+        sub = kg.sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
+        stored = {t.key: t for t in shower_graph.triplets}
+        assert type(sub) is tuple and sub
+        assert all(stored[t.key] is t for t in sub)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.dictionaries(
+            st.tuples(
+                st.sampled_from("abcdef"),
+                st.sampled_from(["Causes", "UsedFor", "HasSubevent", "RelatedTo"]),
+                st.sampled_from("abcdef"),
+            ),
+            st.sampled_from([0.5, 1.0, 2.0, 3.5]),
+            max_size=20,
+        ),
+        anchors=st.lists(st.sampled_from("abcdefz"), max_size=3),
+        hops=st.integers(min_value=0, max_value=4),
+        cap=st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_layered_bfs_oracle(self, rows, anchors, hops, cap):
+        triplets = [Triplet(h, r, t, w) for (h, r, t), w in rows.items()]
+        sub = kg.sample_subgraph(KnowledgeGraph(triplets), anchors, hops, per_node_fanout_cap=cap)
+        want, _ = oracles.sample_subgraph_oracle(
+            triplets, anchors, hops, cap, kg.HOUSEHOLD_RELATIONS
+        )
+        assert [t.key for t in sub] == [t.key for t in want]
+        assert [t.weight for t in sub] == [t.weight for t in want]
+        # Whatever the cap, no triplet lies past the hop bound: one endpoint
+        # is closer than ``hops`` to an anchor along whitelisted edges.
+        _, reach = oracles.sample_subgraph_oracle(
+            triplets, anchors, hops, len(triplets) + 1, kg.HOUSEHOLD_RELATIONS
+        )
+        assert all(min(reach.get(t.head, hops), reach.get(t.tail, hops)) < hops for t in sub)
 
 
 def test_load_graph_roundtrip(tmp_path):

@@ -16,7 +16,7 @@ from nsplan.generation import (
     RemoteGenerator,
     ScriptedGenerator,
 )
-from nsplan.kg import AdaptedTriplet, Subgraph
+from nsplan.kg import AdaptedTriplet
 from nsplan.planner import (
     TERMINATIONS,
     PlannerConfig,
@@ -77,14 +77,14 @@ class TestPlannerConfig:
         # the defaults would keep three nodes here, this config keeps five.
         cfg = PlannerConfig(top_k=5, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
         triplets = tuple(
-            AdaptedTriplet("h", "UsedFor", f"n{i}", 1.0, 1.0 + 0.1 * i, 1) for i in range(8)
+            AdaptedTriplet("h", "UsedFor", f"n{i}", 1.0, 1.0 + 0.1 * i) for i in range(8)
         )
-        got = select(Subgraph(triplets, anchors=("h",)), cfg, "one two")
+        got = select(triplets, cfg, "one two")
         want = oracles.select_oracle(
             triplets, ["one", "two"], top_k=5, edge_threshold=0.0, cos_keep_threshold=-1.0,
             concept_ratio=3,
         )
-        assert list(got.triplets) == want
+        assert list(got) == want
         assert len(want) == 5
 
 

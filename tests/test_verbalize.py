@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nsplan.kg import AdaptedTriplet, Subgraph
+from nsplan.kg import AdaptedTriplet
 from nsplan.verbalize import (
     DEFAULT_RULES,
     PHASES,
@@ -16,14 +16,13 @@ from nsplan.verbalize import (
 )
 
 
-def _t(head, relation, tail, weight=1.0, adapted=None, hop=1):
-    return AdaptedTriplet(
-        head, relation, tail, weight, weight if adapted is None else adapted, hop
-    )
+def _t(head, relation, tail, weight=1.0, adapted=None):
+    return AdaptedTriplet(head, relation, tail, weight, weight if adapted is None else adapted)
 
 
-def _sub(*triplets, anchors=("root",)):
-    return Subgraph(tuple(triplets), anchors=anchors)
+def _sub(*triplets):
+    """The plain tuple that select() hands to build_knowledge_prompt."""
+    return triplets
 
 
 class TestTemplates:
@@ -213,11 +212,12 @@ class TestRuleLoading:
 
 
 def test_regression_prompt_for_shower_fixture(shower_graph, fixture_path):
-    """Frozen golden: the verbatim subgraph, no selection, depth 3."""
+    """Frozen golden: the verbatim subgraph, no selection, depth 3. No
+    adaption runs, so each adapted weight is the sampled weight."""
     from nsplan.kg import sample_subgraph
 
     sub = sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
-    prompt = build_knowledge_prompt(sub, max_depth=3)
+    prompt = build_knowledge_prompt(tuple(_t(*t.key, t.weight) for t in sub), max_depth=3)
     with open(fixture_path("pg_regression.txt"), encoding="utf-8") as fh:
         want = [line.rstrip("\n") for line in fh if line.strip()]
     assert list(prompt) == want
