@@ -15,7 +15,7 @@ import numpy as np
 
 from . import embeddings
 from .errors import ConfigError
-from .programs import StructuredStep
+from .programs import StructuredStep, is_str_list
 
 DEFAULT_TEMPLATE = "{action} {object}"
 
@@ -41,13 +41,10 @@ class AdmissibleSet:
         steps = tuple(steps)
         if not steps:
             raise ConfigError("admissible set is empty")
-        seen = set()
-        unique = []
+        unique = {}
         for s in steps:
-            if s.text not in seen:
-                seen.add(s.text)
-                unique.append(s)
-        self.steps = tuple(unique)
+            unique.setdefault(s.text, s)  # the first step of each text
+        self.steps = tuple(unique.values())
         self._vectors = None
         self._provider = None
         self._lock = threading.Lock()
@@ -88,12 +85,22 @@ def build_admissible_set(actions, objects, templates=None):
 
 def load_admissible_set(path):
     """Load either {"actions", "objects", "templates"?} or a flat
-    {"steps": [strings]} JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    {"steps": [strings]} JSON file; any other document is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as err:
+        raise ConfigError(f"admissible: {path} is not valid JSON: {err}") from None
+    data = data if isinstance(data, dict) else {}
+    templates = data.get("templates", {})
     if "steps" in data:
-        return AdmissibleSet(AdmissibleStep(text=s) for s in data["steps"])
-    return build_admissible_set(data["actions"], data["objects"], data.get("templates"))
+        if is_str_list(data["steps"]) and all(data["steps"]):
+            return AdmissibleSet(AdmissibleStep(text=s) for s in data["steps"])
+    elif (is_str_list(data.get("actions")) and is_str_list(data.get("objects"))
+          and isinstance(templates, dict) and is_str_list(list(templates.values()))):
+        return build_admissible_set(data["actions"], data["objects"], templates)
+    raise ConfigError(f'admissible: {path} must hold {{"steps": [nonempty str]}} or '
+                      f'{{"actions": [str], "objects": [str], "templates"?: {{str: str}}}}')
 
 
 def translate(text, admissible, provider):

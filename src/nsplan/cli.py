@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import __version__, causal, counterfactual, kg, metrics, planner, programs
+from . import __version__, causal, counterfactual, entities, kg, metrics, planner, programs
 from .admissible import load_admissible_set, translate_prompt
 from .embeddings import HashEmbedding, RemoteEmbedding, TableEmbedding
 from .errors import ConfigError
@@ -293,6 +293,20 @@ def run_plan(config):
     return EXIT_FAILED if failed else EXIT_OK
 
 
+def _read_prediction(path):
+    """A plan file's task id and step texts; any other file is a ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as err:
+        raise ValueError(f"prediction file {path} is not valid JSON: {err}") from None
+    steps = obj.get("steps") if isinstance(obj, dict) else None
+    if not (isinstance(steps, list) and isinstance(obj.get("id"), str)
+            and all(isinstance(s, dict) and isinstance(s.get("text"), str) for s in steps)):
+        raise ValueError(f'prediction file {path} must hold {{"id": str, "steps": [{{"text": str}}, ...]}}')
+    return obj["id"], [s["text"] for s in steps]
+
+
 def run_eval(config):
     """Score a directory of plan files against the reference dataset,
     aligned by task id. A task that cannot be scored (an empty plan) is
@@ -301,15 +315,10 @@ def run_eval(config):
     references = programs.load_task_dataset(config.dataset, fmt=config.format, strict=config.strict)
     ref_by_id = {task_id(i, s.task): s for i, s in enumerate(references)}
 
-    pred_by_id = {}
     if not os.path.isdir(config.predictions):
         raise ConfigError(f"predictions: not a directory: {config.predictions}")
-    for name in sorted(os.listdir(config.predictions)):
-        if not name.endswith(".json") or name == "manifest.json":
-            continue
-        with open(os.path.join(config.predictions, name), "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        pred_by_id[obj["id"]] = [step["text"] for step in obj["steps"]]
+    names = [n for n in sorted(os.listdir(config.predictions)) if n.endswith(".json") and n != "manifest.json"]
+    pred_by_id = dict(_read_prediction(os.path.join(config.predictions, n)) for n in names)
     if not pred_by_id:
         raise ValueError(f"no prediction files found in {config.predictions}")
 
@@ -456,9 +465,7 @@ def run_inspect(config):
     admissible = load_admissible_set(config.admissible)
     embedder = build_embedder(config)
 
-    from . import entities as entity_parser
-
-    parsed = entity_parser.parse_entities(config.task, graph=graph)
+    parsed = entities.parse_entities(config.task, graph=graph)
     print(f"task: {config.task}")
     print("entities:")
     for ent in parsed.entities:

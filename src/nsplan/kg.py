@@ -11,8 +11,9 @@ kept, the first one on a tie, and the others are counted in
 ``IngestStats.duplicates``. Triplets are ordered by weight descending, then
 lexicographically on the key, wherever an order is promised.
 
-Relations are plain strings. The nine household relations below form the
-ingestion whitelist; anything else is dropped when filtering is enabled.
+Relations are plain strings, and a graph holds only the nine household
+relations below: the constructor rejects any other relation, and ``ingest``
+drops such rows and counts them in ``IngestStats.dropped_relation``.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ class KnowledgeGraph:
         self.stats = stats if stats is not None else IngestStats()
         self._by_key = {}
         for t in triplets:
+            if t.relation not in HOUSEHOLD_RELATIONS:
+                raise ValueError(f"{t}: {t.relation!r} is not a household relation")
             prior = self._by_key.get(t.key)
             if prior is None or t.weight > prior.weight:
                 self._by_key[t.key] = t
@@ -152,66 +155,63 @@ class KnowledgeGraph:
     def __len__(self):
         return self.edge_count
 
-    def neighbors(self, node, relations=None):
-        """All triplets incident to ``node`` (either direction), optionally
-        restricted to a relation subset, in (weight desc, lexicographic)
-        order. Unknown nodes yield an empty list."""
-        found = self._incident.get(node, [])
-        if relations is None:
-            return list(found)
-        relations = set(relations)
-        return [t for t in found if t.relation in relations]
+    def neighbors(self, node):
+        """All triplets incident to ``node`` (either direction), in (weight
+        desc, lexicographic) order. Unknown nodes yield an empty list."""
+        return list(self._incident.get(node, ()))
 
 
-def _parse_conceptnet_uri(uri, column, line_no):
+def _parse_conceptnet_uri(uri, column):
     parts = uri.split("/")
     # /c/<lang>/<term>[/...optional sense parts]
     if len(parts) < 4 or parts[0] != "" or parts[1] != "c" or not parts[3]:
-        raise IngestError(f"bad concept URI in column {column}: {uri!r}", line_no)
+        raise ValueError(f"bad concept URI in column {column}: {uri!r}")
     return parts[2], parts[3]
 
 
-def _parse_tsv_line(line, line_no, language):
+def _parse_tsv_line(line, language):
     cols = line.split("\t")
     if len(cols) != 5:
-        raise IngestError(f"expected 5 tab-separated columns, got {len(cols)}", line_no)
+        raise ValueError(f"expected 5 tab-separated columns, got {len(cols)}")
     _, rel_uri, start_uri, end_uri, meta_json = cols
     if not rel_uri.startswith("/r/") or len(rel_uri) <= 3:
-        raise IngestError(f"bad relation URI: {rel_uri!r}", line_no)
+        raise ValueError(f"bad relation URI: {rel_uri!r}")
     relation = rel_uri[3:].split("/")[0]
-    start_lang, head = _parse_conceptnet_uri(start_uri, 3, line_no)
-    end_lang, tail = _parse_conceptnet_uri(end_uri, 4, line_no)
+    start_lang, head = _parse_conceptnet_uri(start_uri, 3)
+    end_lang, tail = _parse_conceptnet_uri(end_uri, 4)
     try:
-        meta = json.loads(meta_json)
-        weight = float(meta["weight"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        raise IngestError(f"metadata JSON lacks a numeric weight: {meta_json!r}", line_no)
+        weight = float(json.loads(meta_json)["weight"])
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        raise ValueError(f"metadata JSON lacks a numeric weight: {meta_json!r}") from None
     if start_lang != language or end_lang != language:
         return None  # language-filtered, not malformed
     return Triplet(head, relation, tail, weight)
 
 
-def _parse_jsonl_line(line, line_no, language):
+def _parse_jsonl_line(line, language):
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise IngestError(f"bad JSON: {e}", line_no)
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"bad JSON: {e}") from None
     try:
         head, relation = obj["head"], obj["relation"]
         tail, weight = obj["tail"], float(obj["weight"])
-    except (KeyError, TypeError, ValueError):
-        raise IngestError(f"object missing head/relation/tail/weight: {line!r}", line_no)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError(f"object missing head/relation/tail/weight: {line!r}") from None
+    if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)):
+        raise ValueError(f"head, relation and tail must be strings: {line!r}")
     return Triplet(head, relation, tail, weight)
 
 
-def ingest(source, fmt="conceptnet-tsv", language="en", filter_relations=True, strict=False):
+def ingest(source, fmt="conceptnet-tsv", language="en", strict=False):
     """Build a KnowledgeGraph from a byte/text stream or an iterable of lines.
 
     ``fmt`` is "conceptnet-tsv" (5 tab-separated columns, JSON metadata with a
     weight field) or "jsonl" (one object per line, fields head/relation/tail/
-    weight). Malformed lines raise IngestError in strict mode and are counted
-    and skipped otherwise. The returned graph carries an ``stats`` record of
-    kept and dropped line counts.
+    weight). Malformed lines (bad syntax, not UTF-8, an empty head or tail,
+    a non-string field, a weight that is not positive) raise IngestError in
+    strict mode and are counted and skipped otherwise. The returned graph
+    carries an ``stats`` record of kept and dropped line counts.
     """
     if fmt not in ("conceptnet-tsv", "jsonl"):
         raise ValueError(f"unknown ingest format: {fmt!r}")
@@ -220,23 +220,24 @@ def ingest(source, fmt="conceptnet-tsv", language="en", filter_relations=True, s
     stats = IngestStats()
     triplets = []
     for line_no, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
         try:
-            t = parse(line, line_no, language)
-        except IngestError as err:
+            if isinstance(raw, bytes):
+                raw = raw.decode("utf-8")
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            t = parse(line, language)
+        except ValueError as err:
+            err = IngestError(str(err), line_no)
             if strict:
-                raise
+                raise err from None
             stats.dropped_malformed += 1
             log.debug("skipping malformed line: %s", err)
             continue
         if t is None:
             stats.dropped_language += 1
             continue
-        if filter_relations and t.relation not in HOUSEHOLD_RELATIONS:
+        if t.relation not in HOUSEHOLD_RELATIONS:
             stats.dropped_relation += 1
             continue
         triplets.append(t)
@@ -250,7 +251,7 @@ def ingest(source, fmt="conceptnet-tsv", language="en", filter_relations=True, s
 
 
 def load_graph(path, fmt="conceptnet-tsv", **kwargs):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # ingest decodes each line, so one bad line is counted
         return ingest(fh, fmt=fmt, **kwargs)
 
 
@@ -259,9 +260,8 @@ def sample_subgraph(graph, anchors, hops, per_node_fanout_cap=DEFAULT_FANOUT_CAP
 
     Traversal is undirected. Only nodes strictly closer than ``hops`` are
     expanded; at each expanded node only its top ``per_node_fanout_cap``
-    incident whitelisted triplets by weight (ties lexicographic) are
-    followed. Returns a tuple of the graph's own triplets in (weight desc,
-    lexicographic) order.
+    incident triplets by weight (ties lexicographic) are followed. Returns a
+    tuple of the graph's own triplets in (weight desc, lexicographic) order.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")
@@ -276,7 +276,7 @@ def sample_subgraph(graph, anchors, hops, per_node_fanout_cap=DEFAULT_FANOUT_CAP
         d = dist[node]
         if d >= hops:
             continue
-        for t in graph.neighbors(node, HOUSEHOLD_RELATIONS)[:per_node_fanout_cap]:
+        for t in graph.neighbors(node)[:per_node_fanout_cap]:
             included.add(t)
             other = t.tail if t.head == node else t.head
             if other not in dist:

@@ -97,7 +97,7 @@ class PlanResult:
         )
 
 
-def knowledge_for_task(task, graph, embedder, config, rules=None):
+def knowledge_for_task(task, graph, embedder, config):
     """Stages 1 and 2: parse the task, pull the local subgraph, adapt and
     prune edge weights, verbalize. Returns the ungrounded knowledge prompt."""
     parsed = entities.parse_entities(task, graph=graph)
@@ -105,10 +105,10 @@ def knowledge_for_task(task, graph, embedder, config, rules=None):
     sub = kg.sample_subgraph(graph, anchors, hops=config.hops)
     adapted = adaption.adapt_weights(sub, task, embedder)
     kept = adaption.select(adapted, config, task)
-    return verbalize.build_knowledge_prompt(kept, rules=rules, max_depth=config.hops)
+    return verbalize.build_knowledge_prompt(kept, max_depth=config.hops)
 
 
-def plan(task, graph, admissible, generator, embedder, config=None, rules=None):
+def plan(task, graph, admissible, generator, embedder, config=None):
     """Run the full loop for one task and return a PlanResult.
 
     A transport failure mid-plan propagates as TransportError with the
@@ -116,7 +116,7 @@ def plan(task, graph, admissible, generator, embedder, config=None, rules=None):
     how far the task got.
     """
     config = config or PlannerConfig()
-    knowledge = knowledge_for_task(task, graph, embedder, config, rules=rules)
+    knowledge = knowledge_for_task(task, graph, embedder, config)
     grounded = translate_prompt(knowledge, admissible, embedder)
 
     steps = []

@@ -162,18 +162,22 @@ def render_step(step, style="dataset", templates=None):
     return pattern.format(object=obj)
 
 
-def _sample_from_robothow(obj, line_no, strict):
+def is_str_list(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _sample_from_robothow(obj, line_no):
     task, steps = obj["task"], obj["steps"]
-    if not isinstance(task, str) or not isinstance(steps, list):
+    if not isinstance(task, str) or not is_str_list(steps):
         raise DatasetError("expected {'task': str, 'steps': [str]}", line_no)
     for s in steps:
         parse_robothow_step(s)  # validate; errors surface with the line number
     return TaskSample(task=task, reference_plan=tuple(steps), domain="robothow")
 
 
-def _sample_from_wikihow(obj, line_no, strict):
+def _sample_from_wikihow(obj, line_no):
     title, headlines = obj["title"], obj["headlines"]
-    if not isinstance(title, str) or not isinstance(headlines, list):
+    if not isinstance(title, str) or not is_str_list(headlines):
         raise DatasetError("expected {'title': str, 'headlines': [str]}", line_no)
     return TaskSample(task=title, reference_plan=tuple(headlines), domain="wikihow")
 
@@ -199,14 +203,11 @@ def load_task_dataset(path, fmt="robothow-jsonl", strict=True):
                 obj = json.loads(raw)
                 if not isinstance(obj, dict):
                     raise DatasetError("line is not a JSON object", line_no)
-                samples.append(build(obj, line_no, strict))
+                samples.append(build(obj, line_no))
             except (DatasetError, StepParseError, KeyError, json.JSONDecodeError) as err:
-                wrapped = (
-                    err
-                    if isinstance(err, DatasetError)
-                    else DatasetError(f"bad record: {err}", line_no)
-                )
+                if not isinstance(err, DatasetError):
+                    err = DatasetError(f"bad record: {err}", line_no)
                 if strict:
-                    raise wrapped from err
-                log.warning("skipping dataset line %d: %s", line_no, wrapped)
+                    raise err
+                log.warning("skipping dataset line %d: %s", line_no, err)
     return samples

@@ -1,9 +1,11 @@
 """Verbalization of a tuple of adapted triplets into the knowledge prompt.
 
-Each relation owns one template rule with a phase. Lines come out grouped
-by phase (Prerequisite, Body, Subevent, LastSubevent) and ordered by
-adapted weight within a phase. Rules marked recursive additionally expand
-the tail node's own prerequisite/subevent triplets depth-first.
+Each household relation (``kg.HOUSEHOLD_RELATIONS``) owns one template rule
+with a phase in ``DEFAULT_RULES``, the only rule table; a triplet of any
+other relation raises UnmappedRelationError. Lines come out grouped by
+phase (Prerequisite, Body, Subevent, LastSubevent) and ordered by adapted
+weight within a phase. Rules marked recursive additionally expand the tail
+node's own prerequisite/subevent triplets depth-first.
 
 Traversal contract, frozen here because it fixes every downstream golden:
 every phase-ordered triplet is a DFS root at depth 0; a triplet's line is
@@ -16,7 +18,6 @@ this verbalizes exactly the sampled ball on chain graphs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .kg import adapted_sort_key, surface
@@ -42,13 +43,9 @@ class SymbolicRule:
             raise ValueError(f"unknown phase {self.phase!r}")
 
 
-def _rules(*specs):
-    return {r[0]: SymbolicRule(*r) for r in specs}
-
-
 # The UsedFor template reads reversed against the usual head-UsedFor-tail
 # direction; it is kept as-is deliberately. See the project notes.
-DEFAULT_RULES = _rules(
+DEFAULT_RULES = {r[0]: SymbolicRule(*r) for r in (
     ("Synonym", "{head}, also known as {tail}", False, "Body"),
     ("AtLocation", "go to the location of {head}", False, "Body"),
     ("CapableOf", "{head} can {tail}", False, "Body"),
@@ -58,40 +55,27 @@ DEFAULT_RULES = _rules(
     ("HasPrerequisite", "{tail}", True, "Prerequisite"),
     ("HasSubevent", "{tail}", True, "Subevent"),
     ("HasLastSubevent", "{tail}", False, "LastSubevent"),
-)
-
-def load_rules(path):
-    """Read a rule-set override: a JSON list of objects with keys
-    relation, template, recursive, phase."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    rules = {}
-    for obj in raw:
-        rule = SymbolicRule(obj["relation"], obj["template"], bool(obj["recursive"]), obj["phase"])
-        rules[rule.relation] = rule
-    return rules
+)}
 
 
-def verbalize_triplet(triplet, rules=None):
-    rules = DEFAULT_RULES if rules is None else rules
-    rule = rules.get(triplet.relation)
+def verbalize_triplet(triplet):
+    rule = DEFAULT_RULES.get(triplet.relation)
     if rule is None:
         raise UnmappedRelationError(triplet.relation)
     return rule.template.format(head=surface(triplet.head), tail=surface(triplet.tail))
 
 
-def build_knowledge_prompt(triplets, rules=None, max_depth=3):
+def build_knowledge_prompt(triplets, max_depth=3):
     """Linearize adapted triplets into a tuple of ordered, duplicate-free
     knowledge lines (see the module docstring for the traversal contract)."""
-    rules = DEFAULT_RULES if rules is None else rules
     ordered = sorted(triplets, key=adapted_sort_key)
     for t in ordered:
-        if t.relation not in rules:
+        if t.relation not in DEFAULT_RULES:
             raise UnmappedRelationError(t.relation)
 
     children = {}
     for t in ordered:
-        if rules[t.relation].recursive:
+        if DEFAULT_RULES[t.relation].recursive:
             children.setdefault(t.head, []).append(t)
 
     lines = []
@@ -103,16 +87,16 @@ def build_knowledge_prompt(triplets, rules=None, max_depth=3):
             return
         visited.add(t.key)
         if depth < max_depth:
-            line = verbalize_triplet(t, rules)
+            line = verbalize_triplet(t)
             if line not in seen_lines:
                 seen_lines.add(line)
                 lines.append(line)
-        if rules[t.relation].recursive:
+        if DEFAULT_RULES[t.relation].recursive:
             for child in children.get(t.tail, ()):
                 visit(child, depth + 1)
 
     for phase in PHASES:
         for t in ordered:
-            if rules[t.relation].phase == phase:
+            if DEFAULT_RULES[t.relation].phase == phase:
                 visit(t, 0)
     return tuple(lines)

@@ -1,6 +1,7 @@
 """Closed-world translation: closure, argmax oracle, tie breaking."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,27 @@ class TestAdmissibleSet:
         s = load_admissible_set(path)
         assert [x.text for x in s] == ["soap up", "dry off"]
         assert all(x.structured is None for x in s)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"steps": "abc"}',
+            '{"steps": [1, 2]}',
+            '{"steps": ["soap up", ""]}',
+            '["soap up"]',
+            '{"actions": "walk", "objects": ["sofa"]}',
+            '{"actions": ["walk"], "objects": [3]}',
+            '{"actions": ["walk"], "objects": ["sofa"], "templates": ["{action}"]}',
+            '{"actions": ["walk"], "objects": ["sofa"], "templates": {"walk": 1}}',
+            '{"objects": ["sofa"]}',
+            '{"steps": ["soap up"',
+        ],
+    )
+    def test_load_rejects_a_bad_document(self, tmp_path, document):
+        path = tmp_path / "adm.json"
+        path.write_text(document)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_admissible_set(path)
 
     def test_load_household_fixture(self, household_admissible):
         assert len(household_admissible) == 16 * 20

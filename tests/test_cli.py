@@ -378,6 +378,32 @@ class TestEvalCommand:
         assert cli.main(argv) == 1
         assert "no prediction files" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[1, 2]",
+            "{not json",
+            '{"steps": [{"text": "x"}]}',
+            '{"id": 7, "steps": [{"text": "x"}]}',
+            '{"id": "0000-watch-tv", "steps": "walk"}',
+            '{"id": "0000-watch-tv", "steps": [{"confidence": 1.0}]}',
+            '{"id": "0000-watch-tv", "steps": ["walk to sofa"]}',
+        ],
+    )
+    def test_bad_prediction_file_is_named(self, tmp_path, capsys, content):
+        preds = tmp_path / "preds"
+        self._write_predictions(preds, {"0001-work": ["sit on chair"]})
+        bad = preds / "0000-watch-tv.json"
+        bad.write_text(content)
+        argv = [
+            "eval",
+            "--predictions", str(preds),
+            "--dataset", _fixture("watch_tv.jsonl"),
+            "--out", str(tmp_path / "out"),
+        ]
+        assert cli.main(argv) == 1
+        assert f"error: prediction file {bad}" in capsys.readouterr().err
+
 
 class TestIngestCommand:
     def test_writes_graph_jsonl_and_stats(self, tmp_path, capsys):
@@ -513,6 +539,27 @@ def test_missing_input_file_is_exit_2_for_every_command(tmp_path, capsys, argv, 
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"config error: {field}: file not found: {missing}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--graph", _fixture("tv_graph.jsonl"), "--graph-format", "jsonl",
+         "--dataset", _fixture("watch_tv.jsonl")],
+        ["inspect", "--task", "Watch TV", "--graph", _fixture("tv_graph.jsonl"),
+         "--graph-format", "jsonl"],
+        ["counterfactual", "--dataset", _fixture("watch_tv.jsonl"), "--seed", "1"],
+    ],
+    ids=["plan", "inspect", "counterfactual"],
+)
+@pytest.mark.parametrize("document", ['{"steps": "abc"}', '{"steps": [1, 2]}', '["walk to sofa"]'])
+def test_bad_admissible_document_is_exit_2(tmp_path, capsys, argv, document):
+    admissible = tmp_path / "admissible.json"
+    admissible.write_text(document)
+    argv = [*argv, "--admissible", str(admissible), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert f"config error: admissible: {admissible} must hold" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

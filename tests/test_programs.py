@@ -152,6 +152,26 @@ class TestLoadRobothow:
         samples = load_task_dataset(path)
         assert len(samples) == 1
 
+    @pytest.mark.parametrize(
+        "fmt,good,bad",
+        [
+            ("robothow-jsonl", {"task": "Sit", "steps": ["[Sit] <SOFA> (1)"]}, {"task": "x", "steps": [5]}),
+            (
+                "robothow-jsonl",
+                {"task": "Sit", "steps": ["[Sit] <SOFA> (1)"]},
+                {"task": "x", "steps": ["[Walk] <SOFA> (1)", None]},
+            ),
+            ("wikihow-jsonl", {"title": "Sit", "headlines": ["Sit down."]}, {"title": "x", "headlines": [1, 2]}),
+        ],
+    )
+    def test_step_that_is_not_a_string(self, tmp_path, fmt, good, bad):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DatasetError) as err:
+            load_task_dataset(path, fmt=fmt, strict=True)
+        assert err.value.line_no == 2
+        assert [s.task for s in load_task_dataset(path, fmt=fmt, strict=False)] == ["Sit"]
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text("")

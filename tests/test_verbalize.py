@@ -1,17 +1,14 @@
 """Symbolic rules: templates, phase ordering, depth-bounded recursion."""
 
-import json
-
 import pytest
 
-from nsplan.kg import AdaptedTriplet
+from nsplan.kg import HOUSEHOLD_RELATIONS, AdaptedTriplet
 from nsplan.verbalize import (
     DEFAULT_RULES,
     PHASES,
     SymbolicRule,
     UnmappedRelationError,
     build_knowledge_prompt,
-    load_rules,
     verbalize_triplet,
 )
 
@@ -180,35 +177,9 @@ class TestRecursionDepth:
         assert list(prompt) == ["p", "b"]
 
 
-class TestRuleLoading:
-    def test_load_rules_round_trip(self, tmp_path):
-        path = tmp_path / "rules.json"
-        path.write_text(
-            json.dumps(
-                [
-                    {
-                        "relation": "HasSubevent",
-                        "template": "then {tail}",
-                        "recursive": True,
-                        "phase": "Subevent",
-                    }
-                ]
-            )
-        )
-        rules = load_rules(path)
-        assert rules["HasSubevent"].template == "then {tail}"
-        prompt = build_knowledge_prompt(_sub(_t("a", "HasSubevent", "b")), rules=rules)
-        assert list(prompt) == ["then b"]
-
-    def test_loaded_rules_validate_phase(self, tmp_path):
-        path = tmp_path / "rules.json"
-        path.write_text(
-            json.dumps(
-                [{"relation": "X", "template": "{head}", "recursive": False, "phase": "Nope"}]
-            )
-        )
-        with pytest.raises(ValueError):
-            load_rules(path)
+def test_rule_table_covers_exactly_the_household_relations():
+    """The graph admits exactly the relations the rule table verbalizes."""
+    assert set(DEFAULT_RULES) == HOUSEHOLD_RELATIONS
 
 
 def test_regression_prompt_for_shower_fixture(shower_graph, fixture_path):
