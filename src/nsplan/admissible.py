@@ -7,13 +7,13 @@ guarantee the planner relies on. Ties break lexicographically on step text.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import embeddings
+from ._files import read_json
 from .errors import ConfigError
 from .programs import StructuredStep, is_str_list
 
@@ -68,7 +68,8 @@ class AdmissibleSet:
 
 def build_admissible_set(actions, objects, templates=None):
     """Render the action x object product through per-action templates
-    (default "<action> <object>") and deduplicate."""
+    (default "<action> <object>") and deduplicate. A template must be a
+    format string naming only {action} and {object}."""
     actions = list(actions)
     objects = list(objects)
     if not actions or not objects:
@@ -77,28 +78,30 @@ def build_admissible_set(actions, objects, templates=None):
     steps = []
     for action in actions:
         pattern = templates.get(action, DEFAULT_TEMPLATE)
-        for obj in objects:
-            text = pattern.format(action=action, object=obj)
-            steps.append(AdmissibleStep(text=text, structured=StructuredStep(action, obj, 1)))
+        try:
+            for obj in objects:
+                text = pattern.format(action=action, object=obj)
+                steps.append(AdmissibleStep(text=text, structured=StructuredStep(action, obj, 1)))
+        except (LookupError, AttributeError, TypeError, ValueError) as err:
+            raise ConfigError(f"action {action!r}: bad template {pattern!r} ({err!r})") from None
     return AdmissibleSet(steps)
 
 
 def load_admissible_set(path):
     """Load either {"actions", "objects", "templates"?} or a flat
     {"steps": [strings]} JSON file; any other document is a ConfigError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except ValueError as err:
-        raise ConfigError(f"admissible: {path} is not valid JSON: {err}") from None
+    data = read_json(path, lambda message: ConfigError(f"admissible: {message}"))
     data = data if isinstance(data, dict) else {}
     templates = data.get("templates", {})
-    if "steps" in data:
-        if is_str_list(data["steps"]) and all(data["steps"]):
-            return AdmissibleSet(AdmissibleStep(text=s) for s in data["steps"])
-    elif (is_str_list(data.get("actions")) and is_str_list(data.get("objects"))
-          and isinstance(templates, dict) and is_str_list(list(templates.values()))):
-        return build_admissible_set(data["actions"], data["objects"], templates)
+    try:
+        if "steps" in data:
+            if is_str_list(data["steps"]) and all(data["steps"]):
+                return AdmissibleSet(AdmissibleStep(text=s) for s in data["steps"])
+        elif (is_str_list(data.get("actions")) and is_str_list(data.get("objects"))
+              and isinstance(templates, dict) and is_str_list(list(templates.values()))):
+            return build_admissible_set(data["actions"], data["objects"], templates)
+    except ConfigError as err:
+        raise ConfigError(f"admissible: {path} must hold a usable set: {err}") from None
     raise ConfigError(f'admissible: {path} must hold {{"steps": [nonempty str]}} or '
                       f'{{"actions": [str], "objects": [str], "templates"?: {{str: str}}}}')
 

@@ -21,8 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import read_json, write_text
+from .errors import InputError
+
 VARIABLES = ("D", "T", "S_prev", "P", "S")
 INTERVENABLE = ("T", "S_prev", "P")
+TABLES = ("p_d", "p_t_given_d", "p_sprev", "p_p_given_t_sprev", "p_s")
 
 _ROW_TOL = 1e-12
 
@@ -67,15 +71,9 @@ class DiscreteSCM:
         object.__setattr__(self, "supports", supports)
         nd, nt = len(supports["D"]), len(supports["T"])
         nv, np_, ns = len(supports["S_prev"]), len(supports["P"]), len(supports["S"])
-        shapes = {
-            "p_d": (self.p_d, (nd,)),
-            "p_t_given_d": (self.p_t_given_d, (nd, nt)),
-            "p_sprev": (self.p_sprev, (nv,)),
-            "p_p_given_t_sprev": (self.p_p_given_t_sprev, (nt, nv, np_)),
-            "p_s": (self.p_s, (np_, nt, nv, nd, ns)),
-        }
-        for name, (table, shape) in shapes.items():
-            arr = _check_rows(name, table)
+        shapes = ((nd,), (nd, nt), (nv,), (nt, nv, np_), (np_, nt, nv, nd, ns))
+        for name, shape in zip(TABLES, shapes):
+            arr = _check_rows(name, getattr(self, name))
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             object.__setattr__(self, name, arr)
@@ -94,25 +92,12 @@ class DiscreteSCM:
         )
 
     def to_json(self):
-        return {
-            "supports": {k: list(v) for k, v in self.supports.items()},
-            "p_d": self.p_d.tolist(),
-            "p_t_given_d": self.p_t_given_d.tolist(),
-            "p_sprev": self.p_sprev.tolist(),
-            "p_p_given_t_sprev": self.p_p_given_t_sprev.tolist(),
-            "p_s": self.p_s.tolist(),
-        }
+        supports = {k: list(v) for k, v in self.supports.items()}
+        return {"supports": supports, **{name: getattr(self, name).tolist() for name in TABLES}}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            supports=obj["supports"],
-            p_d=np.asarray(obj["p_d"], dtype=np.float64),
-            p_t_given_d=np.asarray(obj["p_t_given_d"], dtype=np.float64),
-            p_sprev=np.asarray(obj["p_sprev"], dtype=np.float64),
-            p_p_given_t_sprev=np.asarray(obj["p_p_given_t_sprev"], dtype=np.float64),
-            p_s=np.asarray(obj["p_s"], dtype=np.float64),
-        )
+        return cls(obj["supports"], *(obj[name] for name in TABLES))  # __post_init__ makes the arrays
 
 
 def from_mechanisms(supports, p_d, p_t_given_d, p_sprev, p_p_given_t_sprev, p_s_given_p_d):
@@ -124,24 +109,15 @@ def from_mechanisms(supports, p_d, p_t_given_d, p_sprev, p_p_given_t_sprev, p_s_
     p_s = np.broadcast_to(
         p_s_given_p_d[:, None, None, :, :], (np_, nt, nv, nd, ns)
     ).copy()
-    return DiscreteSCM(
-        supports=supports,
-        p_d=np.asarray(p_d, dtype=np.float64),
-        p_t_given_d=np.asarray(p_t_given_d, dtype=np.float64),
-        p_sprev=np.asarray(p_sprev, dtype=np.float64),
-        p_p_given_t_sprev=np.asarray(p_p_given_t_sprev, dtype=np.float64),
-        p_s=p_s,
-    )
+    return DiscreteSCM(supports, p_d, p_t_given_d, p_sprev, p_p_given_t_sprev, p_s)
 
 
 def load_scm(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return DiscreteSCM.from_json(json.load(fh))
+    return DiscreteSCM.from_json(read_json(path, InputError))
 
 
 def save_scm(scm, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scm.to_json(), fh, indent=2, sort_keys=True)
+    write_text(path, json.dumps(scm.to_json(), indent=2, sort_keys=True))
 
 
 @dataclass(frozen=True)

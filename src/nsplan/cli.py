@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__, causal, counterfactual, entities, kg, metrics, planner, programs
+from ._files import read_json, write_text
 from .admissible import load_admissible_set, translate_prompt
 from .embeddings import HashEmbedding, RemoteEmbedding, TableEmbedding
 from .errors import ConfigError
@@ -148,11 +149,7 @@ def load_config(args):
     """Resolve defaults < config file < command-line flags."""
     values = {}
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                document = json.load(fh)
-        except (OSError, ValueError) as err:
-            raise ConfigError(f"cannot read config file {args.config}: {err}") from None
+        document = read_json(args.config, lambda message: ConfigError(f"config file {message}"))
         if not isinstance(document, dict):
             raise ConfigError(f"config file must hold a JSON object: {args.config}")
         if "config" in document and isinstance(document["config"], dict):
@@ -227,9 +224,7 @@ def _versions():
 
 
 def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def run_plan(config):
@@ -295,11 +290,7 @@ def run_plan(config):
 
 def _read_prediction(path):
     """A plan file's task id and step texts; any other file is a ValueError naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as err:
-        raise ValueError(f"prediction file {path} is not valid JSON: {err}") from None
+    obj = read_json(path, lambda message: ValueError(f"prediction file {message}"))
     steps = obj.get("steps") if isinstance(obj, dict) else None
     if not (isinstance(steps, list) and isinstance(obj.get("id"), str)
             and all(isinstance(s, dict) and isinstance(s.get("text"), str) for s in steps)):
@@ -318,7 +309,12 @@ def run_eval(config):
     if not os.path.isdir(config.predictions):
         raise ConfigError(f"predictions: not a directory: {config.predictions}")
     names = [n for n in sorted(os.listdir(config.predictions)) if n.endswith(".json") and n != "manifest.json"]
-    pred_by_id = dict(_read_prediction(os.path.join(config.predictions, n)) for n in names)
+    pred_by_id, file_by_id = {}, {}
+    for path in (os.path.join(config.predictions, n) for n in names):
+        tid, steps = _read_prediction(path)
+        if tid in file_by_id:
+            raise ValueError(f"prediction files {file_by_id[tid]} and {path} both hold task {tid}")
+        pred_by_id[tid], file_by_id[tid] = steps, path
     if not pred_by_id:
         raise ValueError(f"no prediction files found in {config.predictions}")
 
@@ -341,8 +337,7 @@ def run_eval(config):
     os.makedirs(config.out, exist_ok=True)
     _write_json(os.path.join(config.out, "report.json"), report.to_json())
     table = report.to_table()
-    with open(os.path.join(config.out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table + "\n")
+    write_text(os.path.join(config.out, "report.txt"), table + "\n")
     print(table)
     for row in report.failed:
         print(f"  failed {row['id']}: {row['error']}", file=sys.stderr)
@@ -356,15 +351,8 @@ def run_ingest(config):
     graph = kg.load_graph(config.graph, fmt=config.graph_format, strict=config.strict)
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, "graph.jsonl")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for t in graph.triplets:
-            fh.write(
-                json.dumps(
-                    {"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    rows = ({"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight} for t in graph.triplets)
+    write_text(out_path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
     stats = graph.stats
     print(f"kept {stats.kept} triplets ({graph.node_count} nodes, {graph.edge_count} edges)")
     print(

@@ -13,6 +13,8 @@ import json
 import random
 from dataclasses import dataclass
 
+from ._files import read_lines, write_text
+from .errors import InputError
 from .programs import TaskSample
 
 KINDS = ("InitialConfiguration", "IntermediateStep", "FinalGoal")
@@ -135,16 +137,8 @@ def intervene_final_goal(a, b):
 
 
 def write_jsonl(samples, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(sample.to_json(), sort_keys=True) + "\n")
+    write_text(path, "".join(json.dumps(s.to_json(), sort_keys=True) + "\n" for s in samples))
 
 
 def read_jsonl(path):
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                samples.append(CounterfactualSample.from_json(json.loads(line)))
-    return samples
+    return list(read_lines(path, lambda line: CounterfactualSample.from_json(json.loads(line)), InputError))

@@ -25,8 +25,10 @@ import threading
 
 import numpy as np
 
+from . import _http
+from ._files import read_lines
 from .entities import tokenize
-from .errors import TransportError
+from .errors import InputError, TransportError
 
 DEFAULT_DIM = 256
 
@@ -81,11 +83,7 @@ class TableEmbedding:
     def __init__(self, path=None, rows=None, seed=0):
         table = {}
         if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        obj = json.loads(line)
-                        table[obj["text"]] = np.asarray(obj["vector"], dtype=np.float64)
+            table.update(read_lines(path, _table_row, InputError))
         if rows:
             for text, vector in rows.items():
                 table[text] = np.asarray(vector, dtype=np.float64)
@@ -115,6 +113,14 @@ class TableEmbedding:
         return self._fallback.embed(text)
 
 
+def _table_row(line):
+    obj = json.loads(line)
+    text, vector = obj["text"], np.asarray(obj["vector"], dtype=np.float64)
+    if not isinstance(text, str) or vector.ndim != 1:
+        raise ValueError('expected {"text": str, "vector": [number, ...]}')
+    return text, vector
+
+
 class RemoteEmbedding:
     """HTTP provider speaking {"input": [texts]} -> {"data": [{"embedding"}]}.
 
@@ -133,23 +139,14 @@ class RemoteEmbedding:
         self._cache = {}
         self._lock = threading.Lock()
 
-    def _post(self, payload):
-        from . import _http
-
-        return _http.post_json(
-            self.endpoint,
-            payload,
-            api_key=self.api_key,
-            timeout=self.timeout,
-            transport=self._transport,
-        )
-
     def embed(self, text):
         with self._lock:
             cached = self._cache.get(text)
         if cached is not None:
             return cached.copy()
-        body = self._post({"input": [text]})
+        body = _http.post_json(
+            self.endpoint, {"input": [text]}, api_key=self.api_key, timeout=self.timeout, transport=self._transport
+        )
         try:
             raw = body["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError):

@@ -80,23 +80,12 @@ def _lexicon():
 
 def tag_word(word):
     """POS tag for one lowercase word: closed classes, then the lexicon,
-    then suffix rules, then the noun default."""
-    if word in DETERMINERS:
-        return "DET"
-    if word in PREPOSITIONS:
-        return "PREP"
-    if word in PRONOUNS:
-        return "PRON"
-    if word in CONJUNCTIONS:
-        return "CONJ"
-    tag = _lexicon().get(word)
-    if tag:
-        return tag
-    if word.endswith("ing") or word.endswith("ed"):
-        return "VERB"
-    if word.endswith("tion") or word.endswith("ness"):
-        return "NOUN"
-    return "NOUN"
+    then an "-ing"/"-ed" suffix for verbs, then the noun default."""
+    for tag, words in (("DET", DETERMINERS), ("PREP", PREPOSITIONS),
+                       ("PRON", PRONOUNS), ("CONJ", CONJUNCTIONS)):
+        if word in words:
+            return tag
+    return _lexicon().get(word) or ("VERB" if word.endswith(("ing", "ed")) else "NOUN")
 
 
 def tokenize(text):

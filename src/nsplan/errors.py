@@ -6,6 +6,15 @@ class ConfigError(ValueError):
     admissible set, bad field value)."""
 
 
+class InputError(ValueError):
+    """A bad line or document of an input file. The message names the file
+    when it is known; ``line_no`` is the 1-based line of a line file."""
+
+    def __init__(self, message, line_no=None):
+        super().__init__(message)
+        self.line_no = line_no
+
+
 class TransportError(RuntimeError):
     """A remote provider call failed at the HTTP level.
 

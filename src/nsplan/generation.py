@@ -17,14 +17,15 @@ is the one place that knows the "Task:"/"Step:"/"Step i:" format.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from .errors import TransportError
+from . import _http
+from ._files import read_json
+from .errors import InputError, TransportError
 
 MASK_SENTINEL = "<mask>"
 
@@ -141,8 +142,9 @@ class ScriptedGenerator:
 
     def __init__(self, path=None, responses=None):
         if responses is None:
-            with open(path, "r", encoding="utf-8") as fh:
-                responses = json.load(fh)
+            responses = read_json(path, InputError)
+            if not isinstance(responses, dict):
+                raise InputError(f"{path}: a generator fixture must hold a JSON object")
         self.responses = dict(responses)
 
     def next_step(self, request):
@@ -183,8 +185,6 @@ class RemoteGenerator:
         self._transport = transport
 
     def next_step(self, request):
-        from . import _http
-
         payload = {
             "model": self.model,
             "prompt": request.payload_prompt(),

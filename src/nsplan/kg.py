@@ -22,6 +22,10 @@ import json
 import logging
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+
+from ._files import read_lines
+from .errors import InputError
 
 log = logging.getLogger(__name__)
 
@@ -42,12 +46,8 @@ HOUSEHOLD_RELATIONS = frozenset(
 DEFAULT_FANOUT_CAP = 100
 
 
-class IngestError(ValueError):
-    """A malformed input line, with its 1-based line number."""
-
-    def __init__(self, message, line_no):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class IngestError(InputError):
+    """A malformed graph line."""
 
 
 def surface(key):
@@ -169,7 +169,7 @@ def _parse_conceptnet_uri(uri, column):
     return parts[2], parts[3]
 
 
-def _parse_tsv_line(line, language):
+def _parse_tsv_line(language, line):
     cols = line.split("\t")
     if len(cols) != 5:
         raise ValueError(f"expected 5 tab-separated columns, got {len(cols)}")
@@ -188,11 +188,8 @@ def _parse_tsv_line(line, language):
     return Triplet(head, relation, tail, weight)
 
 
-def _parse_jsonl_line(line, language):
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as e:
-        raise ValueError(f"bad JSON: {e}") from None
+def _parse_jsonl_line(language, line):
+    obj = json.loads(line)
     try:
         head, relation = obj["head"], obj["relation"]
         tail, weight = obj["tail"], float(obj["weight"])
@@ -204,13 +201,12 @@ def _parse_jsonl_line(line, language):
 
 
 def ingest(source, fmt="conceptnet-tsv", language="en", strict=False):
-    """Build a KnowledgeGraph from a byte/text stream or an iterable of lines.
+    """Build a KnowledgeGraph from a path, a byte/text stream or an iterable of lines.
 
     ``fmt`` is "conceptnet-tsv" (5 tab-separated columns, JSON metadata with a
     weight field) or "jsonl" (one object per line, fields head/relation/tail/
-    weight). Malformed lines (bad syntax, not UTF-8, an empty head or tail,
-    a non-string field, a weight that is not positive) raise IngestError in
-    strict mode and are counted and skipped otherwise. The returned graph
+    weight). A malformed line raises IngestError in strict mode and is
+    counted in ``stats.dropped_malformed`` otherwise. The returned graph
     carries an ``stats`` record of kept and dropped line counts.
     """
     if fmt not in ("conceptnet-tsv", "jsonl"):
@@ -219,21 +215,8 @@ def ingest(source, fmt="conceptnet-tsv", language="en", strict=False):
 
     stats = IngestStats()
     triplets = []
-    for line_no, raw in enumerate(source, start=1):
-        try:
-            if isinstance(raw, bytes):
-                raw = raw.decode("utf-8")
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            t = parse(line, language)
-        except ValueError as err:
-            err = IngestError(str(err), line_no)
-            if strict:
-                raise err from None
-            stats.dropped_malformed += 1
-            log.debug("skipping malformed line: %s", err)
-            continue
+    bad = []
+    for t in read_lines(source, partial(parse, language), IngestError, None if strict else bad):
         if t is None:
             stats.dropped_language += 1
             continue
@@ -241,8 +224,11 @@ def ingest(source, fmt="conceptnet-tsv", language="en", strict=False):
             stats.dropped_relation += 1
             continue
         triplets.append(t)
+    for err in bad:
+        log.debug("skipping malformed line: %s", err)
 
     graph = KnowledgeGraph(triplets, stats=stats)
+    stats.dropped_malformed = len(bad)
     stats.kept = graph.edge_count
     stats.duplicates = len(triplets) - graph.edge_count
     if graph.edge_count == 0:
@@ -251,8 +237,7 @@ def ingest(source, fmt="conceptnet-tsv", language="en", strict=False):
 
 
 def load_graph(path, fmt="conceptnet-tsv", **kwargs):
-    with open(path, "rb") as fh:  # ingest decodes each line, so one bad line is counted
-        return ingest(fh, fmt=fmt, **kwargs)
+    return ingest(path, fmt=fmt, **kwargs)
 
 
 def sample_subgraph(graph, anchors, hops, per_node_fanout_cap=DEFAULT_FANOUT_CAP):

@@ -13,8 +13,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
+
+from ._files import read_lines
+from .errors import InputError
 
 log = logging.getLogger(__name__)
 
@@ -28,10 +31,8 @@ class StepParseError(ValueError):
         self.column = column
 
 
-class DatasetError(ValueError):
-    def __init__(self, message, line_no):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class DatasetError(InputError):
+    """A malformed task-dataset line."""
 
 
 @dataclass(frozen=True)
@@ -166,48 +167,38 @@ def is_str_list(value):
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _sample_from_robothow(obj, line_no):
+def _sample_from_robothow(obj):
     task, steps = obj["task"], obj["steps"]
     if not isinstance(task, str) or not is_str_list(steps):
-        raise DatasetError("expected {'task': str, 'steps': [str]}", line_no)
+        raise ValueError("expected {'task': str, 'steps': [str]}")
     for s in steps:
-        parse_robothow_step(s)  # validate; errors surface with the line number
+        parse_robothow_step(s)  # validate
     return TaskSample(task=task, reference_plan=tuple(steps), domain="robothow")
 
 
-def _sample_from_wikihow(obj, line_no):
+def _sample_from_wikihow(obj):
     title, headlines = obj["title"], obj["headlines"]
     if not isinstance(title, str) or not is_str_list(headlines):
-        raise DatasetError("expected {'title': str, 'headlines': [str]}", line_no)
+        raise ValueError("expected {'title': str, 'headlines': [str]}")
     return TaskSample(task=title, reference_plan=tuple(headlines), domain="wikihow")
 
 
-def load_task_dataset(path, fmt="robothow-jsonl", strict=True):
-    """Load a JSONL task dataset.
+def _parse_line(build, line):
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    return build(obj)
 
-    In strict mode a schema violation raises DatasetError with its line
-    number; in lenient mode the bad line is logged and skipped, keeping
-    every earlier (and later) valid sample.
-    """
+
+def load_task_dataset(path, fmt="robothow-jsonl", strict=True):
+    """Load a JSONL task dataset. A bad line raises DatasetError in strict
+    mode; otherwise it is logged and skipped, keeping every other sample."""
     builders = {"robothow-jsonl": _sample_from_robothow, "wikihow-jsonl": _sample_from_wikihow}
     if fmt not in builders:
         raise ValueError(f"unknown dataset format {fmt!r}")
-    build = builders[fmt]
-
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-                if not isinstance(obj, dict):
-                    raise DatasetError("line is not a JSON object", line_no)
-                samples.append(build(obj, line_no))
-            except (DatasetError, StepParseError, KeyError, json.JSONDecodeError) as err:
-                if not isinstance(err, DatasetError):
-                    err = DatasetError(f"bad record: {err}", line_no)
-                if strict:
-                    raise err
-                log.warning("skipping dataset line %d: %s", line_no, err)
+    bad = []
+    parse = partial(_parse_line, builders[fmt])
+    samples = list(read_lines(path, parse, DatasetError, None if strict else bad))
+    for err in bad:
+        log.warning("skipping dataset line: %s", err)
     return samples

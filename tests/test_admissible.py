@@ -96,6 +96,10 @@ class TestAdmissibleSet:
             '{"actions": ["walk"], "objects": ["sofa"], "templates": {"walk": 1}}',
             '{"objects": ["sofa"]}',
             '{"steps": ["soap up"',
+            '{"actions": ["walk"], "objects": ["sofa"], "templates": {"walk": "{foo} {object}"}}',
+            '{"actions": ["walk"], "objects": ["sofa"], "templates": {"walk": "{action"}}',
+            '{"actions": ["walk"], "objects": ["sofa"], "templates": {"walk": "{0} {object}"}}',
+            '{"steps": []}',
         ],
     )
     def test_load_rejects_a_bad_document(self, tmp_path, document):
@@ -103,6 +107,12 @@ class TestAdmissibleSet:
         path.write_text(document)
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             load_admissible_set(path)
+
+    @pytest.mark.parametrize("template", ["{foo} {object}", "{action", "{object.x}", ""])
+    def test_bad_template_is_a_config_error_naming_action_and_template(self, template):
+        with pytest.raises(ConfigError) as err:
+            build_admissible_set(["walk"], ["sofa"], {"walk": template})
+        assert "'walk'" in str(err.value) and repr(template) in str(err.value)
 
     def test_load_household_fixture(self, household_admissible):
         assert len(household_admissible) == 16 * 20

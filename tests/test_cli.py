@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nsplan import cli
+from nsplan import _files, cli
 from nsplan.errors import ConfigError
 
 
@@ -249,6 +249,38 @@ class TestPlanCommand:
         assert statuses == {"failed"}
         assert "failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("failure", ["rename", "write"])
+    def test_failed_write_keeps_the_previous_plan_file(self, tmp_path, monkeypatch, failure):
+        out = tmp_path / "run"
+        assert cli.main(_plan_argv(out)) == 0
+        plan_file = out / "0000-watch-tv.json"
+        before, listing = plan_file.read_bytes(), sorted(os.listdir(out))
+        temps = []
+        text = '{"id": "0000-watch-tv"}\n'
+
+        def crash_before_rename(src, dst):
+            temps.append(src)
+            raise OSError("simulated crash")
+
+        if failure == "rename":
+            monkeypatch.setattr(os, "replace", crash_before_rename)
+        else:
+            text += "\ud800"  # not encodable: the write itself fails
+        with pytest.raises((OSError, UnicodeEncodeError)):
+            _files.write_text(str(plan_file), text)
+        monkeypatch.undo()
+        assert plan_file.read_bytes() == before
+        assert sorted(os.listdir(out)) == listing
+        assert len(temps) == (failure == "rename")
+        assert all(os.path.dirname(t) == str(out) and not t.endswith(".json") for t in temps)
+
+    def test_scripted_fixture_that_is_not_an_object_is_named(self, tmp_path, capsys):
+        fixture = tmp_path / "responses.json"
+        fixture.write_text("[1]")
+        argv = _plan_argv(tmp_path / "run", ["--generator", "scripted", "--generator-fixture", str(fixture)])
+        assert cli.main(argv) == 1
+        assert f"error: {fixture}" in capsys.readouterr().err
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         assert cli.main(_plan_argv(serial)) == 0
@@ -365,6 +397,22 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "0009-ghost" in err
         assert "0001-work" in err
+
+    def test_duplicate_task_id_names_both_files(self, tmp_path, capsys):
+        preds = tmp_path / "preds"
+        self._write_predictions(preds, {"0000-watch-tv": ["walk to sofa"], "0001-work": ["sit on chair"]})
+        copy = preds / "z-copy.json"
+        copy.write_bytes((preds / "0000-watch-tv.json").read_bytes())
+        argv = [
+            "eval",
+            "--predictions", str(preds),
+            "--dataset", _fixture("watch_tv.jsonl"),
+            "--out", str(tmp_path / "out"),
+        ]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(preds / "0000-watch-tv.json") in err and str(copy) in err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_predictions_dir_fails(self, tmp_path, capsys):
         preds = tmp_path / "preds"
@@ -553,7 +601,16 @@ def test_missing_input_file_is_exit_2_for_every_command(tmp_path, capsys, argv, 
     ],
     ids=["plan", "inspect", "counterfactual"],
 )
-@pytest.mark.parametrize("document", ['{"steps": "abc"}', '{"steps": [1, 2]}', '["walk to sofa"]'])
+@pytest.mark.parametrize(
+    "document",
+    [
+        '{"steps": "abc"}',
+        '{"steps": [1, 2]}',
+        '["walk to sofa"]',
+        '{"actions": ["walk"], "objects": ["sofa"], "templates": {"walk": "{foo} {object}"}}',
+        '{"actions": ["walk"], "objects": ["sofa"], "templates": {"walk": "{action"}}',
+    ],
+)
 def test_bad_admissible_document_is_exit_2(tmp_path, capsys, argv, document):
     admissible = tmp_path / "admissible.json"
     admissible.write_text(document)

@@ -17,7 +17,7 @@ from nsplan.embeddings import (
     cosine,
     embed,
 )
-from nsplan.errors import TransportError
+from nsplan.errors import InputError, TransportError
 
 WORDS = st.text(alphabet="abcdefghij ", min_size=0, max_size=40)
 
@@ -121,6 +121,14 @@ class TestTableEmbedding:
         empty.write_text("")
         with pytest.raises(ValueError):
             TableEmbedding(path=empty)
+
+    def test_bad_row_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "table.jsonl"
+        path.write_text(json.dumps({"text": "a", "vector": [1.0, 0.0]}) + "\n" + json.dumps({"text": "b"}) + "\n")
+        with pytest.raises(InputError) as err:
+            TableEmbedding(path=path)
+        assert err.value.line_no == 2
+        assert f"{path}, line 2" in str(err.value) and "vector" in str(err.value)
 
     def test_dimension_disagreement_rejected(self):
         with pytest.raises(ValueError, match="dimension"):

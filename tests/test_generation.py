@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import pytest
 
 import oracles
-from nsplan.errors import TransportError
+from nsplan.errors import InputError, TransportError
 from nsplan.generation import (
     MASK_SENTINEL,
     FixtureMissError,
@@ -154,6 +155,13 @@ class TestScripted:
         path.write_text(json.dumps({fp: {"text": "sit", "confidence": 0.5}}))
         result = ScriptedGenerator(path=path).next_step(GenerationRequest("Y"))
         assert (result.text, result.confidence) == ("sit", 0.5)
+
+    @pytest.mark.parametrize("content", ["[1]", '"text"', "{"])
+    def test_file_that_is_not_a_json_object_is_named(self, tmp_path, content):
+        path = tmp_path / "responses.json"
+        path.write_text(content)
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            ScriptedGenerator(path=path)
 
 
 class TestRemote:

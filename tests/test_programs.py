@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsplan.programs import (
     DatasetError,
@@ -15,6 +17,18 @@ from nsplan.programs import (
     parse_robothow_step,
     render_step,
 )
+
+# Row-shaped lines with fields of wrong types and values, next to arbitrary
+# bytes and deep nesting: lenient loading must skip each bad one, never raise.
+_FIELDS = st.one_of(
+    st.text(max_size=4), st.sampled_from(["[Walk] <SOFA> (1)", "Sit down."]), st.integers(), st.none(),
+    st.lists(st.one_of(st.text(max_size=4), st.sampled_from(["[Sit] <CHAIR> (2)"]), st.integers()), max_size=3),
+)
+_ROWS = st.builds(
+    lambda task, steps: json.dumps({"task": task, "steps": steps, "title": task, "headlines": steps}),
+    _FIELDS, _FIELDS,
+).map(lambda line: line.encode("utf-8", "surrogatepass"))
+_NESTED = st.integers(min_value=1, max_value=3000).map(lambda depth: b"[" * depth)
 
 ACTIONS = ["Walk", "Find", "Grab", "Sit", "SwitchOn", "SwitchOff", "Watch", "LookAt"]
 OBJECTS = ["TELEVISION", "SOFA", "COMPUTER", "HOME_OFFICE", "LIGHT_SWITCH", "CHAIR"]
@@ -171,6 +185,32 @@ class TestLoadRobothow:
             load_task_dataset(path, fmt=fmt, strict=True)
         assert err.value.line_no == 2
         assert [s.task for s in load_task_dataset(path, fmt=fmt, strict=False)] == ["Sit"]
+
+    @pytest.mark.parametrize("bad", [b"\xff\xfe", b"[" * 200_000], ids=["not-utf8", "deep-nesting"])
+    def test_bad_second_line_is_named_strict_and_skipped_lenient(self, tmp_path, bad):
+        good = [json.dumps({"task": t, "steps": ["[Sit] <SOFA> (1)"]}).encode() for t in ("A", "B")]
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"\n".join([good[0], bad, good[1]]) + b"\n")
+        assert [s.task for s in load_task_dataset(path, strict=False)] == ["A", "B"]
+        with pytest.raises(DatasetError) as err:
+            load_task_dataset(path, strict=True)
+        assert err.value.line_no == 2
+        assert f"{path}, line 2" in str(err.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fmt=st.sampled_from(["robothow-jsonl", "wikihow-jsonl"]),
+        lines=st.lists(st.one_of(st.binary(max_size=60), _ROWS, _NESTED), max_size=6),
+    )
+    def test_lenient_load_of_arbitrary_lines_never_raises(self, tmp_path_factory, fmt, lines):
+        path = tmp_path_factory.mktemp("fuzz") / "d.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        for sample in load_task_dataset(path, fmt=fmt, strict=False):
+            assert isinstance(sample.task, str)
+            assert all(isinstance(step, str) for step in sample.reference_plan)
+            if fmt == "robothow-jsonl":
+                for step in sample.reference_plan:
+                    parse_robothow_step(step)
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.jsonl"
