@@ -14,29 +14,22 @@ import time
 from .errors import TransportError
 
 RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
+BACKOFF_S = 0.5
 
 
-def post_json(
-    endpoint,
-    payload,
-    api_key=None,
-    timeout=30.0,
-    retries=3,
-    backoff=0.5,
-    transport=None,
-    sleep=time.sleep,
-):
+def post_json(endpoint, payload, api_key=None, timeout=30.0, retries=3, transport=None):
     """POST ``payload`` as JSON and return the decoded JSON body.
 
     Retries transient failures (connection errors and 5xx/429 statuses) up
-    to ``retries`` times with exponential backoff plus jitter, then raises
-    TransportError carrying the endpoint and last status.
+    to ``retries`` times, sleeping ``BACKOFF_S * 2**(k-1) * (1 + jitter)``
+    seconds before retry k, then raises TransportError carrying the endpoint
+    and last status.
     """
     rng = random.Random()
     last_error = None
     for attempt in range(retries + 1):
         if attempt:
-            sleep(backoff * (2 ** (attempt - 1)) * (1.0 + rng.random()))
+            time.sleep(BACKOFF_S * (2 ** (attempt - 1)) * (1.0 + rng.random()))
         try:
             status, body = _send(endpoint, payload, api_key, timeout, transport)
         except TransportError as err:

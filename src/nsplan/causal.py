@@ -97,6 +97,8 @@ class DiscreteSCM:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict) or not isinstance(obj.get("supports"), dict):
+            raise ValueError('expected a JSON object with a "supports" object and the tables')
         return cls(obj["supports"], *(obj[name] for name in TABLES))  # __post_init__ makes the arrays
 
 
@@ -113,7 +115,14 @@ def from_mechanisms(supports, p_d, p_t_given_d, p_sprev, p_p_given_t_sprev, p_s_
 
 
 def load_scm(path):
-    return DiscreteSCM.from_json(read_json(path, InputError))
+    """The SCM saved in ``path``; a document that is not one raises
+    InputError naming the file."""
+    obj = read_json(path, InputError)
+    try:
+        return DiscreteSCM.from_json(obj)
+    except (KeyError, TypeError, ValueError) as err:
+        reason = f"missing field {err}" if isinstance(err, KeyError) else err
+        raise InputError(f"{path}: {reason}") from None
 
 
 def save_scm(scm, path):
@@ -303,13 +312,11 @@ def _random_rows(rng, shape):
     return (1.0 - 0.01 * k) * rows + 0.01
 
 
-def random_scm(seed, max_support=4):
-    """Seeded SCM with supports of size 2..max_support, positivity floor
-    0.01 on every row, and an S mechanism that depends only on (P, D)."""
-    if not 2 <= max_support <= 4:
-        raise ValueError("max_support must be between 2 and 4")
+def random_scm(seed):
+    """Seeded SCM with supports of size 2..4, positivity floor 0.01 on
+    every row, and an S mechanism that depends only on (P, D)."""
     rng = np.random.default_rng(seed)
-    sizes = {v: int(rng.integers(2, max_support + 1)) for v in VARIABLES}
+    sizes = {v: int(rng.integers(2, 5)) for v in VARIABLES}
     supports = {v: tuple(f"{v.lower()}{i}" for i in range(sizes[v])) for v in VARIABLES}
     return from_mechanisms(
         supports=supports,

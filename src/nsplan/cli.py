@@ -251,12 +251,8 @@ def run_plan(config):
             return tid, sample, None, f"{type(err).__name__}: {err}"
         return tid, sample, result, None
 
-    jobs = list(enumerate(samples))
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(plan_one, jobs))
-    else:
-        outcomes = [plan_one(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        outcomes = list(pool.map(plan_one, enumerate(samples)))
 
     entries = []
     for tid, sample, result, error in outcomes:
@@ -308,7 +304,9 @@ def run_eval(config):
 
     if not os.path.isdir(config.predictions):
         raise ConfigError(f"predictions: not a directory: {config.predictions}")
-    names = [n for n in sorted(os.listdir(config.predictions)) if n.endswith(".json") and n != "manifest.json"]
+    # manifest.json and report.json are written by nsplan itself; no plan file is named so
+    own = ("manifest.json", "report.json")
+    names = [n for n in sorted(os.listdir(config.predictions)) if n.endswith(".json") and n not in own]
     pred_by_id, file_by_id = {}, {}
     for path in (os.path.join(config.predictions, n) for n in names):
         tid, steps = _read_prediction(path)

@@ -33,23 +33,19 @@ from .errors import InputError, TransportError
 DEFAULT_DIM = 256
 
 
-def _features(text, bigrams=True):
+def _features(text):
     toks = tokenize(text)
-    feats = list(toks)
-    if bigrams:
-        feats.extend(f"{a} {b}" for a, b in zip(toks, toks[1:]))
-    return feats
+    return toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
 
 
 class HashEmbedding:
     kind = "hash"
 
-    def __init__(self, dim=DEFAULT_DIM, seed=0, bigrams=True):
+    def __init__(self, dim=DEFAULT_DIM, seed=0):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
         self.seed = seed
-        self.bigrams = bigrams
 
     def _bucket(self, feature):
         digest = hashlib.blake2b(
@@ -61,7 +57,7 @@ class HashEmbedding:
 
     def embed(self, text):
         vec = np.zeros(self.dim, dtype=np.float64)
-        for feature in _features(text, self.bigrams):
+        for feature in _features(text):
             index, sign = self._bucket(feature)
             vec[index] += sign
         norm = np.linalg.norm(vec)

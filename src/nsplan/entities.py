@@ -45,14 +45,12 @@ CONJUNCTIONS = frozenset("and or but then".split())
 
 @dataclass(frozen=True)
 class Entity:
-    surface: str
     key: str
     kind: str  # "Noun" | "NounPhrase" | "VerbPhrase"
 
 
 @dataclass(frozen=True)
 class EntitySet:
-    task_text: str
     entities: tuple[Entity, ...]
 
     def keys(self):
@@ -172,5 +170,5 @@ def parse_entities(task_text, graph=None):
         key = normalize_key(surface, graph=graph)
         if key and key not in seen:
             seen.add(key)
-            entities.append(Entity(surface=surface, key=key, kind=kind))
-    return EntitySet(task_text=task_text, entities=tuple(entities))
+            entities.append(Entity(key=key, kind=kind))
+    return EntitySet(entities=tuple(entities))

@@ -12,7 +12,9 @@ providers exist so the whole planning loop runs offline and reproducibly:
   the README).
 
 Only the scripted and remote providers read the rendered text; this module
-is the one place that knows the "Task:"/"Step:"/"Step i:" format.
+is the one place that knows the "Task:"/"Step:"/"Step i:" format. The remote
+decoding settings are constants (``MAX_TOKENS``, ``TEMPERATURE``, ``STOP``,
+``LOGPROBS``), sent unchanged in every completion request.
 """
 
 from __future__ import annotations
@@ -21,13 +23,17 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
 
 from . import _http
 from ._files import read_json
 from .errors import InputError, TransportError
 
 MASK_SENTINEL = "<mask>"
+
+MAX_TOKENS = 64
+TEMPERATURE = 0.0
+STOP = ("\n",)
+LOGPROBS = 1
 
 _STEP_PREFIX_RE = re.compile(r"^\s*step\s*\d*\s*:\s*", re.IGNORECASE)
 
@@ -41,7 +47,7 @@ class FixtureMissError(KeyError):
 
 @dataclass(frozen=True)
 class GenerationRequest:
-    """One next-step call: the structured prompt plus decoding settings.
+    """One next-step call: the structured prompt and its shape.
 
     ``knowledge`` holds the grounded knowledge lines and ``history`` the
     accepted step texts, in order. ``prompt`` is the rendered text, built on
@@ -52,9 +58,6 @@ class GenerationRequest:
     knowledge: tuple[str, ...] = ()
     history: tuple[str, ...] = ()
     mode: str = "autoregressive"  # or "autoencoder"
-    max_tokens: int = 64
-    temperature: float = 0.0
-    stop: tuple[str, ...] = ("\n",)
 
     def __post_init__(self):
         if self.mode not in ("autoregressive", "autoencoder"):
@@ -81,7 +84,6 @@ class GenerationRequest:
 class GenerationResult:
     text: str
     confidence: float
-    raw: Any = None
     flagged: bool = False  # confidence was defaulted (no logprobs from the service)
 
 
@@ -173,7 +175,6 @@ class RemoteGenerator:
         api_key=None,
         timeout=60.0,
         retries=3,
-        logprobs=1,
         transport=None,
     ):
         self.endpoint = endpoint
@@ -181,17 +182,16 @@ class RemoteGenerator:
         self.api_key = api_key
         self.timeout = timeout
         self.retries = retries
-        self.logprobs = logprobs
         self._transport = transport
 
     def next_step(self, request):
         payload = {
             "model": self.model,
             "prompt": request.payload_prompt(),
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-            "logprobs": self.logprobs,
-            "stop": list(request.stop),
+            "max_tokens": MAX_TOKENS,
+            "temperature": TEMPERATURE,
+            "logprobs": LOGPROBS,
+            "stop": list(STOP),
         }
         body = _http.post_json(
             self.endpoint,
@@ -212,9 +212,7 @@ class RemoteGenerator:
             flagged = False
         else:
             confidence, flagged = 1.0, True
-        return GenerationResult(
-            text=clean_completion(text), confidence=confidence, raw=body, flagged=flagged
-        )
+        return GenerationResult(text=clean_completion(text), confidence=confidence, flagged=flagged)
 
 
 def next_step(provider, request):
@@ -225,7 +223,7 @@ def next_step(provider, request):
     if "\n" in text or _STEP_PREFIX_RE.match(text):
         text = clean_completion(text)
     if text != result.text:
-        result = GenerationResult(text, result.confidence, result.raw, result.flagged)
+        result = GenerationResult(text, result.confidence, result.flagged)
     if not 0.0 <= result.confidence <= 1.0:  # also rejects NaN
         raise ValueError(f"provider returned confidence {result.confidence!r} outside [0, 1]")
     return result

@@ -22,7 +22,6 @@ import json
 import logging
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 from ._files import read_lines
 from .errors import InputError
@@ -169,7 +168,7 @@ def _parse_conceptnet_uri(uri, column):
     return parts[2], parts[3]
 
 
-def _parse_tsv_line(language, line):
+def _parse_tsv_line(line):
     cols = line.split("\t")
     if len(cols) != 5:
         raise ValueError(f"expected 5 tab-separated columns, got {len(cols)}")
@@ -183,12 +182,12 @@ def _parse_tsv_line(language, line):
         weight = float(json.loads(meta_json)["weight"])
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         raise ValueError(f"metadata JSON lacks a numeric weight: {meta_json!r}") from None
-    if start_lang != language or end_lang != language:
-        return None  # language-filtered, not malformed
+    if start_lang != "en" or end_lang != "en":
+        return None  # not English: filtered, not malformed
     return Triplet(head, relation, tail, weight)
 
 
-def _parse_jsonl_line(language, line):
+def _parse_jsonl_line(line):
     obj = json.loads(line)
     try:
         head, relation = obj["head"], obj["relation"]
@@ -200,14 +199,16 @@ def _parse_jsonl_line(language, line):
     return Triplet(head, relation, tail, weight)
 
 
-def ingest(source, fmt="conceptnet-tsv", language="en", strict=False):
+def ingest(source, fmt="conceptnet-tsv", strict=False):
     """Build a KnowledgeGraph from a path, a byte/text stream or an iterable of lines.
 
     ``fmt`` is "conceptnet-tsv" (5 tab-separated columns, JSON metadata with a
     weight field) or "jsonl" (one object per line, fields head/relation/tail/
-    weight). A malformed line raises IngestError in strict mode and is
-    counted in ``stats.dropped_malformed`` otherwise. The returned graph
-    carries an ``stats`` record of kept and dropped line counts.
+    weight). Only English ConceptNet rows are kept: a row with an endpoint
+    in another language is counted in ``stats.dropped_language``. A
+    malformed line raises IngestError in strict mode and is counted in
+    ``stats.dropped_malformed`` otherwise. The returned graph carries an
+    ``stats`` record of kept and dropped line counts.
     """
     if fmt not in ("conceptnet-tsv", "jsonl"):
         raise ValueError(f"unknown ingest format: {fmt!r}")
@@ -216,7 +217,7 @@ def ingest(source, fmt="conceptnet-tsv", language="en", strict=False):
     stats = IngestStats()
     triplets = []
     bad = []
-    for t in read_lines(source, partial(parse, language), IngestError, None if strict else bad):
+    for t in read_lines(source, parse, IngestError, None if strict else bad):
         if t is None:
             stats.dropped_language += 1
             continue

@@ -75,8 +75,6 @@ def rouge1_f1(pred, ref):
 
 @dataclass(frozen=True)
 class TransportPlan:
-    tokens_pred: tuple
-    tokens_ref: tuple
     weights_pred: np.ndarray
     weights_ref: np.ndarray
     cost: np.ndarray
@@ -109,11 +107,7 @@ def wmd_transport(pred, ref, provider):
     m, n = len(vocab_p), len(vocab_r)
     # Row-sum and column-sum equalities; the last row is redundant (both
     # marginals sum to one), so drop it to keep the system full-rank.
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
     b_eq = np.concatenate([w_p, w_r])
     res = linprog(
         cost.ravel(),
@@ -127,8 +121,6 @@ def wmd_transport(pred, ref, provider):
     plan = res.x.reshape(m, n)
     distance = float((plan * cost).sum())
     return TransportPlan(
-        tokens_pred=tuple(vocab_p),
-        tokens_ref=tuple(vocab_r),
         weights_pred=w_p,
         weights_ref=w_r,
         cost=cost,

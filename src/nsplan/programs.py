@@ -143,7 +143,7 @@ def action_templates():
     return json.loads(text)
 
 
-def render_step(step, style="dataset", templates=None):
+def render_step(step, style="dataset"):
     """Render a StructuredStep.
 
     dataset style reproduces the bracketed grammar exactly; natural style
@@ -153,7 +153,7 @@ def render_step(step, style="dataset", templates=None):
         return f"[{step.action}] <{step.object}> ({step.instance})"
     if style != "natural":
         raise ValueError(f"unknown render style {style!r}")
-    templates = action_templates() if templates is None else templates
+    templates = action_templates()
     key = step.action.lower().replace(" ", "").replace("_", "")
     pattern = templates.get(key)
     if pattern is None:

@@ -19,6 +19,14 @@ def fixture_path_fixture():
     return fixture_path
 
 
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Stubs ``time.sleep`` and records each requested delay, in order."""
+    delays = []
+    monkeypatch.setattr("time.sleep", delays.append)
+    return delays
+
+
 @pytest.fixture(scope="session")
 def hash_embedder():
     return HashEmbedding()

@@ -123,7 +123,7 @@ def test_criterion_03_frontdoor_identity():
     start = time.time()
     worst = 0.0
     for seed in range(500):
-        scm = random_scm(seed, max_support=4)
+        scm = random_scm(seed)
         assert all(len(v) <= 4 for v in scm.supports.values())
         worst = max(worst, frontdoor_gap(scm))
     assert worst < 1e-9, f"worst front-door gap {worst:.3e}"

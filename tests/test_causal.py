@@ -1,5 +1,8 @@
 """Front-door verifier: surgery ground truth vs observational estimate."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from nsplan.causal import (
     surgery_distribution,
     surgery_marginal,
 )
+from nsplan.errors import InputError
 
 
 class TestConstruction:
@@ -244,7 +248,7 @@ class TestRandomFamily:
 
     def test_supports_bounded(self):
         for seed in range(20):
-            scm = random_scm(seed, max_support=4)
+            scm = random_scm(seed)
             assert all(2 <= len(v) <= 4 for v in scm.supports.values())
 
     def test_positivity_floor(self):
@@ -252,12 +256,6 @@ class TestRandomFamily:
             scm = random_scm(seed)
             for table in (scm.p_d, scm.p_t_given_d, scm.p_sprev, scm.p_p_given_t_sprev, scm.p_s):
                 assert table.min() >= 0.01 - 1e-12
-
-    def test_max_support_validation(self):
-        with pytest.raises(ValueError):
-            random_scm(0, max_support=1)
-        with pytest.raises(ValueError):
-            random_scm(0, max_support=25)
 
 
 class TestSerialization:
@@ -275,3 +273,18 @@ class TestSerialization:
         path = tmp_path / "scm.json"
         save_scm(scm, path)
         assert frontdoor_gap(load_scm(path)) == frontdoor_gap(scm)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [1],
+            {"supports": 1},
+            {k: v for k, v in confounded_example().to_json().items() if k != "p_s"},
+        ],
+        ids=["list", "supports-not-object", "missing-table"],
+    )
+    def test_load_rejects_a_document_that_is_not_an_scm(self, tmp_path, document):
+        path = tmp_path / "scm.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            load_scm(path)

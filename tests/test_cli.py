@@ -282,14 +282,18 @@ class TestPlanCommand:
         assert f"error: {fixture}" in capsys.readouterr().err
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert cli.main(_plan_argv(serial)) == 0
-        assert cli.main(_plan_argv(parallel, extra=["--jobs", "3"])) == 0
-        a, b = _read_tree(serial), _read_tree(parallel)
+        out, serial = tmp_path / "run", tmp_path / "serial"
+        assert cli.main(_plan_argv(out)) == 0
+        os.rename(out, serial)  # both manifests then echo the same --out
+        assert cli.main(_plan_argv(out, extra=["--jobs", "4"])) == 0
+        a, b = _read_tree(serial), _read_tree(out)
+        assert sorted(a) == sorted(b)
         for name in a:
             if name == "manifest.json":
                 am, bm = json.loads(a[name]), json.loads(b[name])
-                assert am["tasks"] == bm["tasks"]
+                assert (am["config"].pop("jobs"), bm["config"].pop("jobs")) == (1, 4)
+                del am["timing"], bm["timing"]
+                assert am == bm
             else:
                 assert a[name] == b[name]
 
@@ -349,6 +353,20 @@ class TestEvalCommand:
         printed = capsys.readouterr().out
         assert "mean" in printed and "s_bleu" in printed
         assert (out / "report.txt").exists()
+
+    def test_rerun_into_the_predictions_directory(self, tmp_path):
+        preds = tmp_path / "preds"
+        self._write_predictions(preds, {"0000-watch-tv": ["walk to sofa"], "0001-work": ["sit on chair"]})
+        argv = [
+            "eval",
+            "--predictions", str(preds),
+            "--dataset", _fixture("watch_tv.jsonl"),
+            "--out", str(preds),
+        ]
+        assert cli.main(argv) == 0
+        first = (preds / "report.json").read_bytes()
+        assert cli.main(argv) == 0
+        assert (preds / "report.json").read_bytes() == first
 
     def test_empty_plan_is_listed_and_the_rest_scored(self, tmp_path, capsys):
         preds = tmp_path / "preds"

@@ -208,8 +208,7 @@ class TestRemoteEmbedding:
         with pytest.raises(TransportError, match="dimension"):
             provider.embed("x")
 
-    def test_retries_transient_status_then_succeeds(self, monkeypatch):
-        monkeypatch.setattr("time.sleep", lambda _: None)
+    def test_retries_transient_status_then_succeeds(self, sleeps):
         attempts = []
 
         def transport(payload):
@@ -221,6 +220,8 @@ class TestRemoteEmbedding:
         provider = RemoteEmbedding("http://svc/embed", dim=2, transport=transport)
         assert np.allclose(provider.embed("x"), [0.0, 1.0])
         assert len(attempts) == 3
+        assert len(sleeps) == 2
+        assert all(0.5 * 2**k <= d < 2**k for k, d in enumerate(sleeps))  # retry k+1: [0.5, 1) * 2**k s
 
 
 class TestEmbedContract:

@@ -180,13 +180,13 @@ class TestRemote:
             return 200, self._ok_body(logprobs=[-0.1])
 
         gen = RemoteGenerator("http://svc/v1", model="m1", transport=transport)
-        gen.next_step(GenerationRequest("X", max_tokens=32, temperature=0.2))
+        gen.next_step(GenerationRequest("X"))
         assert seen == [
             {
                 "model": "m1",
                 "prompt": "Task: X",
-                "max_tokens": 32,
-                "temperature": 0.2,
+                "max_tokens": 64,
+                "temperature": 0.0,
                 "logprobs": 1,
                 "stop": ["\n"],
             }
@@ -235,8 +235,7 @@ class TestRemote:
         )
         assert gen.next_step(GenerationRequest("X")).text == "sit on sofa"
 
-    def test_retries_then_succeeds(self, monkeypatch):
-        monkeypatch.setattr("time.sleep", lambda _: None)
+    def test_retries_then_succeeds(self, sleeps):
         calls = []
 
         def transport(payload):
@@ -248,15 +247,18 @@ class TestRemote:
         gen = RemoteGenerator("http://svc/v1", model="m", transport=transport, retries=3)
         assert gen.next_step(GenerationRequest("X")).text == "walk to sofa"
         assert len(calls) == 3
+        assert len(sleeps) == 2
+        assert all(0.5 * 2**k <= d < 2**k for k, d in enumerate(sleeps))  # retry k+1: [0.5, 1) * 2**k s
 
-    def test_transport_error_after_retries(self, monkeypatch):
-        monkeypatch.setattr("time.sleep", lambda _: None)
+    def test_transport_error_after_retries(self, sleeps):
         gen = RemoteGenerator(
             "http://svc/v1", model="m", transport=lambda p: (503, {}), retries=2
         )
         with pytest.raises(TransportError) as err:
             gen.next_step(GenerationRequest("X"))
         assert err.value.status == 503
+        assert len(sleeps) == 2
+        assert all(0.5 * 2**k <= d < 2**k for k, d in enumerate(sleeps))  # retry k+1: [0.5, 1) * 2**k s
 
     def test_non_retryable_status_raises_immediately(self):
         calls = []
