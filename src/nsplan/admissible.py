@@ -1,8 +1,12 @@
 """Admissible step sets and embedding-space translation into them.
 
-Translation is an exhaustive cosine argmax over the set, so whatever the
-upstream model produced, the output is always a member: the closed-world
-guarantee the planner relies on. Ties break lexicographically on step text.
+Translation is a cosine argmax over the whole set, so whatever the upstream
+model produced, the output is always a member: the closed-world guarantee
+the planner relies on. Ties break lexicographically on step text. The set
+keeps a read-only matrix of step embeddings; ``translate``
+scores it with one matrix-vector product and re-scores only a shortlist
+row by row (``embeddings.best_row``), so the result is bit-equal to a plain
+per-candidate np.dot scan.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ class AdmissibleStep:
 
 
 class AdmissibleSet:
-    """Fixed list of admissible steps plus a per-provider embedding cache.
+    """Fixed list of admissible steps plus an embedding cache for the
+    provider last asked about.
 
-    The cache is warmed lazily under a lock; once warm, lookups are
-    read-only and safe to share across threads.
+    The cache is warmed lazily under a lock; a warm matrix is read-only and
+    safe to share across threads.
     """
 
     def __init__(self, steps):
@@ -45,7 +50,8 @@ class AdmissibleSet:
         for s in steps:
             unique.setdefault(s.text, s)  # the first step of each text
         self.steps = tuple(unique.values())
-        self._vectors = None
+        self.texts = tuple(unique)  # texts[i] is steps[i].text
+        self._matrix = None
         self._provider = None
         self._lock = threading.Lock()
 
@@ -56,14 +62,17 @@ class AdmissibleSet:
         return iter(self.steps)
 
     def __contains__(self, text):
-        return any(s.text == text for s in self.steps)
+        return text in self.texts
 
     def vectors(self, provider):
+        """The read-only (N, d) float64 matrix whose row i embeds
+        ``steps[i]`` under ``provider``; re-embedded when the provider changes."""
         with self._lock:
             if self._provider is not provider:
-                self._vectors = [embeddings.embed(provider, s.text) for s in self.steps]
+                self._matrix = np.array([embeddings.embed(provider, s.text) for s in self.steps])
+                self._matrix.setflags(write=False)
                 self._provider = provider
-            return self._vectors
+            return self._matrix
 
 
 def build_admissible_set(actions, objects, templates=None):
@@ -109,23 +118,14 @@ def load_admissible_set(path):
 def translate(text, admissible, provider):
     """Map free text onto the closest admissible step.
 
-    Returns (step, confidence) where confidence is the winning cosine.
-    Deliberately a plain per-candidate np.dot scan: the argmax must be
-    reproducible against an independent scan using the same arithmetic.
+    Returns (step, confidence) where confidence is the winning cosine, ties
+    to the lexicographically smallest text. ``embeddings.best_row`` scores
+    the whole set with one matrix-vector product and returns the argmax
+    bit-equal to a per-candidate np.dot scan.
     """
     query = embeddings.embed(provider, text)
-    vectors = admissible.vectors(provider)
-    best_step = None
-    best_cos = -2.0
-    for step, vec in zip(admissible.steps, vectors):
-        if query.any() and vec.any():
-            cos = float(np.dot(query, vec))
-            cos = max(-1.0, min(1.0, cos))
-        else:
-            cos = 0.0
-        if cos > best_cos or (cos == best_cos and step.text < best_step.text):
-            best_step, best_cos = step, cos
-    return best_step, best_cos
+    index, cos = embeddings.best_row(query, admissible.vectors(provider), admissible.texts)
+    return admissible.steps[index], cos
 
 
 def translate_prompt(prompt, admissible, provider):

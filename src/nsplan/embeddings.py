@@ -14,7 +14,9 @@ Three providers share one small interface (``.dim``, ``.kind``,
   memoized per exact input text.
 
 Every non-zero vector handed out is L2-normalized; the empty string embeds
-to the zero vector and any cosine against it is defined as 0.
+to the zero vector and any cosine against it is defined as 0. ``best_row``
+finds the row of a matrix of such vectors nearest a query with one
+matrix-vector product, bit-equal to a per-row scan.
 """
 
 from __future__ import annotations
@@ -173,6 +175,41 @@ def embed(provider, text):
     if norm > 0 and abs(norm - 1.0) > 1e-9:
         vec = vec / norm
     return vec
+
+
+SHORTLIST_MARGIN = 1e-9
+
+
+def best_row(query, matrix, keys):
+    """Return (index, cosine) of the row of ``matrix`` closest to ``query``,
+    ties broken by the smallest ``keys[index]``, bit-equal to a scan of every
+    row in order that takes float(np.dot(query, row)) clamped to [-1, 1],
+    or 0 when the query or the row is zero.
+
+    One ``matrix @ query`` scores every row; only the rows whose clamped
+    score lies within SHORTLIST_MARGIN of the best are re-scored row by row.
+    Query and rows must have norm at most 1 + 1e-9, as ``embed`` hands them
+    out, so either sum of a row lies within about d * 2**-53 (3e-14 for
+    d = 256) of the exact dot product, far inside the margin: the scan's
+    winner, and every row tied with it, is always on the shortlist. A zero
+    row scores exactly 0 both ways, and a zero query shortlists every row.
+    Any score that is not finite (a NaN row) sends every row to the per-row
+    scan.
+    """
+    scores = matrix @ query
+    if np.isfinite(scores).all():
+        clamped = np.clip(scores, -1.0, 1.0)
+        rows = np.flatnonzero(clamped >= clamped.max() - SHORTLIST_MARGIN)
+    else:
+        rows = range(len(matrix))
+    nonzero_query = query.any()
+    best, best_cos = None, None
+    for i in rows:
+        vec = matrix[i]
+        cos = max(-1.0, min(1.0, float(np.dot(query, vec)))) if nonzero_query and vec.any() else 0.0
+        if best is None or cos > best_cos or (cos == best_cos and keys[i] < keys[best]):
+            best, best_cos = i, cos
+    return int(best), best_cos
 
 
 def cosine(a, b):

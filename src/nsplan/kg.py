@@ -55,7 +55,7 @@ def surface(key):
     return key.replace("_", " ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triplet:
     head: str
     relation: str
@@ -121,15 +121,18 @@ class KnowledgeGraph:
 
     def __init__(self, triplets=(), stats=None):
         self.stats = stats if stats is not None else IngestStats()
-        self._by_key = {}
+        by_key = {}
         for t in triplets:
             if t.relation not in HOUSEHOLD_RELATIONS:
                 raise ValueError(f"{t}: {t.relation!r} is not a household relation")
-            prior = self._by_key.get(t.key)
+            prior = by_key.get(t.key)
             if prior is None or t.weight > prior.weight:
-                self._by_key[t.key] = t
+                by_key[t.key] = t
+        # the key index is only needed to dedup: dropping it frees a dict and
+        # a key tuple per edge
+        self._unique = tuple(by_key.values())
         self._incident = {}  # node -> list of triplets touching it, either direction
-        for t in self._by_key.values():
+        for t in self._unique:
             self._incident.setdefault(t.head, []).append(t)
             if t.tail != t.head:
                 self._incident.setdefault(t.tail, []).append(t)
@@ -138,11 +141,11 @@ class KnowledgeGraph:
 
     @property
     def triplets(self):
-        return tuple(sorted(self._by_key.values(), key=_triplet_sort_key))
+        return tuple(sorted(self._unique, key=_triplet_sort_key))
 
     @property
     def edge_count(self):
-        return len(self._by_key)
+        return len(self._unique)
 
     @property
     def node_count(self):

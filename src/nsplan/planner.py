@@ -50,7 +50,7 @@ class PlannerConfig:
             raise ConfigError(f"concept_ratio must be >= 1, got {self.concept_ratio}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanStep:
     text: str
     confidence: float
@@ -111,6 +111,8 @@ def knowledge_for_task(task, graph, embedder, config):
 def plan(task, graph, admissible, generator, embedder, config=None):
     """Run the full loop for one task and return a PlanResult.
 
+    A trace entry whose generation confidence was defaulted (a remote
+    service sent no logprobs) carries ``"confidence_defaulted": True``.
     A transport failure mid-plan propagates as TransportError with the
     partial trace attached (``err.partial_trace``) so callers can record
     how far the task got.
@@ -143,6 +145,10 @@ def plan(task, graph, admissible, generator, embedder, config=None):
             "effective_confidence": effective,
             "accepted": effective >= config.theta,
         }
+        if result.flagged:
+            # the service sent no logprobs; the key is absent otherwise, so
+            # offline plan files keep their bytes
+            entry["confidence_defaulted"] = True
         trace.append(entry)
         if effective < config.theta:
             termination = "BelowThreshold"

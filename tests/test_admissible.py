@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,57 @@ class _OracleView:
 FREE_TEXT = st.text(alphabet="abcdefgh ", min_size=0, max_size=30)
 
 
+class _Table:
+    """Table-style provider: an exact row for every text it is asked about."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.dim = len(next(iter(rows.values())))
+
+    def embed(self, text):
+        return self.rows[text]
+
+
+def _assert_matches_scan_oracle(text, steps, provider):
+    """Same step, and the same cosine bit for bit, as the per-row scan."""
+    got_step, got_cos = translate(text, steps, provider)
+    want_text, want_cos = oracles.translate_scan_oracle(
+        text, [s.text for s in steps], _OracleView(provider)
+    )
+    assert got_step.text == want_text
+    assert got_cos.hex() == want_cos.hex()
+
+
+@st.composite
+def _tables(draw):
+    """A table provider over up to 480 steps and a query ("?") whose rows
+    are a few ulps apart from one unit vector, so many scores tie to within
+    rounding. Some draws scale rows by up to 1 +- 9e-10 (which ``embed``
+    passes through, so cosines above 1 clamp and tie), repeat rows under
+    other texts, zero rows or the query, or put a NaN into one row."""
+    n = draw(st.sampled_from([1, 2, 3, 8, 40, 480]))
+    dim = draw(st.integers(2, 24))
+    words = st.text(alphabet="abc", min_size=1, max_size=6)
+    texts = draw(st.lists(words, min_size=n, max_size=n, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal(dim)
+    base /= np.linalg.norm(base)
+    rows = {}
+    for text in texts + ["?"]:
+        ulps = rng.integers(-3, 4, size=dim) if draw(st.booleans()) else np.zeros(dim)
+        scale = 1 + rng.integers(-9, 10) * 1e-10 if draw(st.booleans()) else 1.0
+        rows[text] = (base + ulps * np.spacing(base)) * scale
+    for text in draw(st.lists(st.sampled_from(texts), max_size=4)):
+        rows[text] = rows[draw(st.sampled_from(texts))].copy()  # a duplicate vector
+    for text in draw(st.lists(st.sampled_from(texts + ["?"]), max_size=3)):
+        rows[text] = np.zeros(dim)
+    if draw(st.booleans()):
+        rows["?"] = -rows["?"]  # every cosine near -1
+    if draw(st.integers(0, 4)) == 0:
+        rows[draw(st.sampled_from(texts))][0] = np.nan
+    return texts, _Table(rows)
+
+
 class TestAdmissibleSet:
     def test_deduplicates_preserving_order(self):
         s = AdmissibleSet(
@@ -58,6 +110,8 @@ class TestAdmissibleSet:
         s = AdmissibleSet([AdmissibleStep("walk"), AdmissibleStep("sit")])
         first = s.vectors(hash_embedder)
         assert s.vectors(hash_embedder) is first
+        assert first.shape == (2, hash_embedder.dim) and not first.flags.writeable
+        assert np.array_equal(first[1], embed(hash_embedder, "sit"))
         other = HashEmbedding(dim=hash_embedder.dim, seed=99)
         assert s.vectors(other) is not first
 
@@ -144,6 +198,27 @@ class TestTranslate:
         )
         assert got_step.text == want_text
         assert got_cos == pytest.approx(want_cos, abs=0.0)
+
+    @given(_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_near_ties_zeros_duplicates_and_nan_match_the_scan_oracle(self, table):
+        texts, provider = table
+        steps = AdmissibleSet(AdmissibleStep(t) for t in texts)
+        _assert_matches_scan_oracle("?", steps, provider)
+        _assert_matches_scan_oracle(texts[-1], steps, provider)
+
+    @pytest.mark.parametrize(
+        "sign, scale_a, scale_b", [(1.0, 1 - 8e-10, 1 + 9e-10), (-1.0, 1 + 9e-10, 1 - 8e-10)]
+    )
+    def test_cosines_beyond_one_clamp_and_tie(self, sign, scale_a, scale_b):
+        # norms within 1e-9 of 1 pass ``embed`` unchanged; both raw cosines
+        # lie beyond +-1, 1.7e-9 apart, with "b" the larger: clamped, they
+        # tie and "a" wins
+        u = np.full(4, 0.5)
+        provider = _Table({"?": u * (1 + 9e-10), "a": sign * scale_a * u, "b": sign * scale_b * u})
+        steps = AdmissibleSet([AdmissibleStep("b"), AdmissibleStep("a")])
+        _assert_matches_scan_oracle("?", steps, provider)
+        assert translate("?", steps, provider) == (steps.steps[1], sign)
 
     def test_ties_break_lexicographically(self):
         class Constant:

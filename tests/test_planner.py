@@ -213,6 +213,29 @@ class TestPlanLoop:
             want = entry["generation_confidence"] * max(entry["translation_cosine"], 0.0)
             assert entry["effective_confidence"] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("logprobs", [None, [-0.01]])
+    def test_trace_records_a_defaulted_confidence(self, tv_graph, household_admissible, hash_embedder, logprobs):
+        def transport(payload):
+            choice = {"text": "walk to sofa"}
+            if logprobs is not None:
+                choice["logprobs"] = {"token_logprobs": logprobs}
+            return 200, {"choices": [choice]}
+
+        result = plan(
+            "Watch TV",
+            tv_graph,
+            household_admissible,
+            RemoteGenerator("http://svc/v1", model="m", transport=transport),
+            hash_embedder,
+            config=PlannerConfig(theta=0.0, max_steps=3, cos_keep_threshold=-1.0, edge_threshold=0.0),
+        )
+        assert len(result.trace) == 3
+        if logprobs is None:
+            assert all(e["confidence_defaulted"] is True for e in result.trace)
+            assert '"confidence_defaulted": true' in result.dumps()
+        else:
+            assert not any("confidence_defaulted" in e for e in result.trace)
+
     def test_transport_error_carries_partial_trace(self, tv_graph, household_admissible, hash_embedder):
         class FlakyGenerator:
             def __init__(self):
