@@ -85,17 +85,16 @@ class RunConfig(planner.PlannerConfig):
             raise ConfigError(f"embedding: must be one of {EMBEDDING_KINDS}, got {self.embedding!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs: must be >= 1, got {self.jobs}")
+        if self.embedding_dim < 1:
+            raise ConfigError(f"embedding_dim: must be >= 1, got {self.embedding_dim}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
-        if self.follower_schedule is not None:
-            schedule = tuple(float(c) for c in self.follower_schedule)
-            object.__setattr__(self, "follower_schedule", schedule)
+        schedule = tuple(float(c) for c in self.follower_schedule)
+        object.__setattr__(self, "follower_schedule", schedule)
         super().__post_init__()
 
     def to_json(self):
-        obj = dataclasses.asdict(self)
-        obj["follower_schedule"] = list(self.follower_schedule)
-        return obj
+        return dataclasses.asdict(self)  # json.dumps writes the schedule tuple as a list
 
     def require(self, *fields):
         """Command-specific presence checks with field-level messages; a
@@ -186,7 +185,10 @@ def build_embedder(config):
 
 def build_generator(config):
     if config.generator == "follower":
-        return KnowledgeFollowerGenerator(schedule=config.follower_schedule)
+        try:
+            return KnowledgeFollowerGenerator(schedule=config.follower_schedule)
+        except ValueError as err:
+            raise ConfigError(f"follower_schedule: {err}") from None
     if config.generator == "scripted":
         config.require("generator_fixture")
         return ScriptedGenerator(path=config.generator_fixture)

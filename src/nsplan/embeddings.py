@@ -7,22 +7,23 @@ Three providers share one small interface (``.dim``, ``.kind``,
   Buckets and signs come from a blake2b digest of "<seed>|<feature>", so
   vectors are stable across processes (the builtin ``hash`` is salted and
   would not be).
-* table: exact rows loaded from a JSONL file, L2-normalized at load; a
-  missing text falls back to an internal hash provider and the miss is
-  counted under a lock.
+* table: exact rows loaded from a JSONL file, L2-normalized at load; a row
+  holding NaN or an infinity is a bad line of the file. A missing text falls
+  back to an internal hash provider and the miss is counted under a lock.
 * remote: POST {"input": [text]} to an embedding service; results are
   memoized per exact input text.
 
-Every non-zero vector handed out is L2-normalized; the empty string embeds
-to the zero vector and any cosine against it is defined as 0. ``best_row``
-finds the row of a matrix of such vectors nearest a query with one
-matrix-vector product, bit-equal to a per-row scan.
+``embed`` refuses a vector of non-finite norm and hands out every non-zero
+vector L2-normalized; the empty string embeds to the zero vector, and any
+cosine against it is 0. ``best_row`` finds the row of a matrix of such
+vectors nearest a query with one matrix-vector product, as a row scan would.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 
 import numpy as np
@@ -72,13 +73,13 @@ class TableEmbedding:
     """Lookup provider over a JSONL file of {"text": ..., "vector": [...]}.
 
     Rows are L2-normalized once at load. Texts absent from the table embed
-    through a hash fallback of the same dimension; ``miss_count`` and
-    ``missed_texts`` record every fallback.
+    through a hash fallback of the same dimension; ``miss_count`` counts
+    every fallback.
     """
 
     kind = "table"
 
-    def __init__(self, path=None, rows=None, seed=0):
+    def __init__(self, path=None, rows=None):
         table = {}
         if path is not None:
             table.update(read_lines(path, _table_row, InputError))
@@ -96,9 +97,8 @@ class TableEmbedding:
             if norm > 0:
                 table[text] = vec / norm
         self._table = table
-        self._fallback = HashEmbedding(dim=self.dim, seed=seed)
+        self._fallback = HashEmbedding(dim=self.dim)
         self.miss_count = 0
-        self.missed_texts = set()
         self._lock = threading.Lock()  # threads of a --jobs run share one provider
 
     def embed(self, text):
@@ -107,7 +107,6 @@ class TableEmbedding:
             return row.copy()
         with self._lock:
             self.miss_count += 1
-            self.missed_texts.add(text)
         return self._fallback.embed(text)
 
 
@@ -116,6 +115,8 @@ def _table_row(line):
     text, vector = obj["text"], np.asarray(obj["vector"], dtype=np.float64)
     if not isinstance(text, str) or vector.ndim != 1:
         raise ValueError('expected {"text": str, "vector": [number, ...]}')
+    if not np.isfinite(vector).all():
+        raise ValueError(f"vector of {text!r} holds NaN or an infinity")
     return text, vector
 
 
@@ -167,11 +168,13 @@ class RemoteEmbedding:
 
 def embed(provider, text):
     """Embed through any provider, enforcing the vector contract: float64,
-    correct dimension, and unit L2 norm (or exactly zero)."""
+    correct dimension, finite norm, and unit L2 norm (or exactly zero)."""
     vec = np.asarray(provider.embed(text), dtype=np.float64)
     if vec.shape != (provider.dim,):
         raise ValueError(f"provider returned shape {vec.shape}, expected ({provider.dim},)")
     norm = np.linalg.norm(vec)
+    if not math.isfinite(norm):
+        raise ValueError(f"provider returned a vector of norm {norm} for {text!r}")
     if norm > 0 and abs(norm - 1.0) > 1e-9:
         vec = vec / norm
     return vec
@@ -188,20 +191,15 @@ def best_row(query, matrix, keys):
 
     One ``matrix @ query`` scores every row; only the rows whose clamped
     score lies within SHORTLIST_MARGIN of the best are re-scored row by row.
-    Query and rows must have norm at most 1 + 1e-9, as ``embed`` hands them
-    out, so either sum of a row lies within about d * 2**-53 (3e-14 for
-    d = 256) of the exact dot product, far inside the margin: the scan's
-    winner, and every row tied with it, is always on the shortlist. A zero
-    row scores exactly 0 both ways, and a zero query shortlists every row.
-    Any score that is not finite (a NaN row) sends every row to the per-row
-    scan.
+    Query and rows must be finite with norm at most 1 + 1e-9, as ``embed``
+    hands them out, so either sum of a row lies within about d * 2**-53
+    (3e-14 for d = 256) of the exact dot product, far inside the margin: the
+    scan's winner, and every row tied with it, is always on the shortlist. A
+    zero row scores exactly 0 both ways, and a zero query shortlists every
+    row.
     """
-    scores = matrix @ query
-    if np.isfinite(scores).all():
-        clamped = np.clip(scores, -1.0, 1.0)
-        rows = np.flatnonzero(clamped >= clamped.max() - SHORTLIST_MARGIN)
-    else:
-        rows = range(len(matrix))
+    clamped = np.clip(matrix @ query, -1.0, 1.0)
+    rows = np.flatnonzero(clamped >= clamped.max() - SHORTLIST_MARGIN)
     nonzero_query = query.any()
     best, best_cos = None, None
     for i in rows:

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import _http
 from ._files import read_json
 from .errors import InputError, TransportError
-
-MASK_SENTINEL = "<mask>"
 
 MAX_TOKENS = 64
 TEMPERATURE = 0.0
@@ -47,7 +46,7 @@ class FixtureMissError(KeyError):
 
 @dataclass(frozen=True)
 class GenerationRequest:
-    """One next-step call: the structured prompt and its shape.
+    """One next-step call: the structured prompt.
 
     ``knowledge`` holds the grounded knowledge lines and ``history`` the
     accepted step texts, in order. ``prompt`` is the rendered text, built on
@@ -57,11 +56,6 @@ class GenerationRequest:
     task: str
     knowledge: tuple[str, ...] = ()
     history: tuple[str, ...] = ()
-    mode: str = "autoregressive"  # or "autoencoder"
-
-    def __post_init__(self):
-        if self.mode not in ("autoregressive", "autoencoder"):
-            raise ValueError(f"unknown generation mode {self.mode!r}")
 
     @cached_property
     def prompt(self):
@@ -71,13 +65,6 @@ class GenerationRequest:
         lines.extend(f"Step: {text}." for text in self.knowledge)
         lines.extend(f"Step {i}: {text}." for i, text in enumerate(self.history, 1))
         return "\n".join(lines)
-
-    def payload_prompt(self):
-        """Prompt as sent to a completion service; autoencoder mode appends
-        the single mask sentinel."""
-        if self.mode == "autoencoder":
-            return f"{self.prompt} {MASK_SENTINEL}"
-        return self.prompt
 
 
 @dataclass(frozen=True)
@@ -163,7 +150,9 @@ class RemoteGenerator:
     """OpenAI-style completion client with bounded, jittered retries.
 
     Confidence is exp(mean token log-probability) when the service returns
-    logprobs; otherwise 1.0 with the result flagged.
+    logprobs; otherwise 1.0 with the result flagged. A completion whose text
+    is not a string, or whose logprobs are not an object holding a list of
+    finite numbers <= 0, is a TransportError.
     """
 
     kind = "remote"
@@ -187,7 +176,7 @@ class RemoteGenerator:
     def next_step(self, request):
         payload = {
             "model": self.model,
-            "prompt": request.payload_prompt(),
+            "prompt": request.prompt,
             "max_tokens": MAX_TOKENS,
             "temperature": TEMPERATURE,
             "logprobs": LOGPROBS,
@@ -203,10 +192,19 @@ class RemoteGenerator:
         )
         try:
             choice = body["choices"][0]
-            text = choice["text"]
-        except (KeyError, IndexError, TypeError):
-            raise TransportError("completion response missing choices[0].text", endpoint=self.endpoint)
-        token_logprobs = (choice.get("logprobs") or {}).get("token_logprobs")
+            text, logprobs = choice["text"], choice.get("logprobs")
+            token_logprobs = None if logprobs is None else logprobs.get("token_logprobs")
+            token_logprobs = [] if token_logprobs is None else token_logprobs
+            well_formed = isinstance(text, str) and isinstance(token_logprobs, list) and all(
+                type(v) in (int, float) and -sys.float_info.max <= v <= 0 for v in token_logprobs
+            )
+        except (KeyError, IndexError, TypeError, AttributeError):
+            well_formed = False
+        if not well_formed:
+            raise TransportError(
+                "completion response must hold a string choices[0].text and, if any, logprobs "
+                "as an object whose token_logprobs are finite numbers <= 0", endpoint=self.endpoint
+            )
         if token_logprobs:
             confidence = math.exp(sum(token_logprobs) / len(token_logprobs))
             flagged = False

@@ -61,7 +61,7 @@ def _tables(draw):
     are a few ulps apart from one unit vector, so many scores tie to within
     rounding. Some draws scale rows by up to 1 +- 9e-10 (which ``embed``
     passes through, so cosines above 1 clamp and tie), repeat rows under
-    other texts, zero rows or the query, or put a NaN into one row."""
+    other texts, or zero rows or the query."""
     n = draw(st.sampled_from([1, 2, 3, 8, 40, 480]))
     dim = draw(st.integers(2, 24))
     words = st.text(alphabet="abc", min_size=1, max_size=6)
@@ -80,8 +80,6 @@ def _tables(draw):
         rows[text] = np.zeros(dim)
     if draw(st.booleans()):
         rows["?"] = -rows["?"]  # every cosine near -1
-    if draw(st.integers(0, 4)) == 0:
-        rows[draw(st.sampled_from(texts))][0] = np.nan
     return texts, _Table(rows)
 
 
@@ -201,7 +199,7 @@ class TestTranslate:
 
     @given(_tables())
     @settings(max_examples=150, deadline=None)
-    def test_near_ties_zeros_duplicates_and_nan_match_the_scan_oracle(self, table):
+    def test_near_ties_zeros_and_duplicates_match_the_scan_oracle(self, table):
         texts, provider = table
         steps = AdmissibleSet(AdmissibleStep(t) for t in texts)
         _assert_matches_scan_oracle("?", steps, provider)

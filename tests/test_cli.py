@@ -235,6 +235,28 @@ class TestPlanCommand:
         assert cli.main(_plan_argv(tmp_path / "run", extra=["--theta", "2.0"])) == 2
         assert "theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--follower-schedule", "1.5", "follower_schedule"),
+            ("--follower-schedule", ",", "follower_schedule"),
+            ("--embedding-dim", "0", "embedding_dim"),
+        ],
+    )
+    def test_bad_provider_setting_is_exit_2_naming_it(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "run"
+        assert cli.main(_plan_argv(out, extra=[flag, value])) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_table_row_is_exit_1_naming_file_and_line(self, tmp_path, capsys, literal):
+        table = tmp_path / "table.jsonl"
+        table.write_text('{"text": "a", "vector": [1.0, 0.0]}\n{"text": "b", "vector": [%s, 1.0]}\n' % literal)
+        argv = _plan_argv(tmp_path / "run", ["--embedding", "table", "--embedding-path", str(table)])
+        assert cli.main(argv) == 1
+        assert f"error: {table}, line 2" in capsys.readouterr().err
+
     def test_failed_task_recorded_and_exit_1(self, tmp_path, capsys):
         empty = tmp_path / "responses.json"
         empty.write_text("{}")

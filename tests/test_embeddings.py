@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nsplan.adaption import adapt_weights
+from nsplan.admissible import AdmissibleSet, AdmissibleStep, translate
 from nsplan.embeddings import (
     HashEmbedding,
     RemoteEmbedding,
@@ -18,6 +20,8 @@ from nsplan.embeddings import (
     embed,
 )
 from nsplan.errors import InputError, TransportError
+from nsplan.kg import Triplet
+from nsplan.metrics import embed_match_f1
 
 WORDS = st.text(alphabet="abcdefghij ", min_size=0, max_size=40)
 
@@ -106,15 +110,13 @@ class TestTableEmbedding:
         assert np.allclose(provider.embed("x"), [0.6, 0.8])
 
     def test_miss_falls_back_to_hash_and_counts(self):
-        provider = TableEmbedding(rows={"x": [1.0, 0.0, 0.0, 0.0]}, seed=5)
-        want = HashEmbedding(dim=4, seed=5).embed("unknown text")
+        provider = TableEmbedding(rows={"x": [1.0, 0.0, 0.0, 0.0]})
+        want = HashEmbedding(dim=4).embed("unknown text")
         got = provider.embed("unknown text")
         assert np.array_equal(got, want)
         assert provider.miss_count == 1
-        assert provider.missed_texts == {"unknown text"}
         provider.embed("unknown text")
         assert provider.miss_count == 2
-        assert provider.missed_texts == {"unknown text"}
 
     def test_empty_table_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -129,6 +131,15 @@ class TestTableEmbedding:
             TableEmbedding(path=path)
         assert err.value.line_no == 2
         assert f"{path}, line 2" in str(err.value) and "vector" in str(err.value)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_row_names_the_file_and_line(self, tmp_path, literal):
+        path = tmp_path / "table.jsonl"
+        path.write_text('{"text": "a", "vector": [1.0, 0.0]}\n{"text": "b", "vector": [1.0, %s]}\n' % literal)
+        with pytest.raises(InputError) as err:
+            TableEmbedding(path=path)
+        assert err.value.line_no == 2
+        assert f"{path}, line 2" in str(err.value) and "'b'" in str(err.value)
 
     def test_dimension_disagreement_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -163,7 +174,51 @@ class TestTableEmbedding:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in pool)
         assert provider.miss_count == threads * per_thread
-        assert provider.missed_texts == {f"miss {i} {j}" for i in range(threads) for j in range(50)}
+
+
+class _Poisoned:
+    """Hash vectors for every text but "towel", whose vector holds ``value``
+    at ``position``."""
+
+    def __init__(self, dim, position, value):
+        self.dim = dim
+        self._hash = HashEmbedding(dim=dim)
+        self._bad = np.full(dim, dim**-0.5)
+        self._bad[position] = value
+
+    def embed(self, text):
+        return self._bad.copy() if text == "towel" else self._hash.embed(text)
+
+
+@st.composite
+def _poisoned(draw):
+    dim = draw(st.integers(1, 32))
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return _Poisoned(dim, draw(st.integers(0, dim - 1)), value)
+
+
+class TestNonFiniteVectors:
+    """A non-finite vector stops at ``embed`` on every path that scores it,
+    instead of winning with cosine 1."""
+
+    @given(_poisoned())
+    @settings(max_examples=40, deadline=None)
+    def test_every_scoring_path_raises(self, provider):
+        with pytest.raises(ValueError, match="'towel'"):
+            embed(provider, "towel")
+        steps = [AdmissibleStep("find towel"), AdmissibleStep("wash hair")]
+        with pytest.raises(ValueError):
+            translate("towel", AdmissibleSet(steps), provider)
+        with pytest.raises(ValueError):
+            translate("wash hair", AdmissibleSet([*steps, AdmissibleStep("towel")]), provider)
+        with pytest.raises(ValueError):
+            adapt_weights((Triplet("bathroom", "AtLocation", "towel"),), "wash hair", provider)
+        with pytest.raises(ValueError):
+            adapt_weights((Triplet("bathroom", "AtLocation", "hair"),), "towel", provider)
+        with pytest.raises(ValueError):
+            embed_match_f1("towel", "hair", provider)
+        with pytest.raises(ValueError):
+            embed_match_f1("hair", "towel", provider)
 
 
 class TestRemoteEmbedding:

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from nsplan.errors import InputError, TransportError
 from nsplan.generation import (
-    MASK_SENTINEL,
     FixtureMissError,
     GenerationRequest,
     GenerationResult,
@@ -75,18 +74,6 @@ class TestFingerprint:
 class TestRequest:
     def test_renders_task_knowledge_and_history(self):
         assert REQUEST.prompt == PROMPT
-
-    def test_autoencoder_appends_mask(self):
-        req = GenerationRequest("X", mode="autoencoder")
-        assert req.payload_prompt() == f"Task: X {MASK_SENTINEL}"
-
-    def test_autoregressive_unchanged(self):
-        req = GenerationRequest("X")
-        assert req.payload_prompt() == "Task: X"
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            GenerationRequest("x", mode="diffusion")
 
 
 class TestFollower:
@@ -192,16 +179,41 @@ class TestRemote:
             }
         ]
 
-    def test_autoencoder_mode_sends_mask(self):
-        seen = []
+    @pytest.mark.parametrize(
+        "choice",
+        [
+            {"text": 5},
+            {"text": None},
+            {"text": "walk", "logprobs": "x"},
+            {"text": "walk", "logprobs": [-0.1]},
+            {"text": "walk", "logprobs": {"token_logprobs": -0.1}},
+            {"text": "walk", "logprobs": {"token_logprobs": [None, -0.1]}},
+            {"text": "walk", "logprobs": {"token_logprobs": ["x"]}},
+            {"text": "walk", "logprobs": {"token_logprobs": [True]}},
+            {"text": "walk", "logprobs": {"token_logprobs": [1000.0]}},
+            {"text": "walk", "logprobs": {"token_logprobs": [-0.1, 0.5]}},
+            {"text": "walk", "logprobs": {"token_logprobs": [float("nan")]}},
+            {"text": "walk", "logprobs": {"token_logprobs": [-0.1, float("-inf")]}},
+        ],
+        ids=[
+            "text-int", "text-null", "logprobs-str", "logprobs-list", "token-logprobs-number",
+            "null-entry", "str-entry", "bool-entry", "huge-entry", "positive-entry", "nan-entry",
+            "neg-inf-entry",
+        ],
+    )
+    def test_malformed_completion_is_transport_error(self, choice):
+        body = {"choices": [choice]}
+        gen = RemoteGenerator("http://svc/v1", model="m", transport=lambda p: (200, body))
+        with pytest.raises(TransportError) as err:
+            gen.next_step(GenerationRequest("X"))
+        assert err.value.endpoint == "http://svc/v1"
 
-        def transport(payload):
-            seen.append(payload["prompt"])
-            return 200, self._ok_body(logprobs=[-0.1])
-
-        gen = RemoteGenerator("http://svc/v1", model="m", transport=transport)
-        gen.next_step(GenerationRequest("X", mode="autoencoder"))
-        assert seen == [f"Task: X {MASK_SENTINEL}"]
+    @pytest.mark.parametrize("logprobs", [None, {}, {"token_logprobs": None}, {"token_logprobs": []}])
+    def test_absent_logprobs_flag_confidence_one(self, logprobs):
+        body = {"choices": [{"text": "walk", "logprobs": logprobs}]}
+        gen = RemoteGenerator("http://svc/v1", model="m", transport=lambda p: (200, body))
+        result = gen.next_step(GenerationRequest("X"))
+        assert (result.text, result.confidence, result.flagged) == ("walk", 1.0, True)
 
     def test_confidence_is_exp_mean_logprob(self):
         logprobs = [-0.5, -1.0, -0.25]
