@@ -15,19 +15,21 @@ from .errors import TransportError
 
 RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
 BACKOFF_S = 0.5
+RETRIES = 3
 
 
-def post_json(endpoint, payload, api_key=None, timeout=30.0, retries=3, transport=None):
-    """POST ``payload`` as JSON and return the decoded JSON body.
+def post_json(endpoint, payload, api_key, timeout, transport):
+    """POST ``payload`` as JSON and return the decoded JSON body, waiting at
+    most ``timeout`` seconds for each attempt.
 
     Retries transient failures (connection errors and 5xx/429 statuses) up
-    to ``retries`` times, sleeping ``BACKOFF_S * 2**(k-1) * (1 + jitter)``
+    to RETRIES times, sleeping ``BACKOFF_S * 2**(k-1) * (1 + jitter)``
     seconds before retry k, then raises TransportError carrying the endpoint
     and last status.
     """
     rng = random.Random()
     last_error = None
-    for attempt in range(retries + 1):
+    for attempt in range(RETRIES + 1):
         if attempt:
             time.sleep(BACKOFF_S * (2 ** (attempt - 1)) * (1.0 + rng.random()))
         try:
@@ -43,7 +45,7 @@ def post_json(endpoint, payload, api_key=None, timeout=30.0, retries=3, transpor
             continue
         raise err
     raise TransportError(
-        f"gave up after {retries + 1} attempts: {last_error}",
+        f"gave up after {RETRIES + 1} attempts: {last_error}",
         endpoint=endpoint,
         status=getattr(last_error, "status", None),
     )

@@ -1,22 +1,25 @@
 """Text embedding providers and cosine similarity.
 
 Three providers share one small interface (``.dim``, ``.kind``,
-``.embed(text) -> np.ndarray``):
+``.embed(text) -> raw vector``):
 
 * hash: seeded feature hashing of lowercase word unigrams and bigrams.
   Buckets and signs come from a blake2b digest of "<seed>|<feature>", so
   vectors are stable across processes (the builtin ``hash`` is salted and
   would not be).
-* table: exact rows loaded from a JSONL file, L2-normalized at load; a row
-  holding NaN or an infinity is a bad line of the file. A missing text falls
-  back to an internal hash provider and the miss is counted under a lock.
+* table: exact rows loaded from a JSONL file; a row whose vector is empty,
+  holds NaN or an infinity, or differs in length from the rows above it is
+  a bad line of the file. A missing text falls back to an internal hash
+  provider and the miss is counted under a lock.
 * remote: POST {"input": [text]} to an embedding service; results are
   memoized per exact input text.
 
-``embed`` refuses a vector of non-finite norm and hands out every non-zero
-vector L2-normalized; the empty string embeds to the zero vector, and any
-cosine against it is 0. ``best_row`` finds the row of a matrix of such
-vectors nearest a query with one matrix-vector product, as a row scan would.
+Callers embed through ``embed`` alone, which holds the vector contract: it
+refuses a vector of the wrong shape or of non-finite norm and hands out a
+fresh float64 array, L2-normalized, or zero for a zero vector (the empty
+string embeds to zero). Any cosine against a zero vector is 0. ``best_row``
+finds the row of a matrix of such vectors nearest a query with one
+matrix-vector product, as a row scan would.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .entities import tokenize
 from .errors import InputError, TransportError
 
 DEFAULT_DIM = 256
+TIMEOUT_S = 30.0
 
 
 def _features(text):
@@ -63,77 +67,65 @@ class HashEmbedding:
         for feature in _features(text):
             index, sign = self._bucket(feature)
             vec[index] += sign
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
         return vec
 
 
 class TableEmbedding:
     """Lookup provider over a JSONL file of {"text": ..., "vector": [...]}.
 
-    Rows are L2-normalized once at load. Texts absent from the table embed
+    Every row is checked once, at load. Texts absent from the table embed
     through a hash fallback of the same dimension; ``miss_count`` counts
     every fallback.
     """
 
     kind = "table"
 
-    def __init__(self, path=None, rows=None):
-        table = {}
-        if path is not None:
-            table.update(read_lines(path, _table_row, InputError))
-        if rows:
-            for text, vector in rows.items():
-                table[text] = np.asarray(vector, dtype=np.float64)
-        if not table:
-            raise ValueError("embedding table is empty")
-        dims = {v.shape[0] for v in table.values()}
-        if len(dims) != 1:
-            raise ValueError(f"table rows disagree on dimension: {sorted(dims)}")
-        (self.dim,) = dims
-        for text, vec in table.items():
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                table[text] = vec / norm
-        self._table = table
+    def __init__(self, path):
+        self.dim = 0
+        self._table = dict(read_lines(path, self._row, InputError))
+        if not self._table:
+            raise InputError(f"{path}: embedding table is empty")
         self._fallback = HashEmbedding(dim=self.dim)
         self.miss_count = 0
         self._lock = threading.Lock()  # threads of a --jobs run share one provider
 
+    def _row(self, line):
+        obj = json.loads(line)
+        text, vector = obj["text"], np.asarray(obj["vector"], dtype=np.float64)
+        if not isinstance(text, str) or vector.ndim != 1:
+            raise ValueError('expected {"text": str, "vector": [number, ...]}')
+        if not vector.size:
+            raise ValueError(f"vector of {text!r} is empty")
+        if not np.isfinite(vector).all():
+            raise ValueError(f"vector of {text!r} holds NaN or an infinity")
+        if self.dim and vector.size != self.dim:
+            raise ValueError(f"vector of {text!r} has {vector.size} entries where the rows above have {self.dim}")
+        self.dim = vector.size
+        return text, vector
+
     def embed(self, text):
         row = self._table.get(text)
         if row is not None:
-            return row.copy()
+            return row
         with self._lock:
             self.miss_count += 1
         return self._fallback.embed(text)
-
-
-def _table_row(line):
-    obj = json.loads(line)
-    text, vector = obj["text"], np.asarray(obj["vector"], dtype=np.float64)
-    if not isinstance(text, str) or vector.ndim != 1:
-        raise ValueError('expected {"text": str, "vector": [number, ...]}')
-    if not np.isfinite(vector).all():
-        raise ValueError(f"vector of {text!r} holds NaN or an infinity")
-    return text, vector
 
 
 class RemoteEmbedding:
     """HTTP provider speaking {"input": [texts]} -> {"data": [{"embedding"}]}.
 
     Responses are cached by exact input text behind a lock, so repeated
-    embeds of one string cost one request.
+    embeds of one string cost one request. An embedding that is not a list
+    of ``dim`` numbers is a TransportError naming the endpoint.
     """
 
     kind = "remote"
 
-    def __init__(self, endpoint, dim, api_key=None, timeout=30.0, transport=None):
+    def __init__(self, endpoint, dim, api_key=None, transport=None):
         self.endpoint = endpoint
         self.dim = dim
         self.api_key = api_key
-        self.timeout = timeout
         self._transport = transport
         self._cache = {}
         self._lock = threading.Lock()
@@ -142,42 +134,37 @@ class RemoteEmbedding:
         with self._lock:
             cached = self._cache.get(text)
         if cached is not None:
-            return cached.copy()
+            return cached
         body = _http.post_json(
-            self.endpoint, {"input": [text]}, api_key=self.api_key, timeout=self.timeout, transport=self._transport
+            self.endpoint, {"input": [text]}, api_key=self.api_key, timeout=TIMEOUT_S, transport=self._transport
         )
         try:
-            raw = body["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError):
+            vec = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
+        except (KeyError, IndexError, TypeError, ValueError):
             raise TransportError(
-                "embedding response missing data[0].embedding", endpoint=self.endpoint
-            )
-        vec = np.asarray(raw, dtype=np.float64)
+                "embedding response must hold data[0].embedding, a list of numbers", endpoint=self.endpoint
+            ) from None
         if vec.shape != (self.dim,):
             raise TransportError(
                 f"embedding has dimension {vec.shape}, expected ({self.dim},)",
                 endpoint=self.endpoint,
             )
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
         with self._lock:
             self._cache[text] = vec
-        return vec.copy()
+        return vec
 
 
 def embed(provider, text):
-    """Embed through any provider, enforcing the vector contract: float64,
-    correct dimension, finite norm, and unit L2 norm (or exactly zero)."""
+    """Embed through any provider, enforcing the vector contract: a fresh
+    float64 array of the provider's dimension, L2-normalized, or zero when
+    the provider's vector is zero. A vector of non-finite norm is refused."""
     vec = np.asarray(provider.embed(text), dtype=np.float64)
     if vec.shape != (provider.dim,):
         raise ValueError(f"provider returned shape {vec.shape}, expected ({provider.dim},)")
     norm = np.linalg.norm(vec)
     if not math.isfinite(norm):
         raise ValueError(f"provider returned a vector of norm {norm} for {text!r}")
-    if norm > 0 and abs(norm - 1.0) > 1e-9:
-        vec = vec / norm
-    return vec
+    return vec / norm if norm > 0 else np.zeros(provider.dim)
 
 
 SHORTLIST_MARGIN = 1e-9
@@ -191,12 +178,12 @@ def best_row(query, matrix, keys):
 
     One ``matrix @ query`` scores every row; only the rows whose clamped
     score lies within SHORTLIST_MARGIN of the best are re-scored row by row.
-    Query and rows must be finite with norm at most 1 + 1e-9, as ``embed``
-    hands them out, so either sum of a row lies within about d * 2**-53
-    (3e-14 for d = 256) of the exact dot product, far inside the margin: the
-    scan's winner, and every row tied with it, is always on the shortlist. A
-    zero row scores exactly 0 both ways, and a zero query shortlists every
-    row.
+    Query and rows must be finite with norm at most 1 + 1e-9; ``embed`` hands
+    out norm 1 to within rounding, or 0. So either sum of a row lies within
+    about d * 2**-53 (3e-14 for d = 256) of the exact dot product, far inside
+    the margin: the scan's winner, and every row tied with it, is always on
+    the shortlist. A zero row scores exactly 0 both ways, and a zero query
+    shortlists every row.
     """
     clamped = np.clip(matrix @ query, -1.0, 1.0)
     rows = np.flatnonzero(clamped >= clamped.max() - SHORTLIST_MARGIN)

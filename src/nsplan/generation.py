@@ -33,6 +33,7 @@ MAX_TOKENS = 64
 TEMPERATURE = 0.0
 STOP = ("\n",)
 LOGPROBS = 1
+TIMEOUT_S = 60.0
 
 _STEP_PREFIX_RE = re.compile(r"^\s*step\s*\d*\s*:\s*", re.IGNORECASE)
 
@@ -157,20 +158,10 @@ class RemoteGenerator:
 
     kind = "remote"
 
-    def __init__(
-        self,
-        endpoint,
-        model,
-        api_key=None,
-        timeout=60.0,
-        retries=3,
-        transport=None,
-    ):
+    def __init__(self, endpoint, model, api_key=None, transport=None):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.timeout = timeout
-        self.retries = retries
         self._transport = transport
 
     def next_step(self, request):
@@ -186,8 +177,7 @@ class RemoteGenerator:
             self.endpoint,
             payload,
             api_key=self.api_key,
-            timeout=self.timeout,
-            retries=self.retries,
+            timeout=TIMEOUT_S,
             transport=self._transport,
         )
         try:

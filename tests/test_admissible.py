@@ -17,7 +17,7 @@ from nsplan.admissible import (
     translate,
     translate_prompt,
 )
-from nsplan.embeddings import HashEmbedding, embed
+from nsplan.embeddings import HashEmbedding, best_row, embed
 from nsplan.errors import ConfigError
 
 
@@ -35,7 +35,8 @@ FREE_TEXT = st.text(alphabet="abcdefgh ", min_size=0, max_size=30)
 
 
 class _Table:
-    """Table-style provider: an exact row for every text it is asked about."""
+    """Table-style provider: an exact row for every text it is asked about.
+    Its ``.vector`` hands out the raw row, as a scan oracle view."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -43,6 +44,8 @@ class _Table:
 
     def embed(self, text):
         return self.rows[text]
+
+    vector = embed
 
 
 def _assert_matches_scan_oracle(text, steps, provider):
@@ -55,13 +58,24 @@ def _assert_matches_scan_oracle(text, steps, provider):
     assert got_cos.hex() == want_cos.hex()
 
 
+def _assert_best_row_matches_scan(text, texts, table):
+    """``best_row`` over the raw rows, with no ``embed`` in between, picks
+    the scan's row with the same cosine bit for bit."""
+    matrix = np.array([table.rows[t] for t in texts])
+    index, cos = best_row(table.rows[text], matrix, texts)
+    want_text, want_cos = oracles.translate_scan_oracle(text, texts, table)
+    assert texts[index] == want_text
+    assert cos.hex() == want_cos.hex()
+    return index, cos
+
+
 @st.composite
 def _tables(draw):
     """A table provider over up to 480 steps and a query ("?") whose rows
     are a few ulps apart from one unit vector, so many scores tie to within
-    rounding. Some draws scale rows by up to 1 +- 9e-10 (which ``embed``
-    passes through, so cosines above 1 clamp and tie), repeat rows under
-    other texts, or zero rows or the query."""
+    rounding. Some draws scale rows by up to 1 +- 9e-10 (``embed`` divides
+    that out; fed raw to ``best_row``, cosines beyond +-1 clamp and tie),
+    repeat rows under other texts, or zero rows or the query."""
     n = draw(st.sampled_from([1, 2, 3, 8, 40, 480]))
     dim = draw(st.integers(2, 24))
     words = st.text(alphabet="abc", min_size=1, max_size=6)
@@ -205,18 +219,23 @@ class TestTranslate:
         _assert_matches_scan_oracle("?", steps, provider)
         _assert_matches_scan_oracle(texts[-1], steps, provider)
 
+    @given(_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_best_row_on_raw_rows_matches_the_scan_oracle(self, table):
+        texts, provider = table
+        _assert_best_row_matches_scan("?", texts, provider)
+        _assert_best_row_matches_scan(texts[-1], texts, provider)
+
     @pytest.mark.parametrize(
         "sign, scale_a, scale_b", [(1.0, 1 - 8e-10, 1 + 9e-10), (-1.0, 1 + 9e-10, 1 - 8e-10)]
     )
     def test_cosines_beyond_one_clamp_and_tie(self, sign, scale_a, scale_b):
-        # norms within 1e-9 of 1 pass ``embed`` unchanged; both raw cosines
-        # lie beyond +-1, 1.7e-9 apart, with "b" the larger: clamped, they
-        # tie and "a" wins
+        # rows of norm 1 +- 9e-10, inside best_row's premise; both raw
+        # cosines lie beyond +-1, 1.7e-9 apart, with "b" the larger:
+        # clamped, they tie and "a" wins
         u = np.full(4, 0.5)
         provider = _Table({"?": u * (1 + 9e-10), "a": sign * scale_a * u, "b": sign * scale_b * u})
-        steps = AdmissibleSet([AdmissibleStep("b"), AdmissibleStep("a")])
-        _assert_matches_scan_oracle("?", steps, provider)
-        assert translate("?", steps, provider) == (steps.steps[1], sign)
+        assert _assert_best_row_matches_scan("?", ["b", "a"], provider) == (1, sign)
 
     def test_ties_break_lexicographically(self):
         class Constant:

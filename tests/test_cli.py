@@ -602,6 +602,22 @@ class TestInspectCommand:
         assert "grounded lines" in printed
         assert "| Task: Watch TV" in printed
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [(['{"text": "a", "vector": []}'], 1), (['{"text": "a", "vector": [1.0]}', '{"text": "b", "vector": [1.0, 0.0]}'], 2)],
+        ids=["empty", "lengths-differ"],
+    )
+    def test_bad_table_dimension_is_exit_1_naming_file_and_line(self, tmp_path, capsys, rows, line):
+        table = tmp_path / "table.jsonl"
+        table.write_text("".join(row + "\n" for row in rows))
+        argv = [
+            "inspect", "--task", "Watch TV", "--graph", _fixture("tv_graph.jsonl"), "--graph-format", "jsonl",
+            "--admissible", _fixture("admissible_household.json"),
+            "--embedding", "table", "--embedding-path", str(table),
+        ]
+        assert cli.main(argv) == 1
+        assert f"error: {table}, line {line}: vector of " in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv, field",

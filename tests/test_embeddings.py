@@ -26,18 +26,25 @@ from nsplan.metrics import embed_match_f1
 WORDS = st.text(alphabet="abcdefghij ", min_size=0, max_size=40)
 
 
+def _table_file(tmp_path, rows, name="table.jsonl"):
+    """Write ``rows`` ({text: vector}) as a JSONL embedding table."""
+    path = tmp_path / name
+    path.write_text("".join(json.dumps({"text": t, "vector": v}) + "\n" for t, v in rows.items()))
+    return path
+
+
 class TestHashEmbedding:
     def test_matches_independent_oracle(self):
         provider = HashEmbedding(dim=64, seed=3)
         for text in ["watch tv", "take a shower", "turn light off", "a", ""]:
-            got = provider.embed(text)
+            got = embed(provider, text)
             want = np.asarray(oracles.hash_embedding_oracle(text, dim=64, seed=3))
             assert np.allclose(got, want, atol=1e-12)
 
     @given(WORDS)
     @settings(max_examples=60, deadline=None)
     def test_unit_norm_or_zero(self, text):
-        vec = HashEmbedding(dim=32).embed(text)
+        vec = embed(HashEmbedding(dim=32), text)
         norm = np.linalg.norm(vec)
         assert norm == 0.0 or abs(norm - 1.0) < 1e-9
 
@@ -71,7 +78,7 @@ class TestHashEmbedding:
 
 class TestCosine:
     def test_identical_unit_vectors(self):
-        v = HashEmbedding(dim=64).embed("go to the bathroom")
+        v = embed(HashEmbedding(dim=64), "go to the bathroom")
         assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector_defined_as_zero(self):
@@ -105,12 +112,13 @@ class TestTableEmbedding:
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
         assert provider.miss_count == 0
 
-    def test_rows_are_normalized_at_load(self):
-        provider = TableEmbedding(rows={"x": [3.0, 4.0]})
-        assert np.allclose(provider.embed("x"), [0.6, 0.8])
+    def test_rows_are_normalized_by_embed(self, tmp_path):
+        provider = TableEmbedding(_table_file(tmp_path, {"x": [3.0, 4.0]}))
+        assert np.array_equal(provider.embed("x"), [3.0, 4.0])
+        assert np.allclose(embed(provider, "x"), [0.6, 0.8])
 
-    def test_miss_falls_back_to_hash_and_counts(self):
-        provider = TableEmbedding(rows={"x": [1.0, 0.0, 0.0, 0.0]})
+    def test_miss_falls_back_to_hash_and_counts(self, tmp_path):
+        provider = TableEmbedding(_table_file(tmp_path, {"x": [1.0, 0.0, 0.0, 0.0]}))
         want = HashEmbedding(dim=4).embed("unknown text")
         got = provider.embed("unknown text")
         assert np.array_equal(got, want)
@@ -141,19 +149,32 @@ class TestTableEmbedding:
         assert err.value.line_no == 2
         assert f"{path}, line 2" in str(err.value) and "'b'" in str(err.value)
 
-    def test_dimension_disagreement_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            TableEmbedding(rows={"a": [1.0, 0.0], "b": [1.0, 0.0, 0.0]})
+    @pytest.mark.parametrize(
+        "rows, line, reason",
+        [
+            ({"a": []}, 1, "vector of 'a' is empty"),
+            ({"a": [1.0], "b": [1.0, 0.0]}, 2, "vector of 'b' has 2 entries where the rows above have 1"),
+        ],
+        ids=["empty", "lengths-differ"],
+    )
+    def test_bad_dimension_names_the_file_and_line(self, tmp_path, rows, line, reason):
+        path = _table_file(tmp_path, rows)
+        with pytest.raises(InputError) as err:
+            TableEmbedding(path)
+        assert err.value.line_no == line
+        assert str(err.value) == f"{path}, line {line}: {reason}"
 
-    def test_returns_copies(self):
-        provider = TableEmbedding(rows={"x": [1.0, 0.0]})
-        provider.embed("x")[0] = 99.0
-        assert np.allclose(provider.embed("x"), [1.0, 0.0])
+    def test_embed_returns_copies(self, tmp_path):
+        provider = TableEmbedding(_table_file(tmp_path, {"x": [1.0, 0.0], "zero": [0.0, 0.0]}))
+        for text in ("x", "zero"):
+            want = embed(provider, text)
+            embed(provider, text)[0] = 99.0
+            assert np.array_equal(embed(provider, text), want)
 
-    def test_miss_counters_exact_under_threads(self):
+    def test_miss_counters_exact_under_threads(self, tmp_path):
         # --jobs > 1 shares one provider; a tiny switch interval makes the
         # threads interleave inside embed() as often as the interpreter allows.
-        provider = TableEmbedding(rows={"x": [1.0, 0.0]})
+        provider = TableEmbedding(_table_file(tmp_path, {"x": [1.0, 0.0]}))
         threads, per_thread = 8, 300
         start = threading.Barrier(threads, timeout=30)
 
@@ -230,9 +251,9 @@ class TestRemoteEmbedding:
             return 200, {"data": [{"embedding": [0.0, 2.0, 0.0]}]}
 
         provider = RemoteEmbedding("http://svc/embed", dim=3, transport=transport)
-        vec = provider.embed("watch tv")
+        vec = embed(provider, "watch tv")
         assert seen == [{"input": ["watch tv"]}]
-        assert np.allclose(vec, [0.0, 1.0, 0.0])
+        assert np.array_equal(vec, [0.0, 1.0, 0.0])
 
     def test_caches_by_exact_text(self):
         calls = []
@@ -253,6 +274,15 @@ class TestRemoteEmbedding:
         )
         with pytest.raises(TransportError):
             provider.embed("x")
+
+    @pytest.mark.parametrize("embedding", [{"a": 1}, "abc"], ids=["object", "string"])
+    def test_non_list_embedding_is_a_transport_error_naming_the_endpoint(self, embedding):
+        provider = RemoteEmbedding(
+            "http://svc/embed", dim=2, transport=lambda payload: (200, {"data": [{"embedding": embedding}]})
+        )
+        with pytest.raises(TransportError, match="data\\[0\\].embedding") as err:
+            embed(provider, "x")
+        assert err.value.endpoint == "http://svc/embed"
 
     def test_wrong_dimension_raises(self):
         provider = RemoteEmbedding(
@@ -290,15 +320,15 @@ class TestEmbedContract:
         with pytest.raises(ValueError, match="shape"):
             embed(Bad(), "x")
 
-    def test_renormalizes_sloppy_providers(self):
-        class Sloppy:
+    @pytest.mark.parametrize("raw", [[3.0, 4.0], [0.6 * (1 + 9e-10), 0.8 * (1 + 9e-10)]], ids=["sloppy", "near-unit"])
+    def test_divides_every_vector_by_its_norm(self, raw):
+        class Fixed:
             dim = 2
 
             def embed(self, text):
-                return [3.0, 4.0]
+                return raw
 
-        vec = embed(Sloppy(), "x")
-        assert np.allclose(vec, [0.6, 0.8])
+        assert np.array_equal(embed(Fixed(), "x"), np.asarray(raw) / np.linalg.norm(raw))
 
     def test_passes_through_zero(self):
         assert not embed(HashEmbedding(dim=8), "").any()

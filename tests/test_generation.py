@@ -7,6 +7,7 @@ import re
 import pytest
 
 import oracles
+from nsplan import _http
 from nsplan.errors import InputError, TransportError
 from nsplan.generation import (
     FixtureMissError,
@@ -256,20 +257,25 @@ class TestRemote:
                 return 429, {}
             return 200, self._ok_body(logprobs=[-0.2])
 
-        gen = RemoteGenerator("http://svc/v1", model="m", transport=transport, retries=3)
+        gen = RemoteGenerator("http://svc/v1", model="m", transport=transport)
+        assert _http.RETRIES >= 2
         assert gen.next_step(GenerationRequest("X")).text == "walk to sofa"
         assert len(calls) == 3
         assert len(sleeps) == 2
         assert all(0.5 * 2**k <= d < 2**k for k, d in enumerate(sleeps))  # retry k+1: [0.5, 1) * 2**k s
 
     def test_transport_error_after_retries(self, sleeps):
-        gen = RemoteGenerator(
-            "http://svc/v1", model="m", transport=lambda p: (503, {}), retries=2
-        )
+        calls = []
+
+        def transport(payload):
+            calls.append(1)
+            return 503, {}
+
+        gen = RemoteGenerator("http://svc/v1", model="m", transport=transport)
         with pytest.raises(TransportError) as err:
             gen.next_step(GenerationRequest("X"))
         assert err.value.status == 503
-        assert len(sleeps) == 2
+        assert len(calls) == _http.RETRIES + 1 and len(sleeps) == _http.RETRIES
         assert all(0.5 * 2**k <= d < 2**k for k, d in enumerate(sleeps))  # retry k+1: [0.5, 1) * 2**k s
 
     def test_non_retryable_status_raises_immediately(self):
