@@ -18,8 +18,8 @@ def read_lines(source, parse, error, bad=None):
     or an iterable of str or bytes lines (an open file's name is reported).
 
     A line that is not UTF-8, or whose parse raises ValueError, KeyError,
-    TypeError or RecursionError, becomes ``error(message, line_no)``: raised
-    when ``bad`` is None, appended to ``bad`` otherwise.
+    TypeError, OverflowError or RecursionError, becomes ``error(message,
+    line_no)``: raised when ``bad`` is None, appended to ``bad`` otherwise.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
@@ -33,7 +33,7 @@ def read_lines(source, parse, error, bad=None):
             if not line or line.isspace():
                 continue
             value = parse(line)
-        except (ValueError, KeyError, TypeError, RecursionError) as err:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as err:
             reason = f"missing field {err}" if isinstance(err, KeyError) else err
             err = error(f"{where} {line_no}: {reason}", line_no)
             if bad is None:

@@ -11,18 +11,16 @@ observational joint alone (no access to D) and compared against surgery.
 The S mechanism is stored with the full conditioning signature
 P(S | P, T, S_prev, D) so that graphs violating the structure above can
 be expressed for negative tests; a table constant in the T and S_prev
-slots is what the drawn random SCMs produce.
+slots is what the drawn random SCMs produce. SCMs are built in code
+(``random_scm``, ``confounded_example``, ``from_mechanisms``); there is
+no SCM file format.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._files import read_json, write_text
-from .errors import InputError
 
 VARIABLES = ("D", "T", "S_prev", "P", "S")
 INTERVENABLE = ("T", "S_prev", "P")
@@ -35,11 +33,11 @@ class ZeroProbabilityEvent(ValueError):
     """A conditional needed by the front-door sum is undefined."""
 
 
-def _check_rows(name, table, axis=-1):
+def _check_rows(name, table):
     arr = np.asarray(table, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError(f"{name} has a negative entry")
-    sums = arr.sum(axis=axis)
+    sums = arr.sum(axis=-1)
     if not np.allclose(sums, 1.0, rtol=0, atol=_ROW_TOL):
         worst = float(np.abs(sums - 1.0).max())
         raise ValueError(f"{name} rows must sum to 1 (worst deviation {worst:.3e})")
@@ -91,16 +89,6 @@ class DiscreteSCM:
             table=self.joint().sum(axis=0),
         )
 
-    def to_json(self):
-        supports = {k: list(v) for k, v in self.supports.items()}
-        return {"supports": supports, **{name: getattr(self, name).tolist() for name in TABLES}}
-
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict) or not isinstance(obj.get("supports"), dict):
-            raise ValueError('expected a JSON object with a "supports" object and the tables')
-        return cls(obj["supports"], *(obj[name] for name in TABLES))  # __post_init__ makes the arrays
-
 
 def from_mechanisms(supports, p_d, p_t_given_d, p_sprev, p_p_given_t_sprev, p_s_given_p_d):
     """Build an SCM whose S mechanism depends only on (P, D), broadcast into
@@ -112,21 +100,6 @@ def from_mechanisms(supports, p_d, p_t_given_d, p_sprev, p_p_given_t_sprev, p_s_
         p_s_given_p_d[:, None, None, :, :], (np_, nt, nv, nd, ns)
     ).copy()
     return DiscreteSCM(supports, p_d, p_t_given_d, p_sprev, p_p_given_t_sprev, p_s)
-
-
-def load_scm(path):
-    """The SCM saved in ``path``; a document that is not one raises
-    InputError naming the file."""
-    obj = read_json(path, InputError)
-    try:
-        return DiscreteSCM.from_json(obj)
-    except (KeyError, TypeError, ValueError) as err:
-        reason = f"missing field {err}" if isinstance(err, KeyError) else err
-        raise InputError(f"{path}: {reason}") from None
-
-
-def save_scm(scm, path):
-    write_text(path, json.dumps(scm.to_json(), indent=2, sort_keys=True))
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,7 @@ def build_generator(config):
             raise ConfigError(f"follower_schedule: {err}") from None
     if config.generator == "scripted":
         config.require("generator_fixture")
-        return ScriptedGenerator(path=config.generator_fixture)
+        return ScriptedGenerator(config.generator_fixture)
     config.require("endpoint")
     return RemoteGenerator(endpoint=config.endpoint, model=config.model, api_key=_api_key())
 

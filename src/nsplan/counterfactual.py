@@ -5,6 +5,7 @@ initial configuration to a location, pin a randomly chosen intermediate
 step in the task name, or compose two tasks into one goal. All three are
 pure constructors; inputs are never mutated. The join tokens ("in",
 parentheses, "and") are deliberately hard-coded so fixtures stay stable.
+``write_jsonl`` writes samples one JSON object per line; the package never reads them.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from ._files import read_lines, write_text
-from .errors import InputError
+from ._files import write_text
 from .programs import TaskSample
 
 KINDS = ("InitialConfiguration", "IntermediateStep", "FinalGoal")
@@ -42,10 +42,6 @@ class CounterfactualSample:
                 f"{self.kind} expects {expected} original sample(s), got {len(self.originals)}"
             )
 
-    @property
-    def original(self):
-        return self.originals[0]
-
     def to_json(self):
         return {
             "kind": self.kind,
@@ -54,15 +50,6 @@ class CounterfactualSample:
             "payload": self.payload,
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            kind=obj["kind"],
-            originals=tuple(_task_from_json(t) for t in obj["originals"]),
-            modified=_task_from_json(obj["modified"]),
-            payload=obj["payload"],
-        )
-
 
 def _task_to_json(sample):
     return {
@@ -70,14 +57,6 @@ def _task_to_json(sample):
         "reference_plan": list(sample.reference_plan),
         "domain": sample.domain,
     }
-
-
-def _task_from_json(obj):
-    return TaskSample(
-        task=obj["task"],
-        reference_plan=tuple(obj["reference_plan"]),
-        domain=obj.get("domain", "generic"),
-    )
 
 
 def intervene_initial_configuration(sample, location):
@@ -138,7 +117,3 @@ def intervene_final_goal(a, b):
 
 def write_jsonl(samples, path):
     write_text(path, "".join(json.dumps(s.to_json(), sort_keys=True) + "\n" for s in samples))
-
-
-def read_jsonl(path):
-    return list(read_lines(path, lambda line: CounterfactualSample.from_json(json.loads(line)), InputError))

@@ -7,9 +7,10 @@ Three providers share one small interface (``.dim``, ``.kind``,
   Buckets and signs come from a blake2b digest of "<seed>|<feature>", so
   vectors are stable across processes (the builtin ``hash`` is salted and
   would not be).
-* table: exact rows loaded from a JSONL file; a row whose vector is empty,
-  holds NaN or an infinity, or differs in length from the rows above it is
-  a bad line of the file. A missing text falls back to an internal hash
+* table: exact rows loaded from a JSONL file; a row whose vector is not a
+  list of numbers (a numeric string or a bool is not one), is empty, holds
+  NaN or an infinity, or differs in length from the rows above it is a bad
+  line of the file. A missing text falls back to an internal hash
   provider and the miss is counted under a lock.
 * remote: POST {"input": [text]} to an embedding service; results are
   memoized per exact input text.
@@ -43,6 +44,14 @@ TIMEOUT_S = 30.0
 def _features(text):
     toks = tokenize(text)
     return toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
+
+
+def _vector(raw):
+    """``raw``, a JSON list of numbers, as a float64 array. A numeric string or
+    a bool is not a number: any other ``raw`` is a ValueError."""
+    if not (isinstance(raw, list) and all(type(v) in (int, float) for v in raw)):
+        raise ValueError("vector must be a list of numbers")
+    return np.array(raw, dtype=np.float64)  # OverflowError for an int past the float range
 
 
 class HashEmbedding:
@@ -91,8 +100,8 @@ class TableEmbedding:
 
     def _row(self, line):
         obj = json.loads(line)
-        text, vector = obj["text"], np.asarray(obj["vector"], dtype=np.float64)
-        if not isinstance(text, str) or vector.ndim != 1:
+        text, vector = obj["text"], _vector(obj["vector"])
+        if not isinstance(text, str):
             raise ValueError('expected {"text": str, "vector": [number, ...]}')
         if not vector.size:
             raise ValueError(f"vector of {text!r} is empty")
@@ -139,8 +148,8 @@ class RemoteEmbedding:
             self.endpoint, {"input": [text]}, api_key=self.api_key, timeout=TIMEOUT_S, transport=self._transport
         )
         try:
-            vec = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
-        except (KeyError, IndexError, TypeError, ValueError):
+            vec = _vector(body["data"][0]["embedding"])
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError):
             raise TransportError(
                 "embedding response must hold data[0].embedding, a list of numbers", endpoint=self.endpoint
             ) from None

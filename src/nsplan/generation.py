@@ -125,26 +125,31 @@ class KnowledgeFollowerGenerator:
 
 
 class ScriptedGenerator:
-    """Fixture-backed provider: a JSON map from prompt fingerprint to
-    {"text", "confidence"}. A miss is an error, never a silent default."""
+    """Fixture-backed provider: a JSON object mapping prompt fingerprint to
+    {"text": str, "confidence": number in [0, 1]}. Every entry is checked
+    once, at load; a miss is an error, never a silent default."""
 
     kind = "scripted"
 
-    def __init__(self, path=None, responses=None):
-        if responses is None:
-            responses = read_json(path, InputError)
-            if not isinstance(responses, dict):
-                raise InputError(f"{path}: a generator fixture must hold a JSON object")
-        self.responses = dict(responses)
+    def __init__(self, path):
+        responses = read_json(path, InputError)
+        if not isinstance(responses, dict):
+            raise InputError(f"{path}: a generator fixture must hold a JSON object")
+        self._results = {}
+        for fp, entry in responses.items():
+            if not (isinstance(entry, dict) and isinstance(entry.get("text"), str)
+                    and type(entry.get("confidence")) in (int, float) and 0 <= entry["confidence"] <= 1):
+                raise InputError(
+                    f'{path}: entry {fp} must be {{"text": str, "confidence": number in [0, 1]}}, got {entry!r}'
+                )
+            self._results[fp] = GenerationResult(clean_completion(entry["text"]), float(entry["confidence"]))
 
     def next_step(self, request):
         fp = prompt_fingerprint(request.prompt)
-        entry = self.responses.get(fp)
-        if entry is None:
+        result = self._results.get(fp)
+        if result is None:
             raise FixtureMissError(fp, request.prompt)
-        return GenerationResult(
-            text=clean_completion(entry["text"]), confidence=float(entry["confidence"])
-        )
+        return result
 
 
 class RemoteGenerator:

@@ -14,12 +14,17 @@ lexicographically on the key, wherever an order is promised.
 Relations are plain strings, and a graph holds only the nine household
 relations below: the constructor rejects any other relation, and ``ingest``
 drops such rows and counts them in ``IngestStats.dropped_relation``.
+
+A row whose weight is not a finite positive number (a string or a bool is
+not a number) is malformed. ``sample_subgraph`` follows the ``FANOUT_CAP``
+heaviest triplets of each node it expands.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -42,7 +47,7 @@ HOUSEHOLD_RELATIONS = frozenset(
     }
 )
 
-DEFAULT_FANOUT_CAP = 100
+FANOUT_CAP = 100
 
 
 class IngestError(InputError):
@@ -65,8 +70,8 @@ class Triplet:
     def __post_init__(self):
         if not self.head or not self.tail:
             raise ValueError("triplet head and tail must be nonempty")
-        if not self.weight > 0:
-            raise ValueError(f"triplet weight must be positive, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"triplet weight must be a finite positive number, got {self.weight}")
 
     @property
     def key(self):
@@ -171,6 +176,13 @@ def _parse_conceptnet_uri(uri, column):
     return parts[2], parts[3]
 
 
+def _weight(value):
+    """A row's weight as a float; a string or a bool is not a weight."""
+    if type(value) not in (int, float):
+        raise ValueError(f"weight must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_tsv_line(line):
     cols = line.split("\t")
     if len(cols) != 5:
@@ -182,8 +194,8 @@ def _parse_tsv_line(line):
     start_lang, head = _parse_conceptnet_uri(start_uri, 3)
     end_lang, tail = _parse_conceptnet_uri(end_uri, 4)
     try:
-        weight = float(json.loads(meta_json)["weight"])
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        weight = _weight(json.loads(meta_json)["weight"])
+    except (KeyError, TypeError, ValueError, RecursionError):
         raise ValueError(f"metadata JSON lacks a numeric weight: {meta_json!r}") from None
     if start_lang != "en" or end_lang != "en":
         return None  # not English: filtered, not malformed
@@ -193,13 +205,12 @@ def _parse_tsv_line(line):
 def _parse_jsonl_line(line):
     obj = json.loads(line)
     try:
-        head, relation = obj["head"], obj["relation"]
-        tail, weight = obj["tail"], float(obj["weight"])
-    except (KeyError, TypeError, ValueError, OverflowError):
+        head, relation, tail, weight = obj["head"], obj["relation"], obj["tail"], obj["weight"]
+    except (KeyError, TypeError):
         raise ValueError(f"object missing head/relation/tail/weight: {line!r}") from None
     if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)):
         raise ValueError(f"head, relation and tail must be strings: {line!r}")
-    return Triplet(head, relation, tail, weight)
+    return Triplet(head, relation, tail, _weight(weight))
 
 
 def ingest(source, fmt="conceptnet-tsv", strict=False):
@@ -244,18 +255,16 @@ def load_graph(path, fmt="conceptnet-tsv", **kwargs):
     return ingest(path, fmt=fmt, **kwargs)
 
 
-def sample_subgraph(graph, anchors, hops, per_node_fanout_cap=DEFAULT_FANOUT_CAP):
+def sample_subgraph(graph, anchors, hops):
     """Breadth-first sample of the hop-bounded ball around the anchor nodes.
 
     Traversal is undirected. Only nodes strictly closer than ``hops`` are
-    expanded; at each expanded node only its top ``per_node_fanout_cap``
+    expanded; at each expanded node only its top ``FANOUT_CAP``
     incident triplets by weight (ties lexicographic) are followed. Returns a
     tuple of the graph's own triplets in (weight desc, lexicographic) order.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")
-    if per_node_fanout_cap < 1:
-        raise ValueError("per_node_fanout_cap must be >= 1")
 
     dist = {a: 0 for a in sorted(set(anchors)) if a in graph}
     included = set()
@@ -265,7 +274,7 @@ def sample_subgraph(graph, anchors, hops, per_node_fanout_cap=DEFAULT_FANOUT_CAP
         d = dist[node]
         if d >= hops:
             continue
-        for t in graph.neighbors(node)[:per_node_fanout_cap]:
+        for t in graph.neighbors(node)[:FANOUT_CAP]:
             included.add(t)
             other = t.tail if t.head == node else t.head
             if other not in dist:

@@ -8,7 +8,6 @@ scores. Plan-level inputs are step lists joined with ". " into one text.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -205,18 +204,6 @@ class MetricReport:
             "means": dict(self.means),
             "per_sample": [dict(row) for row in self.per_sample],
         }
-
-    def dumps(self):
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            per_sample=tuple(obj["per_sample"]),
-            means=dict(obj["means"]),
-            count=obj["count"],
-            failed=tuple(obj.get("failed", ())),
-        )
 
     def to_table(self):
         """Aligned plain-text table, one row per sample plus a mean row."""

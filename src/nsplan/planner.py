@@ -87,15 +87,6 @@ class PlanResult:
     def dumps(self):
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            task=obj["task"],
-            steps=tuple(PlanStep(s["text"], s["confidence"]) for s in obj["steps"]),
-            termination=obj["termination"],
-            trace=tuple(obj.get("trace", [])),
-        )
-
 
 def knowledge_for_task(task, graph, embedder, config):
     """Stages 1 and 2: parse the task, pull the local subgraph, adapt and

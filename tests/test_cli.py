@@ -303,6 +303,18 @@ class TestPlanCommand:
         assert cli.main(argv) == 1
         assert f"error: {fixture}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry", ['{"text": 5, "confidence": 0.5}', '{"text": "walk"}', '{"text": "walk", "confidence": true}']
+    )
+    def test_scripted_fixture_with_a_bad_entry_is_exit_1_naming_the_file(self, tmp_path, capsys, entry):
+        fixture = tmp_path / "responses.json"
+        fixture.write_text('{"0123456789abcdef": %s}' % entry)
+        out = tmp_path / "run"
+        argv = _plan_argv(out, ["--generator", "scripted", "--generator-fixture", str(fixture)])
+        assert cli.main(argv) == 1
+        assert f"error: {fixture}: entry 0123456789abcdef must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         out, serial = tmp_path / "run", tmp_path / "serial"
         assert cli.main(_plan_argv(out)) == 0
@@ -532,14 +544,15 @@ class TestCounterfactualCommand:
             "counterfactual_initial.jsonl",
             "counterfactual_intermediate.jsonl",
         ]
-        from nsplan.counterfactual import read_jsonl
+        def rows(name):
+            return [json.loads(line) for line in (out / name).read_text().splitlines()]
 
-        initial = read_jsonl(out / "counterfactual_initial.jsonl")
+        initial = rows("counterfactual_initial.jsonl")
         assert len(initial) == 4
-        assert all(s.kind == "InitialConfiguration" for s in initial)
-        assert all(" in " in s.modified.task for s in initial)
-        final = read_jsonl(out / "counterfactual_final.jsonl")
-        assert all(" and " in s.modified.task for s in final)
+        assert all(s["kind"] == "InitialConfiguration" for s in initial)
+        assert all(" in " in s["modified"]["task"] for s in initial)
+        final = rows("counterfactual_final.jsonl")
+        assert all(" and " in s["modified"]["task"] for s in final)
 
     def test_seeded_rerun_identical(self, tmp_path):
         def run(out):
@@ -617,6 +630,17 @@ class TestInspectCommand:
         ]
         assert cli.main(argv) == 1
         assert f"error: {table}, line {line}: vector of " in capsys.readouterr().err
+
+    def test_table_entry_that_is_not_a_number_is_exit_1_naming_file_and_line(self, tmp_path, capsys):
+        table = tmp_path / "table.jsonl"
+        table.write_text('{"text": "a", "vector": ["3", true]}\n')
+        argv = [
+            "inspect", "--task", "Watch TV", "--graph", _fixture("tv_graph.jsonl"), "--graph-format", "jsonl",
+            "--admissible", _fixture("admissible_household.json"),
+            "--embedding", "table", "--embedding-path", str(table),
+        ]
+        assert cli.main(argv) == 1
+        assert f"error: {table}, line 1: vector must be a list of numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from nsplan.counterfactual import (
     intervene_final_goal,
     intervene_initial_configuration,
     intervene_intermediate_step,
-    read_jsonl,
     write_jsonl,
 )
 from nsplan.programs import TaskSample
@@ -180,9 +179,9 @@ class TestSampleType:
                 kind="TimeTravel", originals=(WATCH_TV,), modified=WATCH_TV, payload=""
             )
 
-    def test_original_property_is_first(self):
-        out = intervene_final_goal(WATCH_TV, WORK)
-        assert out.original == WATCH_TV
+    def test_originals_keep_the_input_order(self):
+        assert intervene_final_goal(WATCH_TV, WORK).originals == (WATCH_TV, WORK)
+        assert intervene_initial_configuration(WATCH_TV, "bedroom").originals == (WATCH_TV,)
 
     def test_value_semantics(self):
         a = intervene_initial_configuration(WATCH_TV, "bedroom")
@@ -199,7 +198,12 @@ class TestJsonl:
         ]
         path = tmp_path / "cf.jsonl"
         write_jsonl(samples, path)
-        assert read_jsonl(path) == samples
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows == [s.to_json() for s in samples]
+        assert rows[2]["originals"] == [
+            {"task": t.task, "reference_plan": list(t.reference_plan), "domain": t.domain}
+            for t in (WATCH_TV, WORK)
+        ]
 
     def test_lines_are_standalone_json(self, tmp_path):
         path = tmp_path / "cf.jsonl"

@@ -150,6 +150,18 @@ class TestTableEmbedding:
         assert f"{path}, line 2" in str(err.value) and "'b'" in str(err.value)
 
     @pytest.mark.parametrize(
+        "vector", ['["3", true]', '["3", 1.0]', "[true, 1.0]", "[[1.0], [0.0]]", "[1%s, 1.0]" % ("0" * 400)],
+        ids=["string-and-bool", "string", "bool", "nested", "int-past-float-range"],
+    )
+    def test_entry_that_is_not_a_number_is_a_bad_line(self, tmp_path, vector):
+        path = tmp_path / "table.jsonl"
+        path.write_text('{"text": "a", "vector": %s}\n' % vector)
+        with pytest.raises(InputError) as err:
+            TableEmbedding(path)
+        assert err.value.line_no == 1
+        assert str(err.value).startswith(f"{path}, line 1: ")
+
+    @pytest.mark.parametrize(
         "rows, line, reason",
         [
             ({"a": []}, 1, "vector of 'a' is empty"),
@@ -275,7 +287,11 @@ class TestRemoteEmbedding:
         with pytest.raises(TransportError):
             provider.embed("x")
 
-    @pytest.mark.parametrize("embedding", [{"a": 1}, "abc"], ids=["object", "string"])
+    @pytest.mark.parametrize(
+        "embedding",
+        [{"a": 1}, "abc", ["3", True], ["3", 1.0], [True, 1.0], [10**400, 1.0]],
+        ids=["object", "string", "string-and-bool-entries", "string-entry", "bool-entry", "int-past-float-range"],
+    )
     def test_non_list_embedding_is_a_transport_error_naming_the_endpoint(self, embedding):
         provider = RemoteEmbedding(
             "http://svc/embed", dim=2, transport=lambda payload: (200, {"data": [{"embedding": embedding}]})

@@ -123,33 +123,66 @@ class TestFollower:
         assert first == second
 
 
+def _scripted_fixture(tmp_path, text):
+    path = tmp_path / "responses.json"
+    path.write_text(text)
+    return path
+
+
 class TestScripted:
-    def test_lookup_by_fingerprint(self):
+    def test_lookup_by_fingerprint(self, tmp_path):
         fp = prompt_fingerprint("Task: X")
-        gen = ScriptedGenerator(responses={fp: {"text": "Step 1: walk.", "confidence": 0.7}})
-        result = gen.next_step(GenerationRequest("X"))
+        path = _scripted_fixture(tmp_path, json.dumps({fp: {"text": "Step 1: walk.", "confidence": 0.7}}))
+        result = ScriptedGenerator(path).next_step(GenerationRequest("X"))
         assert result.text == "walk"
         assert result.confidence == 0.7
 
-    def test_miss_raises_with_fingerprint(self):
-        gen = ScriptedGenerator(responses={})
+    def test_miss_raises_with_fingerprint(self, tmp_path):
+        gen = ScriptedGenerator(_scripted_fixture(tmp_path, "{}"))
         with pytest.raises(FixtureMissError) as err:
             gen.next_step(GenerationRequest("X"))
         assert err.value.fingerprint == prompt_fingerprint("Task: X")
 
-    def test_loads_from_file(self, tmp_path):
+    def test_integer_confidence_is_a_float(self, tmp_path):
         fp = prompt_fingerprint("Task: Y")
-        path = tmp_path / "responses.json"
-        path.write_text(json.dumps({fp: {"text": "sit", "confidence": 0.5}}))
-        result = ScriptedGenerator(path=path).next_step(GenerationRequest("Y"))
-        assert (result.text, result.confidence) == ("sit", 0.5)
+        path = _scripted_fixture(tmp_path, json.dumps({fp: {"text": "sit", "confidence": 1}}))
+        result = ScriptedGenerator(path).next_step(GenerationRequest("Y"))
+        assert (result.text, result.confidence) == ("sit", 1.0)
+        assert type(result.confidence) is float
 
     @pytest.mark.parametrize("content", ["[1]", '"text"', "{"])
     def test_file_that_is_not_a_json_object_is_named(self, tmp_path, content):
-        path = tmp_path / "responses.json"
-        path.write_text(content)
+        path = _scripted_fixture(tmp_path, content)
         with pytest.raises(InputError, match=re.escape(str(path))):
-            ScriptedGenerator(path=path)
+            ScriptedGenerator(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"text": 5, "confidence": 0.5}',
+            '{"text": "walk"}',
+            '{"confidence": 0.5}',
+            '{"text": "walk", "confidence": "0.5"}',
+            '{"text": "walk", "confidence": true}',
+            '{"text": "walk", "confidence": null}',
+            '{"text": "walk", "confidence": 1.5}',
+            '{"text": "walk", "confidence": -0.1}',
+            '{"text": "walk", "confidence": NaN}',
+            '"walk"',
+            '["walk", 0.5]',
+        ],
+        ids=[
+            "text-not-string", "no-confidence", "no-text", "string-confidence", "bool-confidence",
+            "null-confidence", "confidence-above-one", "confidence-below-zero", "nan-confidence",
+            "entry-is-string", "entry-is-list",
+        ],
+    )
+    def test_bad_entry_is_refused_at_load_naming_file_and_fingerprint(self, tmp_path, entry):
+        fp = prompt_fingerprint("Task: X")
+        good = json.dumps({"text": "sit", "confidence": 0.5})
+        path = _scripted_fixture(tmp_path, '{"%s": %s, "%s": %s}' % ("0" * 16, good, fp, entry))
+        with pytest.raises(InputError, match=f"{re.escape(str(path))}: entry {fp} must be"):
+            ScriptedGenerator(path)
 
 
 class TestRemote:
@@ -316,10 +349,12 @@ class TestNextStepContract:
 
     @pytest.mark.parametrize("confidence", [1.5, -0.1])
     def test_rejects_confidence_outside_unit_interval(self, confidence):
-        fp = prompt_fingerprint("Task: X")
-        gen = ScriptedGenerator(responses={fp: {"text": "walk", "confidence": confidence}})
+        class Overconfident:
+            def next_step(self, request):
+                return GenerationResult("walk", confidence)
+
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            next_step(gen, GenerationRequest("X"))
+            next_step(Overconfident(), GenerationRequest("X"))
 
     def test_passes_through_clean_results(self):
         result = next_step(KnowledgeFollowerGenerator(), REQUEST)

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,11 @@ class TestTriplet:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             Triplet("soap", "UsedFor", "washing", weight=0.0)
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="finite positive number"):
+            Triplet("soap", "UsedFor", "washing", weight=weight)
 
     def test_key(self):
         t = Triplet("soap", "UsedFor", "washing", 2.0)
@@ -111,11 +118,23 @@ class TestIngest:
             ("conceptnet-tsv", tsv_line("a", "UsedFor", "b", 0.0)),
             ("conceptnet-tsv", tsv_line("a", "UsedFor", "b", float("nan"))),
             ("conceptnet-tsv", tsv_line("a", "UsedFor", "b", 1.0).encode("utf-8") + b"\xc3"),
+            ("jsonl", jsonl_row("a", "Causes", "b", math.inf)),
+            ("jsonl", jsonl_row("a", "Causes", "b", 1.0).replace("1.0", "1e400")),
+            ("jsonl", jsonl_row("a", "Causes", "b", 10**400)),
+            ("jsonl", jsonl_row("a", "Causes", "b", "3")),
+            ("jsonl", jsonl_row("a", "Causes", "b", True)),
+            ("conceptnet-tsv", tsv_line("a", "UsedFor", "b", math.inf)),
+            ("conceptnet-tsv", tsv_line("a", "UsedFor", "b", 1.0).replace("1.0", "1e400")),
+            ("conceptnet-tsv", tsv_line("a", "UsedFor", "b", 10**400)),
+            ("conceptnet-tsv", tsv_line("a", "UsedFor", "b", "3")),
+            ("conceptnet-tsv", tsv_line("a", "UsedFor", "b", True)),
         ],
         ids=[
             "empty-head", "empty-tail", "zero-weight", "negative-weight", "nan-weight", "int-head",
             "list-relation", "null-tail", "not-utf8", "tsv-zero-weight", "tsv-nan-weight",
-            "tsv-not-utf8",
+            "tsv-not-utf8", "inf-weight", "overflowing-weight", "huge-int-weight", "string-weight",
+            "bool-weight", "tsv-inf-weight", "tsv-overflowing-weight", "tsv-huge-int-weight",
+            "tsv-string-weight", "tsv-bool-weight",
         ],
     )
     def test_bad_row_is_malformed_not_fatal(self, fmt, bad):
@@ -139,7 +158,7 @@ class TestIngest:
         graph = kg.ingest(lines, fmt=fmt)
         for t in graph.triplets:
             assert all(isinstance(field, str) and field for field in t.key)
-            assert t.weight > 0
+            assert type(t.weight) is float and 0 < t.weight < math.inf
         assert graph.stats.kept == graph.edge_count
 
     def test_metadata_without_weight_is_malformed(self):
@@ -277,10 +296,10 @@ class TestSampleSubgraph:
 
     def test_fanout_cap_prefers_heavier_edges(self):
         graph = KnowledgeGraph(
-            [Triplet("hub", "Causes", f"t{i}", float(i + 1)) for i in range(6)]
+            [Triplet("hub", "Causes", f"t{i}", float(i + 1)) for i in range(kg.FANOUT_CAP + 3)]
         )
-        sub = kg.sample_subgraph(graph, ["hub"], hops=1, per_node_fanout_cap=3)
-        assert sorted(t.weight for t in sub) == [4.0, 5.0, 6.0]
+        sub = kg.sample_subgraph(graph, ["hub"], hops=1)
+        assert sorted(t.weight for t in sub) == [float(w) for w in range(4, kg.FANOUT_CAP + 4)]
 
     def test_non_whitelisted_edges_never_traversed(self):
         """A graph holds household relations only, so sampling has no other
@@ -324,7 +343,8 @@ class TestSampleSubgraph:
         # The graph holds only the household rows; the oracle sees all of
         # them and applies the whitelist itself.
         household = [t for t in triplets if t.relation in kg.HOUSEHOLD_RELATIONS]
-        sub = kg.sample_subgraph(KnowledgeGraph(household), anchors, hops, per_node_fanout_cap=cap)
+        with mock.patch.object(kg, "FANOUT_CAP", cap):
+            sub = kg.sample_subgraph(KnowledgeGraph(household), anchors, hops)
         want, _ = oracles.sample_subgraph_oracle(
             triplets, anchors, hops, cap, kg.HOUSEHOLD_RELATIONS
         )

@@ -1,9 +1,11 @@
 """Package layout rules, checked over the source tree with ``ast``.
 
 Only ``_files.py`` opens files (one module reads and writes every file),
-only ``cli.py`` prints (library code writes nothing to stdout), and within
+only ``cli.py`` prints (library code writes nothing to stdout), within
 ``embeddings.py`` only ``embed`` and ``cosine`` take a norm (providers hand
-out raw vectors, and ``embed`` alone normalizes them).
+out raw vectors, and ``embed`` alone normalizes them), and every parameter
+with a default is set by some call in the program (an option that only
+tests set is a constant or goes).
 """
 
 import ast
@@ -11,8 +13,19 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "nsplan"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "nsplan"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the program: the package, the benchmark harness and the demos
+PROGRAM = sorted(p for d in ("src", "perfbench", "demos") for p in (ROOT / d).rglob("*.py"))
+# parameters no program call sets, by (function, parameter): the test seams
+# of the remote providers, and InputError's line number, which read_lines
+# passes through the ``error`` callable it is given
+UNCALLED_BY_DESIGN = {
+    ("RemoteGenerator.__init__", "transport"),
+    ("RemoteEmbedding.__init__", "transport"),
+    ("InputError.__init__", "line_no"),
+}
 
 
 def _called(node):
@@ -49,6 +62,7 @@ def _callers(path, name):
 
 def test_the_package_is_scanned():
     assert {"_files.py", "cli.py"} <= {p.name for p in MODULES}
+    assert {"cli.py", "workloads.py", "02_offline_planning.py"} <= {p.name for p in PROGRAM}
 
 
 @pytest.mark.parametrize("name, owner", [("open", "_files.py"), ("print", "cli.py")])
@@ -63,3 +77,58 @@ def test_only_embed_and_cosine_take_a_norm():
     callers = _callers(PACKAGE / "embeddings.py", "norm")
     assert callers <= {"embed", "cosine"}, f"norm() is called outside embed and cosine: {callers - {'embed', 'cosine'}}"
     assert "embed" in callers
+
+
+def _defaulted_parameters(path):
+    """(qualified function name, called name, parameter, position) for each
+    parameter with a default; position is None for a keyword-only one and
+    does not count ``self`` or ``cls``. ``__init__`` is called by its class name."""
+    found = []
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if owner else 0  # the package has no static methods
+                first_default = len(positional) - len(args.defaults)
+                called = owner if child.name == "__init__" else child.name
+                qualname = f"{scope}{child.name}"
+                for i, arg in enumerate(positional):
+                    if i >= first_default:
+                        found.append((qualname, called, arg.arg, i - skip))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((qualname, called, arg.arg, None))
+                visit(child, f"{qualname}.", None)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "", None)
+    return found
+
+
+def _sets(call, parameter, position):
+    """Whether ``call`` sets the parameter: by keyword, by position, or
+    through ``*args`` or ``**kwargs``."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    calls = {}
+    for path in PROGRAM:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_called(node), []).append(node)
+    uncalled = {
+        (qualname, parameter)
+        for path in MODULES
+        for qualname, called, parameter, position in _defaulted_parameters(path)
+        if not any(_sets(call, parameter, position) for call in calls.get(called, ()))
+    }
+    assert uncalled - UNCALLED_BY_DESIGN == set(), "parameters that no call in src/, perfbench/ or demos/ sets"

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import oracles
+from nsplan import cli
 from nsplan.adaption import select
 from nsplan.admissible import AdmissibleSet, AdmissibleStep, translate_prompt
 from nsplan.errors import ConfigError, TransportError
@@ -173,7 +174,7 @@ class TestPlanLoop:
             assert step.text in household_admissible
 
     def test_scripted_two_step_plan(self, tv_graph, household_admissible, hash_embedder, fixture_path):
-        generator = ScriptedGenerator(path=fixture_path("scripted_responses.json"))
+        generator = ScriptedGenerator(fixture_path("scripted_responses.json"))
         result = plan(
             "Watch TV",
             tv_graph,
@@ -188,7 +189,7 @@ class TestPlanLoop:
 
     def test_reruns_identical(self, tv_graph, household_admissible, hash_embedder, fixture_path):
         def run():
-            generator = ScriptedGenerator(path=fixture_path("scripted_responses.json"))
+            generator = ScriptedGenerator(fixture_path("scripted_responses.json"))
             return plan(
                 "Watch TV",
                 tv_graph,
@@ -351,13 +352,18 @@ class TestPlanResult:
             trace=({"iteration": 1, "accepted": True},),
         )
 
-    def test_json_round_trip(self):
-        result = self._result()
-        again = PlanResult.from_json(json.loads(result.dumps()))
-        assert again.task == result.task
-        assert again.steps == result.steps
-        assert again.termination == result.termination
-        assert again.trace[0]["iteration"] == 1
+    def test_dumps_holds_every_field(self):
+        assert json.loads(self._result().dumps()) == {
+            "task": "T",
+            "steps": [{"text": "walk", "confidence": 0.9}, {"text": "sit", "confidence": 0.8}],
+            "termination": "MaxSteps",
+            "trace": [{"iteration": 1, "accepted": True}],
+        }
+
+    def test_plan_file_reads_back_through_the_eval_reader(self, tmp_path):
+        path = tmp_path / "plan.json"
+        cli._write_json(path, {"id": "0001", **self._result().to_json()})
+        assert cli._read_prediction(path) == ("0001", ["walk", "sit"])
 
     def test_rejects_unknown_termination(self):
         with pytest.raises(ValueError):
