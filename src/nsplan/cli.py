@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import __version__, causal, counterfactual, entities, kg, metrics, planner, programs
+from . import __version__, causal, counterfactual, embeddings, entities, kg, metrics, planner, programs
 from ._files import read_json, write_text
 from .admissible import load_admissible_set, translate_prompt
 from .embeddings import HashEmbedding, RemoteEmbedding, TableEmbedding
@@ -268,6 +268,10 @@ def run_plan(config):
         else:
             entries.append({"id": tid, "task": sample.task, "status": "failed", "error": error})
 
+    # memo and fallback counts vary with --jobs interleaving, so they sit under timing
+    embedding = embeddings.memo_counts(embedder)
+    if isinstance(embedder, TableEmbedding):
+        embedding["table_misses"] = embedder.miss_count
     manifest = {
         "command": "plan",
         "config": config.to_json(),
@@ -275,6 +279,7 @@ def run_plan(config):
         "timing": {
             "started": datetime.datetime.fromtimestamp(started, datetime.timezone.utc).isoformat(),
             "elapsed_s": round(time.time() - started, 3),
+            "embedding": embedding,
         },
         "tasks": entries,
     }

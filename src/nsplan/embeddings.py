@@ -12,8 +12,8 @@ Three providers share one small interface (``.dim``, ``.kind``,
   NaN or an infinity, or differs in length from the rows above it is a bad
   line of the file. A missing text falls back to an internal hash
   provider and the miss is counted under a lock.
-* remote: POST {"input": [text]} to an embedding service; results are
-  memoized per exact input text.
+* remote: POST {"input": [text]} to an embedding service, one request per
+  call; the provider keeps no cache of its own.
 
 Callers embed through ``embed`` alone, which holds the vector contract: it
 refuses a vector of the wrong shape or of non-finite norm and hands out a
@@ -21,6 +21,17 @@ fresh float64 array, L2-normalized, or zero for a zero vector (the empty
 string embeds to zero). Any cosine against a zero vector is 0. ``best_row``
 finds the row of a matrix of such vectors nearest a query with one
 matrix-vector product, as a row scan would.
+
+``embed`` memoizes per provider (held weakly, so a provider must be hashable
+and weak-referenceable). Each text maps to one ``bytes`` object: the float64
+values of the normalized vector's entries whose bits are not all zero, then
+their int64 indexes. A hit rebuilds the first result bit for bit,
+``-0.0`` included, as a fresh array, so plans that share a provider embed
+a repeated tail concept without asking the provider again. The memo is
+bounded by the bytes its keys and entries hold (``MEMO_BUDGET_BYTES``): an
+insert that would go over the budget clears it first. ``memo_counts``
+reports the hits and misses, whose sum is the number of ``embed`` calls on
+that provider, exactly, under threads too.
 """
 
 from __future__ import annotations
@@ -28,7 +39,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import threading
+import weakref
 
 import numpy as np
 
@@ -39,6 +52,7 @@ from .errors import InputError, TransportError
 
 DEFAULT_DIM = 256
 TIMEOUT_S = 30.0
+MEMO_BUDGET_BYTES = 32 * 2**20
 
 
 def _features(text):
@@ -84,7 +98,8 @@ class TableEmbedding:
 
     Every row is checked once, at load. Texts absent from the table embed
     through a hash fallback of the same dimension; ``miss_count`` counts
-    every fallback.
+    every fallback. Through ``embed``, whose memo answers a repeated text,
+    it counts only the misses that reach the fallback.
     """
 
     kind = "table"
@@ -124,9 +139,9 @@ class TableEmbedding:
 class RemoteEmbedding:
     """HTTP provider speaking {"input": [texts]} -> {"data": [{"embedding"}]}.
 
-    Responses are cached by exact input text behind a lock, so repeated
-    embeds of one string cost one request. An embedding that is not a list
-    of ``dim`` numbers is a TransportError naming the endpoint.
+    Each call is one request; ``embed``'s memo spares the repeats. An
+    embedding that is not a list of ``dim`` numbers is a TransportError
+    naming the endpoint.
     """
 
     kind = "remote"
@@ -136,14 +151,8 @@ class RemoteEmbedding:
         self.dim = dim
         self.api_key = api_key
         self._transport = transport
-        self._cache = {}
-        self._lock = threading.Lock()
 
     def embed(self, text):
-        with self._lock:
-            cached = self._cache.get(text)
-        if cached is not None:
-            return cached
         body = _http.post_json(
             self.endpoint, {"input": [text]}, api_key=self.api_key, timeout=TIMEOUT_S, transport=self._transport
         )
@@ -158,22 +167,75 @@ class RemoteEmbedding:
                 f"embedding has dimension {vec.shape}, expected ({self.dim},)",
                 endpoint=self.endpoint,
             )
-        with self._lock:
-            self._cache[text] = vec
         return vec
+
+
+class _Memo:
+    """One provider's texts -> packed vectors, with their byte total and the
+    hit and miss counts, all guarded by ``lock``."""
+
+    def __init__(self):
+        self.entries = {}
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.lock = threading.Lock()  # threads of a --jobs run share one provider
+
+
+_MEMOS = weakref.WeakKeyDictionary()
+_MEMOS_LOCK = threading.Lock()
+
+
+def _memo(provider):
+    memo = _MEMOS.get(provider)
+    if memo is None:
+        with _MEMOS_LOCK:
+            memo = _MEMOS.setdefault(provider, _Memo())
+    return memo
+
+
+def memo_counts(provider):
+    """{"hits": ..., "misses": ...} of ``embed``'s memo for ``provider``."""
+    memo = _memo(provider)
+    with memo.lock:
+        return {"hits": memo.hits, "misses": memo.misses}
 
 
 def embed(provider, text):
     """Embed through any provider, enforcing the vector contract: a fresh
     float64 array of the provider's dimension, L2-normalized, or zero when
-    the provider's vector is zero. A vector of non-finite norm is refused."""
+    the provider's vector is zero. A vector of non-finite norm is refused.
+    A repeated text is answered from the memo, bit-equal to its first result."""
+    memo = _memo(provider)
+    with memo.lock:
+        entry = memo.entries.get(text)
+        if entry is None:
+            memo.misses += 1
+        else:
+            memo.hits += 1
+    if entry is not None:
+        packed = np.frombuffer(entry, np.float64)
+        n = len(packed) // 2
+        vec = np.zeros(provider.dim)
+        vec[packed[n:].view(np.int64)] = packed[:n]
+        return vec
     vec = np.asarray(provider.embed(text), dtype=np.float64)
     if vec.shape != (provider.dim,):
         raise ValueError(f"provider returned shape {vec.shape}, expected ({provider.dim},)")
     norm = np.linalg.norm(vec)
     if not math.isfinite(norm):
         raise ValueError(f"provider returned a vector of norm {norm} for {text!r}")
-    return vec / norm if norm > 0 else np.zeros(provider.dim)
+    unit = vec / norm if norm > 0 else np.zeros(provider.dim)
+    index = np.flatnonzero(unit.view(np.int64))  # -0.0 has a set bit
+    entry = unit[index].tobytes() + index.astype(np.int64, copy=False).tobytes()
+    cost = sys.getsizeof(text) + sys.getsizeof(entry)
+    with memo.lock:
+        if memo.nbytes + cost > MEMO_BUDGET_BYTES:
+            memo.entries.clear()
+            memo.nbytes = 0
+        if memo.entries.setdefault(text, entry) is entry:
+            memo.nbytes += cost
+    return unit
 
 
 SHORTLIST_MARGIN = 1e-9

@@ -208,6 +208,20 @@ class TestPlanCommand:
         assert {t["status"] for t in manifest["tasks"]} == {"ok"}
         assert set(manifest["versions"]) == {"nsplan", "python", "numpy", "scipy"}
 
+    @pytest.mark.parametrize("embedding", ["hash", "table"])
+    def test_manifest_timing_records_the_embedding_memo(self, tmp_path, embedding):
+        out = tmp_path / "run"
+        extra = ["--embedding", embedding]
+        if embedding == "table":
+            extra += ["--embedding-path", _fixture("table_embeddings.jsonl")]
+        assert cli.main(_plan_argv(out, extra)) == 0
+        with open(out / "manifest.json") as fh:
+            counts = json.load(fh)["timing"]["embedding"]
+        assert set(counts) == {"hits", "misses"} | ({"table_misses"} if embedding == "table" else set())
+        assert counts["hits"] > 0 and counts["misses"] > 0
+        if embedding == "table":
+            assert 0 < counts["table_misses"] <= counts["misses"]
+
     def test_rerun_is_byte_identical_modulo_timing(self, tmp_path):
         out = tmp_path / "run"
         assert cli.main(_plan_argv(out)) == 0

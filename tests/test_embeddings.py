@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nsplan import embeddings
 from nsplan.adaption import adapt_weights
 from nsplan.admissible import AdmissibleSet, AdmissibleStep, translate
 from nsplan.embeddings import (
@@ -18,6 +19,7 @@ from nsplan.embeddings import (
     TableEmbedding,
     cosine,
     embed,
+    memo_counts,
 )
 from nsplan.errors import InputError, TransportError
 from nsplan.kg import Triplet
@@ -31,6 +33,28 @@ def _table_file(tmp_path, rows, name="table.jsonl"):
     path = tmp_path / name
     path.write_text("".join(json.dumps({"text": t, "vector": v}) + "\n" for t, v in rows.items()))
     return path
+
+
+def _run_threads(threads, work):
+    """Start ``threads`` threads of ``work(i)`` together with a tiny switch
+    interval, so they interleave as often as the interpreter allows."""
+    start = threading.Barrier(threads, timeout=30)
+
+    def run(i):
+        start.wait()
+        work(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
 
 
 class TestHashEmbedding:
@@ -184,28 +208,15 @@ class TestTableEmbedding:
             assert np.array_equal(embed(provider, text), want)
 
     def test_miss_counters_exact_under_threads(self, tmp_path):
-        # --jobs > 1 shares one provider; a tiny switch interval makes the
-        # threads interleave inside embed() as often as the interpreter allows.
+        # --jobs > 1 shares one provider
         provider = TableEmbedding(_table_file(tmp_path, {"x": [1.0, 0.0]}))
         threads, per_thread = 8, 300
-        start = threading.Barrier(threads, timeout=30)
 
         def work(i):
-            start.wait()
             for j in range(per_thread):
                 provider.embed(f"miss {i} {j % 50}")
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
-            for t in pool:
-                t.start()
-            for t in pool:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in pool)
+        _run_threads(threads, work)
         assert provider.miss_count == threads * per_thread
 
 
@@ -275,9 +286,9 @@ class TestRemoteEmbedding:
             return 200, {"data": [{"embedding": [1.0, 0.0]}]}
 
         provider = RemoteEmbedding("http://svc/embed", dim=2, transport=transport)
-        provider.embed("a")
-        provider.embed("a")
-        provider.embed("b")
+        embed(provider, "a")
+        embed(provider, "a")
+        embed(provider, "b")
         assert calls == ["a", "b"]
 
     def test_malformed_body_raises_transport_error(self):
@@ -323,6 +334,80 @@ class TestRemoteEmbedding:
         assert len(attempts) == 3
         assert len(sleeps) == 2
         assert all(0.5 * 2**k <= d < 2**k for k, d in enumerate(sleeps))  # retry k+1: [0.5, 1) * 2**k s
+
+
+class TestEmbedMemo:
+    """``embed`` answers a repeated text from its per-provider memo with the
+    bytes of the first result, in a fresh array."""
+
+    @given(WORDS)
+    @settings(max_examples=60, deadline=None)
+    def test_repeat_is_bit_equal_to_first_and_to_the_oracle(self, text):
+        provider = HashEmbedding(dim=32, seed=5)
+        first, again = embed(provider, text), embed(provider, text)
+        assert first.tobytes() == again.tobytes()
+        assert again.tobytes() == np.array(oracles.hash_embedding_oracle(text, dim=32, seed=5)).tobytes()
+        assert memo_counts(provider) == {"hits": 1, "misses": 1}
+
+    def test_negative_zero_keeps_its_sign_on_a_hit(self, tmp_path):
+        provider = TableEmbedding(_table_file(tmp_path, {"x": [-0.0, 1.0, 0.0]}))
+        first, again = embed(provider, "x"), embed(provider, "x")
+        assert memo_counts(provider)["hits"] == 1
+        assert again.tobytes() == first.tobytes()
+        assert list(np.signbit(again)) == [True, False, False]
+
+    def test_empty_text_comes_back_as_zeros(self):
+        provider = HashEmbedding(dim=8)
+        for _ in range(2):
+            vec = embed(provider, "")
+            assert vec.tobytes() == np.zeros(8).tobytes()
+        assert memo_counts(provider) == {"hits": 1, "misses": 1}
+
+    def test_hit_is_a_fresh_array(self):
+        provider = HashEmbedding(dim=16)
+        want = embed(provider, "wash your hair")
+        embed(provider, "wash your hair")[:] = 99.0
+        again = embed(provider, "wash your hair")
+        assert again is not want and again.tobytes() == want.tobytes()
+        assert memo_counts(provider)["hits"] == 2
+
+    def test_small_budget_clears_and_stays_bit_equal(self, monkeypatch):
+        texts = [f"turn on light {i}" for i in range(20)]
+        want = {t: embed(HashEmbedding(dim=16), t).tobytes() for t in texts}
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 1500)  # a few hash entries
+        provider = HashEmbedding(dim=16)
+        for t in texts:
+            assert embed(provider, t).tobytes() == want[t]
+        assert embed(provider, texts[-1]).tobytes() == want[texts[-1]]
+        assert memo_counts(provider) == {"hits": 1, "misses": 20}
+        assert embed(provider, texts[0]).tobytes() == want[texts[0]]  # dropped by a clear
+        assert memo_counts(provider) == {"hits": 1, "misses": 21}
+
+    def test_provider_errors_are_counted_and_not_memoized(self):
+        provider = RemoteEmbedding("http://svc/embed", dim=2, transport=lambda payload: (200, {"data": []}))
+        for _ in range(2):
+            with pytest.raises(TransportError):
+                embed(provider, "x")
+        assert memo_counts(provider) == {"hits": 0, "misses": 2}
+
+    def test_counts_exact_under_threads(self, tmp_path):
+        # --jobs > 1 shares one provider: every call is a hit or a miss, and
+        # only a miss reaches the table's hash fallback
+        provider = TableEmbedding(_table_file(tmp_path, {"x": [1.0, 0.0]}))
+        threads, per_thread = 8, 300
+        want = {j: embed(HashEmbedding(dim=2), f"miss {j}").tobytes() for j in range(50)}
+        wrong = []
+
+        def work(i):
+            for j in range(per_thread):
+                if embed(provider, f"miss {j % 50}").tobytes() != want[j % 50]:
+                    wrong.append((i, j))
+
+        _run_threads(threads, work)
+        assert not wrong
+        counts = memo_counts(provider)
+        assert counts["hits"] + counts["misses"] == threads * per_thread
+        assert 50 <= counts["misses"] == provider.miss_count
 
 
 class TestEmbedContract:

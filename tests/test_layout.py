@@ -3,7 +3,9 @@
 Only ``_files.py`` opens files (one module reads and writes every file),
 only ``cli.py`` prints (library code writes nothing to stdout), within
 ``embeddings.py`` only ``embed`` and ``cosine`` take a norm (providers hand
-out raw vectors, and ``embed`` alone normalizes them), and every parameter
+out raw vectors, and ``embed`` alone normalizes them), only ``embed`` (and
+the table's hash fallback) calls a provider's own ``.embed``, so no caller
+skips the memo or the vector contract, and every parameter
 with a default is set by some call in the program (an option that only
 tests set is a constant or goes).
 """
@@ -39,9 +41,18 @@ def _calls(path, name):
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _called(node) == name]
 
 
-def _callers(path, name):
+def _provider_embed(call):
+    """Whether ``call`` is ``<expr>.embed(...)`` on anything but the
+    ``embeddings`` module: a provider's own embed."""
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr == "embed"
+            and not (isinstance(func.value, ast.Name) and func.value.id == "embeddings"))
+
+
+def _callers(path, matches):
     """Qualified names (``Class.method`` for a method) of the functions whose
-    bodies call ``name(...)``; a call outside any function is ``<module>``."""
+    bodies make a call for which ``matches(call)`` holds; a call outside any
+    function is ``<module>``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     callers = set()
 
@@ -51,7 +62,7 @@ def _callers(path, name):
             if not isinstance(node, ast.ClassDef):
                 owner = scope
             scope += "."
-        elif isinstance(node, ast.Call) and _called(node) == name:
+        elif isinstance(node, ast.Call) and matches(node):
             callers.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner, scope)
@@ -74,9 +85,16 @@ def test_only_the_owner_module_calls(name, owner):
 
 
 def test_only_embed_and_cosine_take_a_norm():
-    callers = _callers(PACKAGE / "embeddings.py", "norm")
+    callers = _callers(PACKAGE / "embeddings.py", lambda call: _called(call) == "norm")
     assert callers <= {"embed", "cosine"}, f"norm() is called outside embed and cosine: {callers - {'embed', 'cosine'}}"
     assert "embed" in callers
+
+
+def test_only_embed_calls_a_provider():
+    callers = {p.name: found for p in MODULES if (found := _callers(p, _provider_embed))}
+    assert callers == {"embeddings.py": {"embed", "TableEmbedding.embed"}}, (
+        f"a provider's .embed() is called outside embeddings.embed: {callers}"
+    )
 
 
 def _defaulted_parameters(path):
