@@ -250,7 +250,7 @@ def run_plan(config):
                 sample.task, graph, admissible, generator, embedder, config=config
             )
         except Exception as err:  # a failed task is recorded, not fatal
-            return tid, sample, None, f"{type(err).__name__}: {err}"
+            return tid, sample, None, err
         return tid, sample, result, None
 
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -266,7 +266,11 @@ def run_plan(config):
                  "termination": result.termination, "steps": len(result.steps)}
             )
         else:
-            entries.append({"id": tid, "task": sample.task, "status": "failed", "error": error})
+            entry = {"id": tid, "task": sample.task, "status": "failed",
+                     "error": f"{type(error).__name__}: {error}"}
+            if hasattr(error, "partial_trace"):  # planner.plan's record of how far the task got
+                entry["trace"] = [dict(step) for step in error.partial_trace]
+            entries.append(entry)
 
     # memo and fallback counts vary with --jobs interleaving, so they sit under timing
     embedding = embeddings.memo_counts(embedder)
@@ -359,7 +363,7 @@ def run_ingest(config):
     rows = ({"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight} for t in graph.triplets)
     write_text(out_path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
     stats = graph.stats
-    print(f"kept {stats.kept} triplets ({graph.node_count} nodes, {graph.edge_count} edges)")
+    print(f"kept {graph.edge_count} triplets ({graph.node_count} nodes, {graph.edge_count} edges)")
     print(
         f"dropped: relation={stats.dropped_relation} language={stats.dropped_language} "
         f"malformed={stats.dropped_malformed} duplicates={stats.duplicates}"

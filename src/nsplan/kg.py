@@ -50,10 +50,6 @@ HOUSEHOLD_RELATIONS = frozenset(
 FANOUT_CAP = 100
 
 
-class IngestError(InputError):
-    """A malformed graph line."""
-
-
 def surface(key):
     """Readable text of a node key: node keys are lowercase words joined by
     underscores, so the underscores become spaces."""
@@ -106,7 +102,6 @@ def adapted_sort_key(t):
 
 @dataclass
 class IngestStats:
-    kept: int = 0
     dropped_relation: int = 0
     dropped_language: int = 0
     dropped_malformed: int = 0
@@ -220,9 +215,10 @@ def ingest(source, fmt="conceptnet-tsv", strict=False):
     weight field) or "jsonl" (one object per line, fields head/relation/tail/
     weight). Only English ConceptNet rows are kept: a row with an endpoint
     in another language is counted in ``stats.dropped_language``. A
-    malformed line raises IngestError in strict mode and is counted in
-    ``stats.dropped_malformed`` otherwise. The returned graph carries an
-    ``stats`` record of kept and dropped line counts.
+    malformed line raises InputError, naming the file and line, in strict
+    mode and is counted in ``stats.dropped_malformed`` otherwise. The
+    returned graph carries a ``stats`` record of dropped and duplicate line
+    counts; the kept count is ``graph.edge_count``.
     """
     if fmt not in ("conceptnet-tsv", "jsonl"):
         raise ValueError(f"unknown ingest format: {fmt!r}")
@@ -231,7 +227,7 @@ def ingest(source, fmt="conceptnet-tsv", strict=False):
     stats = IngestStats()
     triplets = []
     bad = []
-    for t in read_lines(source, parse, IngestError, None if strict else bad):
+    for t in read_lines(source, parse, InputError, None if strict else bad):
         if t is None:
             stats.dropped_language += 1
             continue
@@ -244,7 +240,6 @@ def ingest(source, fmt="conceptnet-tsv", strict=False):
 
     graph = KnowledgeGraph(triplets, stats=stats)
     stats.dropped_malformed = len(bad)
-    stats.kept = graph.edge_count
     stats.duplicates = len(triplets) - graph.edge_count
     if graph.edge_count == 0:
         log.warning("ingestion produced an empty graph (%d lines dropped)", stats.dropped)

@@ -31,10 +31,6 @@ class StepParseError(ValueError):
         self.column = column
 
 
-class DatasetError(InputError):
-    """A malformed task-dataset line."""
-
-
 @dataclass(frozen=True)
 class StructuredStep:
     action: str
@@ -191,14 +187,15 @@ def _parse_line(build, line):
 
 
 def load_task_dataset(path, fmt="robothow-jsonl", strict=True):
-    """Load a JSONL task dataset. A bad line raises DatasetError in strict
-    mode; otherwise it is logged and skipped, keeping every other sample."""
+    """Load a JSONL task dataset. A bad line raises InputError, naming the
+    file and line, in strict mode; otherwise it is logged and skipped,
+    keeping every other sample."""
     builders = {"robothow-jsonl": _sample_from_robothow, "wikihow-jsonl": _sample_from_wikihow}
     if fmt not in builders:
         raise ValueError(f"unknown dataset format {fmt!r}")
     bad = []
     parse = partial(_parse_line, builders[fmt])
-    samples = list(read_lines(path, parse, DatasetError, None if strict else bad))
+    samples = list(read_lines(path, parse, InputError, None if strict else bad))
     for err in bad:
         log.warning("skipping dataset line: %s", err)
     return samples

@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))  # makes `import oracles` work
 
-from nsplan import HashEmbedding, kg, load_admissible_set
+from nsplan import kg
+from nsplan.admissible import load_admissible_set
+from nsplan.embeddings import HashEmbedding
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

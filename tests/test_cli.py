@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from nsplan import _files, cli
-from nsplan.errors import ConfigError
+from nsplan.errors import ConfigError, TransportError
 
 
 def _fixture(name):
@@ -344,6 +344,54 @@ class TestPlanCommand:
                 assert am == bm
             else:
                 assert a[name] == b[name]
+
+    def test_transport_failure_records_the_partial_trace(self, tmp_path, monkeypatch):
+        """A TransportError on one task's third prompt fails that task alone,
+        and its manifest entry holds the two iterations that finished."""
+        clean = tmp_path / "clean"
+        assert cli.main(_plan_argv(clean)) == 0
+        build_generator = cli.build_generator
+        monkeypatch.setattr(cli, "build_generator", lambda config: _FailsOnThirdPrompt(build_generator(config)))
+        out, serial = tmp_path / "run", tmp_path / "serial"
+        assert cli.main(_plan_argv(out)) == 1
+        os.rename(out, serial)  # both manifests then echo the same --out
+        assert cli.main(_plan_argv(out, extra=["--jobs", "2"])) == 1
+
+        expected = _read_tree(clean)
+        del expected["manifest.json"]
+        finished = json.loads(expected.pop(f"{_FailsOnThirdPrompt.TASK_ID}.json"))["trace"][:2]
+        assert [step["iteration"] for step in finished] == [1, 2]
+        manifests = []
+        for run in (serial, out):
+            tree = _read_tree(run)
+            manifest = json.loads(tree.pop("manifest.json"))
+            assert tree == expected  # the other plan files are unchanged; the failed task writes none
+            entry = next(e for e in manifest["tasks"] if e["id"] == _FailsOnThirdPrompt.TASK_ID)
+            assert entry["status"] == "failed"
+            assert entry["error"] == "TransportError: simulated outage endpoint=stub status=503"
+            assert entry["trace"] == finished
+            assert {e["status"] for e in manifest["tasks"] if e is not entry} == {"ok"}
+            del manifest["timing"]
+            manifests.append(manifest)
+        a, b = manifests
+        assert (a["config"].pop("jobs"), b["config"].pop("jobs")) == (1, 2)
+        assert a == b
+
+
+class _FailsOnThirdPrompt:
+    """A generator that fails on one task's third prompt (two accepted steps
+    in its history) and delegates every other request. The failure depends
+    on the request alone, so it hits the same iteration under any --jobs."""
+
+    TASK, TASK_ID = "Watch TV", "0000-watch-tv"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def next_step(self, request):
+        if request.task == self.TASK and len(request.history) == 2:
+            raise TransportError("simulated outage", endpoint="stub", status=503)
+        return self.inner.next_step(request)
 
 
 class TestEvalCommand:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from nsplan import kg
-from nsplan.kg import IngestError, KnowledgeGraph, Triplet
+from nsplan.errors import InputError
+from nsplan.kg import KnowledgeGraph, Triplet
 
 from conftest import fixture_path
 
@@ -99,7 +100,7 @@ class TestIngest:
         graph = kg.ingest(lines)
         assert graph.edge_count == 1
         assert graph.stats.dropped_malformed == 1
-        with pytest.raises(IngestError) as err:
+        with pytest.raises(InputError) as err:
             kg.ingest(lines, strict=True)
         assert err.value.line_no == 2
 
@@ -145,7 +146,7 @@ class TestIngest:
         graph = kg.ingest(lines, fmt=fmt)
         assert graph.edge_count == 2
         assert graph.stats.dropped_malformed == 1
-        with pytest.raises(IngestError) as err:
+        with pytest.raises(InputError) as err:
             kg.ingest(lines, fmt=fmt, strict=True)
         assert err.value.line_no == 2
 
@@ -159,11 +160,10 @@ class TestIngest:
         for t in graph.triplets:
             assert all(isinstance(field, str) and field for field in t.key)
             assert type(t.weight) is float and 0 < t.weight < math.inf
-        assert graph.stats.kept == graph.edge_count
 
     def test_metadata_without_weight_is_malformed(self):
         line = "/a/x\t/r/UsedFor\t/c/en/a\t/c/en/b\t{}"
-        with pytest.raises(IngestError):
+        with pytest.raises(InputError):
             kg.ingest([line], strict=True)
 
     def test_duplicate_keeps_max_weight(self):
@@ -212,8 +212,8 @@ class TestIngest:
             for node in "abc":
                 incident = [k for k in want if node in (k[1], k[3])]
                 assert [(-t.weight, *t.key) for t in graph.neighbors(node)] == incident
-        assert ingested.stats.kept == len(best)
-        assert ingested.stats.kept + ingested.stats.duplicates == len(rows)
+        assert ingested.edge_count == len(best)
+        assert ingested.edge_count + ingested.stats.duplicates == len(rows)
 
     def test_jsonl_format(self):
         lines = [json.dumps({"head": "a", "relation": "Causes", "tail": "b", "weight": 2.0})]
@@ -236,10 +236,9 @@ class TestIngest:
 class TestShowerFixture:
     def test_counts(self, shower_graph):
         # 30 lines: one MotivatedByGoal filtered, one duplicate collapsed
-        assert shower_graph.stats.kept == 28
+        assert shower_graph.edge_count == 28
         assert shower_graph.stats.duplicates == 1
         assert shower_graph.stats.dropped_relation == 1
-        assert shower_graph.edge_count == 28
 
     def test_weights_survive_verbatim(self, shower_graph):
         t = next(
@@ -374,7 +373,7 @@ def test_load_graph_counts_a_line_that_is_not_utf8(tmp_path):
     graph = kg.load_graph(str(path), fmt="jsonl")
     assert graph.edge_count == 2
     assert graph.stats.dropped_malformed == 1
-    with pytest.raises(IngestError) as err:
+    with pytest.raises(InputError) as err:
         kg.load_graph(str(path), fmt="jsonl", strict=True)
     assert err.value.line_no == 2
 

@@ -1,5 +1,8 @@
 """Package layout rules, checked over the source tree with ``ast``.
 
+The package root ``__init__.py`` imports nothing: every name has one import
+path, its module's, and importing one pipeline module loads only what that
+module needs (the planner never pulls in the metrics module or scipy).
 Only ``_files.py`` opens files (one module reads and writes every file),
 only ``cli.py`` prints (library code writes nothing to stdout), within
 ``embeddings.py`` only ``embed`` and ``cosine`` take a norm (providers hand
@@ -11,7 +14,10 @@ tests set is a constant or goes).
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -74,6 +80,24 @@ def _callers(path, matches):
 def test_the_package_is_scanned():
     assert {"_files.py", "cli.py"} <= {p.name for p in MODULES}
     assert {"cli.py", "workloads.py", "02_offline_planning.py"} <= {p.name for p in PROGRAM}
+
+
+def test_the_package_root_imports_nothing():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"src/nsplan/__init__.py imports at lines {imports}; import each name from its module"
+
+
+def test_pipeline_modules_load_neither_metrics_nor_scipy():
+    code = (
+        "import sys, nsplan.kg, nsplan.planner, nsplan.causal; "
+        "print(sorted(m for m in ('scipy', 'nsplan.metrics') if m in sys.modules))"
+    )
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", f"a fresh import of kg, planner and causal loaded {proc.stdout.strip()}"
 
 
 @pytest.mark.parametrize("name, owner", [("open", "_files.py"), ("print", "cli.py")])

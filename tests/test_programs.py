@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsplan.errors import InputError
 from nsplan.programs import (
-    DatasetError,
     StepParseError,
     StructuredStep,
     TaskSample,
@@ -139,7 +139,7 @@ class TestLoadRobothow:
         assert [p.action for p in parsed] == ["Walk", "SwitchOn", "Walk", "Sit", "Watch"]
 
     def test_strict_mode_raises_with_line_number(self, fixture_path):
-        with pytest.raises(DatasetError) as err:
+        with pytest.raises(InputError) as err:
             load_task_dataset(fixture_path("mixed_schema.jsonl"), strict=True)
         assert err.value.line_no == 2
 
@@ -150,7 +150,7 @@ class TestLoadRobothow:
     def test_invalid_step_inside_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"task": "X", "steps": ["not a step"]}) + "\n")
-        with pytest.raises(DatasetError, match="line 1"):
+        with pytest.raises(InputError, match="line 1"):
             load_task_dataset(path, strict=True)
 
     def test_empty_file(self, tmp_path):
@@ -181,7 +181,7 @@ class TestLoadRobothow:
     def test_step_that_is_not_a_string(self, tmp_path, fmt, good, bad):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(DatasetError) as err:
+        with pytest.raises(InputError) as err:
             load_task_dataset(path, fmt=fmt, strict=True)
         assert err.value.line_no == 2
         assert [s.task for s in load_task_dataset(path, fmt=fmt, strict=False)] == ["Sit"]
@@ -192,7 +192,7 @@ class TestLoadRobothow:
         path = tmp_path / "d.jsonl"
         path.write_bytes(b"\n".join([good[0], bad, good[1]]) + b"\n")
         assert [s.task for s in load_task_dataset(path, strict=False)] == ["A", "B"]
-        with pytest.raises(DatasetError) as err:
+        with pytest.raises(InputError) as err:
             load_task_dataset(path, strict=True)
         assert err.value.line_no == 2
         assert f"{path}, line 2" in str(err.value)
