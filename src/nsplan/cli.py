@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import __version__, causal, counterfactual, embeddings, entities, kg, metrics, planner, programs
+from . import __version__, causal, counterfactual, embeddings, entities, kg, planner, programs
 from ._files import read_json, write_text
 from .admissible import load_admissible_set, translate_prompt
 from .embeddings import HashEmbedding, RemoteEmbedding, TableEmbedding
@@ -204,6 +204,8 @@ def task_id(index, task):
 def _reference_text(sample):
     """Reference plan as natural text; structured program lines are
     rendered through the action templates first."""
+    from . import metrics
+
     steps = list(sample.reference_plan)
     if sample.domain == "robothow":
         steps = [
@@ -309,6 +311,8 @@ def run_eval(config):
     """Score a directory of plan files against the reference dataset,
     aligned by task id. A task that cannot be scored (an empty plan) is
     listed in the report; the exit code is 1 then."""
+    from . import metrics  # scipy.optimize loads for the one command that scores
+
     config.require("predictions", "dataset")
     references = programs.load_task_dataset(config.dataset, fmt=config.format, strict=config.strict)
     ref_by_id = {task_id(i, s.task): s for i, s in enumerate(references)}

@@ -20,7 +20,12 @@ refuses a vector of the wrong shape or of non-finite norm and hands out a
 fresh float64 array, L2-normalized, or zero for a zero vector (the empty
 string embeds to zero). Any cosine against a zero vector is 0. ``best_row``
 finds the row of a matrix of such vectors nearest a query with one
-matrix-vector product, as a row scan would.
+matrix-vector product, as a row scan would, and ``best_cosines`` finds each
+query's best ``cosine`` against a set of rows with one matrix product, as
+a double loop over ``cosine`` would. Both rest on one premise: such vectors
+have norm 1 to within rounding, so a matmul entry lies within about
+d * 2**-53 of the exact score, far inside ``SHORTLIST_MARGIN`` (1e-9), and
+only the entries within the margin of the best need the scan's arithmetic.
 
 ``embed`` memoizes per provider (held weakly, so a provider must be hashable
 and weak-referenceable). Each text maps to one ``bytes`` object: the float64
@@ -268,15 +273,47 @@ def best_row(query, matrix, keys):
     return int(best), best_cos
 
 
+def _cosine(a, b, na, nb):
+    """``cosine``'s arithmetic, given ``na`` and ``nb``, the norms of ``a``
+    and ``b`` as ``np.linalg.norm`` gives them."""
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    value = float(np.dot(a, b) / (na * nb))
+    return max(-1.0, min(1.0, value))
+
+
 def cosine(a, b):
     """Cosine similarity in [-1, 1]; 0 when either vector is zero."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    value = float(np.dot(a, b) / (na * nb))
-    return max(-1.0, min(1.0, value))
+    return _cosine(a, b, np.linalg.norm(a), np.linalg.norm(b))
+
+
+def best_cosines(queries, rows):
+    """For each row ``q`` of ``queries``, ``max(cosine(q, r) for r in rows)``
+    bit for bit, as a list of floats. ``rows`` must not be empty.
+
+    One ``queries @ rows.T`` scores every pair; per query, only the columns
+    whose clamped score lies within SHORTLIST_MARGIN of that row's best are
+    re-scored with ``cosine``'s arithmetic, each norm taken once per vector,
+    and the first maximum in column order wins, as in ``max``. Queries and
+    rows must be finite with norm 1 to within rounding, or 0, as ``embed``
+    hands them out: then a matmul entry lies within about d * 2**-53 (3e-14
+    for d = 256) of ``cosine`` of the same pair, far inside the margin, so
+    the scan's maximum, and every column tied with it, is always on the
+    shortlist. A zero query or row scores exactly 0 both ways.
+    """
+    scores = np.clip(queries @ rows.T, -1.0, 1.0)
+    row_norms = [np.linalg.norm(r) for r in rows]
+    best = []
+    for q, q_scores in zip(queries, scores):
+        q_norm = np.linalg.norm(q)
+        top = None
+        for j in np.flatnonzero(q_scores >= q_scores.max() - SHORTLIST_MARGIN):
+            cos = _cosine(q, rows[j], q_norm, row_norms[j])
+            if top is None or cos > top:
+                top = cos
+        best.append(top)
+    return best

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .embeddings import cosine, embed
+from .embeddings import best_cosines, embed
 from .entities import tokenize
 
 METRIC_NAMES = ("s_bleu", "rouge1_f1", "wmd_distance", "wmd_similarity", "embed_match_f1")
@@ -155,15 +155,21 @@ def embed_match_f1(pred, ref, provider):
     """Greedy-matching embedding F1. Precision averages, over prediction
     tokens, the best cosine against any reference token; recall mirrors it;
     both are mapped through (x+1)/2 before the harmonic mean so the result
-    lands in [0, 1]."""
+    lands in [0, 1]. Each distinct token is embedded once, in order of first
+    occurrence, and ``best_cosines`` scores each side against the other,
+    bit-equal to a double loop over ``cosine`` summed in token order."""
     pred_tokens = tokenize(pred)
     ref_tokens = tokenize(ref)
     if not pred_tokens or not ref_tokens:
         raise ValueError("embedding-match F1 needs nonempty texts on both sides")
-    vec_p = [embed(provider, t) for t in pred_tokens]
-    vec_r = [embed(provider, t) for t in ref_tokens]
-    precision = sum(max(cosine(p, r) for r in vec_r) for p in vec_p) / len(vec_p)
-    recall = sum(max(cosine(r, p) for p in vec_p) for r in vec_r) / len(vec_r)
+    vectors = {t: embed(provider, t) for t in dict.fromkeys(pred_tokens + ref_tokens)}
+    vocab_p, vocab_r = list(dict.fromkeys(pred_tokens)), list(dict.fromkeys(ref_tokens))
+    vec_p = np.stack([vectors[t] for t in vocab_p])
+    vec_r = np.stack([vectors[t] for t in vocab_r])
+    best_p = dict(zip(vocab_p, best_cosines(vec_p, vec_r)))
+    best_r = dict(zip(vocab_r, best_cosines(vec_r, vec_p)))
+    precision = sum(best_p[t] for t in pred_tokens) / len(pred_tokens)
+    recall = sum(best_r[t] for t in ref_tokens) / len(ref_tokens)
     precision = (precision + 1.0) / 2.0
     recall = (recall + 1.0) / 2.0
     if precision + recall == 0.0:

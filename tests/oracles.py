@@ -162,6 +162,22 @@ def rouge1_oracle(pred_tokens, ref_tokens):
     return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
+def embed_match_f1_oracle(pred_tokens, ref_tokens, provider):
+    """Greedy-matching embedding F1 as a plain double loop: every token
+    embedded, every pair scored with ``cosine``, summed in token order."""
+    from nsplan.embeddings import cosine, embed
+
+    vec_p = [embed(provider, t) for t in pred_tokens]
+    vec_r = [embed(provider, t) for t in ref_tokens]
+    precision = sum(max(cosine(p, r) for r in vec_r) for p in vec_p) / len(vec_p)
+    recall = sum(max(cosine(r, p) for p in vec_p) for r in vec_r) / len(vec_r)
+    precision = (precision + 1.0) / 2.0
+    recall = (recall + 1.0) / 2.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
 def transport_vertex_oracle(supply, demand, cost):
     """Exact minimum transport cost by enumerating basic feasible solutions.
 

@@ -2,11 +2,13 @@
 
 The package root ``__init__.py`` imports nothing: every name has one import
 path, its module's, and importing one pipeline module loads only what that
-module needs (the planner never pulls in the metrics module or scipy).
+module needs (the planner and the CLI never pull in the metrics module or
+scipy; ``nsplan eval`` imports them when it runs).
 Only ``_files.py`` opens files (one module reads and writes every file),
 only ``cli.py`` prints (library code writes nothing to stdout), within
-``embeddings.py`` only ``embed`` and ``cosine`` take a norm (providers hand
-out raw vectors, and ``embed`` alone normalizes them), only ``embed`` (and
+``embeddings.py`` only ``embed``, ``cosine`` and ``best_cosines`` take a
+norm (providers hand out raw vectors, ``embed`` alone normalizes them, and
+the two cosine paths share one arithmetic given the norms), only ``embed`` (and
 the table's hash fallback) calls a provider's own ``.embed``, so no caller
 skips the memo or the vector contract, and every parameter
 with a default is set by some call in the program (an option that only
@@ -90,14 +92,14 @@ def test_the_package_root_imports_nothing():
 
 def test_pipeline_modules_load_neither_metrics_nor_scipy():
     code = (
-        "import sys, nsplan.kg, nsplan.planner, nsplan.causal; "
+        "import sys, nsplan.kg, nsplan.planner, nsplan.causal, nsplan.cli; "
         "print(sorted(m for m in ('scipy', 'nsplan.metrics') if m in sys.modules))"
     )
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]", f"a fresh import of kg, planner and causal loaded {proc.stdout.strip()}"
+    assert proc.stdout.strip() == "[]", f"a fresh import of kg, planner, causal and cli loaded {proc.stdout.strip()}"
 
 
 @pytest.mark.parametrize("name, owner", [("open", "_files.py"), ("print", "cli.py")])
@@ -108,9 +110,10 @@ def test_only_the_owner_module_calls(name, owner):
     assert not offenders, f"{name}() is called outside {owner}: {offenders}"
 
 
-def test_only_embed_and_cosine_take_a_norm():
+def test_only_embed_and_the_cosines_take_a_norm():
+    allowed = {"embed", "cosine", "best_cosines"}
     callers = _callers(PACKAGE / "embeddings.py", lambda call: _called(call) == "norm")
-    assert callers <= {"embed", "cosine"}, f"norm() is called outside embed and cosine: {callers - {'embed', 'cosine'}}"
+    assert callers <= allowed, f"norm() is called outside {sorted(allowed)}: {callers - allowed}"
     assert "embed" in callers
 
 

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -143,6 +143,44 @@ class TestWmd:
         assert dac <= dab + dbc + 1e-9
 
 
+class _TokenTable:
+    """Stub provider: one fixed raw vector per token."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.dim = len(next(iter(rows.values())))
+
+    def embed(self, text):
+        return self.rows[text]
+
+
+@st.composite
+def _token_tables(draw):
+    """A seeded dense table over tokens "ta", "tb", ...: after the first
+    token each row is dense, zero, or a copy, negation or rescaling of an
+    earlier one; then two sides drawn from those tokens, repeats allowed."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [rng.standard_normal(dim)]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["dense", "zero", "copy", "negated", "scaled"]))
+        earlier = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.append({
+            "dense": rng.standard_normal(dim),
+            "zero": np.zeros(dim),
+            "copy": earlier.copy(),
+            "negated": -earlier,
+            "scaled": earlier * draw(st.floats(0.25, 8.0)),
+        }[kind])
+    vocab = [f"t{chr(ord('a') + i)}" for i in range(len(rows))]
+    side = st.lists(st.sampled_from(vocab), min_size=1, max_size=12).map(" ".join)
+    return _TokenTable(dict(zip(vocab, rows))), draw(side), draw(side)
+
+
+def _table(**rows):
+    return _TokenTable({t: np.array(v, dtype=np.float64) for t, v in rows.items()})
+
+
 class TestEmbedMatchF1:
     def test_identity_is_one(self, hash_embedder):
         assert embed_match_f1("wash your hair", "wash your hair", hash_embedder) == pytest.approx(
@@ -171,6 +209,24 @@ class TestEmbedMatchF1:
     def test_empty_side_rejected(self, hash_embedder):
         with pytest.raises(ValueError):
             embed_match_f1("", "walk", hash_embedder)
+
+    @given(_token_tables())
+    @example((_table(ta=[1.0, 0.5], tb=[0.3, 1.0], tc=[-1.0, -1.0]), "ta tb ta", "tc tc"))  # all best < 0
+    @example((_table(ta=[1.0] * 5, tb=[3.0] * 5, tc=[0.0] * 5), "ta tc tb", "tb tc tb"))  # clamp ties, a zero row
+    @example((_table(ta=[1.0, 2.0], tb=[2.0, -1.0], tc=[-2.0, 1.0]), "ta", "tb"))  # one token a side
+    @example((_table(ta=[1.0, 2.0], tb=[2.0, -1.0], tc=[-2.0, 1.0]), "tb tc", "ta"))  # exact tie at 0
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_double_loop_oracle(self, case):
+        provider, pred, ref = case
+        want = oracles.embed_match_f1_oracle(tokenize(pred), tokenize(ref), provider)
+        assert embed_match_f1(pred, ref, provider) == want
+
+    @given(SENTENCES, SENTENCES)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_oracle_on_hash_vectors(self, pred, ref):
+        provider = HashEmbedding()
+        want = oracles.embed_match_f1_oracle(tokenize(pred), tokenize(ref), provider)
+        assert embed_match_f1(pred, ref, provider) == want
 
 
 class TestPearson:
