@@ -217,13 +217,11 @@ def _reference_text(sample):
 
 def _versions():
     import numpy
-    import scipy
 
     return {
         "nsplan": __version__,
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
     }
 
 
@@ -311,7 +309,7 @@ def run_eval(config):
     """Score a directory of plan files against the reference dataset,
     aligned by task id. A task that cannot be scored (an empty plan) is
     listed in the report; the exit code is 1 then."""
-    from . import metrics  # scipy.optimize loads for the one command that scores
+    from . import metrics  # only the command that scores loads the metrics module
 
     config.require("predictions", "dataset")
     references = programs.load_task_dataset(config.dataset, fmt=config.format, strict=config.strict)

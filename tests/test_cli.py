@@ -206,7 +206,7 @@ class TestPlanCommand:
         assert manifest["command"] == "plan"
         assert manifest["config"]["theta"] == 0.0
         assert {t["status"] for t in manifest["tasks"]} == {"ok"}
-        assert set(manifest["versions"]) == {"nsplan", "python", "numpy", "scipy"}
+        assert set(manifest["versions"]) == {"nsplan", "python", "numpy"}
 
     @pytest.mark.parametrize("embedding", ["hash", "table"])
     def test_manifest_timing_records_the_embedding_memo(self, tmp_path, embedding):

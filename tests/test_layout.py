@@ -2,8 +2,9 @@
 
 The package root ``__init__.py`` imports nothing: every name has one import
 path, its module's, and importing one pipeline module loads only what that
-module needs (the planner and the CLI never pull in the metrics module or
-scipy; ``nsplan eval`` imports them when it runs).
+module needs (the planner and the CLI never pull in the metrics module;
+``nsplan eval`` imports it when it runs). No module loads scipy, which only
+the tests use.
 Only ``_files.py`` opens files (one module reads and writes every file),
 only ``cli.py`` prints (library code writes nothing to stdout), within
 ``embeddings.py`` only ``embed``, ``cosine`` and ``best_cosines`` take a
@@ -100,6 +101,17 @@ def test_pipeline_modules_load_neither_metrics_nor_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]", f"a fresh import of kg, planner, causal and cli loaded {proc.stdout.strip()}"
+
+
+def test_no_module_loads_scipy():
+    names = ["nsplan"] + [f"nsplan.{p.stem}" for p in MODULES if p.stem != "__init__"]
+    code = f"import importlib, sys; [importlib.import_module(n) for n in {names!r}]; print('scipy' in sys.modules)"
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert {"nsplan.metrics", "nsplan.cli"} <= set(names)
+    assert proc.stdout.strip() == "False", f"a fresh import of {names} loaded scipy"
 
 
 @pytest.mark.parametrize("name, owner", [("open", "_files.py"), ("print", "cli.py")])

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nsplan import metrics
 from nsplan.embeddings import HashEmbedding, cosine, embed
 from nsplan.metrics import (
     METRIC_NAMES,
@@ -155,14 +157,15 @@ class _TokenTable:
 
 
 @st.composite
-def _token_tables(draw):
+def _token_tables(draw, extra_rows=5):
     """A seeded dense table over tokens "ta", "tb", ...: after the first
-    token each row is dense, zero, or a copy, negation or rescaling of an
-    earlier one; then two sides drawn from those tokens, repeats allowed."""
+    token up to ``extra_rows`` rows, each dense, zero, or a copy, negation or
+    rescaling of an earlier one; then two sides drawn from those tokens,
+    repeats allowed."""
     dim = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = [rng.standard_normal(dim)]
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(0, extra_rows))):
         kind = draw(st.sampled_from(["dense", "zero", "copy", "negated", "scaled"]))
         earlier = rows[draw(st.integers(0, len(rows) - 1))]
         rows.append({
@@ -179,6 +182,87 @@ def _token_tables(draw):
 
 def _table(**rows):
     return _TokenTable({t: np.array(v, dtype=np.float64) for t, v in rows.items()})
+
+
+def _circle(**degrees):
+    """Stub provider placing each token on the unit circle at its angle."""
+    return _table(**{t: [math.cos(math.radians(d)), math.sin(math.radians(d))] for t, d in degrees.items()})
+
+
+def _linprog_distance(weights_pred, weights_ref, cost):
+    """The transport optimum by scipy's HiGHS LP solver, an independent check
+    on the simplex. scipy is a test-only dependency, imported here so that
+    importing this module or the oracles loads none of it."""
+    from scipy.optimize import linprog
+
+    m, n = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+    b_eq = np.concatenate([weights_pred, weights_ref])
+    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return float(res.x @ cost.ravel())
+
+
+def _assert_feasible(t):
+    assert np.abs(t.plan.sum(axis=1) - t.weights_pred).max() <= 1e-12
+    assert np.abs(t.plan.sum(axis=0) - t.weights_ref).max() <= 1e-12
+    assert (t.plan >= 0.0).all()
+
+
+class TestTransportSimplex:
+    @pytest.mark.parametrize("bland_after", [metrics.BLAND_AFTER, 0])
+    @given(_token_tables(extra_rows=11))
+    @example((_table(ta=[1, 0, 0], tb=[0, 1, 0], tc=[0, 0, 1], td=[1, 1, 1]), "ta tb", "tc td"))  # equal counts
+    @example((_table(ta=[1, 0], tb=[0, 1], tc=[1, 1], td=[-1, 0]), "ta ta", "tb tc td"))  # 1 x n
+    @example((_table(ta=[1, 0], tb=[0, 1], tc=[1, 1], td=[-1, 0]), "ta tb tc", "td td"))  # m x 1
+    @example((_table(ta=[1, 2], tb=[1, 2], tc=[2, -1], td=[0, 1]), "ta tb tc", "tc td td"))  # duplicate rows, shared tc
+    @example((_circle(ta=0, tb=80, tc=38, td=-40), "ta tb", "tc td"))  # least-cost start not optimal
+    @settings(max_examples=100, deadline=None)
+    def test_distance_matches_linprog(self, bland_after, case):
+        provider, pred, ref = case
+        with mock.patch.object(metrics, "BLAND_AFTER", bland_after):
+            t = wmd_transport(pred, ref, provider)
+        want = _linprog_distance(t.weights_pred, t.weights_ref, t.cost)
+        assert t.distance == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert t.distance == float((t.plan * t.cost).sum())
+        _assert_feasible(t)
+
+    def test_pivots_away_from_a_suboptimal_start(self):
+        # The cheapest cell, ta-tc at 38 degrees, starts the plan and leaves
+        # tb to td at 120 degrees; the optimum crosses over, ta-td and tb-tc.
+        t = wmd_transport("ta tb", "tc td", _circle(ta=0, tb=80, tc=38, td=-40))
+        want = oracles.transport_vertex_oracle(list(t.weights_pred), list(t.weights_ref), t.cost.tolist())
+        start, _ = metrics._least_cost_start([2, 2], [2, 2], t.cost)
+        assert float((start * t.cost).sum()) / 4 > want + 0.4
+        assert t.distance == pytest.approx(want, abs=1e-12)
+        _assert_feasible(t)
+
+    def test_fully_tied_instance_ends_feasible_and_repeats_bit_for_bit(self):
+        # Six words a side, once each, every pair at the same distance: every
+        # cell ties, and all but six of the eleven basic flows are zero.
+        pred, ref = (" ".join(side + c for c in "abcdef") for side in "pr")
+        provider = _table(**{w: [1.0, 0.0] for w in pred.split()}, **{w: [0.0, 1.0] for w in ref.split()})
+        first, second = (wmd_transport(pred, ref, provider) for _ in range(2))
+        for t in (first, second):
+            _assert_feasible(t)
+            assert t.distance == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert first.plan.tobytes() == second.plan.tobytes()
+
+    def test_a_degenerate_run_turns_to_blands_rule(self, monkeypatch):
+        # An assignment problem (every count one) is highly degenerate: on this
+        # 7 x 7 one, with costs in [0, 2] and many ties, the most negative
+        # reduced cost makes BLAND_AFTER degenerate pivots in a row.
+        n = 7
+        cost = np.array([[(i * j + 5 * i + 2 * j) % 17 / 8 for j in range(n)] for i in range(n)])
+        rules = []
+        entering = metrics._entering
+        monkeypatch.setattr(metrics, "_entering", lambda reduced, bland: rules.append(bland) or entering(reduced, bland))
+        flow = metrics._transport_simplex([n] * n, [n] * n, cost)
+        assert True in rules
+        assert (flow.sum(axis=0) == n).all() and (flow.sum(axis=1) == n).all() and (flow >= 0).all()
+        weights = np.full(n, 1.0 / n)
+        want = _linprog_distance(weights, weights, cost)
+        assert float((flow * cost).sum()) / n**2 == pytest.approx(want, rel=1e-9)
 
 
 class TestEmbedMatchF1:
