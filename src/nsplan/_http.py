@@ -1,13 +1,14 @@
-"""Small shared HTTP helper for the remote providers.
+"""The one JSON POST of the remote providers, on the standard library.
 
-Keeps ``requests`` out of every import path: it is only pulled in when a
-remote call actually happens, so the offline test suite never touches it.
-A ``transport`` callable (payload-dict -> (status, body-dict)) can replace
-the real network for tests.
+``post_json`` retries transient failures and returns the decoded body;
+``_send`` makes one attempt with ``urllib.request``. That module is
+imported only when a remote call actually happens, so a run that never
+calls a remote service never loads it.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import time
 
@@ -18,22 +19,25 @@ BACKOFF_S = 0.5
 RETRIES = 3
 
 
-def post_json(endpoint, payload, api_key, timeout, transport):
+def post_json(endpoint, payload, api_key, timeout):
     """POST ``payload`` as JSON and return the decoded JSON body, waiting at
     most ``timeout`` seconds for each attempt.
 
     Retries transient failures (connection errors and 5xx/429 statuses) up
     to RETRIES times, sleeping ``BACKOFF_S * 2**(k-1) * (1 + jitter)``
     seconds before retry k, then raises TransportError carrying the endpoint
-    and last status.
+    and last status. An endpoint that is not an http(s) URL is a
+    TransportError at once.
     """
+    if not endpoint.lower().startswith(("http://", "https://")):
+        raise TransportError("endpoint must be an http:// or https:// URL", endpoint=endpoint)
     rng = random.Random()
     last_error = None
     for attempt in range(RETRIES + 1):
         if attempt:
             time.sleep(BACKOFF_S * (2 ** (attempt - 1)) * (1.0 + rng.random()))
         try:
-            status, body = _send(endpoint, payload, api_key, timeout, transport)
+            status, body = _send(endpoint, payload, api_key, timeout)
         except TransportError as err:
             last_error = err
             continue
@@ -45,26 +49,37 @@ def post_json(endpoint, payload, api_key, timeout, transport):
             continue
         raise err
     raise TransportError(
-        f"gave up after {RETRIES + 1} attempts: {last_error}",
+        f"gave up after {RETRIES + 1} attempts: {last_error.args[0]}",
         endpoint=endpoint,
-        status=getattr(last_error, "status", None),
+        status=last_error.status,
     )
 
 
-def _send(endpoint, payload, api_key, timeout, transport):
-    if transport is not None:
-        return transport(payload)
-    import requests
+def _send(endpoint, payload, api_key, timeout):
+    """One POST: the status and the JSON body, ``{}`` when the body is empty
+    or not JSON. A 4xx or 5xx reply is a status like any other; a malformed
+    URL or header, or a failure to connect or to read the reply, is a
+    TransportError."""
+    import http.client
+    import urllib.error
+    import urllib.request
 
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
+    data = json.dumps(payload).encode("utf-8")
     try:
-        resp = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
-    except requests.RequestException as err:
-        raise TransportError(f"request failed: {err}", endpoint=endpoint)
+        request = urllib.request.Request(endpoint, data=data, headers=headers)
+        try:
+            reply = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as err:
+            reply = err  # an error status still carries its code and body
+        with reply:
+            status, raw = reply.status, reply.read()
+    except (OSError, ValueError, http.client.HTTPException) as err:
+        raise TransportError(f"request failed: {err}", endpoint=endpoint) from None
     try:
-        body = resp.json() if resp.content else {}
+        body = json.loads(raw) if raw else {}
     except ValueError:
         body = {}
-    return resp.status_code, body
+    return status, body

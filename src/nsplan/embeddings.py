@@ -151,16 +151,13 @@ class RemoteEmbedding:
 
     kind = "remote"
 
-    def __init__(self, endpoint, dim, api_key=None, transport=None):
+    def __init__(self, endpoint, dim, api_key=None):
         self.endpoint = endpoint
         self.dim = dim
         self.api_key = api_key
-        self._transport = transport
 
     def embed(self, text):
-        body = _http.post_json(
-            self.endpoint, {"input": [text]}, api_key=self.api_key, timeout=TIMEOUT_S, transport=self._transport
-        )
+        body = _http.post_json(self.endpoint, {"input": [text]}, api_key=self.api_key, timeout=TIMEOUT_S)
         try:
             vec = _vector(body["data"][0]["embedding"])
         except (KeyError, IndexError, TypeError, ValueError, OverflowError):

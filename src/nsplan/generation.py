@@ -163,11 +163,10 @@ class RemoteGenerator:
 
     kind = "remote"
 
-    def __init__(self, endpoint, model, api_key=None, transport=None):
+    def __init__(self, endpoint, model, api_key=None):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self._transport = transport
 
     def next_step(self, request):
         payload = {
@@ -178,13 +177,7 @@ class RemoteGenerator:
             "logprobs": LOGPROBS,
             "stop": list(STOP),
         }
-        body = _http.post_json(
-            self.endpoint,
-            payload,
-            api_key=self.api_key,
-            timeout=TIMEOUT_S,
-            transport=self._transport,
-        )
+        body = _http.post_json(self.endpoint, payload, api_key=self.api_key, timeout=TIMEOUT_S)
         try:
             choice = body["choices"][0]
             text, logprobs = choice["text"], choice.get("logprobs")

@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from nsplan import _files, cli
-from nsplan.errors import ConfigError, TransportError
+from nsplan.errors import ConfigError
 
 
 def _fixture(name):
@@ -345,53 +346,58 @@ class TestPlanCommand:
             else:
                 assert a[name] == b[name]
 
-    def test_transport_failure_records_the_partial_trace(self, tmp_path, monkeypatch):
-        """A TransportError on one task's third prompt fails that task alone,
-        and its manifest entry holds the two iterations that finished."""
+    def test_transport_failure_records_the_partial_trace(self, tmp_path, loopback, sleeps):
+        """A remote service that fails one task's third prompt fails that task
+        alone, at --jobs 1 and 4: its manifest entry holds the give-up message
+        and the two iterations that finished, and every other plan file is
+        byte-equal to the follower generator's."""
         clean = tmp_path / "clean"
         assert cli.main(_plan_argv(clean)) == 0
-        build_generator = cli.build_generator
-        monkeypatch.setattr(cli, "build_generator", lambda config: _FailsOnThirdPrompt(build_generator(config)))
+        endpoint = loopback.serve(_follow_the_prompt)
+        remote = ["--generator", "remote", "--endpoint", endpoint]
         out, serial = tmp_path / "run", tmp_path / "serial"
-        assert cli.main(_plan_argv(out)) == 1
+        assert cli.main(_plan_argv(out, remote)) == 1
         os.rename(out, serial)  # both manifests then echo the same --out
-        assert cli.main(_plan_argv(out, extra=["--jobs", "2"])) == 1
+        assert cli.main(_plan_argv(out, [*remote, "--jobs", "4"])) == 1
 
         expected = _read_tree(clean)
         del expected["manifest.json"]
-        finished = json.loads(expected.pop(f"{_FailsOnThirdPrompt.TASK_ID}.json"))["trace"][:2]
+        finished = json.loads(expected.pop(f"{_FAILING_TASK_ID}.json"))["trace"][:2]
         assert [step["iteration"] for step in finished] == [1, 2]
         manifests = []
         for run in (serial, out):
             tree = _read_tree(run)
             manifest = json.loads(tree.pop("manifest.json"))
             assert tree == expected  # the other plan files are unchanged; the failed task writes none
-            entry = next(e for e in manifest["tasks"] if e["id"] == _FailsOnThirdPrompt.TASK_ID)
+            entry = next(e for e in manifest["tasks"] if e["id"] == _FAILING_TASK_ID)
             assert entry["status"] == "failed"
-            assert entry["error"] == "TransportError: simulated outage endpoint=stub status=503"
+            assert entry["error"] == (
+                f"TransportError: gave up after 4 attempts: service returned 503 endpoint={endpoint} status=503"
+            )
             assert entry["trace"] == finished
             assert {e["status"] for e in manifest["tasks"] if e is not entry} == {"ok"}
             del manifest["timing"]
             manifests.append(manifest)
         a, b = manifests
-        assert (a["config"].pop("jobs"), b["config"].pop("jobs")) == (1, 2)
+        assert (a["config"].pop("jobs"), b["config"].pop("jobs")) == (1, 4)
         assert a == b
 
 
-class _FailsOnThirdPrompt:
-    """A generator that fails on one task's third prompt (two accepted steps
-    in its history) and delegates every other request. The failure depends
-    on the request alone, so it hits the same iteration under any --jobs."""
+_FAILING_TASK_ID = "0000-watch-tv"
 
-    TASK, TASK_ID = "Watch TV", "0000-watch-tv"
 
-    def __init__(self, inner):
-        self.inner = inner
-
-    def next_step(self, request):
-        if request.task == self.TASK and len(request.history) == 2:
-            raise TransportError("simulated outage", endpoint="stub", status=503)
-        return self.inner.next_step(request)
+def _follow_the_prompt(payload):
+    """Answers a completion as the follower generator would: the first
+    "Step:" line of the prompt not yet among its "Step i:" lines, with log
+    probability 0. Watch TV's third prompt (two steps in its history) gets
+    a 503, which depends on the prompt alone, so under any --jobs."""
+    lines = payload["prompt"].split("\n")
+    knowledge = [line[len("Step: "):-1] for line in lines if line.startswith("Step: ")]
+    history = [m.group(1) for line in lines if (m := re.fullmatch(r"Step \d+: (.*)\.", line))]
+    if lines[0] == "Task: Watch TV" and len(history) == 2:
+        return 503, {}
+    text = next((line for line in knowledge if line not in history), "")
+    return 200, {"choices": [{"text": text, "logprobs": {"token_logprobs": [0.0]}}]}
 
 
 class TestEvalCommand:

@@ -1,4 +1,4 @@
-"""Embedding providers: hash determinism, table lookup, remote transport."""
+"""Embedding providers: hash determinism, table lookup, the remote provider over loopback HTTP."""
 
 import json
 import sys
@@ -371,35 +371,33 @@ class TestNonFiniteVectors:
 
 
 class TestRemoteEmbedding:
-    def test_posts_expected_payload(self):
+    def test_posts_expected_payload(self, loopback):
         seen = []
 
-        def transport(payload):
+        def handler(payload):
             seen.append(payload)
             return 200, {"data": [{"embedding": [0.0, 2.0, 0.0]}]}
 
-        provider = RemoteEmbedding("http://svc/embed", dim=3, transport=transport)
+        provider = RemoteEmbedding(loopback.serve(handler, "/embed"), dim=3)
         vec = embed(provider, "watch tv")
         assert seen == [{"input": ["watch tv"]}]
         assert np.array_equal(vec, [0.0, 1.0, 0.0])
 
-    def test_caches_by_exact_text(self):
+    def test_caches_by_exact_text(self, loopback):
         calls = []
 
-        def transport(payload):
+        def handler(payload):
             calls.append(payload["input"][0])
             return 200, {"data": [{"embedding": [1.0, 0.0]}]}
 
-        provider = RemoteEmbedding("http://svc/embed", dim=2, transport=transport)
+        provider = RemoteEmbedding(loopback.serve(handler, "/embed"), dim=2)
         embed(provider, "a")
         embed(provider, "a")
         embed(provider, "b")
         assert calls == ["a", "b"]
 
-    def test_malformed_body_raises_transport_error(self):
-        provider = RemoteEmbedding(
-            "http://svc/embed", dim=2, transport=lambda payload: (200, {"data": []})
-        )
+    def test_malformed_body_raises_transport_error(self, loopback):
+        provider = RemoteEmbedding(loopback.serve(lambda payload: (200, {"data": []}), "/embed"), dim=2)
         with pytest.raises(TransportError):
             provider.embed("x")
 
@@ -408,33 +406,30 @@ class TestRemoteEmbedding:
         [{"a": 1}, "abc", ["3", True], ["3", 1.0], [True, 1.0], [10**400, 1.0]],
         ids=["object", "string", "string-and-bool-entries", "string-entry", "bool-entry", "int-past-float-range"],
     )
-    def test_non_list_embedding_is_a_transport_error_naming_the_endpoint(self, embedding):
-        provider = RemoteEmbedding(
-            "http://svc/embed", dim=2, transport=lambda payload: (200, {"data": [{"embedding": embedding}]})
-        )
+    def test_non_list_embedding_is_a_transport_error_naming_the_endpoint(self, loopback, embedding):
+        endpoint = loopback.serve(lambda payload: (200, {"data": [{"embedding": embedding}]}), "/embed")
+        provider = RemoteEmbedding(endpoint, dim=2)
         with pytest.raises(TransportError, match="data\\[0\\].embedding") as err:
             embed(provider, "x")
-        assert err.value.endpoint == "http://svc/embed"
+        assert err.value.endpoint == endpoint
 
-    def test_wrong_dimension_raises(self):
+    def test_wrong_dimension_raises(self, loopback):
         provider = RemoteEmbedding(
-            "http://svc/embed",
-            dim=4,
-            transport=lambda payload: (200, {"data": [{"embedding": [1.0, 0.0]}]}),
+            loopback.serve(lambda payload: (200, {"data": [{"embedding": [1.0, 0.0]}]}), "/embed"), dim=4
         )
         with pytest.raises(TransportError, match="dimension"):
             provider.embed("x")
 
-    def test_retries_transient_status_then_succeeds(self, sleeps):
+    def test_retries_transient_status_then_succeeds(self, loopback, sleeps):
         attempts = []
 
-        def transport(payload):
+        def handler(payload):
             attempts.append(1)
             if len(attempts) < 3:
                 return 503, {}
             return 200, {"data": [{"embedding": [0.0, 1.0]}]}
 
-        provider = RemoteEmbedding("http://svc/embed", dim=2, transport=transport)
+        provider = RemoteEmbedding(loopback.serve(handler, "/embed"), dim=2)
         assert np.allclose(provider.embed("x"), [0.0, 1.0])
         assert len(attempts) == 3
         assert len(sleeps) == 2
@@ -488,8 +483,8 @@ class TestEmbedMemo:
         assert embed(provider, texts[0]).tobytes() == want[texts[0]]  # dropped by a clear
         assert memo_counts(provider) == {"hits": 1, "misses": 21}
 
-    def test_provider_errors_are_counted_and_not_memoized(self):
-        provider = RemoteEmbedding("http://svc/embed", dim=2, transport=lambda payload: (200, {"data": []}))
+    def test_provider_errors_are_counted_and_not_memoized(self, loopback):
+        provider = RemoteEmbedding(loopback.serve(lambda payload: (200, {"data": []}), "/embed"), dim=2)
         for _ in range(2):
             with pytest.raises(TransportError):
                 embed(provider, "x")

@@ -1,4 +1,4 @@
-"""Generation providers: completion cleanup, mocks, remote transport."""
+"""Generation providers: completion cleanup, mocks, the remote provider over loopback HTTP."""
 
 import json
 import math
@@ -193,14 +193,14 @@ class TestRemote:
             choice["logprobs"] = {"token_logprobs": logprobs}
         return {"choices": [choice]}
 
-    def test_payload_shape(self):
+    def test_payload_shape(self, loopback):
         seen = []
 
-        def transport(payload):
+        def handler(payload):
             seen.append(payload)
             return 200, self._ok_body(logprobs=[-0.1])
 
-        gen = RemoteGenerator("http://svc/v1", model="m1", transport=transport)
+        gen = RemoteGenerator(loopback.serve(handler), model="m1")
         gen.next_step(GenerationRequest("X"))
         assert seen == [
             {
@@ -235,98 +235,89 @@ class TestRemote:
             "neg-inf-entry",
         ],
     )
-    def test_malformed_completion_is_transport_error(self, choice):
+    def test_malformed_completion_is_transport_error(self, loopback, choice):
         body = {"choices": [choice]}
-        gen = RemoteGenerator("http://svc/v1", model="m", transport=lambda p: (200, body))
+        endpoint = loopback.serve(lambda p: (200, body))
+        gen = RemoteGenerator(endpoint, model="m")
         with pytest.raises(TransportError) as err:
             gen.next_step(GenerationRequest("X"))
-        assert err.value.endpoint == "http://svc/v1"
+        assert err.value.endpoint == endpoint
 
     @pytest.mark.parametrize("logprobs", [None, {}, {"token_logprobs": None}, {"token_logprobs": []}])
-    def test_absent_logprobs_flag_confidence_one(self, logprobs):
+    def test_absent_logprobs_flag_confidence_one(self, loopback, logprobs):
         body = {"choices": [{"text": "walk", "logprobs": logprobs}]}
-        gen = RemoteGenerator("http://svc/v1", model="m", transport=lambda p: (200, body))
+        gen = RemoteGenerator(loopback.serve(lambda p: (200, body)), model="m")
         result = gen.next_step(GenerationRequest("X"))
         assert (result.text, result.confidence, result.flagged) == ("walk", 1.0, True)
 
-    def test_confidence_is_exp_mean_logprob(self):
+    def test_confidence_is_exp_mean_logprob(self, loopback):
         logprobs = [-0.5, -1.0, -0.25]
-        gen = RemoteGenerator(
-            "http://svc/v1",
-            model="m",
-            transport=lambda p: (200, self._ok_body(logprobs=logprobs)),
-        )
+        gen = RemoteGenerator(loopback.serve(lambda p: (200, self._ok_body(logprobs=logprobs))), model="m")
         result = gen.next_step(GenerationRequest("X"))
         want = oracles.mean_logprob_confidence_oracle(logprobs)
         assert result.confidence == pytest.approx(want, abs=1e-15)
         assert result.confidence == pytest.approx(math.exp(-1.75 / 3), abs=1e-12)
         assert not result.flagged
 
-    def test_missing_logprobs_flags_confidence_one(self):
-        gen = RemoteGenerator(
-            "http://svc/v1", model="m", transport=lambda p: (200, self._ok_body())
-        )
+    def test_missing_logprobs_flags_confidence_one(self, loopback):
+        gen = RemoteGenerator(loopback.serve(lambda p: (200, self._ok_body())), model="m")
         result = gen.next_step(GenerationRequest("X"))
         assert result.confidence == 1.0
         assert result.flagged
 
-    def test_cleans_raw_completion(self):
-        gen = RemoteGenerator(
-            "http://svc/v1",
-            model="m",
-            transport=lambda p: (
-                200,
-                self._ok_body(text="Step 2: sit on sofa. Then nap.", logprobs=[-0.1]),
-            ),
-        )
+    def test_cleans_raw_completion(self, loopback):
+        body = self._ok_body(text="Step 2: sit on sofa. Then nap.", logprobs=[-0.1])
+        gen = RemoteGenerator(loopback.serve(lambda p: (200, body)), model="m")
         assert gen.next_step(GenerationRequest("X")).text == "sit on sofa"
 
-    def test_retries_then_succeeds(self, sleeps):
+    def test_retries_then_succeeds(self, loopback, sleeps):
         calls = []
 
-        def transport(payload):
+        def handler(payload):
             calls.append(1)
             if len(calls) < 3:
-                return 429, {}
+                return (429, {}) if len(calls) == 1 else (502, {"error": "busy"})
             return 200, self._ok_body(logprobs=[-0.2])
 
-        gen = RemoteGenerator("http://svc/v1", model="m", transport=transport)
+        gen = RemoteGenerator(loopback.serve(handler), model="m")
         assert _http.RETRIES >= 2
         assert gen.next_step(GenerationRequest("X")).text == "walk to sofa"
         assert len(calls) == 3
         assert len(sleeps) == 2
         assert all(0.5 * 2**k <= d < 2**k for k, d in enumerate(sleeps))  # retry k+1: [0.5, 1) * 2**k s
 
-    def test_transport_error_after_retries(self, sleeps):
+    def test_transport_error_after_retries(self, loopback, sleeps):
         calls = []
 
-        def transport(payload):
+        def handler(payload):
             calls.append(1)
             return 503, {}
 
-        gen = RemoteGenerator("http://svc/v1", model="m", transport=transport)
+        endpoint = loopback.serve(handler)
+        gen = RemoteGenerator(endpoint, model="m")
         with pytest.raises(TransportError) as err:
             gen.next_step(GenerationRequest("X"))
         assert err.value.status == 503
+        assert str(err.value) == f"gave up after 4 attempts: service returned 503 endpoint={endpoint} status=503"
         assert len(calls) == _http.RETRIES + 1 and len(sleeps) == _http.RETRIES
         assert all(0.5 * 2**k <= d < 2**k for k, d in enumerate(sleeps))  # retry k+1: [0.5, 1) * 2**k s
 
-    def test_non_retryable_status_raises_immediately(self):
+    def test_non_retryable_status_raises_immediately(self, loopback, sleeps):
         calls = []
 
-        def transport(payload):
+        def handler(payload):
             calls.append(1)
-            return 401, {}
+            return 401, {"error": "no key"}
 
-        gen = RemoteGenerator("http://svc/v1", model="m", transport=transport)
-        with pytest.raises(TransportError):
+        endpoint = loopback.serve(handler)
+        gen = RemoteGenerator(endpoint, model="m")
+        with pytest.raises(TransportError) as err:
             gen.next_step(GenerationRequest("X"))
-        assert len(calls) == 1
+        assert len(calls) == 1 and sleeps == []
+        assert str(err.value) == f"service returned 401 endpoint={endpoint} status=401"
 
-    def test_malformed_body_raises(self):
-        gen = RemoteGenerator(
-            "http://svc/v1", model="m", transport=lambda p: (200, {"choices": []})
-        )
+    def test_malformed_body_raises(self, loopback):
+        gen = RemoteGenerator(loopback.serve(lambda p: (200, {"choices": []})), model="m")
         with pytest.raises(TransportError, match="choices"):
             gen.next_step(GenerationRequest("X"))
 

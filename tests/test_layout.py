@@ -4,7 +4,8 @@ The package root ``__init__.py`` imports nothing: every name has one import
 path, its module's, and importing one pipeline module loads only what that
 module needs (the planner and the CLI never pull in the metrics module;
 ``nsplan eval`` imports it when it runs). No module loads scipy, which only
-the tests use.
+the tests use, nor an HTTP client: only ``_http.py`` imports ``urllib``,
+``http`` or ``socket``, and only inside the one function that sends.
 Only ``_files.py`` opens files (one module reads and writes every file),
 only ``cli.py`` prints (library code writes nothing to stdout), within
 ``embeddings.py`` only ``embed``, ``cosine`` and ``best_cosines`` take a
@@ -29,14 +30,13 @@ PACKAGE = ROOT / "src" / "nsplan"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # the program: the package, the benchmark harness and the demos
 PROGRAM = sorted(p for d in ("src", "perfbench", "demos") for p in (ROOT / d).rglob("*.py"))
-# parameters no program call sets, by (function, parameter): the test seams
-# of the remote providers, and InputError's line number, which read_lines
-# passes through the ``error`` callable it is given
+# parameters no program call sets, by (function, parameter): InputError's
+# line number, which read_lines passes through the ``error`` callable it is
+# given
 UNCALLED_BY_DESIGN = {
-    ("RemoteGenerator.__init__", "transport"),
-    ("RemoteEmbedding.__init__", "transport"),
     ("InputError.__init__", "line_no"),
 }
+NETWORK_MODULES = {"urllib", "http", "socket"}
 
 
 def _called(node):
@@ -104,14 +104,33 @@ def test_pipeline_modules_load_neither_metrics_nor_scipy():
 
 
 def test_no_module_loads_scipy():
+    """Nor an HTTP client: ``_http`` imports ``urllib.request`` only when it sends."""
     names = ["nsplan"] + [f"nsplan.{p.stem}" for p in MODULES if p.stem != "__init__"]
-    code = f"import importlib, sys; [importlib.import_module(n) for n in {names!r}]; print('scipy' in sys.modules)"
+    loaded = "sorted(m for m in ('scipy', 'urllib.request', 'requests') if m in sys.modules)"
+    code = f"import importlib, sys; [importlib.import_module(n) for n in {names!r}]; print({loaded})"
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert {"nsplan.metrics", "nsplan.cli"} <= set(names)
-    assert proc.stdout.strip() == "False", f"a fresh import of {names} loaded scipy"
+    assert proc.stdout.strip() == "[]", f"a fresh import of {names} loaded {proc.stdout.strip()}"
+
+
+def test_only_http_imports_the_network():
+    offenders = {}
+    for path in MODULES:
+        if path.name == "_http.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in NETWORK_MODULES for name in names):
+                offenders.setdefault(path.name, []).append(node.lineno)
+    assert not offenders, f"modules other than _http.py import {sorted(NETWORK_MODULES)}: {offenders}"
 
 
 @pytest.mark.parametrize("name, owner", [("open", "_files.py"), ("print", "cli.py")])
@@ -189,3 +208,9 @@ def test_every_defaulted_parameter_has_a_caller():
         if not any(_sets(call, parameter, position) for call in calls.get(called, ()))
     }
     assert uncalled - UNCALLED_BY_DESIGN == set(), "parameters that no call in src/, perfbench/ or demos/ sets"
+
+
+def test_every_uncalled_by_design_entry_names_a_defaulted_parameter():
+    defaulted = {(qualname, parameter) for path in MODULES for qualname, _, parameter, _ in _defaulted_parameters(path)}
+    stale = UNCALLED_BY_DESIGN - defaulted
+    assert not stale, f"UNCALLED_BY_DESIGN names parameters that are gone or have no default: {stale}"

@@ -215,8 +215,10 @@ class TestPlanLoop:
             assert entry["effective_confidence"] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("logprobs", [None, [-0.01]])
-    def test_trace_records_a_defaulted_confidence(self, tv_graph, household_admissible, hash_embedder, logprobs):
-        def transport(payload):
+    def test_trace_records_a_defaulted_confidence(
+        self, tv_graph, household_admissible, hash_embedder, loopback, logprobs
+    ):
+        def handler(payload):
             choice = {"text": "walk to sofa"}
             if logprobs is not None:
                 choice["logprobs"] = {"token_logprobs": logprobs}
@@ -226,7 +228,7 @@ class TestPlanLoop:
             "Watch TV",
             tv_graph,
             household_admissible,
-            RemoteGenerator("http://svc/v1", model="m", transport=transport),
+            RemoteGenerator(loopback.serve(handler), model="m"),
             hash_embedder,
             config=PlannerConfig(theta=0.0, max_steps=3, cos_keep_threshold=-1.0, edge_threshold=0.0),
         )
