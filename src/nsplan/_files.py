@@ -12,18 +12,20 @@ from __future__ import annotations
 import json
 import os
 
+from .errors import InputError
 
-def read_lines(source, parse, error, bad=None):
+
+def read_lines(source, parse, bad=None):
     """Yield ``parse(line)`` for each nonblank line of ``source``: a path,
     or an iterable of str or bytes lines (an open file's name is reported).
 
     A line that is not UTF-8, or whose parse raises ValueError, KeyError,
-    TypeError, OverflowError or RecursionError, becomes ``error(message,
-    line_no)``: raised when ``bad`` is None, appended to ``bad`` otherwise.
+    TypeError, OverflowError or RecursionError, becomes an InputError naming
+    the file and line: raised when ``bad`` is None, appended to it otherwise.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            yield from read_lines(fh, parse, error, bad)
+            yield from read_lines(fh, parse, bad)
         return
     name = getattr(source, "name", None)
     where = "line" if name is None else f"{name}, line"
@@ -35,7 +37,7 @@ def read_lines(source, parse, error, bad=None):
             value = parse(line)
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as err:
             reason = f"missing field {err}" if isinstance(err, KeyError) else err
-            err = error(f"{where} {line_no}: {reason}", line_no)
+            err = InputError(f"{where} {line_no}: {reason}", line_no)
             if bad is None:
                 raise err from None
             bad.append(err)

@@ -26,8 +26,8 @@ def post_json(endpoint, payload, api_key, timeout):
     Retries transient failures (connection errors and 5xx/429 statuses) up
     to RETRIES times, sleeping ``BACKOFF_S * 2**(k-1) * (1 + jitter)``
     seconds before retry k, then raises TransportError carrying the endpoint
-    and last status. An endpoint that is not an http(s) URL is a
-    TransportError at once.
+    and last status. An endpoint that is not an http(s) URL, or a request
+    that cannot be built, is a TransportError at once.
     """
     if not endpoint.lower().startswith(("http://", "https://")):
         raise TransportError("endpoint must be an http:// or https:// URL", endpoint=endpoint)
@@ -41,6 +41,8 @@ def post_json(endpoint, payload, api_key, timeout):
         except TransportError as err:
             last_error = err
             continue
+        except ValueError as err:  # no retry can mend the request
+            raise TransportError(f"request cannot be sent: {err}", endpoint=endpoint) from None
         if status == 200:
             return body
         err = TransportError(f"service returned {status}", endpoint=endpoint, status=status)
@@ -57,15 +59,17 @@ def post_json(endpoint, payload, api_key, timeout):
 
 def _send(endpoint, payload, api_key, timeout):
     """One POST: the status and the JSON body, ``{}`` when the body is empty
-    or not JSON. A 4xx or 5xx reply is a status like any other; a malformed
-    URL or header, or a failure to connect or to read the reply, is a
-    TransportError."""
+    or not JSON. A 4xx or 5xx reply is a status like any other; a failure to
+    connect or to read the reply is a TransportError, and a malformed URL or
+    API key a ValueError whose message holds no header value."""
     import http.client
     import urllib.error
     import urllib.request
 
     headers = {"Content-Type": "application/json"}
     if api_key:
+        if not all(" " <= c <= "~" for c in api_key):  # http.client would echo the whole header
+            raise ValueError("the API key holds a character that is not printable ASCII")
         headers["Authorization"] = f"Bearer {api_key}"
     data = json.dumps(payload).encode("utf-8")
     try:
@@ -76,7 +80,9 @@ def _send(endpoint, payload, api_key, timeout):
             reply = err  # an error status still carries its code and body
         with reply:
             status, raw = reply.status, reply.read()
-    except (OSError, ValueError, http.client.HTTPException) as err:
+    except http.client.InvalidURL as err:  # a malformed URL, as urllib's own ValueErrors are
+        raise ValueError(str(err)) from None
+    except (OSError, http.client.HTTPException) as err:
         raise TransportError(f"request failed: {err}", endpoint=endpoint) from None
     try:
         body = json.loads(raw) if raw else {}

@@ -307,8 +307,8 @@ def _read_prediction(path):
 
 def run_eval(config):
     """Score a directory of plan files against the reference dataset,
-    aligned by task id. A task that cannot be scored (an empty plan) is
-    listed in the report; the exit code is 1 then."""
+    aligned by task id. A task that cannot be scored (an empty plan or an
+    unrenderable reference) is listed in the report; the exit code is 1 then."""
     from . import metrics  # only the command that scores loads the metrics module
 
     config.require("predictions", "dataset")
@@ -340,11 +340,13 @@ def run_eval(config):
         raise ValueError("task id mismatch: " + "; ".join(parts))
 
     embedder = build_embedder(config)
-    rows = [
-        (tid, metrics.plan_text(pred_by_id[tid]), _reference_text(ref_by_id[tid]))
-        for tid in sorted(pred_by_id)
-    ]
-    report = metrics.evaluate_corpus(rows, embedder)
+    rows, unrenderable = [], []
+    for tid in sorted(pred_by_id):
+        try:
+            rows.append((tid, metrics.plan_text(pred_by_id[tid]), _reference_text(ref_by_id[tid])))
+        except ValueError as err:  # a reference step with no natural template
+            unrenderable.append((tid, err))
+    report = metrics.evaluate_corpus(rows, embedder, unrenderable)
     os.makedirs(config.out, exist_ok=True)
     _write_json(os.path.join(config.out, "report.json"), report.to_json())
     table = report.to_table()
@@ -514,7 +516,7 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, ValueError, RuntimeError, KeyError) as err:
+    except (OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED
 

@@ -111,7 +111,7 @@ class TableEmbedding:
 
     def __init__(self, path):
         self.dim = 0
-        self._table = dict(read_lines(path, self._row, InputError))
+        self._table = dict(read_lines(path, self._row))
         if not self._table:
             raise InputError(f"{path}: embedding table is empty")
         self._fallback = HashEmbedding(dim=self.dim)

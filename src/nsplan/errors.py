@@ -1,9 +1,10 @@
 """Exception types shared across more than one module.
 
 ``InputError`` is the one type for a bad input file, whichever reader
-finds it (graph, task dataset, embedding table, generator fixture); its
-message names the file and, for a line file, the line. A bad config file
-or admissible set is a ``ConfigError`` instead: the run cannot be set up.
+finds it (graph, task dataset, embedding table, generator fixture, even one
+with no response for a prompt); its message names the file and, for a line
+file, the line. A bad config file or admissible set is a ``ConfigError``:
+the run cannot be set up. None is a ``KeyError``, which prints quoted.
 """
 
 

@@ -9,7 +9,7 @@ providers exist so the whole planning loop runs offline and reproducibly:
   step history has not used yet, with a configured confidence schedule.
 * scripted mock: looks responses up by a stable fingerprint of the exact
   rendered prompt bytes (FNV-1a, 64-bit, lowercase hex; also described in
-  the README).
+  the README); a miss is an InputError naming the fixture and fingerprint.
 
 Only the scripted and remote providers read the rendered text; this module
 is the one place that knows the "Task:"/"Step:"/"Step i:" format. The remote
@@ -36,13 +36,6 @@ LOGPROBS = 1
 TIMEOUT_S = 60.0
 
 _STEP_PREFIX_RE = re.compile(r"^\s*step\s*\d*\s*:\s*", re.IGNORECASE)
-
-
-class FixtureMissError(KeyError):
-    def __init__(self, fingerprint, prompt):
-        head = prompt[:80].replace("\n", "\\n")
-        super().__init__(f"no scripted response for fingerprint {fingerprint} (prompt: {head}...)")
-        self.fingerprint = fingerprint
 
 
 @dataclass(frozen=True)
@@ -127,11 +120,12 @@ class KnowledgeFollowerGenerator:
 class ScriptedGenerator:
     """Fixture-backed provider: a JSON object mapping prompt fingerprint to
     {"text": str, "confidence": number in [0, 1]}. Every entry is checked
-    once, at load; a miss is an error, never a silent default."""
+    once, at load; a miss is an InputError, never a silent default."""
 
     kind = "scripted"
 
     def __init__(self, path):
+        self.path = path
         responses = read_json(path, InputError)
         if not isinstance(responses, dict):
             raise InputError(f"{path}: a generator fixture must hold a JSON object")
@@ -148,7 +142,8 @@ class ScriptedGenerator:
         fp = prompt_fingerprint(request.prompt)
         result = self._results.get(fp)
         if result is None:
-            raise FixtureMissError(fp, request.prompt)
+            head = request.prompt[:80].replace("\n", "\\n")
+            raise InputError(f"{self.path}: no scripted response for fingerprint {fp} (prompt: {head}...)")
         return result
 
 

@@ -29,7 +29,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from ._files import read_lines
-from .errors import InputError
 
 log = logging.getLogger(__name__)
 
@@ -199,10 +198,9 @@ def _parse_tsv_line(line):
 
 def _parse_jsonl_line(line):
     obj = json.loads(line)
-    try:
-        head, relation, tail, weight = obj["head"], obj["relation"], obj["tail"], obj["weight"]
-    except (KeyError, TypeError):
-        raise ValueError(f"object missing head/relation/tail/weight: {line!r}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    head, relation, tail, weight = obj["head"], obj["relation"], obj["tail"], obj["weight"]
     if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)):
         raise ValueError(f"head, relation and tail must be strings: {line!r}")
     return Triplet(head, relation, tail, _weight(weight))
@@ -227,7 +225,7 @@ def ingest(source, fmt="conceptnet-tsv", strict=False):
     stats = IngestStats()
     triplets = []
     bad = []
-    for t in read_lines(source, parse, InputError, None if strict else bad):
+    for t in read_lines(source, parse, None if strict else bad):
         if t is None:
             stats.dropped_language += 1
             continue

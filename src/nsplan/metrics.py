@@ -365,18 +365,20 @@ def evaluate_pair(pred, ref, provider):
     }
 
 
-def evaluate_corpus(samples, provider):
+def evaluate_corpus(samples, provider, failed=()):
     """samples: iterable of (sample_id, predicted text, reference text). A
-    pair that cannot be scored (an empty side) is recorded in ``failed``;
-    means cover the scored pairs and are empty when none was scored."""
-    per_sample, failed = [], []
+    pair that cannot be scored (an empty side) is recorded in ``failed``,
+    after the (sample_id, error) pairs the caller could not build; means
+    cover the scored pairs and are empty when none was scored."""
+    per_sample, errors = [], list(failed)
     for sample_id, pred, ref in samples:
         try:
             per_sample.append({"id": sample_id, **evaluate_pair(pred, ref, provider)})
         except ValueError as err:
-            failed.append({"id": sample_id, "error": f"{type(err).__name__}: {err}"})
-    if not per_sample and not failed:
+            errors.append((sample_id, err))
+    if not per_sample and not errors:
         raise ValueError("no samples to evaluate")
     n = len(per_sample)
     means = {m: sum(r[m] for r in per_sample) / n for m in METRIC_NAMES} if n else {}
-    return MetricReport(tuple(per_sample), means, n, tuple(failed))
+    rows = tuple({"id": sample_id, "error": f"{type(err).__name__}: {err}"} for sample_id, err in errors)
+    return MetricReport(tuple(per_sample), means, n, rows)

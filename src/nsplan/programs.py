@@ -17,7 +17,6 @@ from functools import lru_cache, partial
 from importlib import resources
 
 from ._files import read_lines
-from .errors import InputError
 
 log = logging.getLogger(__name__)
 
@@ -154,7 +153,7 @@ def render_step(step, style="dataset"):
     pattern = templates.get(key)
     if pattern is None:
         known = ", ".join(sorted(templates))
-        raise KeyError(f"no natural template for action {step.action!r}; known actions: {known}")
+        raise ValueError(f"no natural template for action {step.action!r}; known actions: {known}")
     obj = step.object.lower().replace("_", " ")
     return pattern.format(object=obj)
 
@@ -195,7 +194,7 @@ def load_task_dataset(path, fmt="robothow-jsonl", strict=True):
         raise ValueError(f"unknown dataset format {fmt!r}")
     bad = []
     parse = partial(_parse_line, builders[fmt])
-    samples = list(read_lines(path, parse, InputError, None if strict else bad))
+    samples = list(read_lines(path, parse, None if strict else bad))
     for err in bad:
         log.warning("skipping dataset line: %s", err)
     return samples

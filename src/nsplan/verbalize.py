@@ -2,7 +2,7 @@
 
 Each household relation (``kg.HOUSEHOLD_RELATIONS``) owns one template rule
 with a phase in ``DEFAULT_RULES``, the only rule table; a triplet of any
-other relation raises UnmappedRelationError. Lines come out grouped by
+other relation is a ValueError naming it. Lines come out grouped by
 phase (Prerequisite, Body, Subevent, LastSubevent) and ordered by adapted
 weight within a phase. Rules marked recursive additionally expand the tail
 node's own prerequisite/subevent triplets depth-first.
@@ -23,12 +23,6 @@ from dataclasses import dataclass
 from .kg import adapted_sort_key, surface
 
 PHASES = ("Prerequisite", "Body", "Subevent", "LastSubevent")
-
-
-class UnmappedRelationError(KeyError):
-    def __init__(self, relation):
-        super().__init__(f"no symbolic rule for relation {relation!r}")
-        self.relation = relation
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ DEFAULT_RULES = {r[0]: SymbolicRule(*r) for r in (
 def verbalize_triplet(triplet):
     rule = DEFAULT_RULES.get(triplet.relation)
     if rule is None:
-        raise UnmappedRelationError(triplet.relation)
+        raise ValueError(f"no symbolic rule for relation {triplet.relation!r}")
     return rule.template.format(head=surface(triplet.head), tail=surface(triplet.tail))
 
 
@@ -71,7 +65,7 @@ def build_knowledge_prompt(triplets, max_depth=3):
     ordered = sorted(triplets, key=adapted_sort_key)
     for t in ordered:
         if t.relation not in DEFAULT_RULES:
-            raise UnmappedRelationError(t.relation)
+            raise ValueError(f"no symbolic rule for relation {t.relation!r}")
 
     children = {}
     for t in ordered:

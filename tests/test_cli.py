@@ -286,6 +286,41 @@ class TestPlanCommand:
         assert statuses == {"failed"}
         assert "failed" in capsys.readouterr().err
 
+    def test_scripted_miss_names_the_fixture_and_fingerprint(self, tmp_path):
+        """A graph with no concept of the task leaves the prompt at its task line."""
+        graph = tmp_path / "graph.jsonl"
+        graph.write_text('{"head": "bake_bread", "relation": "HasSubevent", "tail": "knead dough", "weight": 1.0}\n')
+        dataset = tmp_path / "tasks.jsonl"
+        dataset.write_text('{"task": "Watch TV", "steps": ["[Walk] <SOFA> (1)"]}\n')
+        fixture = tmp_path / "responses.json"
+        fixture.write_text("{}")
+        out = tmp_path / "run"
+        argv = [
+            "plan", "--graph", str(graph), "--graph-format", "jsonl", "--dataset", str(dataset),
+            "--admissible", _fixture("admissible_household.json"), "--out", str(out),
+            "--generator", "scripted", "--generator-fixture", str(fixture),
+        ]
+        assert cli.main(argv) == 1
+        [entry] = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert entry["error"] == (
+            f"InputError: {fixture}: no scripted response for fingerprint d72129fe18273be5 (prompt: Task: Watch TV...)"
+        )
+
+    def test_an_api_key_no_header_can_carry_fails_once_and_is_not_written(
+        self, tmp_path, capsys, monkeypatch, loopback, sleeps
+    ):
+        monkeypatch.setenv("NSPLAN_API_KEY", "sk-sec\nret")
+        endpoint = loopback.serve(lambda payload: (200, {}))
+        out = tmp_path / "run"
+        assert cli.main(_plan_argv(out, ["--generator", "remote", "--endpoint", endpoint])) == 1
+        manifest = (out / "manifest.json").read_text()
+        tasks = json.loads(manifest)["tasks"]
+        reason = "the API key holds a character that is not printable ASCII"
+        assert {t["error"] for t in tasks} == {f"TransportError: request cannot be sent: {reason} endpoint={endpoint}"}
+        err = capsys.readouterr().err
+        assert not [word for word in ("sk-sec", "Bearer") if word in manifest or word in err]
+        assert (sleeps, loopback.headers) == ([], [])
+
     @pytest.mark.parametrize("failure", ["rename", "write"])
     def test_failed_write_keeps_the_previous_plan_file(self, tmp_path, monkeypatch, failure):
         out = tmp_path / "run"
@@ -503,6 +538,26 @@ class TestEvalCommand:
         assert "nonempty" in report["failed"][0]["error"]
         assert "0001-work" in (out / "report.txt").read_text()
         assert "failed 0001-work" in capsys.readouterr().err
+
+    def test_unrenderable_reference_is_listed_and_the_rest_scored(self, tmp_path, capsys):
+        dataset = tmp_path / "tasks.jsonl"
+        dataset.write_text(
+            '{"task": "Watch TV", "steps": ["[Walk] <TELEVISION> (1)", "[Dance] <TV> (1)"]}\n'
+            '{"task": "Work", "steps": ["[Walk] <HOME_OFFICE> (1)", "[Sit] <CHAIR> (1)"]}\n'
+        )
+        preds = tmp_path / "preds"
+        self._write_predictions(preds, {"0000-watch-tv": ["walk to television"], "0001-work": ["walk to home office"]})
+        out = tmp_path / "evalout"
+        argv = ["eval", "--predictions", str(preds), "--dataset", str(dataset), "--out", str(out)]
+        assert cli.main(argv) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert [row["id"] for row in report["per_sample"]] == ["0001-work"]
+        [failed] = report["failed"]
+        assert failed["id"] == "0000-watch-tv"
+        assert failed["error"].startswith("ValueError: no natural template for action 'Dance'; known actions: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"  failed 0000-watch-tv: {failed['error']}")
+        assert "error:" not in err
 
     def test_id_mismatch_lists_both_directions(self, tmp_path, capsys):
         preds = tmp_path / "preds"
@@ -769,10 +824,13 @@ def test_bad_admissible_document_is_exit_2(tmp_path, capsys, argv, document):
 
 
 def test_unmapped_relation_is_exit_1(monkeypatch, capsys):
-    from nsplan.verbalize import UnmappedRelationError
+    """Ingest keeps only household relations, so the triplet reaches the
+    verbalizer through a stand-in for the knowledge step."""
+    from nsplan.kg import AdaptedTriplet
+    from nsplan.verbalize import build_knowledge_prompt
 
     def unmapped(*args, **kwargs):
-        raise UnmappedRelationError("RelatedTo")
+        return build_knowledge_prompt((AdaptedTriplet("tv", "RelatedTo", "sofa", 1.0, 1.0),))
 
     monkeypatch.setattr(cli.planner, "knowledge_for_task", unmapped)
     argv = [
@@ -780,13 +838,16 @@ def test_unmapped_relation_is_exit_1(monkeypatch, capsys):
         "--graph-format", "jsonl", "--admissible", _fixture("admissible_household.json"),
     ]
     assert cli.main(argv) == 1
-    assert "no symbolic rule for relation 'RelatedTo'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: no symbolic rule for relation 'RelatedTo'\n"
 
 
 class TestEntryPoint:
     def test_console_script_help(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from nsplan.cli import main; sys.exit(main(['frontdoor-check', '--help']))"],
+            env=env,
             capture_output=True,
             text=True,
         )

@@ -10,7 +10,6 @@ import oracles
 from nsplan import _http
 from nsplan.errors import InputError, TransportError
 from nsplan.generation import (
-    FixtureMissError,
     GenerationRequest,
     GenerationResult,
     KnowledgeFollowerGenerator,
@@ -138,10 +137,18 @@ class TestScripted:
         assert result.confidence == 0.7
 
     def test_miss_raises_with_fingerprint(self, tmp_path):
-        gen = ScriptedGenerator(_scripted_fixture(tmp_path, "{}"))
-        with pytest.raises(FixtureMissError) as err:
-            gen.next_step(GenerationRequest("X"))
-        assert err.value.fingerprint == prompt_fingerprint("Task: X")
+        path = _scripted_fixture(tmp_path, "{}")
+        with pytest.raises(InputError) as err:
+            ScriptedGenerator(path).next_step(GenerationRequest("X"))
+        fp = prompt_fingerprint("Task: X")
+        assert str(err.value) == f"{path}: no scripted response for fingerprint {fp} (prompt: Task: X...)"
+
+    def test_miss_message_holds_the_first_80_prompt_characters_on_one_line(self, tmp_path):
+        path = _scripted_fixture(tmp_path, "{}")
+        with pytest.raises(InputError) as err:
+            ScriptedGenerator(path).next_step(REQUEST)
+        head = r"Task: Watch TV\nStep: find remote control.\nStep: switch on television.\nStep: sit "
+        assert str(err.value) == f"{path}: no scripted response for fingerprint {prompt_fingerprint(PROMPT)} (prompt: {head}...)"
 
     def test_integer_confidence_is_a_float(self, tmp_path):
         fp = prompt_fingerprint("Task: Y")

@@ -1,7 +1,7 @@
 """The one HTTP send, driven for real: bodies that are not JSON, request
-headers, a refused connection, a reply slower than the timeout and
-endpoints that are not http URLs. The status handling and retries are
-tested through the providers."""
+headers, a refused connection, a reply slower than the timeout, endpoints
+that are not http URLs and requests that cannot be built. The status
+handling and retries are tested through the providers."""
 
 import errno
 import os
@@ -67,7 +67,28 @@ def test_an_endpoint_that_is_not_http_is_refused_at_once(sleeps, endpoint):
     assert sleeps == []
 
 
-def test_a_malformed_url_is_a_transport_error(sleeps):
+@pytest.mark.parametrize(
+    "endpoint, reason",
+    # urllib raises ValueError for the first, http.client InvalidURL for the second
+    [("http://[127.0.0.1/v1", "Invalid IPv6 URL"), ("http://127.0.0.1:x/v1", "nonnumeric port: 'x'")],
+    ids=["ipv6", "port"],
+)
+def test_a_malformed_url_is_a_transport_error(sleeps, endpoint, reason):
     with pytest.raises(TransportError) as err:
-        _post("http://[127.0.0.1/v1")
-    assert str(err.value) == "gave up after 4 attempts: request failed: Invalid IPv6 URL endpoint=http://[127.0.0.1/v1"
+        _post(endpoint)
+    assert str(err.value) == f"request cannot be sent: {reason} endpoint={endpoint}"
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("api_key", ["sk-sec\nret", "sk-sec\rret", "sk-sec\x00ret", "sk-\u2603"],
+                         ids=["newline", "return", "nul", "not-latin-1"])
+def test_an_api_key_no_header_can_carry_is_refused_at_once_unechoed(loopback, sleeps, api_key):
+    endpoint = loopback.serve(lambda payload: (200, {}))
+    with pytest.raises(TransportError) as err:
+        RemoteGenerator(endpoint, model="m", api_key=api_key).next_step(GenerationRequest("X"))
+    message = str(err.value)
+    assert message == (
+        f"request cannot be sent: the API key holds a character that is not printable ASCII endpoint={endpoint}"
+    )
+    assert "sk-" not in message and "Bearer" not in message
+    assert (sleeps, loopback.headers) == ([], [])

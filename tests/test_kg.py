@@ -161,6 +161,17 @@ class TestIngest:
             assert all(isinstance(field, str) and field for field in t.key)
             assert type(t.weight) is float and 0 < t.weight < math.inf
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [('{"head": "a", "relation": "UsedFor", "tail": "b"}', "missing field 'weight'"),
+         ('["a", "UsedFor", "b", 1.0]', "line is not a JSON object")],
+        ids=["missing-field", "not-an-object"],
+    )
+    def test_a_bad_jsonl_row_names_the_line_and_the_reason(self, line, reason):
+        with pytest.raises(InputError) as err:
+            kg.ingest([jsonl_row("a", "UsedFor", "b", 1.0), line], fmt="jsonl", strict=True)
+        assert (str(err.value), err.value.line_no) == (f"line 2: {reason}", 2)
+
     def test_metadata_without_weight_is_malformed(self):
         line = "/a/x\t/r/UsedFor\t/c/en/a\t/c/en/b\t{}"
         with pytest.raises(InputError):

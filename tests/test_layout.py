@@ -12,12 +12,15 @@ only ``cli.py`` prints (library code writes nothing to stdout), within
 norm (providers hand out raw vectors, ``embed`` alone normalizes them, and
 the two cosine paths share one arithmetic given the norms), only ``embed`` (and
 the table's hash fallback) calls a provider's own ``.embed``, so no caller
-skips the memo or the vector contract, and every parameter
+skips the memo or the vector contract, every parameter
 with a default is set by some call in the program (an option that only
-tests set is a constant or goes).
+tests set is a constant or goes), and no error the package defines or
+raises is a ``LookupError`` (``str(KeyError(m))`` is ``repr(m)``, so its
+message would print quoted).
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -30,12 +33,6 @@ PACKAGE = ROOT / "src" / "nsplan"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # the program: the package, the benchmark harness and the demos
 PROGRAM = sorted(p for d in ("src", "perfbench", "demos") for p in (ROOT / d).rglob("*.py"))
-# parameters no program call sets, by (function, parameter): InputError's
-# line number, which read_lines passes through the ``error`` callable it is
-# given
-UNCALLED_BY_DESIGN = {
-    ("InputError.__init__", "line_no"),
-}
 NETWORK_MODULES = {"urllib", "http", "socket"}
 
 
@@ -207,10 +204,33 @@ def test_every_defaulted_parameter_has_a_caller():
         for qualname, called, parameter, position in _defaulted_parameters(path)
         if not any(_sets(call, parameter, position) for call in calls.get(called, ()))
     }
-    assert uncalled - UNCALLED_BY_DESIGN == set(), "parameters that no call in src/, perfbench/ or demos/ sets"
+    assert uncalled == set(), "parameters that no call in src/, perfbench/ or demos/ sets"
 
 
-def test_every_uncalled_by_design_entry_names_a_defaulted_parameter():
-    defaulted = {(qualname, parameter) for path in MODULES for qualname, _, parameter, _ in _defaulted_parameters(path)}
-    stale = UNCALLED_BY_DESIGN - defaulted
-    assert not stale, f"UNCALLED_BY_DESIGN names parameters that are gone or have no default: {stale}"
+LOOKUP_ERRORS = {"LookupError", "KeyError", "IndexError"}
+
+
+def _raised_lookup_errors(path):
+    """Line numbers of every ``raise KeyError``, ``raise KeyError(...)`` and
+    the like for IndexError and LookupError."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in LOOKUP_ERRORS:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_package_error_is_a_lookup_error():
+    modules = [importlib.import_module(f"nsplan.{p.stem}") for p in MODULES if p.stem != "__init__"]
+    classes = sorted(
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and issubclass(obj, LookupError)
+    )
+    assert not classes, f"package classes that derive from LookupError: {classes}"
+    raised = {p.name: lines for p in MODULES if (lines := _raised_lookup_errors(p))}
+    assert not raised, f"modules that raise a LookupError: {raised}"

@@ -113,10 +113,11 @@ class TestRender:
 
     def test_unknown_action_lists_known(self):
         step = StructuredStep("Teleport", "SOFA", 1)
-        with pytest.raises(KeyError) as err:
+        with pytest.raises(ValueError) as err:
             render_step(step, style="natural")
-        assert "Teleport" in str(err.value)
-        assert "walk" in str(err.value)
+        known = ", ".join(sorted(action_templates()))
+        assert str(err.value) == f"no natural template for action 'Teleport'; known actions: {known}"
+        assert "walk" in known
 
     def test_unknown_style(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from nsplan.verbalize import (
     DEFAULT_RULES,
     PHASES,
     SymbolicRule,
-    UnmappedRelationError,
     build_knowledge_prompt,
     verbalize_triplet,
 )
@@ -54,9 +53,9 @@ class TestTemplates:
         assert len(DEFAULT_RULES) == 9
 
     def test_unmapped_relation(self):
-        with pytest.raises(UnmappedRelationError) as err:
+        with pytest.raises(ValueError) as err:
             verbalize_triplet(_t("a", "DistinctFrom", "b"))
-        assert err.value.relation == "DistinctFrom"
+        assert str(err.value) == "no symbolic rule for relation 'DistinctFrom'"
 
     def test_recursive_relations(self):
         recursive = {r.relation for r in DEFAULT_RULES.values() if r.recursive}
@@ -115,8 +114,9 @@ class TestPromptShape:
         assert list(prompt) == ["wash hair"]
 
     def test_unmapped_relation_in_subgraph(self):
-        with pytest.raises(UnmappedRelationError):
+        with pytest.raises(ValueError) as err:
             build_knowledge_prompt(_sub(_t("a", "RelatedTo", "b")))
+        assert str(err.value) == "no symbolic rule for relation 'RelatedTo'"
 
     def test_empty_subgraph(self):
         assert list(build_knowledge_prompt(_sub())) == []
