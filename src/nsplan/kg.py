@@ -153,9 +153,6 @@ class KnowledgeGraph:
     def __contains__(self, node):
         return node in self._incident
 
-    def __len__(self):
-        return self.edge_count
-
     def neighbors(self, node):
         """All triplets incident to ``node`` (either direction), in (weight
         desc, lexicographic) order. Unknown nodes yield an empty list."""

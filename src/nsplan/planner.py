@@ -12,6 +12,7 @@ threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from . import adaption, entities, kg, verbalize
@@ -44,10 +45,12 @@ class PlannerConfig:
             raise ConfigError(f"hops must be >= 1, got {self.hops}")
         if self.top_k < 0:
             raise ConfigError(f"top_k must be >= 0, got {self.top_k}")
-        if self.edge_threshold < 0:
-            raise ConfigError(f"edge_threshold must be >= 0, got {self.edge_threshold}")
+        if not (math.isfinite(self.edge_threshold) and self.edge_threshold >= 0):
+            raise ConfigError(f"edge_threshold must be a finite number >= 0, got {self.edge_threshold}")
         if self.concept_ratio < 1:
             raise ConfigError(f"concept_ratio must be >= 1, got {self.concept_ratio}")
+        if not math.isfinite(self.cos_keep_threshold):
+            raise ConfigError(f"cos_keep_threshold must be a finite number, got {self.cos_keep_threshold}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,16 +2,20 @@
 
 The structured step line grammar is
 
-    [ ACTION ] WS < OBJECT > WS ( INT )
+    [ ACTION ] WS < OBJECT > WS ( N ) WS
 
-optionally preceded by an index prefix of the form "3." or "Step 3:".
-Action and object text survive parsing verbatim (case included).
+after optional whitespace and an optional index prefix "3.", "3:" or
+"Step 3:" ("step" in any ASCII case). N and the index are ASCII digits, and
+N is at least 1. ACTION runs to the first "]" and OBJECT to the first ">";
+each is stripped of edge whitespace, must not be blank, and keeps its case.
+WS is any run of whitespace, possibly empty.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from importlib import resources
@@ -48,88 +52,49 @@ class TaskSample:
     domain: str = "generic"
 
 
-class _Scanner:
-    def __init__(self, line):
-        self.line = line
-        self.pos = 0
+# An optional "N." / "N:" / "Step N:" prefix, then the step. Each part after
+# "[" is optional and nested in the one before, so a line that does not fit
+# still matches up to its first misfit, and the first absent group names it.
+# "Step" is spelled out per letter because re.I would also take "ſ" for "s";
+# [^\W_] is exactly str.isalnum, so "Steps 3:" is no prefix.
+_STEP = re.compile(
+    r"\s*(?:(?:[Ss][Tt][Ee][Pp](?![^\W_])\s*)?[0-9]+[.:]\s*)?"
+    r"(?P<open>\[(?P<action>[^\]]*)"
+    r"(?P<action_end>\]\s*(?P<lt><(?P<object>[^>]*)"
+    r"(?P<object_end>>\s*(?P<lp>\((?:(?P<instance>[0-9]+)"
+    r"(?P<rp>\)\s*)?)?)?)?)?)?)?"
+)
 
-    def error(self, message):
-        raise StepParseError(message, column=self.pos + 1)
-
-    def eof(self):
-        return self.pos >= len(self.line)
-
-    def peek(self):
-        return "" if self.eof() else self.line[self.pos]
-
-    def skip_ws(self):
-        while not self.eof() and self.line[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def until(self, ch, what):
-        start = self.pos
-        end = self.line.find(ch, start)
-        if end < 0:
-            self.pos = len(self.line)
-            self.error(f"unterminated {what}, expected {ch!r}")
-        text = self.line[start:end]
-        if not text.strip():
-            self.error(f"empty {what}")
-        self.pos = end
-        return text.strip()
-
-    def digits(self, what):
-        start = self.pos
-        while not self.eof() and self.line[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error(f"expected {what}")
-        return int(self.line[start : self.pos])
-
-
-def _skip_index_prefix(sc):
-    """Consume an optional "N." / "N:" / "Step N:" prefix."""
-    sc.skip_ws()
-    mark = sc.pos
-    rest = sc.line[sc.pos :]
-    if rest.lower().startswith("step") and len(rest) > 4 and not rest[4].isalnum():
-        sc.pos += 4
-        sc.skip_ws()
-    start = sc.pos
-    while not sc.eof() and sc.line[sc.pos].isdigit():
-        sc.pos += 1
-    if sc.pos > start and sc.peek() in ".:":
-        sc.pos += 1
-        sc.skip_ws()
-    else:
-        sc.pos = mark
+# In grammar order: each group and the error of a line where it is absent
+# (the column is where the match stopped) or blank (the column is its start).
+_PARTS = (
+    ("open", "expected '['"),
+    ("action_end", "unterminated action, expected ']'"),
+    ("action", "empty action"),
+    ("lt", "expected '<'"),
+    ("object_end", "unterminated object, expected '>'"),
+    ("object", "empty object"),
+    ("lp", "expected '('"),
+    ("instance", "expected instance number"),
+    ("rp", "expected ')'"),
+)
 
 
 def parse_robothow_step(line):
     """Parse one structured step line into a StructuredStep, raising
     StepParseError with a column position on the first mismatch."""
-    sc = _Scanner(line)
-    _skip_index_prefix(sc)
-    sc.expect("[")
-    action = sc.until("]", "action")
-    sc.expect("]")
-    sc.skip_ws()
-    sc.expect("<")
-    obj = sc.until(">", "object")
-    sc.expect(">")
-    sc.skip_ws()
-    sc.expect("(")
-    instance = sc.digits("instance number")
-    sc.expect(")")
-    sc.skip_ws()
-    if not sc.eof():
-        sc.error("trailing text after step")
-    return StructuredStep(action=action, object=obj, instance=instance)
+    m = _STEP.match(line)
+    for group, message in _PARTS:
+        if m[group] is None:
+            raise StepParseError(message, column=m.end() + 1)
+        if not m[group].strip():
+            raise StepParseError(message, column=m.start(group) + 1)
+    if m.end() < len(line):
+        raise StepParseError("trailing text after step", column=m.end() + 1)
+    instance = int(m["instance"])
+    if instance < 1:
+        raise StepParseError("instance must be a positive integer", column=m.start("instance") + 1)
+    return StructuredStep(action=m["action"].strip(), object=m["object"].strip(), instance=instance)
 
 
 @lru_cache(maxsize=1)

@@ -84,6 +84,11 @@ class TestConfigResolution:
             ({"follower_schedule": "1,0.5"}, "follower_schedule"),
             ({"follower_schedule": [1.0, "x"]}, "follower_schedule"),
             ({"graph": 7}, "graph"),
+            # json.dumps writes these as the literals NaN, Infinity and -Infinity
+            ({"edge_threshold": float("nan")}, "edge_threshold"),
+            ({"edge_threshold": float("inf")}, "edge_threshold"),
+            ({"cos_keep_threshold": float("nan")}, "cos_keep_threshold"),
+            ({"cos_keep_threshold": float("-inf")}, "cos_keep_threshold"),
         ],
     )
     def test_config_file_value_of_wrong_type_is_exit_2(self, tmp_path, capsys, payload, key):
@@ -140,10 +145,16 @@ class TestConfigResolution:
             {"embedding": "telepathy"},
             {"jobs": 0},
             {"trials": 0},
+            {"edge_threshold": float("nan")},
+            {"edge_threshold": float("inf")},
+            {"cos_keep_threshold": float("nan")},
+            {"cos_keep_threshold": float("inf")},
+            {"cos_keep_threshold": float("-inf")},
         ],
     )
     def test_invalid_values_are_config_errors(self, payload):
-        with pytest.raises(ConfigError):
+        (field,) = payload
+        with pytest.raises(ConfigError, match=field):
             cli.RunConfig(**payload)
 
     def test_require_names_flag(self):
@@ -256,6 +267,10 @@ class TestPlanCommand:
             ("--follower-schedule", "1.5", "follower_schedule"),
             ("--follower-schedule", ",", "follower_schedule"),
             ("--embedding-dim", "0", "embedding_dim"),
+            ("--edge-threshold", "nan", "edge_threshold"),
+            ("--edge-threshold", "inf", "edge_threshold"),
+            ("--cos-keep-threshold", "nan", "cos_keep_threshold"),
+            ("--cos-keep-threshold", "inf", "cos_keep_threshold"),
         ],
     )
     def test_bad_provider_setting_is_exit_2_naming_it(self, tmp_path, capsys, flag, value, field):

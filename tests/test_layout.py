@@ -16,7 +16,8 @@ skips the memo or the vector contract, every parameter
 with a default is set by some call in the program (an option that only
 tests set is a constant or goes), and no error the package defines or
 raises is a ``LookupError`` (``str(KeyError(m))`` is ``repr(m)``, so its
-message would print quoted).
+message would print quoted), and every module parses as Python 3.10, the
+oldest version ``pyproject.toml`` supports.
 """
 
 import ast
@@ -234,3 +235,15 @@ def test_no_package_error_is_a_lookup_error():
     assert not classes, f"package classes that derive from LookupError: {classes}"
     raised = {p.name: lines for p in MODULES if (lines := _raised_lookup_errors(p))}
     assert not raised, f"modules that raise a LookupError: {raised}"
+
+
+def test_every_module_parses_as_python_3_10():
+    """``pyproject.toml`` promises Python 3.10, so no module may use later
+    syntax such as ``except*`` or a ``type`` statement."""
+    failures = []
+    for path in MODULES:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as err:
+            failures.append(f"{path.name}:{err.lineno}: {err.msg}")
+    assert not failures, f"modules that need a Python newer than 3.10: {failures}"

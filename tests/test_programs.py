@@ -30,6 +30,16 @@ _ROWS = st.builds(
 ).map(lambda line: line.encode("utf-8", "surrogatepass"))
 _NESTED = st.integers(min_value=1, max_value=3000).map(lambda depth: b"[" * depth)
 
+# Pieces of step lines, near misses included: brackets, index prefixes,
+# ASCII and non-ASCII digits and spaces.
+_STEP_FRAGMENTS = [
+    "[", "]", "<", ">", "(", ")", "Step", "step", "Steps", "1", "0", "12", ".", ":",
+    " ", "\t", "\u2003", "\u00b2", "\u0663", "Walk", "TV", "_",
+]
+# An action or object as it survives parsing: not blank, without the
+# closing brackets or edge whitespace.
+_FIELD_TEXT = st.text(st.characters(exclude_characters="]>"), min_size=1).filter(lambda s: s == s.strip())
+
 ACTIONS = ["Walk", "Find", "Grab", "Sit", "SwitchOn", "SwitchOff", "Watch", "LookAt"]
 OBJECTS = ["TELEVISION", "SOFA", "COMPUTER", "HOME_OFFICE", "LIGHT_SWITCH", "CHAIR"]
 
@@ -56,22 +66,33 @@ class TestParse:
         assert parse_robothow_step("[Grab] <PLATE> (12)").instance == 12
 
     @pytest.mark.parametrize(
-        "line,column",
+        "line,column,message",
         [
-            ("[Walk] TELEVISION (1)", 8),  # missing '<'
-            ("Walk] <TELEVISION> (1)", 1),  # missing '['
-            ("[Walk <TELEVISION> (1)", 23),  # unterminated action
-            ("[Walk] <TELEVISION> 1)", 21),  # missing '('
-            ("[Walk] <TELEVISION> (x)", 22),  # non-digit instance
-            ("[Walk] <TELEVISION> (1) extra", 25),  # trailing text
-            ("[] <TELEVISION> (1)", 2),  # empty action
+            ("Walk] <TELEVISION> (1)", 1, "expected '['"),
+            ("[Walk <TELEVISION> (1)", 23, "unterminated action, expected ']'"),
+            ("[] <TELEVISION> (1)", 2, "empty action"),
+            ("[Walk] TELEVISION (1)", 8, "expected '<'"),
+            ("[Walk] <TELEVISION (1)", 23, "unterminated object, expected '>'"),
+            ("[Walk] < \t> (1)", 9, "empty object"),
+            ("[Walk] <TELEVISION> 1)", 21, "expected '('"),
+            ("[Walk] <TELEVISION> (x)", 22, "expected instance number"),
+            ("[Walk] <TELEVISION> (1", 23, "expected ')'"),
+            ("[Walk] <TELEVISION> (1) extra", 25, "trailing text after step"),
+            ("[Walk] <TV> (00)", 14, "instance must be a positive integer"),
+            # digits are ASCII: a superscript or Arabic-Indic digit is no instance
+            ("[Walk] <TV> (\u00b2)", 14, "expected instance number"),
+            ("[Walk] <TV> (\u0663)", 14, "expected instance number"),
+            # nor is a prefix that has a non-ASCII digit or lacks its "." / ":"
+            ("3", 1, "expected '['"),
+            ("Step 3", 1, "expected '['"),
+            ("\u00b2. [Walk] <TV> (1)", 1, "expected '['"),
         ],
     )
-    def test_error_column_positions(self, line, column):
+    def test_error_column_positions(self, line, column, message):
         with pytest.raises(StepParseError) as err:
             parse_robothow_step(line)
         assert err.value.column == column
-        assert f"column {column}" in str(err.value)
+        assert str(err.value) == f"column {column}: {message}"
 
     def test_zero_instance_rejected(self):
         with pytest.raises(ValueError):
@@ -87,6 +108,32 @@ class TestParse:
             )
             line = render_step(step, style="dataset")
             assert parse_robothow_step(line) == step
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_STEP_FRAGMENTS), st.text(max_size=3)), max_size=12).map("".join))
+    def test_any_text_parses_or_names_a_column_inside_it(self, line):
+        try:
+            step = parse_robothow_step(line)
+        except StepParseError as err:
+            assert 1 <= err.column <= len(line) + 1
+        else:
+            assert parse_robothow_step(render_step(step, style="dataset")) == step
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=st.one_of(
+            st.just(""),
+            st.tuples(st.sampled_from(["", "Step ", "step  ", "STEP\t"]), st.integers(0, 999), st.sampled_from(".:"))
+            .map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+        ),
+        space=st.sampled_from(["", " ", "  ", "\t", "\u2003"]),
+        action=_FIELD_TEXT,
+        obj=_FIELD_TEXT,
+        instance=st.integers(1, 10**6),
+    )
+    def test_rendered_step_parses_back_behind_any_index_prefix(self, prefix, space, action, obj, instance):
+        step = StructuredStep(action, obj, instance)
+        assert parse_robothow_step(f"{space}{prefix}{space}{render_step(step, style='dataset')}") == step
 
     def test_round_trip_with_index_prefix(self):
         step = StructuredStep("Watch", "TELEVISION", 1)
