@@ -1,10 +1,11 @@
 """Reading and writing the package's files.
 
 Every input file a caller names is read by ``read_lines`` (one record per
-line) or ``read_json`` (one JSON document), and every output file is
-written by ``write_text``. A bad line or document is reported one way: the
-file, plus the 1-based line of a line file. A lenient reader collects its
-bad lines instead of raising, so one bad line never aborts it.
+line), ``read_jsonl`` (one JSON object per line) or ``read_json`` (one JSON
+document), and every output file is written by ``write_text``. A bad line
+or document is reported one way: the file, plus the 1-based line of a line
+file. A lenient reader collects its bad lines instead of raising, so one
+bad line never aborts it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,19 @@ def read_lines(source, parse, bad=None):
             bad.append(err)
             continue
         yield value
+
+
+def read_jsonl(source, build, bad=None):
+    """``read_lines`` over JSON lines: yield ``build(obj)`` for the JSON
+    object on each line; a line holding any other JSON value is bad."""
+
+    def parse(line):
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError("line is not a JSON object")
+        return build(obj)
+
+    return read_lines(source, parse, bad)
 
 
 def read_json(path, error):

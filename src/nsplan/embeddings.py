@@ -42,7 +42,6 @@ that provider, exactly, under threads too.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import sys
 import threading
@@ -51,7 +50,7 @@ import weakref
 import numpy as np
 
 from . import _http
-from ._files import read_lines
+from ._files import read_jsonl
 from .entities import tokenize
 from .errors import InputError, TransportError
 
@@ -111,15 +110,14 @@ class TableEmbedding:
 
     def __init__(self, path):
         self.dim = 0
-        self._table = dict(read_lines(path, self._row))
+        self._table = dict(read_jsonl(path, self._row))
         if not self._table:
             raise InputError(f"{path}: embedding table is empty")
         self._fallback = HashEmbedding(dim=self.dim)
         self.miss_count = 0
         self._lock = threading.Lock()  # threads of a --jobs run share one provider
 
-    def _row(self, line):
-        obj = json.loads(line)
+    def _row(self, obj):
         text, vector = obj["text"], _vector(obj["vector"])
         if not isinstance(text, str):
             raise ValueError('expected {"text": str, "vector": [number, ...]}')

@@ -1,15 +1,19 @@
 """Rule-based parsing of task names into entity sets.
 
-A small self-contained tagger (closed-class word lists embedded here, an
-open-class lexicon shipped as a data file, suffix fallbacks) feeds a chunker
-with the grammar
+A word is a run of Unicode letters and digits, lowercased, whose runs may be
+joined by interior apostrophes ("don't", "rock'n'roll", "café"). A small
+self-contained tagger (closed-class word lists embedded here, an open-class
+lexicon shipped as a data file, suffix fallbacks) tags each word, and a
+chunker reads the grammar
 
     NP := (DET)? (ADJ)* (NOUN)+
     VP := VERB NP?
 
-Bare nouns, noun-phrase chunks and verb-phrase chunks become entities whose
-keys are normalized node keys (lowercase, underscore-joined). Determiners
-and prepositions never enter keys.
+as one regular expression over the tags spelled as letters (D, A, N, V;
+every other tag is a boundary the pattern never matches). Bare nouns,
+noun-phrase chunks and verb-phrase chunks become entities whose keys are
+normalized node keys (lowercase, underscore-joined). Determiners and
+prepositions never enter keys.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-_WORD_RE = re.compile(r"[a-z0-9]+(?:'[a-z]+)?")
+_WORD_RE = re.compile(r"[^\W_]+(?:'+[^\W_]+)*")
 
 DETERMINERS = frozenset(
     "the a an this that these those some any each every no another".split()
@@ -87,8 +91,9 @@ def tag_word(word):
 
 
 def tokenize(text):
-    """Lowercase word tokens (interior apostrophes kept); the one tokenizer
-    shared by entity parsing, hashed embeddings, selection and metrics."""
+    """Lowercase words: runs of Unicode letters and digits, joined by
+    interior apostrophes; the one tokenizer shared by entity parsing,
+    hashed embeddings, selection and metrics."""
     return _WORD_RE.findall(text.lower())
 
 
@@ -108,21 +113,11 @@ def normalize_key(surface, graph=None):
     return key
 
 
-def _read_np(tags, i):
-    """Try to read an NP starting at position i; returns (next_i, content
-    token positions) or (i, None) when no NP starts here."""
-    j = i
-    if j < len(tags) and tags[j] == "DET":
-        j += 1
-    content_start = j
-    while j < len(tags) and tags[j] == "ADJ":
-        j += 1
-    noun_start = j
-    while j < len(tags) and tags[j] == "NOUN":
-        j += 1
-    if j == noun_start:  # no noun: not an NP after all
-        return i, None
-    return j, list(range(content_start, j))
+# One letter per chunked tag; any other tag is a boundary. A match is a
+# verb with its optional object noun phrase, or a bare noun phrase; the
+# noun-phrase groups hold its content (adjectives and nouns, no determiner).
+_TAG_LETTERS = {"DET": "D", "ADJ": "A", "NOUN": "N", "VERB": "V"}
+_CHUNK = re.compile(r"(?P<verb>V)(?:D?(?P<object>A*N+))?|D?(?P<noun>A*N+)")
 
 
 def parse_entities(task_text, graph=None):
@@ -136,37 +131,18 @@ def parse_entities(task_text, graph=None):
     aware (see normalize_key).
     """
     tokens = tokenize(task_text)
-    tags = [tag_word(w) for w in tokens]
-    found = []  # (position, surface, kind)
+    tags = "".join(_TAG_LETTERS.get(tag_word(w), " ") for w in tokens)
+    found = []  # (surface, kind), in first-token order
+    for m in _CHUNK.finditer(tags):
+        start, end = m.span("object" if m["verb"] else "noun")
+        phrase = tokens[start:end]  # empty for a verb without object: span (-1, -1)
+        if m["verb"]:
+            found.append((" ".join([tokens[m.start()], *phrase]), "VerbPhrase"))
+        if phrase:
+            found.append((" ".join(phrase), "Noun" if len(phrase) == 1 else "NounPhrase"))
 
-    def note_np(positions):
-        words = [tokens[p] for p in positions]
-        kind = "Noun" if len(words) == 1 else "NounPhrase"
-        found.append((positions[0], " ".join(words), kind))
-
-    i = 0
-    while i < len(tokens):
-        tag = tags[i]
-        if tag == "VERB":
-            verb_at = i
-            j, np_positions = _read_np(tags, i + 1)
-            vp_words = [tokens[verb_at]]
-            if np_positions:
-                vp_words += [tokens[p] for p in np_positions]
-                note_np(np_positions)
-            found.append((verb_at, " ".join(vp_words), "VerbPhrase"))
-            i = j if np_positions else i + 1
-            continue
-        j, np_positions = _read_np(tags, i)
-        if np_positions:
-            note_np(np_positions)
-            i = j
-            continue
-        i += 1  # boundary token (PREP, CONJ, PRON, stray DET)
-
-    found.sort(key=lambda item: item[0])
     entities, seen = [], set()
-    for _, surface, kind in found:
+    for surface, kind in found:
         key = normalize_key(surface, graph=graph)
         if key and key not in seen:
             seen.add(key)

@@ -28,7 +28,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from ._files import read_lines
+from ._files import read_jsonl, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -193,13 +193,10 @@ def _parse_tsv_line(line):
     return Triplet(head, relation, tail, weight)
 
 
-def _parse_jsonl_line(line):
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError("line is not a JSON object")
+def _triplet_from_json(obj):
     head, relation, tail, weight = obj["head"], obj["relation"], obj["tail"], obj["weight"]
     if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)):
-        raise ValueError(f"head, relation and tail must be strings: {line!r}")
+        raise ValueError(f"head, relation and tail must be strings: {obj!r}")
     return Triplet(head, relation, tail, _weight(weight))
 
 
@@ -217,12 +214,15 @@ def ingest(source, fmt="conceptnet-tsv", strict=False):
     """
     if fmt not in ("conceptnet-tsv", "jsonl"):
         raise ValueError(f"unknown ingest format: {fmt!r}")
-    parse = _parse_tsv_line if fmt == "conceptnet-tsv" else _parse_jsonl_line
+    bad = []
+    if fmt == "conceptnet-tsv":
+        rows = read_lines(source, _parse_tsv_line, None if strict else bad)
+    else:
+        rows = read_jsonl(source, _triplet_from_json, None if strict else bad)
 
     stats = IngestStats()
     triplets = []
-    bad = []
-    for t in read_lines(source, parse, None if strict else bad):
+    for t in rows:
         if t is None:
             stats.dropped_language += 1
             continue

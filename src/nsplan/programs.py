@@ -17,10 +17,10 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib import resources
 
-from ._files import read_lines
+from ._files import read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -143,13 +143,6 @@ def _sample_from_wikihow(obj):
     return TaskSample(task=title, reference_plan=tuple(headlines), domain="wikihow")
 
 
-def _parse_line(build, line):
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError("line is not a JSON object")
-    return build(obj)
-
-
 def load_task_dataset(path, fmt="robothow-jsonl", strict=True):
     """Load a JSONL task dataset. A bad line raises InputError, naming the
     file and line, in strict mode; otherwise it is logged and skipped,
@@ -158,8 +151,7 @@ def load_task_dataset(path, fmt="robothow-jsonl", strict=True):
     if fmt not in builders:
         raise ValueError(f"unknown dataset format {fmt!r}")
     bad = []
-    parse = partial(_parse_line, builders[fmt])
-    samples = list(read_lines(path, parse, None if strict else bad))
+    samples = list(read_jsonl(path, builders[fmt], None if strict else bad))
     for err in bad:
         log.warning("skipping dataset line: %s", err)
     return samples

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -874,3 +875,24 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as err:
             cli.main([])
         assert err.value.code == 2
+
+
+def _readme_commands():
+    """The command examples of README's "Command line" section, as argv lists."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert all(argv[0] == "nsplan" for argv in commands)
+    assert sorted(argv[1] for argv in commands) == sorted(cli.COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        for flag, value in zip(argv, argv[1:]):  # an empty placeholder for every input file
+            if flag.startswith("--") and flag[2:].replace("-", "_") in cli.INPUT_FILES:
+                open(value, "w").close()
+        cli.main(argv[1:])
+        assert "required for this command" not in capsys.readouterr().err, argv

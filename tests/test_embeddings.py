@@ -60,10 +60,16 @@ def _run_threads(threads, work):
 class TestHashEmbedding:
     def test_matches_independent_oracle(self):
         provider = HashEmbedding(dim=64, seed=3)
-        for text in ["watch tv", "take a shower", "turn light off", "a", ""]:
+        for text in ["watch tv", "take a shower", "turn light off", "a", "", "café au lait", "ＴＶ", "rock'n'roll"]:
             got = embed(provider, text)
             want = np.asarray(oracles.hash_embedding_oracle(text, dim=64, seed=3))
-            assert np.allclose(got, want, atol=1e-12)
+            assert got.tobytes() == want.tobytes()
+
+    @given(st.text(max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_independent_oracle_on_any_text(self, text):
+        want = np.asarray(oracles.hash_embedding_oracle(text, dim=64, seed=3))
+        assert embed(HashEmbedding(dim=64, seed=3), text).tobytes() == want.tobytes()
 
     @given(WORDS)
     @settings(max_examples=60, deadline=None)
@@ -260,6 +266,14 @@ class TestTableEmbedding:
         empty.write_text("")
         with pytest.raises(ValueError):
             TableEmbedding(path=empty)
+
+    @pytest.mark.parametrize("row", ["[1, 2]", '"str"'], ids=["list", "string"])
+    def test_row_that_is_not_an_object_is_a_bad_line(self, tmp_path, row):
+        path = tmp_path / "table.jsonl"
+        path.write_text('{"text": "a", "vector": [1.0, 0.0]}\n%s\n' % row)
+        with pytest.raises(InputError) as err:
+            TableEmbedding(path)
+        assert (str(err.value), err.value.line_no) == (f"{path}, line 2: line is not a JSON object", 2)
 
     def test_bad_row_names_the_file_and_line(self, tmp_path):
         path = tmp_path / "table.jsonl"
