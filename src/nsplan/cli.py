@@ -233,11 +233,11 @@ def run_plan(config):
     """Plan every task in the dataset; one PlanResult JSON per task plus a
     manifest. Exit 0 only when no task aborted."""
     config.require("graph", "dataset", "admissible")
-    graph = kg.load_graph(config.graph, fmt=config.graph_format)
     admissible = load_admissible_set(config.admissible)
     samples = programs.load_task_dataset(config.dataset, fmt=config.format, strict=config.strict)
     embedder = build_embedder(config)
     generator = build_generator(config)
+    graph = kg.ingest(config.graph, fmt=config.graph_format)
 
     os.makedirs(config.out, exist_ok=True)
     started = time.time()
@@ -361,7 +361,7 @@ def run_ingest(config):
     """Parse and filter a knowledge graph file; write it back out as JSONL
     triplets with ingest statistics."""
     config.require("graph")
-    graph = kg.load_graph(config.graph, fmt=config.graph_format, strict=config.strict)
+    graph = kg.ingest(config.graph, fmt=config.graph_format, strict=config.strict)
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, "graph.jsonl")
     rows = ({"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight} for t in graph.triplets)
@@ -462,9 +462,9 @@ def run_inspect(config):
     task: parsed entities, raw knowledge lines, grounded lines, and the
     aggregate prompt."""
     config.require("task", "graph", "admissible")
-    graph = kg.load_graph(config.graph, fmt=config.graph_format)
     admissible = load_admissible_set(config.admissible)
     embedder = build_embedder(config)
+    graph = kg.ingest(config.graph, fmt=config.graph_format)
 
     parsed = entities.parse_entities(config.task, graph=graph)
     print(f"task: {config.task}")

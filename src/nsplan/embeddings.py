@@ -20,10 +20,8 @@ refuses a vector of the wrong shape or of non-finite norm and hands out a
 fresh float64 array, L2-normalized, or zero for a zero vector (the empty
 string embeds to zero). Any cosine against a zero vector is 0. ``best_row``
 finds the row of a matrix of such vectors nearest a query with one
-matrix-vector product, as a row scan would, and ``best_cosines`` finds each
-query's best ``cosine`` against a set of rows with one matrix product, as
-a double loop over ``cosine`` would. Both rest on one premise: such vectors
-have norm 1 to within rounding, so a matmul entry lies within about
+matrix-vector product, as a row scan would. It rests on one premise: such
+vectors have norm 1 to within rounding, so a matmul entry lies within about
 d * 2**-53 of the exact score, far inside ``SHORTLIST_MARGIN`` (1e-9), and
 only the entries within the margin of the best need the scan's arithmetic.
 
@@ -37,11 +35,26 @@ bounded by the bytes its keys and entries hold (``MEMO_BUDGET_BYTES``): an
 insert that would go over the budget clears it first. ``memo_counts``
 reports the hits and misses, whose sum is the number of ``embed`` calls on
 that provider, exactly, under threads too.
+
+``token_table`` keeps a second per-provider store, also held weakly, for
+the metrics, which score single tokens against each other. It holds each
+token's vector, taken from ``embed``, and two tables over token pairs:
+``cosine`` of the two vectors, in either argument order, and their
+Euclidean distance, ``np.sqrt`` of ``(d * d).sum()`` over ``d = a - b``. A
+pair is scored with that arithmetic the first time a caller asks for it
+and read back after, so a gathered block is bit-equal to scoring the pair
+of texts directly, and a new token costs only the pairs asked for. The
+tables grow by doubling their capacity and are bounded by the same
+``MEMO_BUDGET_BYTES``: an insert whose rows would not fit starts a table
+of the caller's tokens alone. A grown table is published whole, by one
+store, so a thread reads either the table before an insert or the one
+after it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -268,47 +281,93 @@ def best_row(query, matrix, keys):
     return int(best), best_cos
 
 
-def _cosine(a, b, na, nb):
-    """``cosine``'s arithmetic, given ``na`` and ``nb``, the norms of ``a``
-    and ``b`` as ``np.linalg.norm`` gives them."""
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    value = float(np.dot(a, b) / (na * nb))
-    return max(-1.0, min(1.0, value))
-
-
 def cosine(a, b):
     """Cosine similarity in [-1, 1]; 0 when either vector is zero."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _cosine(a, b, np.linalg.norm(a), np.linalg.norm(b))
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    value = float(np.dot(a, b) / (na * nb))
+    return max(-1.0, min(1.0, value))
 
 
-def best_cosines(queries, rows):
-    """For each row ``q`` of ``queries``, ``max(cosine(q, r) for r in rows)``
-    bit for bit, as a list of floats. ``rows`` must not be empty.
+class TokenTable:
+    """One provider's tokens and the scores of the token pairs asked for so
+    far. ``index`` maps a token to its row of ``vectors``; ``cos[i, j]`` is
+    ``cosine`` of row ``i``'s vector and row ``j``'s, and ``dist[i, j]``
+    their Euclidean distance, or NaN while no caller has asked for the pair.
+    Rows from ``len(index)`` on are spare capacity. Threads that score one
+    pair at once write the same bits, so filling a pair needs no lock."""
 
-    One ``queries @ rows.T`` scores every pair; per query, only the columns
-    whose clamped score lies within SHORTLIST_MARGIN of that row's best are
-    re-scored with ``cosine``'s arithmetic, each norm taken once per vector,
-    and the first maximum in column order wins, as in ``max``. Queries and
-    rows must be finite with norm 1 to within rounding, or 0, as ``embed``
-    hands them out: then a matmul entry lies within about d * 2**-53 (3e-14
-    for d = 256) of ``cosine`` of the same pair, far inside the margin, so
-    the scan's maximum, and every column tied with it, is always on the
-    shortlist. A zero query or row scores exactly 0 both ways.
+    def __init__(self, index, vectors, cos, dist):
+        self.index = index
+        self.vectors = vectors
+        self.cos = cos
+        self.dist = dist
+        # next() is atomic, so one insert alone may fill the spare rows in place
+        self.spare_claims = itertools.count()
+
+    def cosines(self, a, b):
+        """``cosine`` of each row in ``a`` with each row in ``b``, as a fresh
+        array; each pair is computed once, then read from ``cos``."""
+        block = self.cos[np.ix_(a, b)]
+        for i, j in zip(*np.nonzero(np.isnan(block))):
+            block[i, j] = self.cos[a[i], b[j]] = cosine(self.vectors[a[i]], self.vectors[b[j]])
+        return block
+
+    def distances(self, a, b):
+        """The Euclidean distance of each row in ``a`` to each row in ``b``,
+        as a fresh array. A row of the block with a pair not asked for
+        before is computed whole, over ``d = a - b``."""
+        block = self.dist[np.ix_(a, b)]
+        for i in np.flatnonzero(np.isnan(block).any(axis=1)):
+            d = self.vectors[a[i]] - self.vectors[b]
+            block[i] = self.dist[a[i], b] = np.sqrt((d * d).sum(axis=1))
+        return block
+
+
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _empty_table(dim):
+    return TokenTable({}, np.zeros((0, dim)), np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+def token_table(provider, tokens):
+    """A ``TokenTable`` of ``provider`` that holds every one of ``tokens``.
+
+    Missing tokens are embedded before anything is written, so a provider
+    that fails leaves the table as it was. Their vectors then go to spare
+    rows: in place when the capacity suffices and no other insert has
+    claimed those rows, else into a copy twice as large, or as large as
+    ``MEMO_BUDGET_BYTES`` allows. When even that is too small the new table
+    holds ``tokens`` alone. The result is stored with one assignment, and
+    its first ``len(index)`` rows never change but for NaN scores filled in.
     """
-    scores = np.clip(queries @ rows.T, -1.0, 1.0)
-    row_norms = [np.linalg.norm(r) for r in rows]
-    best = []
-    for q, q_scores in zip(queries, scores):
-        q_norm = np.linalg.norm(q)
-        top = None
-        for j in np.flatnonzero(q_scores >= q_scores.max() - SHORTLIST_MARGIN):
-            cos = _cosine(q, rows[j], q_norm, row_norms[j])
-            if top is None or cos > top:
-                top = cos
-        best.append(top)
-    return best
+    dim = provider.dim
+    table = _TABLES.get(provider) or _empty_table(dim)
+    tokens = list(dict.fromkeys(tokens))
+    new = [t for t in tokens if t not in table.index]
+    if not new:
+        return table
+    # the most rows whose arrays, 8 * fit * (2 * fit + dim) bytes, stay within the budget
+    fit = (math.isqrt(dim * dim + MEMO_BUDGET_BYTES) - dim) // 4
+    if len(table.index) + len(new) > fit:
+        table, new = _empty_table(dim), tokens
+    vectors = [embed(provider, t) for t in new]
+    size, need = len(table.index), len(table.index) + len(new)
+    if need <= len(table.vectors) and next(table.spare_claims) == 0:
+        rows, cos, dist = table.vectors, table.cos, table.dist
+    else:
+        cap = max(need, min(2 * len(table.vectors), fit))
+        rows, cos, dist = np.zeros((cap, dim)), np.full((cap, cap), np.nan), np.full((cap, cap), np.nan)
+        rows[:size] = table.vectors[:size]
+        cos[:size, :size] = table.cos[:size, :size]
+        dist[:size, :size] = table.dist[:size, :size]
+    rows[size:need] = vectors
+    table = TokenTable({**table.index, **dict(zip(new, range(size, need)))}, rows, cos, dist)
+    _TABLES[provider] = table
+    return table

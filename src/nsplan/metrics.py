@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import best_cosines, embed
+from .embeddings import token_table
 from .entities import tokenize
 
 METRIC_NAMES = ("s_bleu", "rouge1_f1", "wmd_distance", "wmd_similarity", "embed_match_f1")
@@ -228,8 +228,9 @@ def wmd_transport(pred, ref, provider):
     transportation simplex. The marginals are kept as integers, each word's
     count times the other side's length, so both total ``len(pred) *
     len(ref)`` tokens and every flow is exact; the plan is that flow divided
-    by the total. Returns the full plan so feasibility can be checked
-    downstream."""
+    by the total. The ground cost is gathered from the provider's
+    ``token_table`` into a fresh array. Returns the full plan so
+    feasibility can be checked downstream."""
     pred_tokens = tokenize(pred)
     ref_tokens = tokenize(ref)
     if not pred_tokens or not ref_tokens:
@@ -237,10 +238,8 @@ def wmd_transport(pred, ref, provider):
     vocab_p, counts_p = _nbow(pred_tokens)
     vocab_r, counts_r = _nbow(ref_tokens)
     n_p, n_r = len(pred_tokens), len(ref_tokens)
-    vec_p = np.stack([embed(provider, t) for t in vocab_p])
-    vec_r = np.stack([embed(provider, t) for t in vocab_r])
-    diff = vec_p[:, None, :] - vec_r[None, :, :]
-    cost = np.sqrt((diff * diff).sum(axis=2))
+    table = token_table(provider, vocab_p + vocab_r)
+    cost = table.distances([table.index[t] for t in vocab_p], [table.index[t] for t in vocab_r])
 
     flow = _transport_simplex([c * n_r for c in counts_p], [c * n_p for c in counts_r], cost)
     plan = flow / (n_p * n_r)
@@ -281,19 +280,19 @@ def embed_match_f1(pred, ref, provider):
     """Greedy-matching embedding F1. Precision averages, over prediction
     tokens, the best cosine against any reference token; recall mirrors it;
     both are mapped through (x+1)/2 before the harmonic mean so the result
-    lands in [0, 1]. Each distinct token is embedded once, in order of first
-    occurrence, and ``best_cosines`` scores each side against the other,
-    bit-equal to a double loop over ``cosine`` summed in token order."""
+    lands in [0, 1]. Each token pair's ``cosine`` is read from the
+    provider's ``token_table``: the row maxima of the gathered block give
+    each distinct token's best, summed in token order, bit-equal to a
+    double loop over ``cosine``."""
     pred_tokens = tokenize(pred)
     ref_tokens = tokenize(ref)
     if not pred_tokens or not ref_tokens:
         raise ValueError("embedding-match F1 needs nonempty texts on both sides")
-    vectors = {t: embed(provider, t) for t in dict.fromkeys(pred_tokens + ref_tokens)}
     vocab_p, vocab_r = list(dict.fromkeys(pred_tokens)), list(dict.fromkeys(ref_tokens))
-    vec_p = np.stack([vectors[t] for t in vocab_p])
-    vec_r = np.stack([vectors[t] for t in vocab_r])
-    best_p = dict(zip(vocab_p, best_cosines(vec_p, vec_r)))
-    best_r = dict(zip(vocab_r, best_cosines(vec_r, vec_p)))
+    table = token_table(provider, vocab_p + vocab_r)
+    rows_p, rows_r = [table.index[t] for t in vocab_p], [table.index[t] for t in vocab_r]
+    best_p = dict(zip(vocab_p, table.cosines(rows_p, rows_r).max(axis=1).tolist()))
+    best_r = dict(zip(vocab_r, table.cosines(rows_r, rows_p).max(axis=1).tolist()))
     precision = sum(best_p[t] for t in pred_tokens) / len(pred_tokens)
     recall = sum(best_r[t] for t in ref_tokens) / len(ref_tokens)
     precision = (precision + 1.0) / 2.0

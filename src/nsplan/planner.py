@@ -76,9 +76,6 @@ class PlanResult:
     def __len__(self):
         return len(self.steps)
 
-    def step_texts(self):
-        return [s.text for s in self.steps]
-
     def to_json(self):
         return {
             "task": self.task,

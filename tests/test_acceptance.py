@@ -250,7 +250,7 @@ def test_criterion_06_planning_loop(tv_graph, household_admissible, tmp_path):
         provider,
         config=config,
     )
-    assert len(result.steps) == 2, result.step_texts()
+    assert len(result.steps) == 2, [s.text for s in result.steps]
     assert result.termination == "BelowThreshold"
 
     for max_steps in (1, 2, 5):

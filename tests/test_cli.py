@@ -839,6 +839,27 @@ def test_bad_admissible_document_is_exit_2(tmp_path, capsys, argv, document):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--graph", _fixture("tv_graph.jsonl"), "--graph-format", "jsonl",
+         "--dataset", _fixture("watch_tv.jsonl")],
+        ["inspect", "--task", "Watch TV", "--graph", _fixture("tv_graph.jsonl"),
+         "--graph-format", "jsonl"],
+    ],
+    ids=["plan", "inspect"],
+)
+def test_bad_admissible_is_reported_before_the_graph_is_read(tmp_path, monkeypatch, capsys, argv):
+    def ingest(*args, **kwargs):
+        raise AssertionError("the graph was ingested before the admissible set was checked")
+
+    monkeypatch.setattr(cli.kg, "ingest", ingest)
+    admissible = tmp_path / "admissible.json"
+    admissible.write_text('{"steps": "abc"}')
+    assert cli.main([*argv, "--admissible", str(admissible), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: admissible: {admissible} must hold" in capsys.readouterr().err
+
+
 def test_unmapped_relation_is_exit_1(monkeypatch, capsys):
     """Ingest keeps only household relations, so the triplet reaches the
     verbalizer through a stand-in for the knowledge step."""

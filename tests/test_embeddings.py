@@ -21,9 +21,10 @@ from nsplan.embeddings import (
     embed,
     memo_counts,
 )
+from nsplan.entities import tokenize
 from nsplan.errors import InputError, TransportError
 from nsplan.kg import Triplet
-from nsplan.metrics import embed_match_f1
+from nsplan.metrics import embed_match_f1, wmd_transport
 
 WORDS = st.text(alphabet="abcdefghij ", min_size=0, max_size=40)
 
@@ -132,111 +133,6 @@ class TestCosine:
         provider = HashEmbedding(dim=32)
         a, b = provider.embed(left), provider.embed(right)
         assert cosine(a, b) == pytest.approx(oracles.cosine_oracle(list(a), list(b)), abs=1e-12)
-
-
-def _unit(vec):
-    """``vec`` as ``embed`` hands it out: divided by its norm, or zero."""
-    vec = np.asarray(vec, dtype=np.float64)
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0 else np.zeros_like(vec)
-
-
-def _scan(queries, rows):
-    return [max(cosine(q, r) for r in rows) for q in queries]
-
-
-@st.composite
-def _query_and_rows(draw):
-    """Unit or zero queries and rows: dense, zero, duplicate, negated, and
-    near-copies of a query a few ulps apart, so the best is often tied."""
-    dim = draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    queries = [_unit(rng.standard_normal(dim)) for _ in range(draw(st.integers(1, 5)))]
-    if draw(st.booleans()):
-        queries.append(np.zeros(dim))
-    rows = []
-    for _ in range(draw(st.integers(1, 10))):
-        kind = draw(st.sampled_from(["dense", "zero", "duplicate", "negated", "near"]))
-        q = queries[draw(st.integers(0, len(queries) - 1))]
-        if kind == "dense":
-            rows.append(_unit(rng.standard_normal(dim)))
-        elif kind == "zero":
-            rows.append(np.zeros(dim))
-        elif kind == "duplicate" and rows:
-            rows.append(rows[draw(st.integers(0, len(rows) - 1))].copy())
-        elif kind == "negated":
-            rows.append(-q)
-        else:
-            near = q.copy()
-            for _ in range(draw(st.integers(0, 3))):
-                i = draw(st.integers(0, dim - 1))
-                near[i] = np.nextafter(near[i], draw(st.sampled_from([-np.inf, np.inf])))
-            rows.append(_unit(near))
-    return np.stack(queries), np.stack(rows)
-
-
-class TestBestCosines:
-    def test_zero_query_and_zero_row_score_zero(self):
-        queries = np.array([[0.0, 0.0], [-1.0, 0.0]])
-        rows = np.array([[0.0, 0.0], [1.0, 0.0]])
-        got = embeddings.best_cosines(queries, rows)
-        assert got == [0.0, 0.0] and got == _scan(queries, rows)
-
-    def test_ties_at_the_clamp(self):
-        q = _unit([1.0] * 5)
-        same = np.stack([_unit(q * s) for s in (3.0, 1.0, 7.0)])
-        # each row's raw cosine with q lies just beyond 1, where the matmul's lies below
-        assert all(np.dot(q, r) / (np.linalg.norm(q) * np.linalg.norm(r)) > 1.0 for r in same)
-        assert (same @ q < 1.0).any()
-        got = embeddings.best_cosines(np.stack([q, -q]), same)
-        assert got == [1.0, -1.0] and got == _scan([q, -q], same)
-        assert embeddings.best_cosines(q[None], -same) == [-1.0]
-
-    def test_duplicate_rows(self):
-        rows = np.stack([_unit([0.2, 0.9]), _unit([-1.0, 0.3]), _unit([0.2, 0.9]), _unit([0.2, 0.9])])
-        queries = np.stack([_unit([0.3, 1.0]), _unit([-0.9, 0.4])])
-        assert embeddings.best_cosines(queries, rows) == _scan(queries, rows)
-
-    def test_rescores_query_then_row(self, monkeypatch):
-        queries = np.stack([_unit([1.0, 0.0, 2.0]), _unit([0.0, -1.0, 1.0])])
-        rows = np.stack([_unit([1.0, 0.1, 2.0]), np.zeros(3), _unit([0.5, -1.0, 0.5])])
-        calls, real = [], embeddings._cosine
-
-        def recording(a, b, na, nb):
-            calls.append((a, b, na, nb))
-            return real(a, b, na, nb)
-
-        monkeypatch.setattr(embeddings, "_cosine", recording)
-        embeddings.best_cosines(queries, rows)
-        assert calls
-        for a, b, na, nb in calls:
-            assert any(np.array_equal(a, q) for q in queries)
-            assert any(np.array_equal(b, r) for r in rows)
-            assert (na, nb) == (np.linalg.norm(a), np.linalg.norm(b))
-
-    def test_first_maximum_in_column_order_wins(self, monkeypatch):
-        # as in max(): of the equal scores -0.0, 0.0 and 0.0, the first is kept
-        signs = iter([-0.0, 0.0, 0.0])
-        monkeypatch.setattr(embeddings, "_cosine", lambda a, b, na, nb: next(signs))
-        assert embeddings.best_cosines(np.zeros((1, 2)), np.zeros((3, 2)))[0].hex() == (-0.0).hex()
-
-    def test_near_ties_keep_the_scan_maximum(self):
-        # rows a hair from the query, where the matmul and cosine often rank
-        # the top two apart: about 1 case in 100 needs the margin
-        rng = np.random.default_rng(7)
-        for _ in range(2000):
-            dim = int(rng.integers(2, 40))
-            q = _unit(rng.standard_normal(dim))
-            rows = np.stack([_unit(q + 1e-9 * rng.standard_normal(dim)) for _ in range(4)])
-            assert embeddings.best_cosines(q[None], rows) == _scan([q], rows)
-
-    @given(_query_and_rows())
-    @settings(max_examples=200, deadline=None)
-    def test_bit_equal_to_a_row_scan(self, case):
-        queries, rows = case
-        got = embeddings.best_cosines(queries, rows)
-        want = _scan(queries, rows)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestTableEmbedding:
@@ -378,10 +274,15 @@ class TestNonFiniteVectors:
             adapt_weights((Triplet("bathroom", "AtLocation", "towel"),), "wash hair", provider)
         with pytest.raises(ValueError):
             adapt_weights((Triplet("bathroom", "AtLocation", "hair"),), "towel", provider)
+        embed_match_f1("find", "soap", provider)  # the token table exists before the failures
         with pytest.raises(ValueError):
             embed_match_f1("towel", "hair", provider)
         with pytest.raises(ValueError):
             embed_match_f1("hair", "towel", provider)
+        # the failed calls left the token table as it was
+        for pred, ref in [("hair", "wash hair"), ("find soap", "hair")]:
+            want = oracles.embed_match_f1_oracle(tokenize(pred), tokenize(ref), provider)
+            assert embed_match_f1(pred, ref, provider) == want
 
 
 class TestRemoteEmbedding:
@@ -522,6 +423,36 @@ class TestEmbedMemo:
         counts = memo_counts(provider)
         assert counts["hits"] + counts["misses"] == threads * per_thread
         assert 50 <= counts["misses"] == provider.miss_count
+
+
+class TestTokenTableThreads:
+    def test_threads_growing_one_table_read_only_their_own_rows(self):
+        # threads that bring new tokens at once each publish a whole table;
+        # none may write into rows another thread's table already uses
+        words = [a + b for a in "bcdfg" for b in "aeiou"]
+        calls = [
+            [(f"{words[(i * 3 + j) % 25]} {words[j]}", f"{words[(j * 7 + i) % 25]} {words[i]}") for j in range(25)]
+            for i in range(8)
+        ]
+        reference = HashEmbedding(dim=16)
+        want = {
+            (pred, ref): (
+                oracles.embed_match_f1_oracle(tokenize(pred), tokenize(ref), reference),
+                wmd_transport(pred, ref, reference).cost.tobytes(),
+            )
+            for thread_calls in calls
+            for pred, ref in thread_calls
+        }
+        provider, wrong = HashEmbedding(dim=16), []
+
+        def work(i):
+            for pred, ref in calls[i]:
+                got = (embed_match_f1(pred, ref, provider), wmd_transport(pred, ref, provider).cost.tobytes())
+                if got != want[pred, ref]:
+                    wrong.append((pred, ref))
+
+        _run_threads(len(calls), work)
+        assert not wrong
 
 
 class TestEmbedContract:

@@ -8,9 +8,9 @@ the tests use, nor an HTTP client: only ``_http.py`` imports ``urllib``,
 ``http`` or ``socket``, and only inside the one function that sends.
 Only ``_files.py`` opens files (one module reads and writes every file),
 only ``cli.py`` prints (library code writes nothing to stdout), within
-``embeddings.py`` only ``embed``, ``cosine`` and ``best_cosines`` take a
-norm (providers hand out raw vectors, ``embed`` alone normalizes them, and
-the two cosine paths share one arithmetic given the norms), only ``embed`` (and
+``embeddings.py`` only ``embed`` and ``cosine`` take a norm (providers hand
+out raw vectors, ``embed`` alone normalizes them, and every cosine, the
+token table's included, is ``cosine``'s arithmetic), only ``embed`` (and
 the table's hash fallback) calls a provider's own ``.embed``, so no caller
 skips the memo or the vector contract, every parameter
 with a default is set by some call in the program (an option that only
@@ -140,7 +140,7 @@ def test_only_the_owner_module_calls(name, owner):
 
 
 def test_only_embed_and_the_cosines_take_a_norm():
-    allowed = {"embed", "cosine", "best_cosines"}
+    allowed = {"embed", "cosine"}
     callers = _callers(PACKAGE / "embeddings.py", lambda call: _called(call) == "norm")
     assert callers <= allowed, f"norm() is called outside {sorted(allowed)}: {callers - allowed}"
     assert "embed" in callers

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nsplan import metrics
+from nsplan import embeddings, metrics
 from nsplan.embeddings import HashEmbedding, cosine, embed
 from nsplan.metrics import (
     METRIC_NAMES,
@@ -311,6 +311,86 @@ class TestEmbedMatchF1:
         provider = HashEmbedding()
         want = oracles.embed_match_f1_oracle(tokenize(pred), tokenize(ref), provider)
         assert embed_match_f1(pred, ref, provider) == want
+
+
+WORDS = "walk to the bathroom find soap wash hair dry off sit on sofa turn tv".split()
+
+
+@st.composite
+def _growing_calls(draw):
+    """A sequence of (pred, ref) calls whose vocabulary widens call by call,
+    so later calls bring tokens the earlier ones did not."""
+    calls = []
+    for i in range(draw(st.integers(1, 6))):
+        side = st.lists(st.sampled_from(WORDS[: 3 + 3 * i]), min_size=1, max_size=8).map(" ".join)
+        calls.append((draw(side), draw(side)))
+    return calls
+
+
+def _tensor_cost(pred, ref, provider):
+    """WMD's ground cost through the (m, n, d) difference tensor."""
+    vec_p = np.stack([embed(provider, t) for t in sorted(set(tokenize(pred)))])
+    vec_r = np.stack([embed(provider, t) for t in sorted(set(tokenize(ref)))])
+    diff = vec_p[:, None, :] - vec_r[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+# 8 * 3 * (2 * 3 + 32) bytes: three rows of a dim-32 table, so most calls clear it
+THREE_ROWS = 912
+
+
+class TestTokenTable:
+    """``embed_match_f1`` and ``wmd_transport`` read every token pair from
+    ``embeddings.token_table``; each call stays equal to scoring its pair
+    of texts directly, however the table grew or was cleared before."""
+
+    @pytest.mark.parametrize("budget", [embeddings.MEMO_BUDGET_BYTES, THREE_ROWS], ids=["default", "clears"])
+    @given(_growing_calls())
+    @settings(max_examples=60, deadline=None)
+    def test_a_sequence_of_calls_matches_the_oracles(self, budget, calls):
+        provider = HashEmbedding(dim=32)
+        with mock.patch.object(embeddings, "MEMO_BUDGET_BYTES", budget):
+            for pred, ref in calls:
+                want = oracles.embed_match_f1_oracle(tokenize(pred), tokenize(ref), provider)
+                assert embed_match_f1(pred, ref, provider) == want
+                cost, want = wmd_transport(pred, ref, provider).cost, _tensor_cost(pred, ref, provider)
+                assert cost.shape == want.shape and cost.tobytes() == want.tobytes()
+
+    def test_grows_by_doubling_and_shares_rows_until_then(self):
+        provider = HashEmbedding(dim=8)
+        tables = [embeddings.token_table(provider, WORDS[: i + 1]) for i in range(5)]
+        assert [len(t.vectors) for t in tables] == [1, 2, 4, 4, 8]
+        assert tables[3].cos is tables[2].cos and tables[4].cos is not tables[3].cos
+        assert [len(t.index) for t in tables] == [1, 2, 3, 4, 5]
+
+    def test_a_budget_clear_keeps_the_callers_tokens_alone(self, monkeypatch):
+        provider = HashEmbedding(dim=32)
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", THREE_ROWS)
+        assert list(embeddings.token_table(provider, ["soap", "hair", "sofa"]).index) == ["soap", "hair", "sofa"]
+        table = embeddings.token_table(provider, ["tv", "hair"])
+        assert set(table.index) == {"tv", "hair"}
+        assert embed_match_f1("tv hair", "hair", provider) == oracles.embed_match_f1_oracle(
+            ["tv", "hair"], ["hair"], provider
+        )
+
+    def test_a_second_insert_on_one_table_copies(self):
+        # two threads holding one table: the first fills its spare rows in
+        # place, so the second must copy, not overwrite them
+        provider = HashEmbedding(dim=8)
+        for token in ["soap", "hair", "sofa"]:
+            base = embeddings.token_table(provider, [token])  # 3 rows of 4
+        first = embeddings.token_table(provider, ["tv"])
+        embeddings._TABLES[provider] = base
+        second = embeddings.token_table(provider, ["walk"])
+        assert first.cos is base.cos and second.cos is not base.cos
+        assert first.index["tv"] == second.index["walk"] == 3
+        for table, token in [(first, "tv"), (second, "walk")]:
+            vec = embed(provider, token)
+            assert table.cosines([3], [1])[0, 0] == cosine(vec, embed(provider, "hair"))
+
+    def test_cost_is_a_fresh_array(self, hash_embedder):
+        t = wmd_transport("find soap", "wash hair", hash_embedder)
+        assert not np.shares_memory(t.cost, embeddings.token_table(hash_embedder, ["soap"]).dist)
 
 
 class TestPearson:

@@ -183,7 +183,7 @@ class TestPlanLoop:
             hash_embedder,
             config=SCRIPTED_CONFIG,
         )
-        assert result.step_texts() == ["find remote control", "switch on television"]
+        assert [s.text for s in result.steps] == ["find remote control", "switch on television"]
         assert result.termination == "GeneratorExhausted"
         assert [round(e["generation_confidence"], 6) for e in result.trace] == [0.9, 0.8]
 
@@ -285,7 +285,7 @@ class TestPlanLoop:
         for i, request in enumerate(generator.requests):
             assert request.task == "Watch TV"
             assert request.knowledge == generator.requests[0].knowledge
-            assert request.history == tuple(result.step_texts()[:i])
+            assert request.history == tuple(s.text for s in result.steps[:i])
 
     def test_task_text_cannot_plant_knowledge_lines(
         self, tv_graph, household_admissible, hash_embedder
@@ -377,4 +377,4 @@ class TestPlanResult:
     def test_len_and_texts(self):
         result = self._result()
         assert len(result) == 2
-        assert result.step_texts() == ["walk", "sit"]
+        assert [s.text for s in result.steps] == ["walk", "sit"]
