@@ -29,19 +29,23 @@ graph = ingest(rows, fmt="jsonl")
 print(f"graph: {graph.node_count} nodes, {graph.edge_count} edges")
 
 # Each stage hands over a plain tuple of triplets: sampling gives the
-# graph's own triplets, adaption returns them with task-adapted weights.
+# graph's own triplets, in the order the graph ranked them when it was
+# built (weight descending, then head, relation, tail).
 sub = sample_subgraph(graph, ["take_a_shower"], hops=3)
 print(f"subgraph around take_a_shower: {len(sub)} triplets")
 
 # Edge-wise adaption nudges each weight by how well the tail concept
-# matches the task text, then select() keeps the best-supported concepts.
+# matches the task text and keeps only the triplets that pass the config's
+# edge and cosine thresholds (these loose ones keep every triplet); then
+# select() ranks the concepts and keeps the best-supported ones.
 provider = HashEmbedding()
 task = "take a shower"
-adapted = adapt_weights(sub, task, provider)
+config = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0)
+adapted = adapt_weights(sub, task, provider, config)
 for t in adapted:
     print(f"  {t.head} -{t.relation}-> {t.tail}  {t.weight:.2f} -> {t.adapted_weight:.2f}")
 
-kept = select(adapted, PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0), task)
+kept = select(adapted, config, task)
 print(f"kept {len(kept)} of {len(adapted)} triplets after selection")
 
 prompt = build_knowledge_prompt(kept, max_depth=3)

@@ -35,9 +35,9 @@ from nsplan.counterfactual import (
     intervene_initial_configuration,
     intervene_intermediate_step,
 )
-from nsplan.embeddings import HashEmbedding, embed
+from nsplan.embeddings import HashEmbedding, cosine, embed
 from nsplan.generation import KnowledgeFollowerGenerator
-from nsplan.kg import AdaptedTriplet, sample_subgraph
+from nsplan.kg import AdaptedTriplet, sample_subgraph, surface
 from nsplan.metrics import (
     pearson,
     rouge1_f1,
@@ -82,7 +82,9 @@ def test_criterion_01_published_prompt_verbatim(shower_graph, fixture_path):
 
     start = time.time()
     sub = sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
-    adapted = adapt_weights(sub, "take a shower", HashEmbedding())
+    adapted = adapt_weights(
+        sub, "take a shower", HashEmbedding(), PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0)
+    )
     prompt = build_knowledge_prompt(adapted, max_depth=3)
     elapsed = time.time() - start
     assert elapsed < 1.0, f"prompt construction took {elapsed:.3f}s"
@@ -201,7 +203,15 @@ def test_criterion_05_adaption_properties():
         sub = tuple(triplets)
         task = " ".join(rng.choice(nodes).replace("_", " ") for _ in range(rng.randint(1, 4)))
 
-        adapted = adapt_weights(sub, task, provider)
+        # the oracle's input: every triplet adapted, none gated
+        task_vec = embed(provider, task)
+        adapted = tuple(
+            AdaptedTriplet(
+                t.head, t.relation, t.tail, t.weight,
+                t.weight + cosine(embed(provider, surface(t.tail)), task_vec),
+            )
+            for t in sub
+        )
         for t in adapted:
             assert -1.0 <= t.adapted_weight - t.weight <= 1.0
 
@@ -211,7 +221,7 @@ def test_criterion_05_adaption_properties():
             concept_ratio=rng.randint(1, 4),
             cos_keep_threshold=rng.uniform(-1.0, 0.5),
         )
-        got = select(adapted, cfg, task)
+        got = select(adapt_weights(sub, task, provider, cfg), cfg, task)
         want = oracles.select_oracle(
             adapted,
             task.split(),
@@ -228,12 +238,8 @@ def test_criterion_05_adaption_properties():
             AdaptedTriplet(t.head, t.relation, t.tail, t.weight, t.adapted_weight + shift)
             for t in adapted
         )
-        loose = PlannerConfig(
-            top_k=cfg.top_k, edge_threshold=0.0, concept_ratio=cfg.concept_ratio,
-            cos_keep_threshold=-2.0,
-        )
-        base_keys = [t.key for t in select(adapted, loose, task)]
-        shifted_keys = [t.key for t in select(shifted, loose, task)]
+        base_keys = [t.key for t in select(adapted, cfg, task)]
+        shifted_keys = [t.key for t in select(shifted, cfg, task)]
         assert base_keys == shifted_keys, trial
 
 

@@ -1,8 +1,10 @@
 """Edge-wise adaption: weight shifts, selection oracle, invariances."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,6 +22,36 @@ def _adapted(head, relation, tail, weight, adapted_weight):
 def _fresh(triplets):
     """Adapted triplets whose adapted weight is still the original weight."""
     return tuple(_adapted(h, r, t, w, w) for h, r, t, w in triplets)
+
+
+def _ungated(sub, task, provider):
+    """Every triplet adapted by the paper's identity, none gated: the input
+    ``oracles.select_oracle`` applies both thresholds to."""
+    task_vec = embed(provider, task)
+    return tuple(
+        _adapted(t.head, t.relation, t.tail, t.weight,
+                 t.weight + cosine(embed(provider, surface(t.tail)), task_vec))
+        for t in sub
+    )
+
+
+# Gates nothing a hash embedder scores: adapted weights of triplets weighing
+# at least 1 are >= 0, and every cosine is >= -1.
+KEEP_ALL = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0)
+
+
+class _Cosines:
+    """Two-dimensional provider: the task text points along x, and each text
+    in ``cosines`` at that cosine to it."""
+
+    dim = 2
+
+    def __init__(self, cosines):
+        self.cosines = cosines
+
+    def embed(self, text):
+        c = self.cosines.get(text, 1.0)
+        return [c, math.sqrt(1.0 - c * c)]
 
 
 WEIGHTS = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -46,7 +78,7 @@ class TestAdaptWeights:
     def test_shift_is_tail_task_cosine(self, hash_embedder):
         sub = _fresh([("shower", "HasSubevent", "wash_hair", 2.0)])
         task = "wash your hair"
-        out = adapt_weights(sub, task, hash_embedder)
+        out = adapt_weights(sub, task, hash_embedder, KEEP_ALL)
         t = out[0]
         want = cosine(
             embed(hash_embedder, surface("wash_hair")), embed(hash_embedder, task)
@@ -57,14 +89,14 @@ class TestAdaptWeights:
     @given(subgraphs())
     @settings(max_examples=50, deadline=None)
     def test_shift_bounded_by_one(self, sub):
-        out = adapt_weights(sub, "take a shower", HashEmbedding(dim=32))
+        out = adapt_weights(sub, "take a shower", HashEmbedding(dim=32), KEEP_ALL)
         for t in out:
             assert -1.0 <= t.adapted_weight - t.weight <= 1.0
 
     def test_preserves_order_and_weights(self, hash_embedder):
         # the graph's own triplets, as sample_subgraph hands them over
         sub = (Triplet("a", "UsedFor", "b", 1.0), Triplet("b", "UsedFor", "c", 2.0))
-        out = adapt_weights(sub, "task", hash_embedder)
+        out = adapt_weights(sub, "task", hash_embedder, KEEP_ALL)
         assert [t.key for t in out] == [t.key for t in sub]
         assert [t.weight for t in out] == [1.0, 2.0]
         assert all(type(t) is AdaptedTriplet for t in out)
@@ -73,32 +105,83 @@ class TestAdaptWeights:
         sub = _fresh(
             [("a", "UsedFor", "shared", 1.0), ("b", "HasSubevent", "shared", 5.0)]
         )
-        out = adapt_weights(sub, "some task", hash_embedder)
+        out = adapt_weights(sub, "some task", hash_embedder, KEEP_ALL)
         shifts = {round(t.adapted_weight - t.weight, 12) for t in out}
         assert len(shifts) == 1
 
     def test_empty_subgraph(self, hash_embedder):
-        assert adapt_weights((), "task", hash_embedder) == ()
+        assert adapt_weights((), "task", hash_embedder, KEEP_ALL) == ()
+
+    CFG = PlannerConfig(top_k=10, edge_threshold=0.6, concept_ratio=3, cos_keep_threshold=0.4)
+
+    def test_edge_threshold_drops_triplets(self):
+        # Both pass the cosine gate (shift 0.49 / 0.51); only y clears 0.6.
+        sub = (Triplet("a", "UsedFor", "x", 0.1), Triplet("a", "UsedFor", "y", 0.1))
+        out = adapt_weights(sub, "task words here", _Cosines({"x": 0.49, "y": 0.51}), self.CFG)
+        assert [t.tail for t in out] == ["y"]
+
+    def test_cosine_gate_uses_recovered_shift(self):
+        # adapted - weight is 0.39 for x (dropped) and 0.41 for y (kept).
+        sub = (Triplet("a", "UsedFor", "x", 1.0), Triplet("a", "UsedFor", "y", 1.0))
+        out = adapt_weights(sub, "task words here", _Cosines({"x": 0.39, "y": 0.41}), self.CFG)
+        assert [t.tail for t in out] == ["y"]
+
+    @given(subgraphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_gate_keeps_a_triplet_exactly_at_each_threshold(self, sub, data):
+        """A threshold equal to an adapted weight, or to a recovered shift,
+        keeps the triplets at that value; a threshold one ulp above, which
+        leaves them one ulp below it, drops them, as the oracle does."""
+        task = "take a shower"
+        provider = HashEmbedding(dim=32)
+        ungated = _ungated(sub, task, provider)
+        candidates = [t for t in ungated if t.adapted_weight >= 0.0]  # edge_threshold >= 0
+        assume(candidates)
+        edge = data.draw(st.sampled_from([t.adapted_weight for t in candidates]))
+        shift = data.draw(st.sampled_from([t.adapted_weight - t.weight for t in candidates]))
+        at_edge = [t for t in ungated if t.adapted_weight == edge]
+        at_shift = [t for t in candidates if t.adapted_weight - t.weight == shift]
+        for edge_threshold, cos_keep_threshold, on_threshold, kept in [
+            (edge, -2.0, at_edge, True),
+            (math.nextafter(edge, math.inf), -2.0, at_edge, False),
+            (0.0, shift, at_shift, True),
+            (0.0, math.nextafter(shift, math.inf), at_shift, False),
+        ]:
+            cfg = PlannerConfig(
+                top_k=100, edge_threshold=edge_threshold, concept_ratio=100,
+                cos_keep_threshold=cos_keep_threshold,
+            )
+            got = adapt_weights(sub, task, provider, cfg)
+            assert all((t in got) is kept for t in on_threshold)
+            want = oracles.select_oracle(
+                ungated, tokenize(task), top_k=100, edge_threshold=edge_threshold,
+                cos_keep_threshold=cos_keep_threshold, concept_ratio=100,
+            )
+            assert list(select(got, cfg, task)) == want
 
 
 class TestSelect:
-    CFG = PlannerConfig(top_k=10, edge_threshold=0.6, concept_ratio=3, cos_keep_threshold=0.4)
-
-    @given(subgraphs(), st.integers(min_value=0, max_value=8))
+    @given(
+        subgraphs(),
+        st.integers(min_value=0, max_value=8),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=-1.0, max_value=1.0),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_matches_full_sort_oracle(self, sub, top_k):
+    def test_matches_full_sort_oracle(self, sub, top_k, edge_threshold, cos_keep_threshold):
         task = "take a shower"
-        adapted = adapt_weights(sub, task, HashEmbedding(dim=32))
+        provider = HashEmbedding(dim=32)
         cfg = PlannerConfig(
-            top_k=top_k, edge_threshold=0.5, concept_ratio=2, cos_keep_threshold=-1.0
+            top_k=top_k, edge_threshold=edge_threshold, concept_ratio=2,
+            cos_keep_threshold=cos_keep_threshold,
         )
-        got = select(adapted, cfg, task)
+        got = select(adapt_weights(sub, task, provider, cfg), cfg, task)
         want = oracles.select_oracle(
-            adapted,
+            _ungated(sub, task, provider),
             tokenize(task),
             top_k=top_k,
-            edge_threshold=0.5,
-            cos_keep_threshold=-1.0,
+            edge_threshold=edge_threshold,
+            cos_keep_threshold=cos_keep_threshold,
             concept_ratio=2,
         )
         assert list(got) == want
@@ -117,24 +200,6 @@ class TestSelect:
             return sorted({t.tail for t in out})
 
         assert ranked_nodes(0.0) == ranked_nodes(0.7) == ["x", "y"]
-
-    def test_edge_threshold_drops_triplets(self):
-        # Both pass the cosine gate (shift 0.49 / 0.51); only y clears 0.6.
-        sub = (
-            _adapted("a", "UsedFor", "x", 0.1, 0.59),
-            _adapted("a", "UsedFor", "y", 0.1, 0.61),
-        )
-        out = select(sub, self.CFG, "task words here")
-        assert [t.tail for t in out] == ["y"]
-
-    def test_cosine_gate_uses_recovered_shift(self):
-        # adapted - weight is 0.39 for x (dropped) and 0.41 for y (kept).
-        sub = (
-            _adapted("a", "UsedFor", "x", 1.0, 1.39),
-            _adapted("a", "UsedFor", "y", 1.0, 1.41),
-        )
-        out = select(sub, self.CFG, "task words here")
-        assert [t.tail for t in out] == ["y"]
 
     def test_cap_is_min_of_topk_and_ratio_times_tokens(self):
         triplets = [("h", "UsedFor", f"n{i}", float(10 - i)) for i in range(8)]
@@ -202,9 +267,9 @@ def test_pipeline_on_shower_fixture(shower_graph, hash_embedder):
     from nsplan.kg import sample_subgraph
 
     sub = sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
-    adapted = adapt_weights(sub, "take a shower", hash_embedder)
-    assert all(np.isfinite(t.adapted_weight) for t in adapted)
     cfg = PlannerConfig(top_k=10, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
+    adapted = adapt_weights(sub, "take a shower", hash_embedder, cfg)
+    assert all(np.isfinite(t.adapted_weight) for t in adapted)
     out = select(adapted, cfg, "take a shower")
     assert 0 < len(out) <= len(adapted)
     weights = [t.adapted_weight for t in out]

@@ -250,6 +250,35 @@ class TestPlanCommand:
             else:
                 assert first[name] == second[name], name
 
+    def test_plan_files_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Processes with their own string hash seeds write the same plans:
+        no output order comes from iterating a set or a dict of strings."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        trees = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from nsplan.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *_plan_argv(out)],
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            trees.append(_read_tree(out))
+        first, second = trees
+        assert set(first) == set(second)
+        for name in first:
+            if name == "manifest.json":
+                a, b = json.loads(first[name]), json.loads(second[name])
+                for manifest in (a, b):
+                    manifest.pop("timing"), manifest["config"].pop("out")
+                assert json.dumps(a) == json.dumps(b)  # key order included
+            else:
+                assert first[name] == second[name], name
+        assert any(json.loads(first[name]).get("steps") for name in first if name != "manifest.json")
+
     def test_missing_input_file_is_exit_2_and_no_output(self, tmp_path, capsys):
         out = tmp_path / "run"
         argv = _plan_argv(out)

@@ -25,6 +25,7 @@ from nsplan.entities import tokenize
 from nsplan.errors import InputError, TransportError
 from nsplan.kg import Triplet
 from nsplan.metrics import embed_match_f1, wmd_transport
+from nsplan.planner import PlannerConfig
 
 WORDS = st.text(alphabet="abcdefghij ", min_size=0, max_size=40)
 
@@ -271,9 +272,9 @@ class TestNonFiniteVectors:
         with pytest.raises(ValueError):
             translate("wash hair", AdmissibleSet([*steps, AdmissibleStep("towel")]), provider)
         with pytest.raises(ValueError):
-            adapt_weights((Triplet("bathroom", "AtLocation", "towel"),), "wash hair", provider)
+            adapt_weights((Triplet("bathroom", "AtLocation", "towel"),), "wash hair", provider, PlannerConfig())
         with pytest.raises(ValueError):
-            adapt_weights((Triplet("bathroom", "AtLocation", "hair"),), "towel", provider)
+            adapt_weights((Triplet("bathroom", "AtLocation", "hair"),), "towel", provider, PlannerConfig())
         embed_match_f1("find", "soap", provider)  # the token table exists before the failures
         with pytest.raises(ValueError):
             embed_match_f1("towel", "hair", provider)

@@ -284,6 +284,39 @@ class TestNeighbors:
     def test_unknown_node_empty(self):
         assert self.build().neighbors("zzz") == []
 
+    def test_triplets_is_one_stored_tuple(self):
+        graph = self.build()
+        assert graph.triplets is graph.triplets
+
+    def test_neighbors_is_a_fresh_list(self):
+        graph = self.build()
+        first = graph.neighbors("a")
+        assert first is not graph.neighbors("a")
+        first.clear()
+        assert len(graph.neighbors("a")) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("abcd"),
+                st.sampled_from(["Causes", "UsedFor", "AtLocation"]),
+                st.sampled_from("abcd"),
+                st.sampled_from([0.5, 1.0, 2.0]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_neighbors_are_the_ranked_triplets_that_touch_the_node(self, rows):
+        """Self-loops, weight ties and duplicate keys: a node's neighbors are
+        the graph's triplets that touch it, in rank order, each once."""
+        graph = KnowledgeGraph([Triplet(*row) for row in rows])
+        for node in "abcde":
+            want = [t for t in graph.triplets if node in (t.head, t.tail)]
+            got = graph.neighbors(node)
+            assert got == want
+            assert all(a is b for a, b in zip(got, want))
+
 
 class TestSampleSubgraph:
     def chain(self, length=5):

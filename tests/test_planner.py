@@ -74,8 +74,8 @@ class TestPlannerConfig:
             PlannerConfig().theta = 0.5
 
     def test_adaption_view(self):
-        # select() reads the four adaption fields straight off PlannerConfig;
-        # the defaults would keep three nodes here, this config keeps five.
+        # select() reads top_k and concept_ratio straight off PlannerConfig;
+        # the defaults would keep six nodes here, this config keeps five.
         cfg = PlannerConfig(top_k=5, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
         triplets = tuple(
             AdaptedTriplet("h", "UsedFor", f"n{i}", 1.0, 1.0 + 0.1 * i) for i in range(8)
