@@ -2,10 +2,11 @@
 
 Every input file a caller names is read by ``read_lines`` (one record per
 line), ``read_jsonl`` (one JSON object per line) or ``read_json`` (one JSON
-document), and every output file is written by ``write_text``. A bad line
-or document is reported one way: the file, plus the 1-based line of a line
-file. A lenient reader collects its bad lines instead of raising, so one
-bad line never aborts it.
+document), and every output file is written by ``write_text``, directly or
+through ``write_json`` (one JSON document) or ``write_jsonl`` (one JSON
+object per line). A bad line or document is reported one way: the file,
+plus the 1-based line of a line file. A lenient reader collects its bad
+lines instead of raising, so one bad line never aborts it.
 """
 
 from __future__ import annotations
@@ -81,3 +82,14 @@ def write_text(path, text):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_json(path, obj):
+    """Write ``obj`` as one JSON document: indented by 2, keys sorted, with
+    a trailing newline."""
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_jsonl(path, rows):
+    """Write each of ``rows`` as one JSON object per line, keys sorted."""
+    write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))

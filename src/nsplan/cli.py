@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__, causal, counterfactual, embeddings, entities, kg, planner, programs
-from ._files import read_json, write_text
+from ._files import read_json, write_json, write_jsonl, write_text
 from .admissible import load_admissible_set, translate_prompt
 from .embeddings import HashEmbedding, RemoteEmbedding, TableEmbedding
 from .errors import ConfigError
@@ -225,10 +225,6 @@ def _versions():
     }
 
 
-def _write_json(path, obj):
-    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def run_plan(config):
     """Plan every task in the dataset; one PlanResult JSON per task plus a
     manifest. Exit 0 only when no task aborted."""
@@ -260,7 +256,7 @@ def run_plan(config):
     for tid, sample, result, error in outcomes:
         if error is None:
             filename = f"{tid}.json"
-            _write_json(os.path.join(config.out, filename), {"id": tid, **result.to_json()})
+            write_json(os.path.join(config.out, filename), {"id": tid, **result.to_json()})
             entries.append(
                 {"id": tid, "task": sample.task, "status": "ok", "file": filename,
                  "termination": result.termination, "steps": len(result.steps)}
@@ -287,7 +283,7 @@ def run_plan(config):
         },
         "tasks": entries,
     }
-    _write_json(os.path.join(config.out, "manifest.json"), manifest)
+    write_json(os.path.join(config.out, "manifest.json"), manifest)
     failed = [e for e in entries if e["status"] == "failed"]
     print(f"planned {len(entries) - len(failed)}/{len(entries)} tasks -> {config.out}")
     for entry in failed:
@@ -348,7 +344,7 @@ def run_eval(config):
             unrenderable.append((tid, err))
     report = metrics.evaluate_corpus(rows, embedder, unrenderable)
     os.makedirs(config.out, exist_ok=True)
-    _write_json(os.path.join(config.out, "report.json"), report.to_json())
+    write_json(os.path.join(config.out, "report.json"), report.to_json())
     table = report.to_table()
     write_text(os.path.join(config.out, "report.txt"), table + "\n")
     print(table)
@@ -364,8 +360,10 @@ def run_ingest(config):
     graph = kg.ingest(config.graph, fmt=config.graph_format, strict=config.strict)
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, "graph.jsonl")
-    rows = ({"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight} for t in graph.triplets)
-    write_text(out_path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    write_jsonl(
+        out_path,
+        ({"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight} for t in graph.triplets),
+    )
     stats = graph.stats
     print(f"kept {graph.edge_count} triplets ({graph.node_count} nodes, {graph.edge_count} edges)")
     print(
@@ -407,7 +405,7 @@ def run_counterfactual(config):
     os.makedirs(config.out, exist_ok=True)
     for name, rows in (("initial", initial), ("intermediate", intermediate), ("final", final)):
         path = os.path.join(config.out, f"counterfactual_{name}.jsonl")
-        counterfactual.write_jsonl(rows, path)
+        write_jsonl(path, [s.to_json() for s in rows])
         print(f"wrote {len(rows):4d} samples -> {path}")
     return EXIT_OK
 
@@ -441,7 +439,7 @@ def run_frontdoor_check(config):
     print("front-door identity holds" if ok else "FRONT-DOOR CHECK FAILED")
 
     os.makedirs(config.out, exist_ok=True)
-    _write_json(
+    write_json(
         os.path.join(config.out, "frontdoor_report.json"),
         {
             "trials": config.trials,

@@ -5,16 +5,15 @@ initial configuration to a location, pin a randomly chosen intermediate
 step in the task name, or compose two tasks into one goal. All three are
 pure constructors; inputs are never mutated. The join tokens ("in",
 parentheses, "and") are deliberately hard-coded so fixtures stay stable.
-``write_jsonl`` writes samples one JSON object per line; the package never reads them.
+``nsplan counterfactual`` writes each sample's ``to_json`` as one JSON line;
+the package never reads them.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
-from ._files import write_text
 from .programs import TaskSample
 
 KINDS = ("InitialConfiguration", "IntermediateStep", "FinalGoal")
@@ -113,7 +112,3 @@ def intervene_final_goal(a, b):
         modified=modified,
         payload=b.task,
     )
-
-
-def write_jsonl(samples, path):
-    write_text(path, "".join(json.dumps(s.to_json(), sort_keys=True) + "\n" for s in samples))

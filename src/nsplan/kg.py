@@ -17,9 +17,13 @@ once), ascending, so a node's neighbors and its ``FANOUT_CAP`` heaviest
 edges are a slice, and sampling works on int ranks until it hands over
 triplets.
 
-Relations are plain strings, and a graph holds only the nine household
-relations below: the constructor rejects any other relation, and ``ingest``
-drops such rows and counts them in ``IngestStats.dropped_relation``.
+Relations are plain strings. ``HOUSEHOLD_RELATIONS`` is the one table of
+the nine household relations: it maps each to its symbolic rule, a plain
+``(template, recursive, phase)`` tuple that ``verbalize`` reads, the phase
+one of ``PHASES``. A graph holds only the relations the table names: the
+constructor rejects any other relation, and ``ingest`` drops such rows and
+counts them in ``IngestStats.dropped_relation``. Ingest interns node keys
+and relation names, so equal keys share one string.
 
 A row whose weight is not a finite positive number (a string or a bool is
 not a number) is malformed. ``sample_subgraph`` follows the ``FANOUT_CAP``
@@ -31,6 +35,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,19 +45,22 @@ from ._files import read_jsonl, read_lines
 
 log = logging.getLogger(__name__)
 
-HOUSEHOLD_RELATIONS = frozenset(
-    {
-        "Synonym",
-        "AtLocation",
-        "CapableOf",
-        "Causes",
-        "CausesDesire",
-        "HasPrerequisite",
-        "HasSubevent",
-        "HasLastSubevent",
-        "UsedFor",
-    }
-)
+PHASES = ("Prerequisite", "Body", "Subevent", "LastSubevent")
+
+# relation -> its symbolic rule (template, recursive, phase).
+# The UsedFor template reads reversed against the usual head-UsedFor-tail
+# direction; it is kept as-is deliberately. See the project notes.
+HOUSEHOLD_RELATIONS = {
+    "Synonym": ("{head}, also known as {tail}", False, "Body"),
+    "AtLocation": ("go to the location of {head}", False, "Body"),
+    "CapableOf": ("{head} can {tail}", False, "Body"),
+    "Causes": ("{head} causes {tail}", False, "Body"),
+    "CausesDesire": ("{head} makes you want to {tail}", False, "Body"),
+    "UsedFor": ("go to find {tail} and use it for {head}", False, "Body"),
+    "HasPrerequisite": ("{tail}", True, "Prerequisite"),
+    "HasSubevent": ("{tail}", True, "Subevent"),
+    "HasLastSubevent": ("{tail}", False, "LastSubevent"),
+}
 
 FANOUT_CAP = 100
 
@@ -126,7 +134,8 @@ class KnowledgeGraph:
         self.stats = stats if stats is not None else IngestStats()
         triplets = list(triplets)
         relations = [t.relation for t in triplets]
-        if not HOUSEHOLD_RELATIONS.issuperset(relations):
+        relation_id = {r: i for i, r in enumerate(sorted(set(relations)))}
+        if not HOUSEHOLD_RELATIONS.keys() >= relation_id.keys():
             t = next(t for t in triplets if t.relation not in HOUSEHOLD_RELATIONS)
             raise ValueError(f"{t}: {t.relation!r} is not a household relation")
         # Each temporary is dropped as soon as it has been used, and the
@@ -138,7 +147,6 @@ class KnowledgeGraph:
         tails = [t.tail for t in triplets]
         nodes = sorted(set(heads).union(tails))
         node_id = dict(zip(nodes, range(len(nodes))))
-        relation_id = {r: i for i, r in enumerate(sorted(set(relations)))}
         n = len(triplets)
         head = np.fromiter(map(node_id.__getitem__, heads), np.int32, n)
         tail = np.fromiter(map(node_id.__getitem__, tails), np.int32, n)
@@ -206,7 +214,7 @@ def _parse_conceptnet_uri(uri, column):
     # /c/<lang>/<term>[/...optional sense parts]
     if len(parts) < 4 or parts[0] != "" or parts[1] != "c" or not parts[3]:
         raise ValueError(f"bad concept URI in column {column}: {uri!r}")
-    return parts[2], parts[3]
+    return parts[2], sys.intern(parts[3])
 
 
 def _weight(value):
@@ -223,7 +231,7 @@ def _parse_tsv_line(line):
     _, rel_uri, start_uri, end_uri, meta_json = cols
     if not rel_uri.startswith("/r/") or len(rel_uri) <= 3:
         raise ValueError(f"bad relation URI: {rel_uri!r}")
-    relation = rel_uri[3:].split("/")[0]
+    relation = sys.intern(rel_uri[3:].split("/")[0])
     start_lang, head = _parse_conceptnet_uri(start_uri, 3)
     end_lang, tail = _parse_conceptnet_uri(end_uri, 4)
     try:
@@ -239,7 +247,7 @@ def _triplet_from_json(obj):
     head, relation, tail, weight = obj["head"], obj["relation"], obj["tail"], obj["weight"]
     if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)):
         raise ValueError(f"head, relation and tail must be strings: {obj!r}")
-    return Triplet(head, relation, tail, _weight(weight))
+    return Triplet(sys.intern(head), sys.intern(relation), sys.intern(tail), _weight(weight))
 
 
 def ingest(source, fmt="conceptnet-tsv", strict=False):

@@ -1,96 +1,63 @@
 """Verbalization of a tuple of adapted triplets into the knowledge prompt.
 
-Each household relation (``kg.HOUSEHOLD_RELATIONS``) owns one template rule
-with a phase in ``DEFAULT_RULES``, the only rule table; a triplet of any
-other relation is a ValueError naming it. Lines come out grouped by
-phase (Prerequisite, Body, Subevent, LastSubevent) and ordered by adapted
-weight within a phase. Rules marked recursive additionally expand the tail
-node's own prerequisite/subevent triplets depth-first.
+Each household relation's symbolic rule, a ``(template, recursive, phase)``
+tuple, is its entry in ``kg.HOUSEHOLD_RELATIONS``, the only rule table; a
+triplet of any other relation is a ValueError naming it. Lines come out
+grouped by phase (Prerequisite, Body, Subevent, LastSubevent) and ordered
+by adapted weight within a phase. Rules marked recursive additionally
+expand the tail node's own recursive triplets depth-first: the triplets of
+a recursive relation whose head is that tail, in adapted order across
+phases (a prerequisite may follow a subevent; the golden depends on it).
 
 Traversal contract, frozen here because it fixes every downstream golden:
 every phase-ordered triplet is a DFS root at depth 0; a triplet's line is
 emitted only while its depth is below max_depth; the walk always descends
-through recursive tails (bounded by a visited set), so a depth-blocked
-triplet is consumed and never re-emitted later as a root. Duplicate line
-texts are suppressed globally. With max_depth equal to the sampling radius
-this verbalizes exactly the sampled ball on chain graphs.
+through recursive tails (bounded by a visited set of triplet keys), so a
+depth-blocked triplet is consumed and never re-emitted later as a root.
+Duplicate line texts are suppressed globally. With max_depth equal to the
+sampling radius this verbalizes exactly the sampled ball on chain graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .kg import adapted_sort_key, surface
-
-PHASES = ("Prerequisite", "Body", "Subevent", "LastSubevent")
+from .kg import HOUSEHOLD_RELATIONS, PHASES, adapted_sort_key, surface
 
 
-@dataclass(frozen=True)
-class SymbolicRule:
-    relation: str
-    template: str
-    recursive: bool
-    phase: str
-
-    def __post_init__(self):
-        if self.phase not in PHASES:
-            raise ValueError(f"unknown phase {self.phase!r}")
-
-
-# The UsedFor template reads reversed against the usual head-UsedFor-tail
-# direction; it is kept as-is deliberately. See the project notes.
-DEFAULT_RULES = {r[0]: SymbolicRule(*r) for r in (
-    ("Synonym", "{head}, also known as {tail}", False, "Body"),
-    ("AtLocation", "go to the location of {head}", False, "Body"),
-    ("CapableOf", "{head} can {tail}", False, "Body"),
-    ("Causes", "{head} causes {tail}", False, "Body"),
-    ("CausesDesire", "{head} makes you want to {tail}", False, "Body"),
-    ("UsedFor", "go to find {tail} and use it for {head}", False, "Body"),
-    ("HasPrerequisite", "{tail}", True, "Prerequisite"),
-    ("HasSubevent", "{tail}", True, "Subevent"),
-    ("HasLastSubevent", "{tail}", False, "LastSubevent"),
-)}
+def _rule(relation):
+    rule = HOUSEHOLD_RELATIONS.get(relation)
+    if rule is None:
+        raise ValueError(f"no symbolic rule for relation {relation!r}")
+    return rule
 
 
 def verbalize_triplet(triplet):
-    rule = DEFAULT_RULES.get(triplet.relation)
-    if rule is None:
-        raise ValueError(f"no symbolic rule for relation {triplet.relation!r}")
-    return rule.template.format(head=surface(triplet.head), tail=surface(triplet.tail))
+    return _rule(triplet.relation)[0].format(head=surface(triplet.head), tail=surface(triplet.tail))
 
 
 def build_knowledge_prompt(triplets, max_depth=3):
     """Linearize adapted triplets into a tuple of ordered, duplicate-free
     knowledge lines (see the module docstring for the traversal contract)."""
-    ordered = sorted(triplets, key=adapted_sort_key)
-    for t in ordered:
-        if t.relation not in DEFAULT_RULES:
-            raise ValueError(f"no symbolic rule for relation {t.relation!r}")
+    ruled = [(t, *_rule(t.relation)) for t in sorted(triplets, key=adapted_sort_key)]
+    children = {}  # a node's recursive triplets, in adapted order across phases
+    for entry in ruled:
+        t, _, recursive, _ = entry
+        if recursive:
+            children.setdefault(t.head, []).append(entry)
 
-    children = {}
-    for t in ordered:
-        if DEFAULT_RULES[t.relation].recursive:
-            children.setdefault(t.head, []).append(t)
-
-    lines = []
-    seen_lines = set()
+    lines = {}  # insertion-ordered: the first copy of a line text stays
     visited = set()
 
-    def visit(t, depth):
+    def visit(entry, depth):
+        t, template, recursive, _ = entry
         if t.key in visited:
             return
         visited.add(t.key)
         if depth < max_depth:
-            line = verbalize_triplet(t)
-            if line not in seen_lines:
-                seen_lines.add(line)
-                lines.append(line)
-        if DEFAULT_RULES[t.relation].recursive:
+            lines.setdefault(template.format(head=surface(t.head), tail=surface(t.tail)))
+        if recursive:
             for child in children.get(t.tail, ()):
                 visit(child, depth + 1)
 
-    for phase in PHASES:
-        for t in ordered:
-            if DEFAULT_RULES[t.relation].phase == phase:
-                visit(t, 0)
+    for entry in sorted(ruled, key=lambda entry: PHASES.index(entry[3])):
+        visit(entry, 0)
     return tuple(lines)

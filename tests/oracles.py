@@ -106,6 +106,54 @@ def sample_subgraph_oracle(triplets, anchors, hops, fanout_cap, relations):
     return sorted(followed.values(), key=rank), dist
 
 
+# ---------------------------------------------------------------- verbalization
+
+def verbalize_oracle(triplets, max_depth):
+    """The knowledge lines of adapted ``triplets`` by the traversal contract
+    of ``verbalize``'s module docstring, with plain loops and an explicit
+    stack. Only the rules are the library's: each relation's (template,
+    recursive, phase) entry in ``kg.HOUSEHOLD_RELATIONS``.
+
+    Roots are grouped by phase and ordered by adapted weight (ties by head,
+    relation, tail) within a phase. A root is walked depth-first from depth
+    0; a recursive triplet's children are the recursive triplets whose head
+    is its tail, in adapted order whatever their phase. Each triplet key is
+    walked once; its line is kept while its depth is below ``max_depth``
+    and its text is new."""
+    from nsplan.kg import HOUSEHOLD_RELATIONS as rules
+
+    def by_adapted_weight(ts):
+        return sorted(ts, key=lambda t: (-t.adapted_weight, t.head, t.relation, t.tail))
+
+    def text(t):
+        template = rules[t.relation][0]
+        return template.format(head=t.head.replace("_", " "), tail=t.tail.replace("_", " "))
+
+    roots = []
+    for phase in ("Prerequisite", "Body", "Subevent", "LastSubevent"):
+        roots += by_adapted_weight([t for t in triplets if rules[t.relation][2] == phase])
+    lines = []
+    walked = set()
+    for root in roots:
+        stack = [(root, 0)]
+        while stack:
+            t, depth = stack.pop()
+            key = (t.head, t.relation, t.tail)
+            if key in walked:
+                continue
+            walked.add(key)
+            if depth < max_depth and text(t) not in lines:
+                lines.append(text(t))
+            if rules[t.relation][1]:
+                children = by_adapted_weight(
+                    [c for c in triplets if rules[c.relation][1] and c.head == t.tail]
+                )
+                # pushed last-first, so the heaviest child is walked next
+                for child in reversed(children):
+                    stack.append((child, depth + 1))
+    return tuple(lines)
+
+
 # ---------------------------------------------------------------- translator
 
 def translate_scan_oracle(text, candidates, provider):

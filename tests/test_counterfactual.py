@@ -12,8 +12,8 @@ from nsplan.counterfactual import (
     intervene_final_goal,
     intervene_initial_configuration,
     intervene_intermediate_step,
-    write_jsonl,
 )
+from nsplan._files import write_jsonl
 from nsplan.programs import TaskSample
 
 WATCH_TV = TaskSample(
@@ -197,7 +197,7 @@ class TestJsonl:
             intervene_final_goal(WATCH_TV, WORK),
         ]
         path = tmp_path / "cf.jsonl"
-        write_jsonl(samples, path)
+        write_jsonl(path, [s.to_json() for s in samples])
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows == [s.to_json() for s in samples]
         assert rows[2]["originals"] == [
@@ -207,7 +207,7 @@ class TestJsonl:
 
     def test_lines_are_standalone_json(self, tmp_path):
         path = tmp_path / "cf.jsonl"
-        write_jsonl([intervene_initial_configuration(WATCH_TV, "bedroom")], path)
+        write_jsonl(path, [intervene_initial_configuration(WATCH_TV, "bedroom").to_json()])
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         obj = json.loads(lines[0])

@@ -424,3 +424,13 @@ def test_load_graph_counts_a_line_that_is_not_utf8(tmp_path):
 
 def test_shower_fixture_loads_fast(shower_graph):
     assert "take_a_shower" in shower_graph
+
+
+@pytest.mark.parametrize("name, fmt", [("shower_graph.tsv", "conceptnet-tsv"), ("tv_graph.jsonl", "jsonl")])
+def test_equal_keys_share_one_string(name, fmt):
+    graph = kg.ingest(fixture_path(name), fmt=fmt)
+    first = {}
+    for t in graph.triplets:
+        for text in (t.head, t.relation, t.tail):
+            assert first.setdefault(text, text) is text, f"{text!r} is held by two string objects"
+    assert len(first) < 3 * graph.edge_count  # some head, relation or tail repeats

@@ -16,8 +16,10 @@ skips the memo or the vector contract, every parameter
 with a default is set by some call in the program (an option that only
 tests set is a constant or goes), and no error the package defines or
 raises is a ``LookupError`` (``str(KeyError(m))`` is ``repr(m)``, so its
-message would print quoted), and every module parses as Python 3.10, the
-oldest version ``pyproject.toml`` supports.
+message would print quoted), each household relation is named, as a string
+constant outside docstrings, in one module only (its rule table's), and
+every module parses as Python 3.10, the oldest version ``pyproject.toml``
+supports.
 """
 
 import ast
@@ -235,6 +237,30 @@ def test_no_package_error_is_a_lookup_error():
     assert not classes, f"package classes that derive from LookupError: {classes}"
     raised = {p.name: lines for p in MODULES if (lines := _raised_lookup_errors(p))}
     assert not raised, f"modules that raise a LookupError: {raised}"
+
+
+def _string_constants(path):
+    """Every string constant of the module that is not a docstring."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstrings.add(first.value)
+    return {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node not in docstrings
+    }
+
+
+def test_each_household_relation_is_named_in_one_module():
+    from nsplan.kg import HOUSEHOLD_RELATIONS
+
+    constants = {p.name: _string_constants(p) for p in MODULES}
+    naming = {r: sorted(name for name, found in constants.items() if r in found) for r in HOUSEHOLD_RELATIONS}
+    spelled_twice = {r: names for r, names in naming.items() if len(names) != 1}
+    assert not spelled_twice, f"household relations named in more or fewer than one module: {spelled_twice}"
 
 
 def test_every_module_parses_as_python_3_10():

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from nsplan import cli
+from nsplan._files import write_json
 from nsplan.adaption import select
 from nsplan.admissible import AdmissibleSet, AdmissibleStep, translate_prompt
 from nsplan.errors import ConfigError, TransportError
@@ -364,7 +365,7 @@ class TestPlanResult:
 
     def test_plan_file_reads_back_through_the_eval_reader(self, tmp_path):
         path = tmp_path / "plan.json"
-        cli._write_json(path, {"id": "0001", **self._result().to_json()})
+        write_json(path, {"id": "0001", **self._result().to_json()})
         assert cli._read_prediction(path) == ("0001", ["walk", "sit"])
 
     def test_rejects_unknown_termination(self):

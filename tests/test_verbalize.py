@@ -1,15 +1,12 @@
 """Symbolic rules: templates, phase ordering, depth-bounded recursion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nsplan.kg import HOUSEHOLD_RELATIONS, AdaptedTriplet
-from nsplan.verbalize import (
-    DEFAULT_RULES,
-    PHASES,
-    SymbolicRule,
-    build_knowledge_prompt,
-    verbalize_triplet,
-)
+from nsplan.kg import HOUSEHOLD_RELATIONS, PHASES, AdaptedTriplet
+from nsplan.verbalize import build_knowledge_prompt, verbalize_triplet
+from oracles import verbalize_oracle
 
 
 def _t(head, relation, tail, weight=1.0, adapted=None):
@@ -50,7 +47,7 @@ class TestTemplates:
         assert verbalize_triplet(_t(head, relation, tail)) == want
 
     def test_all_nine_relations_covered(self):
-        assert len(DEFAULT_RULES) == 9
+        assert len(HOUSEHOLD_RELATIONS) == 9
 
     def test_unmapped_relation(self):
         with pytest.raises(ValueError) as err:
@@ -58,12 +55,15 @@ class TestTemplates:
         assert str(err.value) == "no symbolic rule for relation 'DistinctFrom'"
 
     def test_recursive_relations(self):
-        recursive = {r.relation for r in DEFAULT_RULES.values() if r.recursive}
+        recursive = {r for r, (_, is_recursive, _) in HOUSEHOLD_RELATIONS.items() if is_recursive}
         assert recursive == {"HasPrerequisite", "HasSubevent"}
 
-    def test_rule_phase_validated(self):
-        with pytest.raises(ValueError):
-            SymbolicRule("X", "{head}", False, "Epilogue")
+    def test_each_rule_has_a_phase_and_formats_with_head_and_tail(self):
+        for relation, (template, recursive, phase) in HOUSEHOLD_RELATIONS.items():
+            assert phase in PHASES, relation
+            assert isinstance(recursive, bool), relation
+            # a field other than head and tail raises KeyError, a positional one IndexError
+            assert template.format(head="h", tail="t"), relation
 
 
 class TestPromptShape:
@@ -177,9 +177,25 @@ class TestRecursionDepth:
         assert list(prompt) == ["p", "b"]
 
 
-def test_rule_table_covers_exactly_the_household_relations():
-    """The graph admits exactly the relations the rule table verbalizes."""
-    assert set(DEFAULT_RULES) == HOUSEHOLD_RELATIONS
+# A small alphabet makes self-loops, cycles through recursive relations and
+# shared tails (two triplets, one line) common, and few weights make ties
+# common. Half the draws take a recursive relation, so that a tail often has
+# both a prerequisite and a subevent to expand.
+_NODES = ("a", "b", "c_d", "e")
+_adapted = st.builds(
+    lambda head, relation, tail, weight, cosine: AdaptedTriplet(head, relation, tail, weight, weight + cosine),
+    st.sampled_from(_NODES),
+    st.sampled_from(sorted(HOUSEHOLD_RELATIONS)) | st.sampled_from(("HasPrerequisite", "HasSubevent")),
+    st.sampled_from(_NODES),
+    st.sampled_from((0.5, 1.0, 2.0)),
+    st.sampled_from((0.0, 0.5, 1.0)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_adapted, max_size=14, unique_by=lambda t: t.key), st.integers(1, 4))
+def test_prompt_matches_the_traversal_oracle(triplets, max_depth):
+    assert build_knowledge_prompt(tuple(triplets), max_depth) == verbalize_oracle(triplets, max_depth)
 
 
 def test_regression_prompt_for_shower_fixture(shower_graph, fixture_path):
