@@ -69,7 +69,7 @@ class AdmissibleSet:
         ``steps[i]`` under ``provider``; re-embedded when the provider changes."""
         with self._lock:
             if self._provider is not provider:
-                self._matrix = np.array([embeddings.embed(provider, s.text) for s in self.steps])
+                self._matrix = embeddings.embed_many(provider, self.texts)
                 self._matrix.setflags(write=False)
                 self._provider = provider
             return self._matrix

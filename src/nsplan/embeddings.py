@@ -15,15 +15,20 @@ Three providers share one small interface (``.dim``, ``.kind``,
 * remote: POST {"input": [text]} to an embedding service, one request per
   call; the provider keeps no cache of its own.
 
-Callers embed through ``embed`` alone, which holds the vector contract: it
+Callers embed through ``embed``, which holds the vector contract: it
 refuses a vector of the wrong shape or of non-finite norm and hands out a
 fresh float64 array, L2-normalized, or zero for a zero vector (the empty
-string embeds to zero). Any cosine against a zero vector is 0. ``best_row``
-finds the row of a matrix of such vectors nearest a query with one
-matrix-vector product, as a row scan would. It rests on one premise: such
-vectors have norm 1 to within rounding, so a matmul entry lies within about
-d * 2**-53 of the exact score, far inside ``SHORTLIST_MARGIN`` (1e-9), and
-only the entries within the margin of the best need the scan's arithmetic.
+string embeds to zero). ``embed_many(provider, texts)`` is its batch form:
+a (len(texts), dim) matrix whose row i is bit-equal to ``embed`` of
+texts[i]; it unpacks the memo hits together and hands each miss to
+``embed``. Any cosine against a zero vector is 0. Two callers score a
+matrix of such vectors with one matrix-vector product and rest on one
+premise: the vectors have norm 1 to within rounding, so a matmul entry lies
+within about d * 2**-53 of the exact score, far inside ``SHORTLIST_MARGIN``
+(1e-9). ``best_row`` finds the row nearest a query, as a row scan would,
+re-scoring only the entries within the margin of the best;
+``adaption.adapt_weights`` takes the exact ``cosine`` only for the tails
+whose score plus the margin clears its gates.
 
 ``embed`` memoizes per provider (held weakly, so a provider must be hashable
 and weak-referenceable). Each text maps to one ``bytes`` object: the float64
@@ -33,12 +38,13 @@ their int64 indexes. A hit rebuilds the first result bit for bit,
 a repeated tail concept without asking the provider again. The memo is
 bounded by the bytes its keys and entries hold (``MEMO_BUDGET_BYTES``): an
 insert that would go over the budget clears it first. ``memo_counts``
-reports the hits and misses, whose sum is the number of ``embed`` calls on
-that provider, exactly, under threads too.
+reports the hits and misses: each text asked for, through ``embed`` or
+a batch, is one of them, exactly, under threads too. A miss is a text the
+memo did not hold, which the provider was asked to embed.
 
 ``token_table`` keeps a second per-provider store, also held weakly, for
 the metrics, which score single tokens against each other. It holds each
-token's vector, taken from ``embed``, and two tables over token pairs:
+token's vector, taken from ``embed_many``, and two tables over token pairs:
 ``cosine`` of the two vectors, in either argument order, and their
 Euclidean distance, ``np.sqrt`` of ``(d * d).sum()`` over ``d = a - b``. A
 pair is scored with that arithmetic the first time a caller asks for it
@@ -251,6 +257,38 @@ def embed(provider, text):
     return unit
 
 
+def embed_many(provider, texts):
+    """The (len(texts), dim) matrix whose row i is bit-equal to
+    ``embed(provider, texts[i])``.
+
+    The memo hits are unpacked together: their packed bytes are joined and
+    scattered into a zero matrix at once. Each miss goes through ``embed``,
+    which counts it. Every text counts once, as a hit or a miss: the hits
+    found here are counted after every miss is embedded, so a batch that
+    raises counts only the ``embed`` calls it made.
+    """
+    memo = _memo(provider)
+    with memo.lock:
+        entries = [memo.entries.get(text) for text in texts]
+    out = np.zeros((len(entries), provider.dim))
+    hits = []
+    for i, entry in enumerate(entries):
+        if entry is None:
+            out[i] = embed(provider, texts[i])
+        else:
+            hits.append(i)
+    if hits:
+        found = [entries[i] for i in hits]
+        words = np.fromiter(map(len, found), np.int64, len(found)) // 8  # n values, then n indexes
+        packed = np.frombuffer(b"".join(found), np.float64)
+        offset = np.arange(len(packed)) - np.repeat(np.cumsum(words) - words, words)  # within its entry
+        is_value = offset < np.repeat(words // 2, words)
+        out[np.repeat(hits, words)[is_value], packed.view(np.int64)[~is_value]] = packed[is_value]
+    with memo.lock:
+        memo.hits += len(hits)
+    return out
+
+
 SHORTLIST_MARGIN = 1e-9
 
 
@@ -357,7 +395,7 @@ def token_table(provider, tokens):
     fit = (math.isqrt(dim * dim + MEMO_BUDGET_BYTES) - dim) // 4
     if len(table.index) + len(new) > fit:
         table, new = _empty_table(dim), tokens
-    vectors = [embed(provider, t) for t in new]
+    vectors = embed_many(provider, new)
     size, need = len(table.index), len(table.index) + len(new)
     if need <= len(table.vectors) and next(table.spare_claims) == 0:
         rows, cos, dist = table.vectors, table.cos, table.dist

@@ -56,6 +56,23 @@ def cosine_oracle(a, b):
 
 # ---------------------------------------------------------------- adaption
 
+def adapt_oracle(triplets, task_text, provider, edge_threshold, cos_keep_threshold):
+    """Edge-wise adaption as a plain scan: every triplet's tail embedded and
+    scored against the task with ``cosine``, kept when weight + cosine is at
+    least edge_threshold and the shift recovered from it, adapted - weight,
+    is at least cos_keep_threshold. Returns (head, relation, tail, weight,
+    adapted weight) tuples in input order."""
+    from nsplan.embeddings import cosine, embed
+
+    task_vec = embed(provider, task_text)
+    kept = []
+    for t in triplets:
+        adapted = t.weight + cosine(embed(provider, t.tail.replace("_", " ")), task_vec)
+        if adapted >= edge_threshold and adapted - t.weight >= cos_keep_threshold:
+            kept.append((t.head, t.relation, t.tail, t.weight, adapted))
+    return kept
+
+
 def select_oracle(triplets, task_tokens, top_k, edge_threshold, cos_keep_threshold, concept_ratio):
     """Full-sort reimplementation of concept selection over adapted
     triplets; returns the kept triplets in output order."""

@@ -160,6 +160,84 @@ class TestAdaptWeights:
             assert list(select(got, cfg, task)) == want
 
 
+class _Drawn:
+    """Provider with given raw vectors for some texts and hash vectors for
+    the rest."""
+
+    kind = "table"
+
+    def __init__(self, dim, vectors):
+        self.dim = dim
+        self.vectors = vectors
+        self._hash = HashEmbedding(dim=dim)
+
+    def embed(self, text):
+        return self.vectors.get(text, self._hash.embed(text))
+
+
+TASK = "take a shower"
+TAILS = ["wash_hair", "soap", "towel", "shower", "water", "clean", "dry_off", "turn_on_tap", "rinse_body"]
+
+
+@st.composite
+def adaption_cases(draw):
+    """(provider, triplets, edge_threshold, cos_keep_threshold), each
+    threshold the exact or the matrix-product score of a drawn triplet, as an
+    adapted weight or a shift, most often one of a triplet whose two scores
+    differ. The task and some tails get dense random vectors, whose
+    matrix-product scores often differ from ``cosine`` in the last bits;
+    some texts get the zero vector."""
+    dim = draw(st.sampled_from([3, 16, 64]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dense = [TASK, *sorted(draw(st.sets(st.sampled_from([surface(t) for t in TAILS]))))]
+    zero = draw(st.sets(st.sampled_from(dense), max_size=2))
+    provider = _Drawn(dim, {t: np.zeros(dim) if t in zero else rng.uniform(-1.0, 1.0, dim) for t in dense})
+    # a weight of 1e-300 adds nothing to a cosine, so the adapted weight is the score itself
+    weights = st.one_of(st.just(1e-300), st.sampled_from([1.0, 2.5, 1e7, 3e15]),
+                        st.floats(min_value=1e-300, max_value=10.0))
+    triplets = tuple(
+        Triplet(draw(NODES), draw(st.sampled_from(["HasSubevent", "UsedFor"])), draw(st.sampled_from(TAILS)),
+                draw(weights))
+        for _ in range(draw(st.integers(min_value=0, max_value=10)))
+    )
+    task_vec = embed(provider, TASK)
+    distinct = list(dict.fromkeys(t.tail for t in triplets))
+    rows = np.array([embed(provider, surface(tail)) for tail in distinct]).reshape(len(distinct), dim)
+    approx = dict(zip(distinct, np.clip(rows @ task_vec, -1.0, 1.0).tolist()))
+    edges, shifts = [0.0], [-1.0]
+    near_edges, near_shifts = [], []  # those of triplets whose two scores differ
+    for t in triplets:
+        scores = (approx[t.tail], cosine(embed(provider, surface(t.tail)), task_vec))
+        for score in scores:
+            adapted = t.weight + score
+            found = ([adapted] if adapted >= 0.0 else [], [score, adapted - t.weight])
+            edges += found[0]
+            shifts += found[1]
+            if scores[0] != scores[1]:
+                near_edges += found[0]
+                near_shifts += found[1]
+
+    def threshold(every, near):
+        return draw(st.sampled_from(near if near and draw(st.booleans()) else every))
+
+    return provider, triplets, threshold(edges, near_edges), threshold(shifts, near_shifts)
+
+
+def _hex(rows):
+    return [(h, r, t, float.hex(w), float.hex(a)) for h, r, t, w, a in rows]
+
+
+class TestAdaptOracle:
+    @given(adaption_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_per_triplet_scan(self, case):
+        provider, triplets, edge_threshold, cos_keep_threshold = case
+        cfg = PlannerConfig(edge_threshold=edge_threshold, cos_keep_threshold=cos_keep_threshold)
+        got = adapt_weights(triplets, TASK, provider, cfg)
+        want = oracles.adapt_oracle(triplets, TASK, provider, edge_threshold, cos_keep_threshold)
+        assert _hex((t.head, t.relation, t.tail, t.weight, t.adapted_weight) for t in got) == _hex(want)
+
+
 class TestSelect:
     @given(
         subgraphs(),

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -423,6 +423,108 @@ class TestEmbedMemo:
         assert not wrong
         counts = memo_counts(provider)
         assert counts["hits"] + counts["misses"] == threads * per_thread
+        assert 50 <= counts["misses"] == provider.miss_count
+
+
+POOL = ["", "wash hair", "find soap", "turn on light", "towel", "a b c", "rinse"]
+
+
+class _FailsAfter:
+    """Hash vectors for the first ``calls_left`` texts asked for, then a
+    TransportError; ``calls`` counts every call."""
+
+    def __init__(self, dim, calls_left):
+        self.dim = dim
+        self._hash = HashEmbedding(dim=dim)
+        self.calls_left = calls_left
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        if self.calls > self.calls_left:
+            raise TransportError("embedding service down", endpoint="http://embed")
+        return self._hash.embed(text)
+
+
+class TestEmbedMany:
+    """Each row of ``embed_many`` is bit-equal to ``embed`` of its text, and
+    the memo counts move as one ``embed`` call per text would."""
+
+    @given(
+        st.sampled_from(["hits", "misses", "mix"]),
+        st.lists(st.sampled_from(POOL), max_size=12),
+        st.sets(st.sampled_from(POOL)),
+    )
+    @example("mix", ["", "towel", "", "rinse", "towel", "rinse"], {"towel"})  # repeats, and "" embeds to zero
+    @settings(max_examples=80, deadline=None)
+    def test_rows_and_counts_match_per_text_embed(self, mode, texts, warm):
+        warm = {"hits": set(texts), "misses": set(), "mix": warm}[mode]
+        batched, serial = HashEmbedding(dim=16, seed=2), HashEmbedding(dim=16, seed=2)
+        for provider in (batched, serial):
+            for text in sorted(warm):
+                embed(provider, text)
+        got = embeddings.embed_many(batched, texts)
+        want = [embed(serial, text).tobytes() for text in texts]
+        assert got.shape == (len(texts), 16)
+        assert [row.tobytes() for row in got] == want
+        assert memo_counts(batched) == memo_counts(serial)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["miss", "hit"])
+    def test_negative_zero_keeps_its_sign(self, tmp_path, warm):
+        provider = TableEmbedding(_table_file(tmp_path, {"x": [-0.0, 1.0, 0.0], "y": [0.0, 0.0, 2.0]}))
+        if warm:
+            embed(provider, "x")
+        got = embeddings.embed_many(provider, ["y", "x", "x"])
+        assert list(np.signbit(got[1])) == list(np.signbit(got[2])) == [True, False, False]
+        assert got[1].tobytes() == embed(provider, "x").tobytes()
+
+    def test_memo_cleared_mid_batch(self, monkeypatch):
+        texts = [f"turn on light {i}" for i in range(20)]
+        want = [embed(HashEmbedding(dim=16), t).tobytes() for t in texts]
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 1500)  # a few hash entries
+        provider = HashEmbedding(dim=16)
+        for t in texts[::3]:
+            embed(provider, t)
+        before = memo_counts(provider)
+        got = embeddings.embed_many(provider, texts + texts[::-1])
+        assert [row.tobytes() for row in got] == want + want[::-1]
+        after = memo_counts(provider)
+        assert after["hits"] + after["misses"] == before["hits"] + before["misses"] + 2 * len(texts)
+
+    def test_failing_provider_counts_only_the_calls_made(self):
+        provider = _FailsAfter(dim=8, calls_left=3)
+        embed(provider, "towel")
+        with pytest.raises(TransportError):
+            embeddings.embed_many(provider, ["towel", "wash hair", "rinse", "find soap", "a b c"])
+        assert provider.calls == 4  # "find soap" failed
+        assert memo_counts(provider) == {"hits": 0, "misses": 4}
+        # what was embedded stays in the memo; the rest is asked for again
+        provider.calls_left = 10
+        got = embeddings.embed_many(provider, ["towel", "wash hair", "rinse", "find soap", "a b c"])
+        assert provider.calls == 6
+        assert memo_counts(provider) == {"hits": 3, "misses": 6}
+        reference = HashEmbedding(dim=8)
+        assert [row.tobytes() for row in got] == [
+            embed(reference, t).tobytes() for t in ["towel", "wash hair", "rinse", "find soap", "a b c"]
+        ]
+
+    def test_counts_exact_under_threads(self, tmp_path):
+        provider = TableEmbedding(_table_file(tmp_path, {"x": [1.0, 0.0]}))
+        threads, batches = 8, 40
+        want = {j: embed(HashEmbedding(dim=2), f"miss {j}").tobytes() for j in range(50)}
+        wrong = []
+
+        def work(i):
+            for b in range(batches):
+                js = [(i * 7 + b * 3 + k) % 50 for k in range(5)]
+                rows = embeddings.embed_many(provider, [f"miss {j}" for j in js])
+                if [row.tobytes() for row in rows] != [want[j] for j in js]:
+                    wrong.append((i, b))
+
+        _run_threads(threads, work)
+        assert not wrong
+        counts = memo_counts(provider)
+        assert counts["hits"] + counts["misses"] == threads * batches * 5
         assert 50 <= counts["misses"] == provider.miss_count
 
 
