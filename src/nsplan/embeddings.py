@@ -16,14 +16,14 @@ Three providers share one small interface (``.dim``, ``.kind``,
   call; the provider keeps no cache of its own.
 
 Callers embed through ``embed``, which holds the vector contract: it
-refuses a vector of the wrong shape or of non-finite norm and hands out a
-fresh float64 array, L2-normalized, or zero for a zero vector (the empty
-string embeds to zero). ``embed_many(provider, texts)`` is its batch form:
-a (len(texts), dim) matrix whose row i is bit-equal to ``embed`` of
-texts[i]; it unpacks the memo hits together and hands each miss to
-``embed``. Any cosine against a zero vector is 0. Two callers score a
-matrix of such vectors with one matrix-vector product and rest on one
-premise: the vectors have norm 1 to within rounding, so a matmul entry lies
+refuses a vector of the wrong shape or with a NaN or infinite entry and
+hands out a fresh float64 array, L2-normalized (tiny or huge entries are
+scaled first), or zero for a zero vector (the empty string embeds to zero).
+``embed_many(provider, texts)`` is its batch form: a (len(texts), dim)
+matrix whose row i is bit-equal to ``embed`` of texts[i]; it unpacks the
+memo hits together and hands each miss to ``embed``. Any cosine against a
+zero vector is 0. Two callers score a matrix of such vectors with one
+matrix-vector product and rest on one premise: the vectors have norm 1 to within rounding, so a matmul entry lies
 within about d * 2**-53 of the exact score, far inside ``SHORTLIST_MARGIN``
 (1e-9). ``best_row`` finds the row nearest a query, as a row scan would,
 re-scoring only the entries within the margin of the best;
@@ -45,16 +45,16 @@ memo did not hold, which the provider was asked to embed.
 ``token_table`` keeps a second per-provider store, also held weakly, for
 the metrics, which score single tokens against each other. It holds each
 token's vector, taken from ``embed_many``, and two tables over token pairs:
-``cosine`` of the two vectors, in either argument order, and their
-Euclidean distance, ``np.sqrt`` of ``(d * d).sum()`` over ``d = a - b``. A
-pair is scored with that arithmetic the first time a caller asks for it
-and read back after, so a gathered block is bit-equal to scoring the pair
-of texts directly, and a new token costs only the pairs asked for. The
-tables grow by doubling their capacity and are bounded by the same
-``MEMO_BUDGET_BYTES``: an insert whose rows would not fit starts a table
-of the caller's tokens alone. A grown table is published whole, by one
-store, so a thread reads either the table before an insert or the one
-after it.
+``cosine`` of the two vectors and their Euclidean distance, ``np.sqrt`` of
+``(d * d).sum()`` over ``d = a - b``. Both are symmetric bit for bit, so a
+pair is scored with that arithmetic once, the first time a caller asks for
+it in either order, and read back from either cell after: a gathered block
+is bit-equal to scoring the pair of texts directly, and a new token costs
+only the pairs asked for. The tables grow by doubling their capacity and
+are bounded by the same ``MEMO_BUDGET_BYTES``: an insert whose rows would
+not fit starts a table of the caller's tokens alone. A grown table is
+published whole, by one store, so a thread reads either the table before
+an insert or the one after it.
 """
 
 from __future__ import annotations
@@ -220,11 +220,17 @@ def memo_counts(provider):
         return {"hits": memo.hits, "misses": memo.misses}
 
 
+# Norms whose sum of squares is exact to rounding: what underflow lost is under an ulp of the sum
+_TRUSTED_NORMS = (math.sqrt(np.finfo(float).tiny / np.finfo(float).eps), math.sqrt(np.finfo(float).max))
+
+
 def embed(provider, text):
     """Embed through any provider, enforcing the vector contract: a fresh
-    float64 array of the provider's dimension, L2-normalized, or zero when
-    the provider's vector is zero. A vector of non-finite norm is refused.
-    A repeated text is answered from the memo, bit-equal to its first result."""
+    float64 array of the provider's dimension, L2-normalized (divided by its
+    largest magnitude first if its norm is outside ``_TRUSTED_NORMS``), or
+    zero when the provider's vector is zero. A NaN or infinite entry is
+    refused. A repeated text is answered from the memo, bit-equal to its
+    first result."""
     memo = _memo(provider)
     with memo.lock:
         entry = memo.entries.get(text)
@@ -241,9 +247,14 @@ def embed(provider, text):
     vec = np.asarray(provider.embed(text), dtype=np.float64)
     if vec.shape != (provider.dim,):
         raise ValueError(f"provider returned shape {vec.shape}, expected ({provider.dim},)")
-    norm = np.linalg.norm(vec)
-    if not math.isfinite(norm):
-        raise ValueError(f"provider returned a vector of norm {norm} for {text!r}")
+    with np.errstate(over="ignore"):  # a sum of squares past the float range is scaled below
+        norm = np.linalg.norm(vec)
+    if not _TRUSTED_NORMS[0] <= norm <= _TRUSTED_NORMS[1]:  # zero and NaN too
+        if not np.isfinite(vec).all():
+            raise ValueError(f"provider returned a vector of norm {norm} for {text!r}")
+        if vec.any():
+            vec = vec / np.abs(vec).max()
+            norm = np.linalg.norm(vec)
     unit = vec / norm if norm > 0 else np.zeros(provider.dim)
     index = np.flatnonzero(unit.view(np.int64))  # -0.0 has a set bit
     entry = unit[index].tobytes() + index.astype(np.int64, copy=False).tobytes()
@@ -336,9 +347,10 @@ class TokenTable:
     """One provider's tokens and the scores of the token pairs asked for so
     far. ``index`` maps a token to its row of ``vectors``; ``cos[i, j]`` is
     ``cosine`` of row ``i``'s vector and row ``j``'s, and ``dist[i, j]``
-    their Euclidean distance, or NaN while no caller has asked for the pair.
-    Rows from ``len(index)`` on are spare capacity. Threads that score one
-    pair at once write the same bits, so filling a pair needs no lock."""
+    their Euclidean distance, both symmetric, or NaN while no caller has
+    asked for the pair. Rows from ``len(index)`` on are spare capacity.
+    Threads that score one pair at once write the same bits, so filling a
+    pair, ``[i, j]`` and ``[j, i]``, needs no lock."""
 
     def __init__(self, index, vectors, cos, dist):
         self.index = index
@@ -350,20 +362,23 @@ class TokenTable:
 
     def cosines(self, a, b):
         """``cosine`` of each row in ``a`` with each row in ``b``, as a fresh
-        array; each pair is computed once, then read from ``cos``."""
+        array; each unordered pair is computed once, then read from ``cos``."""
         block = self.cos[np.ix_(a, b)]
         for i, j in zip(*np.nonzero(np.isnan(block))):
-            block[i, j] = self.cos[a[i], b[j]] = cosine(self.vectors[a[i]], self.vectors[b[j]])
+            p, q = a[i], b[j]
+            if math.isnan(self.cos[p, q]):  # the mirror of a cell already filled
+                self.cos[p, q] = self.cos[q, p] = cosine(self.vectors[p], self.vectors[q])
+            block[i, j] = self.cos[p, q]
         return block
 
     def distances(self, a, b):
         """The Euclidean distance of each row in ``a`` to each row in ``b``,
         as a fresh array. A row of the block with a pair not asked for
-        before is computed whole, over ``d = a - b``."""
+        before is computed whole, over ``d = a - b``, into its row and column."""
         block = self.dist[np.ix_(a, b)]
         for i in np.flatnonzero(np.isnan(block).any(axis=1)):
             d = self.vectors[a[i]] - self.vectors[b]
-            block[i] = self.dist[a[i], b] = np.sqrt((d * d).sum(axis=1))
+            block[i] = self.dist[a[i], b] = self.dist[b, a[i]] = np.sqrt((d * d).sum(axis=1))
         return block
 
 

@@ -104,11 +104,6 @@ class AdaptedTriplet:
     def key(self):
         return (self.head, self.relation, self.tail)
 
-    @property
-    def cosine(self):
-        """Task-relevance cosine recovered from the adaption identity."""
-        return self.adapted_weight - self.weight
-
 
 def adapted_sort_key(t):
     """Adapted weight descending, then lexicographic: selection and knowledge-line order."""

@@ -7,10 +7,12 @@ columns against human scores. Plan-level inputs are step lists joined with
 
 Word Mover's Distance is a transportation problem between two bags of
 words, solved to optimality here by the transportation simplex: a
-least-cost starting tree, duals on the tree, and cycle pivots on the most
-negative reduced cost, turning to Bland's rule after a run of degenerate
-pivots. The marginals are integer token counts scaled to a common total, so
-every flow is an exact integer and the plan depends only on the input.
+least-cost starting tree taken by argmin, duals on the tree, and cycle
+pivots on the most negative reduced cost, turning to Bland's rule after a
+run of degenerate pivots. The marginals are integer token counts scaled to
+a common total, so every flow is an exact integer and the plan depends only
+on the input. Both embedding scorers score each unordered token pair once,
+in the provider's ``token_table``.
 """
 
 from __future__ import annotations
@@ -58,10 +60,7 @@ def sentence_bleu(pred, ref):
         total = max(len(pred_tokens) - n + 1, 1)
         log_sum += math.log(max(clipped, 1e-9) / total)
     geo_mean = math.exp(log_sum / max_order)
-    if len(pred_tokens) >= len(ref_tokens) or not ref_tokens:
-        bp = 1.0
-    else:
-        bp = math.exp(1.0 - len(ref_tokens) / len(pred_tokens))
+    bp = 1.0 if len(pred_tokens) >= len(ref_tokens) else math.exp(1.0 - len(ref_tokens) / len(pred_tokens))
     return min(1.0, bp * geo_mean)
 
 
@@ -76,6 +75,14 @@ def rouge1_f1(pred, ref):
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def _tokens(pred, ref, scorer):
+    """The tokens of both texts; an empty side is a ValueError naming ``scorer``."""
+    pred_tokens, ref_tokens = tokenize(pred), tokenize(ref)
+    if not pred_tokens or not ref_tokens:
+        raise ValueError(f"{scorer} needs nonempty texts on both sides")
+    return pred_tokens, ref_tokens
 
 
 @dataclass(frozen=True)
@@ -110,32 +117,31 @@ BLAND_AFTER = 8
 
 
 def _least_cost_start(supply, demand, cost):
-    """A basic feasible flow by the least-cost rule: cells in stable cost
-    order, each allocation closing exactly one line. When a row and a column
-    empty together the row closes, unless it is the last open row, so the
-    m + n - 1 allocated cells (zero flows included) span a tree."""
+    """A basic feasible flow by the least-cost rule: m + n - 1 allocations,
+    each to the first ``argmin`` over the open lines (closed ones read +inf
+    in a copy of ``cost``, which must be finite) and closing exactly one
+    line. When a row and a column empty together the row closes, unless it
+    is the last open row, so the allocated cells span a tree."""
     m, n = cost.shape
     supply, demand = list(supply), list(demand)
-    row_open, col_open = [True] * m, [True] * n
+    open_cost = cost.copy()
     open_rows = m
     flow = np.zeros((m, n))
     basis = []
-    order = np.argsort(cost, axis=None, kind="stable")
-    for cell, i, j in zip(order.tolist(), (order // n).tolist(), (order % n).tolist()):
-        if not (row_open[i] and col_open[j]):
-            continue
+    for _ in range(m + n - 1):
+        cell = int(open_cost.argmin())
+        i, j = divmod(cell, n)
         q = min(supply[i], demand[j])
         supply[i] -= q
         demand[j] -= q
         flow[i, j] = q
         basis.append(cell)
         if supply[i] == 0 and (demand[j] or open_rows > 1):
-            row_open[i] = False
+            open_cost[i] = np.inf
             open_rows -= 1
         else:
-            col_open[j] = False
-        if len(basis) == m + n - 1:
-            return flow, basis
+            open_cost[:, j] = np.inf
+    return flow, basis
 
 
 def _tree(basis, cost):
@@ -231,10 +237,7 @@ def wmd_transport(pred, ref, provider):
     by the total. The ground cost is gathered from the provider's
     ``token_table`` into a fresh array. Returns the full plan so
     feasibility can be checked downstream."""
-    pred_tokens = tokenize(pred)
-    ref_tokens = tokenize(ref)
-    if not pred_tokens or not ref_tokens:
-        raise ValueError("word mover's distance needs nonempty texts on both sides")
+    pred_tokens, ref_tokens = _tokens(pred, ref, "word mover's distance")
     vocab_p, counts_p = _nbow(pred_tokens)
     vocab_r, counts_r = _nbow(ref_tokens)
     n_p, n_r = len(pred_tokens), len(ref_tokens)
@@ -260,10 +263,7 @@ def wmd(pred, ref, provider):
     solve so wmd(a, b) and wmd(b, a) are bit-identical; identical
     distributions short-circuit to distance zero.
     """
-    pred_tokens = tokenize(pred)
-    ref_tokens = tokenize(ref)
-    if not pred_tokens or not ref_tokens:
-        raise ValueError("word mover's distance needs nonempty texts on both sides")
+    pred_tokens, ref_tokens = _tokens(pred, ref, "word mover's distance")
     vocab_p, counts_p = _nbow(pred_tokens)
     vocab_r, counts_r = _nbow(ref_tokens)
     key_p = (tuple(vocab_p), tuple(c / len(pred_tokens) for c in counts_p))
@@ -271,8 +271,7 @@ def wmd(pred, ref, provider):
     if key_p == key_r:
         return 0.0, 1.0
     first, second = (pred, ref) if key_p <= key_r else (ref, pred)
-    distance = wmd_transport(first, second, provider).distance
-    distance = max(distance, 0.0)
+    distance = wmd_transport(first, second, provider).distance  # >= 0: plan and cost are nonnegative
     return distance, 1.0 / (1.0 + distance)
 
 
@@ -282,17 +281,15 @@ def embed_match_f1(pred, ref, provider):
     both are mapped through (x+1)/2 before the harmonic mean so the result
     lands in [0, 1]. Each token pair's ``cosine`` is read from the
     provider's ``token_table``: the row maxima of the gathered block give
-    each distinct token's best, summed in token order, bit-equal to a
-    double loop over ``cosine``."""
-    pred_tokens = tokenize(pred)
-    ref_tokens = tokenize(ref)
-    if not pred_tokens or not ref_tokens:
-        raise ValueError("embedding-match F1 needs nonempty texts on both sides")
+    each distinct prediction token's best and its column maxima each
+    reference token's, summed in token order, bit-equal to a double loop
+    over ``cosine``."""
+    pred_tokens, ref_tokens = _tokens(pred, ref, "embedding-match F1")
     vocab_p, vocab_r = list(dict.fromkeys(pred_tokens)), list(dict.fromkeys(ref_tokens))
     table = token_table(provider, vocab_p + vocab_r)
-    rows_p, rows_r = [table.index[t] for t in vocab_p], [table.index[t] for t in vocab_r]
-    best_p = dict(zip(vocab_p, table.cosines(rows_p, rows_r).max(axis=1).tolist()))
-    best_r = dict(zip(vocab_r, table.cosines(rows_r, rows_p).max(axis=1).tolist()))
+    block = table.cosines([table.index[t] for t in vocab_p], [table.index[t] for t in vocab_r])
+    best_p = dict(zip(vocab_p, block.max(axis=1).tolist()))
+    best_r = dict(zip(vocab_r, block.max(axis=0).tolist()))
     precision = sum(best_p[t] for t in pred_tokens) / len(pred_tokens)
     recall = sum(best_r[t] for t in ref_tokens) / len(ref_tokens)
     precision = (precision + 1.0) / 2.0
@@ -339,16 +336,12 @@ class MetricReport:
     def to_table(self):
         """Aligned plain-text table, one row per sample plus a mean row."""
         headers = ("id",) + METRIC_NAMES
-        rows = []
-        for row in self.per_sample:
-            rows.append([str(row["id"])] + [f"{row[m]:.4f}" for m in METRIC_NAMES])
+        rows = [[str(row["id"])] + [f"{row[m]:.4f}" for m in METRIC_NAMES] for row in self.per_sample]
         if self.count:
             rows.append(["mean"] + [f"{self.means[m]:.4f}" for m in METRIC_NAMES])
         widths = [max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)]
-        lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-        lines.append("  ".join("-" * w for w in widths))
-        for r in rows:
-            lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(headers))))
+        table = [headers, ["-" * w for w in widths], *rows]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)) for line in table]
         lines.extend(f"failed {row['id']}: {row['error']}" for row in self.failed)
         return "\n".join(lines)
 

@@ -30,10 +30,6 @@ def _rule(relation):
     return rule
 
 
-def verbalize_triplet(triplet):
-    return _rule(triplet.relation)[0].format(head=surface(triplet.head), tail=surface(triplet.tail))
-
-
 def build_knowledge_prompt(triplets, max_depth=3):
     """Linearize adapted triplets into a tuple of ordered, duplicate-free
     knowledge lines (see the module docstring for the traversal contract)."""

@@ -268,6 +268,36 @@ def transport_vertex_oracle(supply, demand, cost):
     return best
 
 
+def least_cost_start_oracle(supply, demand, cost):
+    """The least-cost starting basis as a walk over every cell in stable cost
+    order that skips the closed rows and columns one by one; returns (flow,
+    basis), the basis in the order the cells were allocated."""
+    import numpy as np
+
+    m, n = cost.shape
+    supply, demand = list(supply), list(demand)
+    row_open, col_open = [True] * m, [True] * n
+    open_rows = m
+    flow = np.zeros((m, n))
+    basis = []
+    order = np.argsort(cost, axis=None, kind="stable")
+    for cell, i, j in zip(order.tolist(), (order // n).tolist(), (order % n).tolist()):
+        if not (row_open[i] and col_open[j]):
+            continue
+        q = min(supply[i], demand[j])
+        supply[i] -= q
+        demand[j] -= q
+        flow[i, j] = q
+        basis.append(cell)
+        if supply[i] == 0 and (demand[j] or open_rows > 1):
+            row_open[i] = False
+            open_rows -= 1
+        else:
+            col_open[j] = False
+        if len(basis) == m + n - 1:
+            return flow, basis
+
+
 def _solve_tree(basis, supply, demand, m, n):
     """Solve the marginal equations on a candidate basis by leaf
     elimination; returns None when the basis is not a forest covering the

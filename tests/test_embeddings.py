@@ -3,6 +3,7 @@
 import json
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -134,6 +135,48 @@ class TestCosine:
         provider = HashEmbedding(dim=32)
         a, b = provider.embed(left), provider.embed(right)
         assert cosine(a, b) == pytest.approx(oracles.cosine_oracle(list(a), list(b)), abs=1e-12)
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Two dense random vectors of one dimension (1-299), each scaled by its
+    own power of ten from 1e-3 to 1e3."""
+    dim = draw(st.integers(1, 299))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [rng.standard_normal(dim) * 10.0 ** draw(st.integers(-3, 3)) for _ in range(2)]
+
+
+class _Rows:
+    """A provider of fixed raw rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.dim = len(next(iter(rows.values())))
+
+    def embed(self, text):
+        return self.rows[text]
+
+
+class TestSymmetry:
+    """The token table scores each unordered pair once, so both of its
+    scores must come out the same in either argument order, bit for bit."""
+
+    @given(_vector_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_cosine_is_symmetric(self, pair):
+        a, b = pair
+        assert cosine(a, b).hex() == cosine(b, a).hex()
+
+    @given(_vector_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_row_distance_is_symmetric(self, pair):
+        # two fresh tables, so neither block is read back from the other
+        first, second = (embeddings.token_table(_Rows({"a": pair[0], "b": pair[1]}), ["a", "b"]) for _ in range(2))
+        rows = [first.index["a"], first.index["b"]]
+        forward = first.distances(rows[:1], rows)
+        backward = second.distances(rows[::-1], rows[:1])
+        assert forward.tobytes() == backward.T[:, ::-1].tobytes()
+        assert first.cosines(rows[:1], rows[1:])[0, 0].hex() == second.cosines(rows[1:], rows[:1])[0, 0].hex()
 
 
 class TestTableEmbedding:
@@ -581,6 +624,52 @@ class TestEmbedContract:
 
     def test_passes_through_zero(self):
         assert not embed(HashEmbedding(dim=8), "").any()
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(-1000, 1000), min_size=1, max_size=64).filter(any),
+            st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64).filter(lambda v: max(map(abs, v)) >= 1e-3),
+        ),
+        st.integers(-100, 100),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_vector_of_trusted_norm_is_divided_by_its_norm_alone(self, base, k):
+        vec = np.array(base, dtype=np.float64) * 10.0**k
+        got = embed(_Rows({"x": vec}), "x")
+        assert got.tobytes() == (vec / np.linalg.norm(vec)).tobytes()
+
+    def test_tiny_entries_normalize_to_norm_one(self):
+        provider = _Rows({"tiny": np.array([3e-160, 1e-160]), "below": np.array([1e-170, 0.0]),
+                          "left": np.array([-1.0, 0.0]), "up": np.array([0.0, 1.0])})
+        tiny = embed(provider, "tiny")
+        assert abs(np.linalg.norm(tiny) - 1.0) <= 1e-15
+        assert embed(provider, "below").tolist() == [1.0, 0.0]  # every square underflows to zero
+        # against [-1, 0] the matrix-product score sits below the exact cosine
+        # by as much as the norm is off: the shortlists must still hold the scan's results
+        cos = cosine(tiny, embed(provider, "left"))
+        for threshold in (cos, np.nextafter(cos, 2.0)):
+            cfg = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=threshold)
+            triplets = (Triplet("x", "AtLocation", "tiny", 2.0), Triplet("x", "AtLocation", "up", 2.0))
+            got = [(t.tail, t.adapted_weight.hex()) for t in adapt_weights(triplets, "left", provider, cfg)]
+            want = oracles.adapt_oracle(triplets, "left", provider, 0.0, threshold)
+            assert got == [(tail, adapted.hex()) for _, _, tail, _, adapted in want]
+        texts, view = ["tiny", "up"], types.SimpleNamespace(vector=lambda text: embed(provider, text))
+        matrix = np.array([embed(provider, t) for t in texts])
+        for query in ("left", "tiny", "up"):
+            index, best = embeddings.best_row(embed(provider, query), matrix, texts)
+            want_text, want_cos = oracles.translate_scan_oracle(query, texts, view)
+            assert texts[index] == want_text and best.hex() == want_cos.hex()
+
+    def test_huge_entries_are_scaled_not_refused(self):
+        provider = _Rows({"huge": np.array([1e200, 1e200]), "one": np.array([1.0, 1.0])})
+        got = embed(provider, "huge")
+        assert np.allclose(got, [2**-0.5, 2**-0.5], rtol=0.0, atol=2**-53)  # 1 / sqrt(2) rounds one ulp below 2**-0.5
+        assert got.tobytes() == embed(provider, "one").tobytes()
+
+    @pytest.mark.parametrize("bad,norm", [(np.inf, "inf"), (np.nan, "nan")])
+    def test_a_non_finite_entry_is_refused_as_before(self, bad, norm):
+        with pytest.raises(ValueError, match=f"^provider returned a vector of norm {norm} for 'x'$"):
+            embed(_Rows({"x": np.array([1e200, bad])}), "x")
 
 
 def test_table_fixture_rows_are_json_objects(fixture_path):

@@ -209,7 +209,40 @@ def _assert_feasible(t):
     assert (t.plan >= 0.0).all()
 
 
+@st.composite
+def _start_problems(draw):
+    """(supply, demand, cost) as ``wmd_transport`` builds them: integer
+    counts scaled to a common total, over costs with ties, zeros and
+    duplicate rows; some draws make the two sides' counts equal, so a row
+    and a column often empty together."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 2.0))
+    rows = []
+    for _ in range(m):
+        duplicate = rows and draw(st.booleans())
+        rows.append(list(draw(st.sampled_from(rows))) if duplicate else draw(st.lists(value, min_size=n, max_size=n)))
+    counts = st.integers(1, 4)
+    counts_p = draw(st.lists(counts, min_size=m, max_size=m))
+    equal = m == n and draw(st.booleans())
+    counts_r = list(counts_p) if equal else draw(st.lists(counts, min_size=n, max_size=n))
+    n_p, n_r = sum(counts_p), sum(counts_r)
+    return [c * n_r for c in counts_p], [c * n_p for c in counts_r], np.array(rows, dtype=np.float64)
+
+
 class TestTransportSimplex:
+    @given(_start_problems())
+    @example(([1, 1], [1, 1], np.zeros((2, 2))))  # every cell tied at zero, equal marginals
+    @example(([6], [1, 2, 3], np.array([[0.5, 0.0, 0.5]])))  # 1 x n
+    @example(([1, 2, 3], [6], np.array([[1.0], [0.0], [1.0]])))  # m x 1
+    @example(([2, 2, 2], [3, 3], np.array([[1.0, 0.5], [1.0, 0.5], [0.0, 2.0]])))  # duplicate rows
+    @settings(max_examples=300, deadline=None)
+    def test_least_cost_start_is_the_sorted_walk(self, problem):
+        supply, demand, cost = problem
+        flow, basis = metrics._least_cost_start(supply, demand, cost)
+        want_flow, want_basis = oracles.least_cost_start_oracle(supply, demand, cost)
+        assert basis == want_basis
+        assert flow.tobytes() == want_flow.tobytes()
+
     @pytest.mark.parametrize("bland_after", [metrics.BLAND_AFTER, 0])
     @given(_token_tables(extra_rows=11))
     @example((_table(ta=[1, 0, 0], tb=[0, 1, 0], tc=[0, 0, 1], td=[1, 1, 1]), "ta tb", "tc td"))  # equal counts
@@ -387,6 +420,22 @@ class TestTokenTable:
         for table, token in [(first, "tv"), (second, "walk")]:
             vec = embed(provider, token)
             assert table.cosines([3], [1])[0, 0] == cosine(vec, embed(provider, "hair"))
+
+    def test_each_unordered_pair_is_scored_by_one_cosine_call(self, monkeypatch):
+        # the two sides share "hair" and "dry", so the block holds both
+        # (hair, dry) and (dry, hair); each pair is scored once, in either order
+        pred, ref = "wash hair dry hair", "dry off hair"
+        provider = _circle(wash=0, hair=30, dry=70, off=140)
+        token_of = {embed(provider, t).tobytes(): t for t in ["wash", "hair", "dry", "off"]}
+        want = [oracles.embed_match_f1_oracle(tokenize(p), tokenize(r), provider) for p, r in [(pred, ref), (ref, pred)]]
+        calls = []
+        monkeypatch.setattr(embeddings, "cosine", lambda a, b: calls.append((a, b)) or cosine(a, b))
+        assert embed_match_f1(pred, ref, provider) == want[0]
+        wmd_transport(pred, ref, provider)
+        assert embed_match_f1(ref, pred, provider) == want[1]
+        scored = [frozenset((token_of[a.tobytes()], token_of[b.tobytes()])) for a, b in calls]
+        assert len(scored) == len(set(scored)) == 8
+        assert set(scored) == {frozenset((p, r)) for p in tokenize(pred) for r in tokenize(ref)}
 
     def test_cost_is_a_fresh_array(self, hash_embedder):
         t = wmd_transport("find soap", "wash hair", hash_embedder)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsplan.kg import HOUSEHOLD_RELATIONS, PHASES, AdaptedTriplet
-from nsplan.verbalize import build_knowledge_prompt, verbalize_triplet
+from nsplan.verbalize import build_knowledge_prompt
 from oracles import verbalize_oracle
 
 
@@ -44,14 +44,14 @@ class TestTemplates:
         ],
     )
     def test_each_default_rule(self, relation, head, tail, want):
-        assert verbalize_triplet(_t(head, relation, tail)) == want
+        assert build_knowledge_prompt((_t(head, relation, tail),)) == (want,)
 
     def test_all_nine_relations_covered(self):
         assert len(HOUSEHOLD_RELATIONS) == 9
 
     def test_unmapped_relation(self):
         with pytest.raises(ValueError) as err:
-            verbalize_triplet(_t("a", "DistinctFrom", "b"))
+            build_knowledge_prompt((_t("a", "DistinctFrom", "b"),))
         assert str(err.value) == "no symbolic rule for relation 'DistinctFrom'"
 
     def test_recursive_relations(self):
