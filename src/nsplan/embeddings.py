@@ -220,7 +220,7 @@ def memo_counts(provider):
         return {"hits": memo.hits, "misses": memo.misses}
 
 
-# Norms whose sum of squares is exact to rounding: what underflow lost is under an ulp of the sum
+# Norms whose sum of squares is good to rounding: underflow lost under an ulp of it, nothing overflowed
 _TRUSTED_NORMS = (math.sqrt(np.finfo(float).tiny / np.finfo(float).eps), math.sqrt(np.finfo(float).max))
 
 
@@ -366,7 +366,7 @@ class TokenTable:
         block = self.cos[np.ix_(a, b)]
         for i, j in zip(*np.nonzero(np.isnan(block))):
             p, q = a[i], b[j]
-            if math.isnan(self.cos[p, q]):  # the mirror of a cell already filled
+            if math.isnan(self.cos[p, q]):  # not filled above as the mirror of another cell
                 self.cos[p, q] = self.cos[q, p] = cosine(self.vectors[p], self.vectors[q])
             block[i, j] = self.cos[p, q]
         return block
