@@ -19,7 +19,7 @@ import numpy as np
 from . import embeddings
 from ._files import read_json
 from .errors import ConfigError
-from .programs import StructuredStep, is_str_list
+from .programs import is_str_list
 
 DEFAULT_TEMPLATE = "{action} {object}"
 
@@ -27,7 +27,6 @@ DEFAULT_TEMPLATE = "{action} {object}"
 @dataclass(frozen=True)
 class AdmissibleStep:
     text: str
-    structured: StructuredStep | None = None
 
     def __post_init__(self):
         if not self.text:
@@ -36,13 +35,14 @@ class AdmissibleStep:
 
 class AdmissibleSet:
     """Fixed list of admissible steps plus an embedding cache for the
-    provider last asked about.
+    provider last asked about. ``objects`` are the objects a set built from
+    actions and objects was rendered from (empty for a flat step list).
 
     The cache is warmed lazily under a lock; a warm matrix is read-only and
     safe to share across threads.
     """
 
-    def __init__(self, steps):
+    def __init__(self, steps, objects=()):
         steps = tuple(steps)
         if not steps:
             raise ConfigError("admissible set is empty")
@@ -51,6 +51,7 @@ class AdmissibleSet:
             unique.setdefault(s.text, s)  # the first step of each text
         self.steps = tuple(unique.values())
         self.texts = tuple(unique)  # texts[i] is steps[i].text
+        self.objects = tuple(objects)
         self._matrix = None
         self._provider = None
         self._lock = threading.Lock()
@@ -90,10 +91,10 @@ def build_admissible_set(actions, objects, templates=None):
         try:
             for obj in objects:
                 text = pattern.format(action=action, object=obj)
-                steps.append(AdmissibleStep(text=text, structured=StructuredStep(action, obj, 1)))
+                steps.append(AdmissibleStep(text=text))
         except (LookupError, AttributeError, TypeError, ValueError) as err:
             raise ConfigError(f"action {action!r}: bad template {pattern!r} ({err!r})") from None
-    return AdmissibleSet(steps)
+    return AdmissibleSet(steps, objects)
 
 
 def load_admissible_set(path):

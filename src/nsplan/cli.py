@@ -36,9 +36,6 @@ from .generation import (
     ScriptedGenerator,
 )
 
-GENERATOR_KINDS = ("remote", "follower", "scripted")
-EMBEDDING_KINDS = ("hash", "table", "remote")
-
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_CONFIG = 2
@@ -53,13 +50,11 @@ class RunConfig(planner.PlannerConfig):
     followed by the run settings. A RunConfig is itself the planner config
     of a run."""
 
-    # providers
-    generator: str = "follower"
+    # providers, each chosen by which of its inputs is set
     endpoint: str = None
     model: str = "text-davinci-003"
     generator_fixture: str = None
     follower_schedule: tuple = (1.0,)
-    embedding: str = "hash"
     embedding_path: str = None
     embedding_endpoint: str = None
     embedding_dim: int = 256
@@ -67,7 +62,6 @@ class RunConfig(planner.PlannerConfig):
     graph: str = None
     graph_format: str = "conceptnet-tsv"
     dataset: str = None
-    format: str = "robothow-jsonl"
     admissible: str = None
     predictions: str = None
     task: str = None
@@ -79,10 +73,9 @@ class RunConfig(planner.PlannerConfig):
     trials: int = 500
 
     def __post_init__(self):
-        if self.generator not in GENERATOR_KINDS:
-            raise ConfigError(f"generator: must be one of {GENERATOR_KINDS}, got {self.generator!r}")
-        if self.embedding not in EMBEDDING_KINDS:
-            raise ConfigError(f"embedding: must be one of {EMBEDDING_KINDS}, got {self.embedding!r}")
+        for first, second in (("generator_fixture", "endpoint"), ("embedding_path", "embedding_endpoint")):
+            if getattr(self, first) is not None and getattr(self, second) is not None:
+                raise ConfigError(f"{first} and {second}: each chooses a provider; set one of them")
         if self.jobs < 1:
             raise ConfigError(f"jobs: must be >= 1, got {self.jobs}")
         if self.embedding_dim < 1:
@@ -172,28 +165,30 @@ def _api_key():
 
 
 def build_embedder(config):
-    if config.embedding == "hash":
-        return HashEmbedding(dim=config.embedding_dim, seed=config.seed or 0)
-    if config.embedding == "table":
+    """Table for an embedding_path, remote for an embedding_endpoint, else hash."""
+    if config.embedding_path is not None:
         config.require("embedding_path")
         return TableEmbedding(path=config.embedding_path)
-    config.require("embedding_endpoint")
-    return RemoteEmbedding(
-        endpoint=config.embedding_endpoint, dim=config.embedding_dim, api_key=_api_key()
-    )
+    if config.embedding_endpoint is not None:
+        config.require("embedding_endpoint")
+        return RemoteEmbedding(
+            endpoint=config.embedding_endpoint, dim=config.embedding_dim, api_key=_api_key()
+        )
+    return HashEmbedding(dim=config.embedding_dim, seed=config.seed or 0)
 
 
 def build_generator(config):
-    if config.generator == "follower":
-        try:
-            return KnowledgeFollowerGenerator(schedule=config.follower_schedule)
-        except ValueError as err:
-            raise ConfigError(f"follower_schedule: {err}") from None
-    if config.generator == "scripted":
+    """Scripted for a generator_fixture, remote for an endpoint, else the follower."""
+    if config.generator_fixture is not None:
         config.require("generator_fixture")
         return ScriptedGenerator(config.generator_fixture)
-    config.require("endpoint")
-    return RemoteGenerator(endpoint=config.endpoint, model=config.model, api_key=_api_key())
+    if config.endpoint is not None:
+        config.require("endpoint")
+        return RemoteGenerator(endpoint=config.endpoint, model=config.model, api_key=_api_key())
+    try:
+        return KnowledgeFollowerGenerator(schedule=config.follower_schedule)
+    except ValueError as err:
+        raise ConfigError(f"follower_schedule: {err}") from None
 
 
 def task_id(index, task):
@@ -230,7 +225,9 @@ def run_plan(config):
     manifest. Exit 0 only when no task aborted."""
     config.require("graph", "dataset", "admissible")
     admissible = load_admissible_set(config.admissible)
-    samples = programs.load_task_dataset(config.dataset, fmt=config.format, strict=config.strict)
+    samples = programs.load_task_dataset(config.dataset, strict=config.strict)
+    if not samples:
+        raise ValueError(f"dataset {config.dataset} has no samples")
     embedder = build_embedder(config)
     generator = build_generator(config)
     graph = kg.ingest(config.graph, fmt=config.graph_format)
@@ -308,7 +305,7 @@ def run_eval(config):
     from . import metrics  # only the command that scores loads the metrics module
 
     config.require("predictions", "dataset")
-    references = programs.load_task_dataset(config.dataset, fmt=config.format, strict=config.strict)
+    references = programs.load_task_dataset(config.dataset, strict=config.strict)
     ref_by_id = {task_id(i, s.task): s for i, s in enumerate(references)}
 
     if not os.path.isdir(config.predictions):
@@ -377,15 +374,13 @@ def run_ingest(config):
 def run_counterfactual(config):
     """Emit the three intervened datasets as JSONL next to each other."""
     config.require("dataset", "seed", "admissible")
-    samples = programs.load_task_dataset(config.dataset, fmt=config.format, strict=config.strict)
+    samples = programs.load_task_dataset(config.dataset, strict=config.strict)
     if not samples:
         raise ValueError(f"dataset {config.dataset} has no samples")
     admissible = load_admissible_set(config.admissible)
-    locations = sorted(
-        {s.structured.object.lower().replace("_", " ") for s in admissible if s.structured}
-    )
+    locations = sorted({obj.lower().replace("_", " ") for obj in admissible.objects})
     if not locations:
-        raise ConfigError("admissible: set has no structured objects to use as locations")
+        raise ConfigError("admissible: set has no objects to use as locations")
 
     rng = random.Random(config.seed)
     initial = [
@@ -501,7 +496,8 @@ def build_parser():
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, handler in COMMANDS.items():
-        sub = subparsers.add_parser(name, help=handler.__doc__)
+        # a prefix of a flag is no flag, so --generator is not --generator-fixture
+        sub = subparsers.add_parser(name, help=handler.__doc__, allow_abbrev=False)
         add_config_flags(sub)
     return parser
 

@@ -93,8 +93,7 @@ def knowledge_for_task(task, graph, embedder, config):
     gate edge weights, rank and cap the concepts, verbalize. Returns the
     ungrounded knowledge prompt."""
     parsed = entities.parse_entities(task, graph=graph)
-    anchors = [key for key in parsed.keys() if key in graph]
-    sub = kg.sample_subgraph(graph, anchors, hops=config.hops)
+    sub = kg.sample_subgraph(graph, parsed.keys(), hops=config.hops)
     adapted = adaption.adapt_weights(sub, task, embedder, config)
     kept = adaption.select(adapted, config, task)
     return verbalize.build_knowledge_prompt(kept, max_depth=config.hops)

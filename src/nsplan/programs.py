@@ -127,31 +127,31 @@ def is_str_list(value):
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _sample_from_robothow(obj):
-    task, steps = obj["task"], obj["steps"]
-    if not isinstance(task, str) or not is_str_list(steps):
-        raise ValueError("expected {'task': str, 'steps': [str]}")
-    for s in steps:
-        parse_robothow_step(s)  # validate
-    return TaskSample(task=task, reference_plan=tuple(steps), domain="robothow")
+# The dataset schemas: a line holding a schema's task key is of that schema.
+_SCHEMAS = (("task", "steps", "robothow"), ("title", "headlines", "wikihow"))
 
 
-def _sample_from_wikihow(obj):
-    title, headlines = obj["title"], obj["headlines"]
-    if not isinstance(title, str) or not is_str_list(headlines):
-        raise ValueError("expected {'title': str, 'headlines': [str]}")
-    return TaskSample(task=title, reference_plan=tuple(headlines), domain="wikihow")
+def _sample(obj):
+    for task_key, plan_key, domain in _SCHEMAS:
+        if task_key in obj:
+            task, plan = obj[task_key], obj[plan_key]
+            if not isinstance(task, str) or not is_str_list(plan):
+                raise ValueError(f"expected {{'{task_key}': str, '{plan_key}': [str]}}")
+            if domain == "robothow":
+                for step in plan:
+                    parse_robothow_step(step)  # validate
+            return TaskSample(task=task, reference_plan=tuple(plan), domain=domain)
+    raise ValueError("expected a RobotHow line {'task': str, 'steps': [str]} "
+                     "or a WikiHow line {'title': str, 'headlines': [str]}")
 
 
-def load_task_dataset(path, fmt="robothow-jsonl", strict=True):
-    """Load a JSONL task dataset. A bad line raises InputError, naming the
-    file and line, in strict mode; otherwise it is logged and skipped,
-    keeping every other sample."""
-    builders = {"robothow-jsonl": _sample_from_robothow, "wikihow-jsonl": _sample_from_wikihow}
-    if fmt not in builders:
-        raise ValueError(f"unknown dataset format {fmt!r}")
+def load_task_dataset(path, strict=True):
+    """Load a JSONL task dataset, each line a RobotHow program or a WikiHow
+    article by its keys. A bad line raises InputError, naming the file and
+    line, in strict mode; otherwise it is logged and skipped, keeping every
+    other sample."""
     bad = []
-    samples = list(read_jsonl(path, builders[fmt], None if strict else bad))
+    samples = list(read_jsonl(path, _sample, None if strict else bad))
     for err in bad:
         log.warning("skipping dataset line: %s", err)
     return samples

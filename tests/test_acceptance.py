@@ -334,9 +334,7 @@ def test_criterion_07_metrics(hash_embedder):
 
 @_criterion(8, "counterfactual constructions reproduce the published examples")
 def test_criterion_08_counterfactual_examples(fixture_path):
-    samples = load_task_dataset(
-        fixture_path("counterfactual_tasks.jsonl"), fmt="wikihow-jsonl"
-    )
+    samples = load_task_dataset(fixture_path("counterfactual_tasks.jsonl"))
     by_task = {s.task: s for s in samples}
 
     watch = intervene_initial_configuration(by_task["Watch TV"], "bedroom")

@@ -11,6 +11,7 @@ import pytest
 
 from nsplan import _files, cli
 from nsplan.errors import ConfigError
+from nsplan.generation import ScriptedGenerator
 
 
 def _fixture(name):
@@ -44,8 +45,6 @@ class TestConfigResolution:
     def test_defaults(self):
         config = cli.RunConfig()
         assert config.theta == 0.7
-        assert config.generator == "follower"
-        assert config.embedding == "hash"
         assert config.follower_schedule == (1.0,)
 
     def test_file_overrides_defaults_flags_override_file(self, tmp_path):
@@ -58,22 +57,47 @@ class TestConfigResolution:
         assert config.max_steps == 7  # file wins over default
         assert config.hops == 3  # default
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload, keys",
+        [
+            ({"thata": 0.5}, "thata"),
+            # the provider kinds and the dataset format of older manifests
+            ({"generator": "follower", "embedding": "hash", "format": "robothow-jsonl"},
+             "embedding, format, generator"),
+        ],
+        ids=["typo", "removed-options"],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, payload, keys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"thata": 0.5}))
+        path.write_text(json.dumps(payload))
         args = cli.build_parser().parse_args(["plan", "--config", str(path)])
-        with pytest.raises(ConfigError, match="thata"):
+        with pytest.raises(ConfigError, match=f"unknown config keys: {keys}$"):
             cli.load_config(args)
 
     def test_manifest_is_valid_config_input(self, tmp_path):
+        def replay(manifest, out):
+            return ["plan", "--config", str(manifest), "--out", str(out)]
+
         out = tmp_path / "run"
         assert cli.main(_plan_argv(out)) == 0
-        args = cli.build_parser().parse_args(
-            ["plan", "--config", str(out / "manifest.json"), "--out", str(tmp_path / "again")]
-        )
-        config = cli.load_config(args)
+        config = cli.load_config(cli.build_parser().parse_args(replay(out / "manifest.json", tmp_path / "again")))
         assert config.theta == 0.0
         assert config.dataset == _fixture("watch_tv.jsonl")
+
+        # a table run replayed from its manifest chooses the table again
+        table, again = tmp_path / "table", tmp_path / "table-again"
+        assert cli.main(_plan_argv(table, ["--embedding-path", _fixture("table_embeddings.jsonl")])) == 0
+        assert cli.main(replay(table / "manifest.json", again)) == 0
+        first, second = _read_tree(table), _read_tree(again)
+        for tree in (first, second):
+            assert "table_misses" in json.loads(tree.pop("manifest.json"))["timing"]["embedding"]
+        assert first == second
+
+        # so does a scripted run its generator fixture, which scripts Watch TV alone
+        scripted = tmp_path / "scripted"
+        assert cli.main(_plan_argv(scripted, ["--generator-fixture", _fixture("scripted_responses.json")])) == 1
+        config = cli.load_config(cli.build_parser().parse_args(replay(scripted / "manifest.json", again)))
+        assert isinstance(cli.build_generator(config), ScriptedGenerator)
 
     @pytest.mark.parametrize(
         "payload, key",
@@ -142,8 +166,6 @@ class TestConfigResolution:
         "payload",
         [
             {"theta": 1.4},
-            {"generator": "psychic"},
-            {"embedding": "telepathy"},
             {"jobs": 0},
             {"trials": 0},
             {"edge_threshold": float("nan")},
@@ -164,36 +186,67 @@ class TestConfigResolution:
 
 
 class TestBuilders:
-    def test_embedder_kinds(self):
-        hash_provider = cli.build_embedder(cli.RunConfig(embedding="hash", embedding_dim=64))
-        assert hash_provider.kind == "hash" and hash_provider.dim == 64
-        table_provider = cli.build_embedder(
-            cli.RunConfig(embedding="table", embedding_path=_fixture("table_embeddings.jsonl"))
-        )
-        assert table_provider.kind == "table" and table_provider.dim == 8
+    @pytest.mark.parametrize(
+        "settings, kind",
+        [
+            ({}, "hash"),
+            ({"embedding_path": _fixture("table_embeddings.jsonl")}, "table"),
+            ({"embedding_endpoint": "http://svc/v1/embed"}, "remote"),
+        ],
+        ids=["none", "embedding_path", "embedding_endpoint"],
+    )
+    def test_embedder_is_chosen_by_its_input(self, settings, kind):
+        provider = cli.build_embedder(cli.RunConfig(embedding_dim=8, **settings))
+        assert provider.kind == kind and provider.dim == 8
 
-    def test_embedder_missing_path_is_config_error(self):
+    @pytest.mark.parametrize(
+        "settings, kind",
+        [
+            ({}, "follower"),
+            ({"generator_fixture": _fixture("scripted_responses.json")}, "scripted"),
+            ({"endpoint": "http://svc/v1"}, "remote"),
+        ],
+        ids=["none", "generator_fixture", "endpoint"],
+    )
+    def test_generator_is_chosen_by_its_input(self, settings, kind):
+        assert cli.build_generator(cli.RunConfig(**settings)).kind == kind
+
+    def test_follower_takes_the_schedule(self):
+        assert cli.build_generator(cli.RunConfig(follower_schedule=(0.9,))).schedule == (0.9,)
+
+    def test_empty_provider_input_is_config_error(self):
         with pytest.raises(ConfigError, match="embedding_path"):
-            cli.build_embedder(cli.RunConfig(embedding="table"))
-
-    def test_generator_kinds(self):
-        follower = cli.build_generator(cli.RunConfig(follower_schedule=(0.9,)))
-        assert follower.kind == "follower" and follower.schedule == (0.9,)
-        scripted = cli.build_generator(
-            cli.RunConfig(generator="scripted", generator_fixture=_fixture("scripted_responses.json"))
-        )
-        assert scripted.kind == "scripted"
+            cli.build_embedder(cli.RunConfig(embedding_path=""))
+        with pytest.raises(ConfigError, match="endpoint"):
+            cli.build_generator(cli.RunConfig(endpoint=""))
 
     def test_remote_generator_reads_api_key_env(self, monkeypatch):
         monkeypatch.setenv("NSPLAN_API_KEY", "sekrit")
-        remote = cli.build_generator(
-            cli.RunConfig(generator="remote", endpoint="http://svc/v1")
-        )
+        remote = cli.build_generator(cli.RunConfig(endpoint="http://svc/v1"))
         assert remote.kind == "remote" and remote.api_key == "sekrit"
 
-    def test_remote_generator_requires_endpoint(self):
-        with pytest.raises(ConfigError, match="endpoint"):
-            cli.build_generator(cli.RunConfig(generator="remote"))
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            (["--generator-fixture", _fixture("scripted_responses.json"), "--endpoint", "http://svc/v1"],
+             "generator_fixture and endpoint"),
+            (["--embedding-path", _fixture("table_embeddings.jsonl"), "--embedding-endpoint", "http://svc/v1"],
+             "embedding_path and embedding_endpoint"),
+        ],
+        ids=["generator", "embedding"],
+    )
+    def test_both_inputs_of_one_provider_is_exit_2_naming_both(self, tmp_path, capsys, flags, fields):
+        out = tmp_path / "run"
+        assert cli.main(_plan_argv(out, flags)) == 2
+        assert f"config error: {fields}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--generator", "--embedding", "--format"])
+    def test_removed_kind_and_format_flags_are_exit_2(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(_plan_argv(tmp_path / "run", [flag, "x"]))
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
 
 class TestTaskIds:
@@ -224,9 +277,7 @@ class TestPlanCommand:
     @pytest.mark.parametrize("embedding", ["hash", "table"])
     def test_manifest_timing_records_the_embedding_memo(self, tmp_path, embedding):
         out = tmp_path / "run"
-        extra = ["--embedding", embedding]
-        if embedding == "table":
-            extra += ["--embedding-path", _fixture("table_embeddings.jsonl")]
+        extra = ["--embedding-path", _fixture("table_embeddings.jsonl")] if embedding == "table" else []
         assert cli.main(_plan_argv(out, extra)) == 0
         with open(out / "manifest.json") as fh:
             counts = json.load(fh)["timing"]["embedding"]
@@ -278,6 +329,35 @@ class TestPlanCommand:
                 assert first[name] == second[name], name
         assert any(json.loads(first[name]).get("steps") for name in first if name != "manifest.json")
 
+    def test_dataset_without_samples_is_exit_1_before_the_graph_is_read(self, tmp_path, monkeypatch, capsys):
+        def ingest(*args, **kwargs):
+            raise AssertionError("the graph was ingested for a dataset without samples")
+
+        monkeypatch.setattr(cli.kg, "ingest", ingest)
+        dataset = tmp_path / "tasks.jsonl"
+        dataset.write_text('{"name": "Broken"}\n{"task": "X", "steps": ["not a step"]}\n')
+        out = tmp_path / "run"
+        argv = _plan_argv(out)
+        argv[argv.index("--dataset") + 1] = str(dataset)
+        assert cli.main(argv) == 1
+        assert f"error: dataset {dataset} has no samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wikihow_dataset_plans_and_evaluates_without_a_format(self, tmp_path):
+        out = tmp_path / "run"
+        argv = _plan_argv(out)
+        argv[argv.index("--dataset") + 1] = _fixture("counterfactual_tasks.jsonl")
+        assert cli.main(argv) == 0
+        tasks = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert [t["task"] for t in tasks] == ["Watch TV", "Work", "Turn light off", "Clean"]
+        argv = ["eval", "--predictions", str(out), "--dataset", _fixture("counterfactual_tasks.jsonl"),
+                "--out", str(tmp_path / "eval")]
+        # the TV graph knows nothing of two tasks, whose empty plans cannot be scored
+        assert cli.main(argv) == 1
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert [r["id"] for r in report["per_sample"]] == [t["id"] for t in tasks if t["steps"]] != []
+        assert [r["id"] for r in report["failed"]] == [t["id"] for t in tasks if not t["steps"]]
+
     def test_missing_input_file_is_exit_2_and_no_output(self, tmp_path, capsys):
         out = tmp_path / "run"
         argv = _plan_argv(out)
@@ -312,7 +392,7 @@ class TestPlanCommand:
     def test_non_finite_table_row_is_exit_1_naming_file_and_line(self, tmp_path, capsys, literal):
         table = tmp_path / "table.jsonl"
         table.write_text('{"text": "a", "vector": [1.0, 0.0]}\n{"text": "b", "vector": [%s, 1.0]}\n' % literal)
-        argv = _plan_argv(tmp_path / "run", ["--embedding", "table", "--embedding-path", str(table)])
+        argv = _plan_argv(tmp_path / "run", ["--embedding-path", str(table)])
         assert cli.main(argv) == 1
         assert f"error: {table}, line 2" in capsys.readouterr().err
 
@@ -321,7 +401,7 @@ class TestPlanCommand:
         empty.write_text("{}")
         out = tmp_path / "run"
         argv = _plan_argv(
-            out, extra=["--generator", "scripted", "--generator-fixture", str(empty)]
+            out, extra=["--generator-fixture", str(empty)]
         )
         assert cli.main(argv) == 1
         with open(out / "manifest.json") as fh:
@@ -342,7 +422,7 @@ class TestPlanCommand:
         argv = [
             "plan", "--graph", str(graph), "--graph-format", "jsonl", "--dataset", str(dataset),
             "--admissible", _fixture("admissible_household.json"), "--out", str(out),
-            "--generator", "scripted", "--generator-fixture", str(fixture),
+            "--generator-fixture", str(fixture),
         ]
         assert cli.main(argv) == 1
         [entry] = json.loads((out / "manifest.json").read_text())["tasks"]
@@ -356,7 +436,7 @@ class TestPlanCommand:
         monkeypatch.setenv("NSPLAN_API_KEY", "sk-sec\nret")
         endpoint = loopback.serve(lambda payload: (200, {}))
         out = tmp_path / "run"
-        assert cli.main(_plan_argv(out, ["--generator", "remote", "--endpoint", endpoint])) == 1
+        assert cli.main(_plan_argv(out, ["--endpoint", endpoint])) == 1
         manifest = (out / "manifest.json").read_text()
         tasks = json.loads(manifest)["tasks"]
         reason = "the API key holds a character that is not printable ASCII"
@@ -393,7 +473,7 @@ class TestPlanCommand:
     def test_scripted_fixture_that_is_not_an_object_is_named(self, tmp_path, capsys):
         fixture = tmp_path / "responses.json"
         fixture.write_text("[1]")
-        argv = _plan_argv(tmp_path / "run", ["--generator", "scripted", "--generator-fixture", str(fixture)])
+        argv = _plan_argv(tmp_path / "run", ["--generator-fixture", str(fixture)])
         assert cli.main(argv) == 1
         assert f"error: {fixture}" in capsys.readouterr().err
 
@@ -404,7 +484,7 @@ class TestPlanCommand:
         fixture = tmp_path / "responses.json"
         fixture.write_text('{"0123456789abcdef": %s}' % entry)
         out = tmp_path / "run"
-        argv = _plan_argv(out, ["--generator", "scripted", "--generator-fixture", str(fixture)])
+        argv = _plan_argv(out, ["--generator-fixture", str(fixture)])
         assert cli.main(argv) == 1
         assert f"error: {fixture}: entry 0123456789abcdef must be" in capsys.readouterr().err
         assert not out.exists()
@@ -433,7 +513,7 @@ class TestPlanCommand:
         clean = tmp_path / "clean"
         assert cli.main(_plan_argv(clean)) == 0
         endpoint = loopback.serve(_follow_the_prompt)
-        remote = ["--generator", "remote", "--endpoint", endpoint]
+        remote = ["--endpoint", endpoint]
         out, serial = tmp_path / "run", tmp_path / "serial"
         assert cli.main(_plan_argv(out, remote)) == 1
         os.rename(out, serial)  # both manifests then echo the same --out
@@ -699,7 +779,6 @@ class TestCounterfactualCommand:
         argv = [
             "counterfactual",
             "--dataset", _fixture("counterfactual_tasks.jsonl"),
-            "--format", "wikihow-jsonl",
             "--admissible", _fixture("admissible_household.json"),
             "--seed", "7",
             "--out", str(out),
@@ -726,8 +805,7 @@ class TestCounterfactualCommand:
             argv = [
                 "counterfactual",
                 "--dataset", _fixture("counterfactual_tasks.jsonl"),
-                "--format", "wikihow-jsonl",
-                "--admissible", _fixture("admissible_household.json"),
+                    "--admissible", _fixture("admissible_household.json"),
                 "--seed", "11",
                 "--out", str(out),
             ]
@@ -740,7 +818,6 @@ class TestCounterfactualCommand:
         argv = [
             "counterfactual",
             "--dataset", _fixture("counterfactual_tasks.jsonl"),
-            "--format", "wikihow-jsonl",
             "--admissible", _fixture("admissible_household.json"),
             "--out", str(tmp_path / "cf"),
         ]
@@ -793,7 +870,7 @@ class TestInspectCommand:
         argv = [
             "inspect", "--task", "Watch TV", "--graph", _fixture("tv_graph.jsonl"), "--graph-format", "jsonl",
             "--admissible", _fixture("admissible_household.json"),
-            "--embedding", "table", "--embedding-path", str(table),
+            "--embedding-path", str(table),
         ]
         assert cli.main(argv) == 1
         assert f"error: {table}, line {line}: vector of " in capsys.readouterr().err
@@ -804,7 +881,7 @@ class TestInspectCommand:
         argv = [
             "inspect", "--task", "Watch TV", "--graph", _fixture("tv_graph.jsonl"), "--graph-format", "jsonl",
             "--admissible", _fixture("admissible_household.json"),
-            "--embedding", "table", "--embedding-path", str(table),
+            "--embedding-path", str(table),
         ]
         assert cli.main(argv) == 1
         assert f"error: {table}, line 1: vector must be a list of numbers" in capsys.readouterr().err
@@ -823,7 +900,7 @@ class TestInspectCommand:
         (["plan", "--graph", _fixture("tv_graph.jsonl"), "--graph-format", "jsonl",
           "--dataset", _fixture("watch_tv.jsonl"),
           "--admissible", _fixture("admissible_household.json"),
-          "--generator", "scripted", "--generator-fixture", "MISSING"], "generator_fixture"),
+          "--generator-fixture", "MISSING"], "generator_fixture"),
     ],
     ids=["inspect-graph", "inspect-admissible", "counterfactual-dataset", "eval-dataset",
          "plan-generator-fixture"],

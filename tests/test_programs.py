@@ -215,24 +215,20 @@ class TestLoadRobothow:
         assert len(samples) == 1
 
     @pytest.mark.parametrize(
-        "fmt,good,bad",
+        "good,bad",
         [
-            ("robothow-jsonl", {"task": "Sit", "steps": ["[Sit] <SOFA> (1)"]}, {"task": "x", "steps": [5]}),
-            (
-                "robothow-jsonl",
-                {"task": "Sit", "steps": ["[Sit] <SOFA> (1)"]},
-                {"task": "x", "steps": ["[Walk] <SOFA> (1)", None]},
-            ),
-            ("wikihow-jsonl", {"title": "Sit", "headlines": ["Sit down."]}, {"title": "x", "headlines": [1, 2]}),
+            ({"task": "Sit", "steps": ["[Sit] <SOFA> (1)"]}, {"task": "x", "steps": [5]}),
+            ({"task": "Sit", "steps": ["[Sit] <SOFA> (1)"]}, {"task": "x", "steps": ["[Walk] <SOFA> (1)", None]}),
+            ({"title": "Sit", "headlines": ["Sit down."]}, {"title": "x", "headlines": [1, 2]}),
         ],
     )
-    def test_step_that_is_not_a_string(self, tmp_path, fmt, good, bad):
+    def test_step_that_is_not_a_string(self, tmp_path, good, bad):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(InputError) as err:
-            load_task_dataset(path, fmt=fmt, strict=True)
+            load_task_dataset(path, strict=True)
         assert err.value.line_no == 2
-        assert [s.task for s in load_task_dataset(path, fmt=fmt, strict=False)] == ["Sit"]
+        assert [s.task for s in load_task_dataset(path, strict=False)] == ["Sit"]
 
     @pytest.mark.parametrize("bad", [b"\xff\xfe", b"[" * 200_000], ids=["not-utf8", "deep-nesting"])
     def test_bad_second_line_is_named_strict_and_skipped_lenient(self, tmp_path, bad):
@@ -246,32 +242,46 @@ class TestLoadRobothow:
         assert f"{path}, line 2" in str(err.value)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        fmt=st.sampled_from(["robothow-jsonl", "wikihow-jsonl"]),
-        lines=st.lists(st.one_of(st.binary(max_size=60), _ROWS, _NESTED), max_size=6),
-    )
-    def test_lenient_load_of_arbitrary_lines_never_raises(self, tmp_path_factory, fmt, lines):
+    @given(lines=st.lists(st.one_of(st.binary(max_size=60), _ROWS, _NESTED), max_size=6))
+    def test_lenient_load_of_arbitrary_lines_never_raises(self, tmp_path_factory, lines):
         path = tmp_path_factory.mktemp("fuzz") / "d.jsonl"
         path.write_bytes(b"\n".join(lines))
-        for sample in load_task_dataset(path, fmt=fmt, strict=False):
+        for sample in load_task_dataset(path, strict=False):
             assert isinstance(sample.task, str)
             assert all(isinstance(step, str) for step in sample.reference_plan)
-            if fmt == "robothow-jsonl":
+            if sample.domain == "robothow":
                 for step in sample.reference_plan:
                     parse_robothow_step(step)
 
-    def test_unknown_format(self, tmp_path):
-        path = tmp_path / "x.jsonl"
-        path.write_text("")
-        with pytest.raises(ValueError, match="format"):
-            load_task_dataset(path, fmt="csv")
+    def test_each_line_is_read_by_its_own_keys(self, tmp_path):
+        """RobotHow lines, WikiHow lines and junk in one file: a lenient read
+        keeps the good lines in file order, a strict one names the first junk."""
+        rows = [
+            {"task": "Watch TV", "steps": ["[Walk] <TELEVISION> (1)"]},
+            {"title": "Clean", "headlines": ["Find rag."]},
+            {"name": "Broken", "moves": ["nope"]},
+            {"title": "Work", "headlines": ["Sit on chair."]},
+            [1, 2],
+            {"task": "Sit", "steps": ["[Sit] <SOFA> (1)"]},
+        ]
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        samples = load_task_dataset(path, strict=False)
+        assert [(s.task, s.domain) for s in samples] == [
+            ("Watch TV", "robothow"), ("Clean", "wikihow"), ("Work", "wikihow"), ("Sit", "robothow"),
+        ]
+        with pytest.raises(InputError) as err:
+            load_task_dataset(path, strict=True)
+        assert err.value.line_no == 3
+        assert str(err.value) == (
+            f"{path}, line 3: expected a RobotHow line {{'task': str, 'steps': [str]}} "
+            "or a WikiHow line {'title': str, 'headlines': [str]}"
+        )
 
 
 class TestLoadWikihow:
     def test_counterfactual_fixture(self, fixture_path):
-        samples = load_task_dataset(
-            fixture_path("counterfactual_tasks.jsonl"), fmt="wikihow-jsonl"
-        )
+        samples = load_task_dataset(fixture_path("counterfactual_tasks.jsonl"))
         tasks = [s.task for s in samples]
         assert tasks == ["Watch TV", "Work", "Turn light off", "Clean"]
         assert all(s.domain == "wikihow" for s in samples)
@@ -284,7 +294,7 @@ class TestLoadWikihow:
     def test_headlines_kept_verbatim(self, tmp_path):
         path = tmp_path / "w.jsonl"
         path.write_text(json.dumps({"title": "T", "headlines": ["Do a thing."]}) + "\n")
-        (sample,) = load_task_dataset(path, fmt="wikihow-jsonl")
+        (sample,) = load_task_dataset(path)
         assert sample.reference_plan == ("Do a thing.",)
 
 
