@@ -28,20 +28,22 @@ rows = io.StringIO(
 graph = ingest(rows, fmt="jsonl")
 print(f"graph: {graph.node_count} nodes, {graph.edge_count} edges")
 
-# Each stage hands over a plain tuple of triplets: sampling gives the
-# graph's own triplets, in the order the graph ranked them when it was
-# built (weight descending, then head, relation, tail).
-sub = sample_subgraph(graph, ["take_a_shower"], hops=3)
-print(f"subgraph around take_a_shower: {len(sub)} triplets")
+# The graph ranks its triplets once, when it is built (weight descending,
+# then head, relation, tail), and sampling hands over the ranks of the
+# sampled ones as a sorted int array: graph.triplets[r] is rank r.
+ranks = sample_subgraph(graph, ["take_a_shower"], hops=3)
+print(f"subgraph around take_a_shower: {len(ranks)} triplets, ranks {ranks.tolist()}")
 
-# Edge-wise adaption nudges each weight by how well the tail concept
-# matches the task text and keeps only the triplets that pass the config's
-# edge and cosine thresholds (these loose ones keep every triplet); then
-# select() ranks the concepts and keeps the best-supported ones.
+# Edge-wise adaption reads the weights and tails of those ranks from the
+# graph, nudges each weight by how well the tail concept matches the task
+# text and keeps only the triplets that pass the config's edge and cosine
+# thresholds (these loose ones keep every triplet). Only the kept ones
+# become AdaptedTriplets; then select() ranks the concepts and keeps the
+# best-supported ones.
 provider = HashEmbedding()
 task = "take a shower"
 config = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0)
-adapted = adapt_weights(sub, task, provider, config)
+adapted = adapt_weights(graph, ranks, task, provider, config)
 for t in adapted:
     print(f"  {t.head} -{t.relation}-> {t.tail}  {t.weight:.2f} -> {t.adapted_weight:.2f}")
 

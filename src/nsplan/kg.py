@@ -2,8 +2,8 @@
 
 Ingests weighted (head, relation, tail) triplets from ConceptNet-style TSV
 or from JSONL, indexes them for neighbor queries, and samples hop-bounded
-task-relevant subgraphs as plain tuples of the graph's own triplets.
-``AdaptedTriplet``, a triplet with its task-adapted weight, is made only by
+task-relevant subgraphs as sorted arrays of edge ranks. ``AdaptedTriplet``,
+a triplet with its task-adapted weight, is made only by
 ``adaption.adapt_weights``.
 
 A (head, relation, tail) key is stored once: of its copies the heaviest is
@@ -11,11 +11,13 @@ kept, the first one on a tie, and the others are counted in
 ``IngestStats.duplicates``. The graph ranks its edges once, at
 construction: rank order is weight descending, then lexicographic on the
 key, and it is the order wherever an order is promised. ``triplets`` is the
-tuple of stored triplets in rank order. A CSR index gives each node one
-slice of the ranks of its incident edges (either direction, a self-loop
-once), ascending, so a node's neighbors and its ``FANOUT_CAP`` heaviest
-edges are a slice, and sampling works on int ranks until it hands over
-triplets.
+tuple of stored triplets in rank order; ``weights`` and ``tail_ids`` are
+their weights and tail node ids in the same order, as arrays, and
+``node_keys`` turns a node id back into its key. A CSR index gives each
+node one slice of the ranks of its incident edges (either direction, a
+self-loop once), ascending, so a node's neighbors and its ``FANOUT_CAP``
+heaviest edges are a slice. Sampling and adaption work on int ranks, and
+only the triplets that survive adaption's gates are read as objects.
 
 Relations are plain strings. ``HOUSEHOLD_RELATIONS`` is the one table of
 the nine household relations: it maps each to its symbolic rule, a plain
@@ -23,7 +25,8 @@ the nine household relations: it maps each to its symbolic rule, a plain
 one of ``PHASES``. A graph holds only the relations the table names: the
 constructor rejects any other relation, and ``ingest`` drops such rows and
 counts them in ``IngestStats.dropped_relation``. Ingest interns node keys
-and relation names, so equal keys share one string.
+and relation names, so equal keys share one string, and weights, so the
+triplets of one weight share one float.
 
 A row whose weight is not a finite positive number (a string or a bool is
 not a number) is malformed. ``sample_subgraph`` follows the ``FANOUT_CAP``
@@ -36,7 +39,6 @@ import json
 import logging
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,10 +136,12 @@ class KnowledgeGraph:
             t = next(t for t in triplets if t.relation not in HOUSEHOLD_RELATIONS)
             raise ValueError(f"{t}: {t.relation!r} is not a household relation")
         # Each temporary is dropped as soon as it has been used, and the
-        # long-lived tuple and list are built after the arrays are freed: the
-        # arrays come from the C heap, and blocks left live above freed ones
-        # keep those pages resident. With glibc, other orders left 3-6 MiB
-        # more RSS after loading a 106k-edge graph and running 4,000 plans.
+        # long-lived tuples of triplets and of node keys are built after
+        # the temporary arrays are freed: the arrays come from the C heap, and
+        # blocks left live above freed ones keep those pages resident. With
+        # glibc, building the two before the CSR index left 1.6 MiB more RSS
+        # after loading a 117k-row graph and running 4,000 plans, and other
+        # orders 3-6 MiB.
         heads = [t.head for t in triplets]
         tails = [t.tail for t in triplets]
         nodes = sorted(set(heads).union(tails))
@@ -154,9 +158,10 @@ class KnowledgeGraph:
         # heaviest, the first one on a tie, and it is the one kept.
         key = (head.astype(np.int64) * len(relation_id) + relation) * len(node_id) + tail
         order = np.lexsort((key, -weight))
-        del weight, relation
+        del relation
         order = order[np.sort(np.unique(key[order], return_index=True)[1])]
         del key
+        weight = weight[order]
         # CSR index: node i's incident ranks are _ranks[_indptr[i]:_indptr[i + 1]],
         # ascending, a self-loop once; _other holds each entry's far endpoint
         head, tail = head[order], tail[order]
@@ -168,20 +173,37 @@ class KnowledgeGraph:
         by_node = np.argsort(endpoint.astype(np.int64) * len(order) + ranks)  # by (node, rank)
         ranks = ranks[by_node]
         other = np.concatenate((tail, head[~loop]))[by_node]
-        counts = np.bincount(endpoint, minlength=len(node_id))
-        del head, tail, loop, endpoint, by_node
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(endpoint, minlength=len(node_id)))))
+        del head, loop, endpoint, by_node
         order = order.tolist()
         self._ordered = tuple(map(triplets.__getitem__, order))
         del order, triplets
-        self._ranks, self._other = ranks, other
-        # a list, not an array: sampling reads it one scalar at a time
-        self._indptr = [0, *np.cumsum(counts).tolist()]
+        for column in (weight, tail, ranks, other, indptr):
+            column.setflags(write=False)
+        self._weights, self._tail_ids, self._nodes = weight, tail, tuple(node_id)
+        self._ranks, self._other, self._indptr = ranks, other, indptr
         self._node_id = node_id
 
     @property
     def triplets(self):
         """Every stored triplet, in rank order."""
         return self._ordered
+
+    @property
+    def weights(self):
+        """Every stored triplet's weight, in rank order: a read-only float64 array."""
+        return self._weights
+
+    @property
+    def tail_ids(self):
+        """Every stored triplet's tail node id, in rank order: a read-only
+        int32 array. Node ids number the node keys in sorted order."""
+        return self._tail_ids
+
+    @property
+    def node_keys(self):
+        """The tuple of node keys, sorted: ``node_keys[i]`` is the key of node id i."""
+        return self._nodes
 
     @property
     def edge_count(self):
@@ -212,14 +234,16 @@ def _parse_conceptnet_uri(uri, column):
     return parts[2], sys.intern(parts[3])
 
 
-def _weight(value):
-    """A row's weight as a float; a string or a bool is not a weight."""
+def _weight(value, weights):
+    """A row's weight as a float, the one object ``weights`` holds for that
+    value; a string or a bool is not a weight."""
     if type(value) not in (int, float):
         raise ValueError(f"weight must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    return weights.setdefault(value, value)
 
 
-def _parse_tsv_line(line):
+def _parse_tsv_line(line, weights):
     cols = line.split("\t")
     if len(cols) != 5:
         raise ValueError(f"expected 5 tab-separated columns, got {len(cols)}")
@@ -230,7 +254,7 @@ def _parse_tsv_line(line):
     start_lang, head = _parse_conceptnet_uri(start_uri, 3)
     end_lang, tail = _parse_conceptnet_uri(end_uri, 4)
     try:
-        weight = _weight(json.loads(meta_json)["weight"])
+        weight = _weight(json.loads(meta_json)["weight"], weights)
     except (KeyError, TypeError, ValueError, RecursionError):
         raise ValueError(f"metadata JSON lacks a numeric weight: {meta_json!r}") from None
     if start_lang != "en" or end_lang != "en":
@@ -238,11 +262,11 @@ def _parse_tsv_line(line):
     return Triplet(head, relation, tail, weight)
 
 
-def _triplet_from_json(obj):
+def _triplet_from_json(obj, weights):
     head, relation, tail, weight = obj["head"], obj["relation"], obj["tail"], obj["weight"]
     if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)):
         raise ValueError(f"head, relation and tail must be strings: {obj!r}")
-    return Triplet(sys.intern(head), sys.intern(relation), sys.intern(tail), _weight(weight))
+    return Triplet(sys.intern(head), sys.intern(relation), sys.intern(tail), _weight(weight, weights))
 
 
 def ingest(source, fmt="conceptnet-tsv", strict=False):
@@ -260,10 +284,11 @@ def ingest(source, fmt="conceptnet-tsv", strict=False):
     if fmt not in ("conceptnet-tsv", "jsonl"):
         raise ValueError(f"unknown ingest format: {fmt!r}")
     bad = []
+    weights = {}  # a weight repeats across many rows: its triplets share one float
     if fmt == "conceptnet-tsv":
-        rows = read_lines(source, _parse_tsv_line, None if strict else bad)
+        rows = read_lines(source, lambda line: _parse_tsv_line(line, weights), None if strict else bad)
     else:
-        rows = read_jsonl(source, _triplet_from_json, None if strict else bad)
+        rows = read_jsonl(source, lambda obj: _triplet_from_json(obj, weights), None if strict else bad)
 
     stats = IngestStats()
     triplets = []
@@ -295,31 +320,44 @@ def sample_subgraph(graph, anchors, hops):
 
     Traversal is undirected. Only nodes strictly closer than ``hops`` are
     expanded; at each expanded node only its first ``FANOUT_CAP`` incident
-    edges in rank order are followed. Returns a tuple of the graph's own
-    triplets in rank order.
+    edges in rank order are followed. Returns the ranks of the followed
+    edges as a sorted int array; ``graph.triplets[r]`` is the triplet of
+    rank r.
+
+    The search goes one level at a time: the nodes at distance d are
+    expanded together, by gathering their capped CSR slices at once, and
+    the far endpoints not yet seen form the next level.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")
 
     node_id = graph._node_id
-    dist = {node_id[a]: 0 for a in sorted(set(anchors)) if a in node_id}
-    # slicing a memoryview and iterating it costs less than a numpy slice
-    # and its tolist()
-    ranks, other, indptr = memoryview(graph._ranks), memoryview(graph._other), graph._indptr
-    included = set()
-    queue = deque(dist)
-    while queue:
-        node = queue.popleft()
-        d = dist[node]
-        if d >= hops:
-            continue
-        lo, hi = indptr[node], indptr[node + 1]
-        if hi - lo > FANOUT_CAP:
-            hi = lo + FANOUT_CAP
-        included.update(ranks[lo:hi])
-        for far in other[lo:hi]:
-            if far not in dist:
-                dist[far] = d + 1
-                queue.append(far)
-    ordered = graph._ordered
-    return tuple([ordered[r] for r in sorted(included)])
+    frontier = np.array(sorted({node_id[a] for a in anchors if a in node_id}), np.intp)
+    indptr, ranks, other = graph._indptr, graph._ranks, graph._other
+    seen = np.zeros(graph.node_count, bool)
+    seen[frontier] = True
+    followed = []
+    for depth in range(hops):
+        if not frontier.size:
+            break
+        lo = indptr[frontier]
+        count = np.minimum(indptr[frontier + 1] - lo, FANOUT_CAP)
+        end = np.cumsum(count)
+        # the positions lo[i] .. lo[i] + count[i] - 1 of every slice, in one array
+        at = np.arange(end[-1]) + np.repeat(lo - (end - count), count)
+        followed.append(ranks[at])
+        if depth + 1 < hops:
+            far = other[at]
+            frontier = _sorted_unique(far[~seen[far]])
+            seen[frontier] = True
+    return _sorted_unique(np.concatenate(followed)) if followed else np.empty(0, ranks.dtype)
+
+
+def _sorted_unique(values):
+    """The distinct values, ascending: a sort and one comparison of
+    neighbours, cheaper here than ``np.unique``."""
+    values = np.sort(values)
+    keep = np.empty(len(values), bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]

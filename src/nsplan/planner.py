@@ -93,8 +93,8 @@ def knowledge_for_task(task, graph, embedder, config):
     gate edge weights, rank and cap the concepts, verbalize. Returns the
     ungrounded knowledge prompt."""
     parsed = entities.parse_entities(task, graph=graph)
-    sub = kg.sample_subgraph(graph, parsed.keys(), hops=config.hops)
-    adapted = adaption.adapt_weights(sub, task, embedder, config)
+    ranks = kg.sample_subgraph(graph, parsed.keys(), hops=config.hops)
+    adapted = adaption.adapt_weights(graph, ranks, task, embedder, config)
     kept = adaption.select(adapted, config, task)
     return verbalize.build_knowledge_prompt(kept, max_depth=config.hops)
 

@@ -191,6 +191,82 @@ def translate_scan_oracle(text, candidates, provider):
     return best_text, best_cos
 
 
+# ---------------------------------------------------------------- planning
+
+def plan_oracle(task, triplets, admissible_texts, schedule, config, provider):
+    """The ``PlanResult.to_json()`` of one plan, assembled from the stage
+    oracles above with plain loops: the follower generator with confidence
+    ``schedule`` over a graph of ``triplets`` (household relations only,
+    duplicate keys allowed) and the admissible steps ``admissible_texts``.
+
+    Of the copies of a key the heaviest is kept, the first one on a tie.
+    The task's entity keys (the library's parser, given the node set) are
+    the anchors; sampling reads ``kg.FANOUT_CAP`` at call time. Each
+    knowledge line is grounded by the scan oracle and consecutive repeats
+    collapse. Each iteration echoes the first grounded line the steps have
+    not used, at the schedule's confidence for the step count (clamped to
+    its last entry), and accepts the scan oracle's step while confidence
+    times the clamped-at-zero cosine is at least theta."""
+    from nsplan import kg
+    from nsplan.embeddings import embed
+    from nsplan.entities import parse_entities, tokenize
+    from nsplan.kg import AdaptedTriplet
+
+    heaviest = {}
+    for t in triplets:
+        if t.key not in heaviest or t.weight > heaviest[t.key].weight:
+            heaviest[t.key] = t
+    nodes = {t.head for t in heaviest.values()} | {t.tail for t in heaviest.values()}
+    anchors = parse_entities(task, graph=nodes).keys()
+    sampled, _ = sample_subgraph_oracle(
+        list(heaviest.values()), anchors, config.hops, kg.FANOUT_CAP, kg.HOUSEHOLD_RELATIONS
+    )
+    adapted = [
+        AdaptedTriplet(*row)
+        for row in adapt_oracle(sampled, task, provider, config.edge_threshold, config.cos_keep_threshold)
+    ]
+    kept = select_oracle(
+        adapted, tokenize(task), config.top_k, config.edge_threshold, config.cos_keep_threshold,
+        config.concept_ratio,
+    )
+
+    class View:
+        def vector(self, text):
+            return embed(provider, text)
+
+    grounded = []
+    for line in verbalize_oracle(kept, config.hops):
+        text, _ = translate_scan_oracle(line, admissible_texts, View())
+        if not grounded or grounded[-1] != text:
+            grounded.append(text)
+
+    steps, trace = [], []
+    termination = "MaxSteps"
+    while len(steps) < config.max_steps:
+        used = [step["text"] for step in steps]
+        unused = [line for line in grounded if line not in used]
+        if not unused:
+            termination = "GeneratorExhausted"
+            break
+        confidence = schedule[min(len(steps), len(schedule) - 1)]
+        text, cos = translate_scan_oracle(unused[0], admissible_texts, View())
+        effective = confidence * max(cos, 0.0)
+        trace.append({
+            "iteration": len(steps) + 1,
+            "generated_text": unused[0],
+            "generation_confidence": confidence,
+            "translated_text": text,
+            "translation_cosine": cos,
+            "effective_confidence": effective,
+            "accepted": effective >= config.theta,
+        })
+        if effective < config.theta:
+            termination = "BelowThreshold"
+            break
+        steps.append({"text": text, "confidence": effective})
+    return {"task": task, "steps": steps, "termination": termination, "trace": trace}
+
+
 # ---------------------------------------------------------------- metrics
 
 def bleu_oracle(pred_tokens, ref_tokens):

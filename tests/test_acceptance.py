@@ -37,7 +37,7 @@ from nsplan.counterfactual import (
 )
 from nsplan.embeddings import HashEmbedding, cosine, embed
 from nsplan.generation import KnowledgeFollowerGenerator
-from nsplan.kg import AdaptedTriplet, sample_subgraph, surface
+from nsplan.kg import AdaptedTriplet, KnowledgeGraph, Triplet, sample_subgraph, surface
 from nsplan.metrics import (
     pearson,
     rouge1_f1,
@@ -81,9 +81,10 @@ def test_criterion_01_published_prompt_verbatim(shower_graph, fixture_path):
     assert len(expected) == 18
 
     start = time.time()
-    sub = sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
+    ranks = sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
     adapted = adapt_weights(
-        sub, "take a shower", HashEmbedding(), PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0)
+        shower_graph, ranks, "take a shower", HashEmbedding(),
+        PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0),
     )
     prompt = build_knowledge_prompt(adapted, max_depth=3)
     elapsed = time.time() - start
@@ -198,9 +199,9 @@ def test_criterion_05_adaption_properties():
             if key in seen:
                 continue
             seen.add(key)
-            w = rng.uniform(0.0, 8.0)
-            triplets.append(AdaptedTriplet(*key, weight=w, adapted_weight=w))
-        sub = tuple(triplets)
+            triplets.append(Triplet(*key, rng.uniform(0.0, 8.0)))
+        graph = KnowledgeGraph(triplets)
+        sub = graph.triplets
         task = " ".join(rng.choice(nodes).replace("_", " ") for _ in range(rng.randint(1, 4)))
 
         # the oracle's input: every triplet adapted, none gated
@@ -221,7 +222,7 @@ def test_criterion_05_adaption_properties():
             concept_ratio=rng.randint(1, 4),
             cos_keep_threshold=rng.uniform(-1.0, 0.5),
         )
-        got = select(adapt_weights(sub, task, provider, cfg), cfg, task)
+        got = select(adapt_weights(graph, np.arange(graph.edge_count), task, provider, cfg), cfg, task)
         want = oracles.select_oracle(
             adapted,
             task.split(),

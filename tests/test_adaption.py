@@ -11,7 +11,7 @@ import oracles
 from nsplan.adaption import adapt_weights, select, surface
 from nsplan.embeddings import HashEmbedding, cosine, embed
 from nsplan.entities import tokenize
-from nsplan.kg import AdaptedTriplet, Triplet
+from nsplan.kg import AdaptedTriplet, KnowledgeGraph, Triplet
 from nsplan.planner import PlannerConfig
 
 
@@ -19,9 +19,13 @@ def _adapted(head, relation, tail, weight, adapted_weight):
     return AdaptedTriplet(head, relation, tail, weight, adapted_weight)
 
 
-def _fresh(triplets):
-    """Adapted triplets whose adapted weight is still the original weight."""
-    return tuple(_adapted(h, r, t, w, w) for h, r, t, w in triplets)
+def _graph(rows):
+    return KnowledgeGraph([Triplet(*row) for row in rows])
+
+
+def _adapt(graph, task, provider, cfg):
+    """``adapt_weights`` over every triplet of ``graph``, in rank order."""
+    return adapt_weights(graph, np.arange(graph.edge_count), task, provider, cfg)
 
 
 def _ungated(sub, task, provider):
@@ -54,12 +58,13 @@ class _Cosines:
         return [c, math.sqrt(1.0 - c * c)]
 
 
-WEIGHTS = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+WEIGHTS = st.floats(min_value=0.0, max_value=10.0, exclude_min=True)
 NODES = st.sampled_from(["wash_hair", "soap", "towel", "shower", "water", "clean"])
 
 
 @st.composite
 def subgraphs(draw):
+    """A graph of up to 12 triplets."""
     n = draw(st.integers(min_value=0, max_value=12))
     triplets = []
     seen = set()
@@ -71,14 +76,14 @@ def subgraphs(draw):
             continue
         seen.add((head, rel, tail))
         triplets.append((head, rel, tail, draw(WEIGHTS)))
-    return _fresh(triplets)
+    return _graph(triplets)
 
 
 class TestAdaptWeights:
     def test_shift_is_tail_task_cosine(self, hash_embedder):
-        sub = _fresh([("shower", "HasSubevent", "wash_hair", 2.0)])
+        graph = _graph([("shower", "HasSubevent", "wash_hair", 2.0)])
         task = "wash your hair"
-        out = adapt_weights(sub, task, hash_embedder, KEEP_ALL)
+        out = _adapt(graph, task, hash_embedder, KEEP_ALL)
         t = out[0]
         want = cosine(
             embed(hash_embedder, surface("wash_hair")), embed(hash_embedder, task)
@@ -88,53 +93,71 @@ class TestAdaptWeights:
 
     @given(subgraphs())
     @settings(max_examples=50, deadline=None)
-    def test_shift_bounded_by_one(self, sub):
-        out = adapt_weights(sub, "take a shower", HashEmbedding(dim=32), KEEP_ALL)
+    def test_shift_bounded_by_one(self, graph):
+        out = _adapt(graph, "take a shower", HashEmbedding(dim=32), KEEP_ALL)
         for t in out:
             assert -1.0 <= t.adapted_weight - t.weight <= 1.0
 
-    def test_preserves_order_and_weights(self, hash_embedder):
-        # the graph's own triplets, as sample_subgraph hands them over
-        sub = (Triplet("a", "UsedFor", "b", 1.0), Triplet("b", "UsedFor", "c", 2.0))
-        out = adapt_weights(sub, "task", hash_embedder, KEEP_ALL)
-        assert [t.key for t in out] == [t.key for t in sub]
-        assert [t.weight for t in out] == [1.0, 2.0]
+    def test_keeps_the_order_of_the_ranks_and_the_weights(self, hash_embedder):
+        graph = _graph([("a", "UsedFor", "b", 1.0), ("b", "UsedFor", "c", 2.0)])
+        out = _adapt(graph, "task", hash_embedder, KEEP_ALL)
+        assert [t.key for t in out] == [("b", "UsedFor", "c"), ("a", "UsedFor", "b")]  # rank order
+        assert [t.weight for t in out] == [2.0, 1.0]
         assert all(type(t) is AdaptedTriplet for t in out)
+        reverse = adapt_weights(graph, np.array([1, 0]), "task", hash_embedder, KEEP_ALL)
+        assert reverse == out[::-1]
+
+    def test_embeds_the_task_then_each_new_tail_in_order_of_first_appearance(self):
+        class Recording(HashEmbedding):
+            def __init__(self):
+                super().__init__(dim=32)
+                self.asked = []
+
+            def embed(self, text):
+                self.asked.append(text)
+                return super().embed(text)
+
+        # rank order holds the tails zeta, alpha, zeta, mid; their node ids are sorted by name
+        graph = _graph([("a", "UsedFor", "zeta", 4.0), ("b", "UsedFor", "alpha", 3.0),
+                        ("c", "UsedFor", "zeta", 2.0), ("d", "UsedFor", "mid", 1.0)])
+        provider = Recording()
+        _adapt(graph, "task words", provider, KEEP_ALL)
+        assert provider.asked == ["task words", "zeta", "alpha", "mid"]
 
     def test_same_tail_same_shift(self, hash_embedder):
-        sub = _fresh(
-            [("a", "UsedFor", "shared", 1.0), ("b", "HasSubevent", "shared", 5.0)]
-        )
-        out = adapt_weights(sub, "some task", hash_embedder, KEEP_ALL)
+        graph = _graph([("a", "UsedFor", "shared", 1.0), ("b", "HasSubevent", "shared", 5.0)])
+        out = _adapt(graph, "some task", hash_embedder, KEEP_ALL)
         shifts = {round(t.adapted_weight - t.weight, 12) for t in out}
         assert len(shifts) == 1
 
-    def test_empty_subgraph(self, hash_embedder):
-        assert adapt_weights((), "task", hash_embedder, KEEP_ALL) == ()
+    def test_no_ranks(self, hash_embedder):
+        assert _adapt(KnowledgeGraph(), "task", hash_embedder, KEEP_ALL) == ()
+        graph = _graph([("a", "UsedFor", "b", 1.0)])
+        assert adapt_weights(graph, np.arange(0), "task", hash_embedder, KEEP_ALL) == ()
 
     CFG = PlannerConfig(top_k=10, edge_threshold=0.6, concept_ratio=3, cos_keep_threshold=0.4)
 
     def test_edge_threshold_drops_triplets(self):
         # Both pass the cosine gate (shift 0.49 / 0.51); only y clears 0.6.
-        sub = (Triplet("a", "UsedFor", "x", 0.1), Triplet("a", "UsedFor", "y", 0.1))
-        out = adapt_weights(sub, "task words here", _Cosines({"x": 0.49, "y": 0.51}), self.CFG)
+        graph = _graph([("a", "UsedFor", "x", 0.1), ("a", "UsedFor", "y", 0.1)])
+        out = _adapt(graph, "task words here", _Cosines({"x": 0.49, "y": 0.51}), self.CFG)
         assert [t.tail for t in out] == ["y"]
 
     def test_cosine_gate_uses_recovered_shift(self):
         # adapted - weight is 0.39 for x (dropped) and 0.41 for y (kept).
-        sub = (Triplet("a", "UsedFor", "x", 1.0), Triplet("a", "UsedFor", "y", 1.0))
-        out = adapt_weights(sub, "task words here", _Cosines({"x": 0.39, "y": 0.41}), self.CFG)
+        graph = _graph([("a", "UsedFor", "x", 1.0), ("a", "UsedFor", "y", 1.0)])
+        out = _adapt(graph, "task words here", _Cosines({"x": 0.39, "y": 0.41}), self.CFG)
         assert [t.tail for t in out] == ["y"]
 
     @given(subgraphs(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_gate_keeps_a_triplet_exactly_at_each_threshold(self, sub, data):
+    def test_gate_keeps_a_triplet_exactly_at_each_threshold(self, graph, data):
         """A threshold equal to an adapted weight, or to a recovered shift,
         keeps the triplets at that value; a threshold one ulp above, which
         leaves them one ulp below it, drops them, as the oracle does."""
         task = "take a shower"
         provider = HashEmbedding(dim=32)
-        ungated = _ungated(sub, task, provider)
+        ungated = _ungated(graph.triplets, task, provider)
         candidates = [t for t in ungated if t.adapted_weight >= 0.0]  # edge_threshold >= 0
         assume(candidates)
         edge = data.draw(st.sampled_from([t.adapted_weight for t in candidates]))
@@ -151,7 +174,7 @@ class TestAdaptWeights:
                 top_k=100, edge_threshold=edge_threshold, concept_ratio=100,
                 cos_keep_threshold=cos_keep_threshold,
             )
-            got = adapt_weights(sub, task, provider, cfg)
+            got = _adapt(graph, task, provider, cfg)
             assert all((t in got) is kept for t in on_threshold)
             want = oracles.select_oracle(
                 ungated, tokenize(task), top_k=100, edge_threshold=edge_threshold,
@@ -181,7 +204,7 @@ TAILS = ["wash_hair", "soap", "towel", "shower", "water", "clean", "dry_off", "t
 
 @st.composite
 def adaption_cases(draw):
-    """(provider, triplets, edge_threshold, cos_keep_threshold), each
+    """(provider, graph, edge_threshold, cos_keep_threshold), each
     threshold the exact or the matrix-product score of a drawn triplet, as an
     adapted weight or a shift, most often one of a triplet whose two scores
     differ. The task and some tails get dense random vectors, whose
@@ -195,11 +218,12 @@ def adaption_cases(draw):
     # a weight of 1e-300 adds nothing to a cosine, so the adapted weight is the score itself
     weights = st.one_of(st.just(1e-300), st.sampled_from([1.0, 2.5, 1e7, 3e15]),
                         st.floats(min_value=1e-300, max_value=10.0))
-    triplets = tuple(
+    graph = KnowledgeGraph(
         Triplet(draw(NODES), draw(st.sampled_from(["HasSubevent", "UsedFor"])), draw(st.sampled_from(TAILS)),
                 draw(weights))
         for _ in range(draw(st.integers(min_value=0, max_value=10)))
     )
+    triplets = graph.triplets
     task_vec = embed(provider, TASK)
     distinct = list(dict.fromkeys(t.tail for t in triplets))
     rows = np.array([embed(provider, surface(tail)) for tail in distinct]).reshape(len(distinct), dim)
@@ -220,7 +244,7 @@ def adaption_cases(draw):
     def threshold(every, near):
         return draw(st.sampled_from(near if near and draw(st.booleans()) else every))
 
-    return provider, triplets, threshold(edges, near_edges), threshold(shifts, near_shifts)
+    return provider, graph, threshold(edges, near_edges), threshold(shifts, near_shifts)
 
 
 def _hex(rows):
@@ -228,13 +252,19 @@ def _hex(rows):
 
 
 class TestAdaptOracle:
-    @given(adaption_cases())
+    @given(adaption_cases(), st.data())
     @settings(max_examples=400, deadline=None)
-    def test_matches_the_per_triplet_scan(self, case):
-        provider, triplets, edge_threshold, cos_keep_threshold = case
+    def test_matches_the_per_triplet_scan(self, case, data):
+        """On every rank of the graph, or on a drawn subset of them, as
+        sampling hands them over."""
+        provider, graph, edge_threshold, cos_keep_threshold = case
+        ranks = range(graph.edge_count)
+        if data.draw(st.booleans()):
+            ranks = sorted(data.draw(st.sets(st.sampled_from(ranks))) if graph.edge_count else ())
         cfg = PlannerConfig(edge_threshold=edge_threshold, cos_keep_threshold=cos_keep_threshold)
-        got = adapt_weights(triplets, TASK, provider, cfg)
-        want = oracles.adapt_oracle(triplets, TASK, provider, edge_threshold, cos_keep_threshold)
+        got = adapt_weights(graph, np.array(ranks, np.intp), TASK, provider, cfg)
+        want = oracles.adapt_oracle([graph.triplets[r] for r in ranks], TASK, provider, edge_threshold,
+                                    cos_keep_threshold)
         assert _hex((t.head, t.relation, t.tail, t.weight, t.adapted_weight) for t in got) == _hex(want)
 
 
@@ -246,16 +276,16 @@ class TestSelect:
         st.floats(min_value=-1.0, max_value=1.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_full_sort_oracle(self, sub, top_k, edge_threshold, cos_keep_threshold):
+    def test_matches_full_sort_oracle(self, graph, top_k, edge_threshold, cos_keep_threshold):
         task = "take a shower"
         provider = HashEmbedding(dim=32)
         cfg = PlannerConfig(
             top_k=top_k, edge_threshold=edge_threshold, concept_ratio=2,
             cos_keep_threshold=cos_keep_threshold,
         )
-        got = select(adapt_weights(sub, task, provider, cfg), cfg, task)
+        got = select(_adapt(graph, task, provider, cfg), cfg, task)
         want = oracles.select_oracle(
-            _ungated(sub, task, provider),
+            _ungated(graph.triplets, task, provider),
             tokenize(task),
             top_k=top_k,
             edge_threshold=edge_threshold,
@@ -344,9 +374,9 @@ def test_surface_replaces_underscores():
 def test_pipeline_on_shower_fixture(shower_graph, hash_embedder):
     from nsplan.kg import sample_subgraph
 
-    sub = sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
+    ranks = sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
     cfg = PlannerConfig(top_k=10, edge_threshold=0.0, concept_ratio=3, cos_keep_threshold=-1.0)
-    adapted = adapt_weights(sub, "take a shower", hash_embedder, cfg)
+    adapted = adapt_weights(shower_graph, ranks, "take a shower", hash_embedder, cfg)
     assert all(np.isfinite(t.adapted_weight) for t in adapted)
     out = select(adapted, cfg, "take a shower")
     assert 0 < len(out) <= len(adapted)

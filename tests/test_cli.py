@@ -1,5 +1,6 @@
 """CLI harness: config resolution, subcommands, artifacts, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -9,7 +10,8 @@ import sys
 
 import pytest
 
-from nsplan import _files, cli
+from nsplan import _files, cli, embeddings
+from nsplan.embeddings import HashEmbedding
 from nsplan.errors import ConfigError
 from nsplan.generation import ScriptedGenerator
 
@@ -284,6 +286,30 @@ class TestPlanCommand:
         # the counts of per-text embed calls, which batch embedding keeps
         want = {"hits": 26, "misses": 324} | ({"table_misses": 321} if embedding == "table" else {})
         assert counts == want
+
+    def test_embedding_traffic_of_a_fixture_run_is_pinned(self, tmp_path, monkeypatch):
+        """The texts the provider is asked to embed, in order, and the memo's
+        hit and miss counts, which the manifest records: adaption embeds the
+        distinct tails of each sample in order of first appearance."""
+        asked, built = [], []
+
+        class Recording(HashEmbedding):
+            def embed(self, text):
+                asked.append(text)
+                return super().embed(text)
+
+        def build(config):
+            built.append(Recording(dim=config.embedding_dim, seed=config.seed or 0))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_embedder", build)
+        out = tmp_path / "run"
+        assert cli.main(_plan_argv(out)) == 0
+        with open(out / "manifest.json") as fh:
+            counts = json.load(fh)["timing"]["embedding"]
+        assert counts == embeddings.memo_counts(built[0]) == {"hits": 26, "misses": 324}
+        assert len(asked) == 324
+        assert hashlib.sha256("\n".join(asked).encode()).hexdigest()[:16] == "2fe3e072bb67fdef"
 
     def test_rerun_is_byte_identical_modulo_timing(self, tmp_path):
         out = tmp_path / "run"

@@ -24,7 +24,7 @@ from nsplan.embeddings import (
 )
 from nsplan.entities import tokenize
 from nsplan.errors import InputError, TransportError
-from nsplan.kg import Triplet
+from nsplan.kg import KnowledgeGraph, Triplet
 from nsplan.metrics import embed_match_f1, wmd_transport
 from nsplan.planner import PlannerConfig
 
@@ -314,10 +314,10 @@ class TestNonFiniteVectors:
             translate("towel", AdmissibleSet(steps), provider)
         with pytest.raises(ValueError):
             translate("wash hair", AdmissibleSet([*steps, AdmissibleStep("towel")]), provider)
-        with pytest.raises(ValueError):
-            adapt_weights((Triplet("bathroom", "AtLocation", "towel"),), "wash hair", provider, PlannerConfig())
-        with pytest.raises(ValueError):
-            adapt_weights((Triplet("bathroom", "AtLocation", "hair"),), "towel", provider, PlannerConfig())
+        for tail, task in [("towel", "wash hair"), ("hair", "towel")]:
+            with pytest.raises(ValueError):
+                adapt_weights(KnowledgeGraph([Triplet("bathroom", "AtLocation", tail)]), np.arange(1), task,
+                              provider, PlannerConfig())
         embed_match_f1("find", "soap", provider)  # the token table exists before the failures
         with pytest.raises(ValueError):
             embed_match_f1("towel", "hair", provider)
@@ -649,9 +649,10 @@ class TestEmbedContract:
         cos = cosine(tiny, embed(provider, "left"))
         for threshold in (cos, np.nextafter(cos, 2.0)):
             cfg = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=threshold)
-            triplets = (Triplet("x", "AtLocation", "tiny", 2.0), Triplet("x", "AtLocation", "up", 2.0))
-            got = [(t.tail, t.adapted_weight.hex()) for t in adapt_weights(triplets, "left", provider, cfg)]
-            want = oracles.adapt_oracle(triplets, "left", provider, 0.0, threshold)
+            graph = KnowledgeGraph([Triplet("x", "AtLocation", "tiny", 2.0), Triplet("x", "AtLocation", "up", 2.0)])
+            adapted = adapt_weights(graph, np.arange(graph.edge_count), "left", provider, cfg)
+            got = [(t.tail, t.adapted_weight.hex()) for t in adapted]
+            want = oracles.adapt_oracle(graph.triplets, "left", provider, 0.0, threshold)
             assert got == [(tail, adapted.hex()) for _, _, tail, _, adapted in want]
         texts, view = ["tiny", "up"], types.SimpleNamespace(vector=lambda text: embed(provider, text))
         matrix = np.array([embed(provider, t) for t in texts])

@@ -3,6 +3,7 @@ import json
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -311,6 +312,8 @@ class TestNeighbors:
         """Self-loops, weight ties and duplicate keys: a node's neighbors are
         the graph's triplets that touch it, in rank order, each once."""
         graph = KnowledgeGraph([Triplet(*row) for row in rows])
+        assert graph.weights.tolist() == [t.weight for t in graph.triplets]
+        assert [graph.node_keys[i] for i in graph.tail_ids.tolist()] == [t.tail for t in graph.triplets]
         for node in "abcde":
             want = [t for t in graph.triplets if node in (t.head, t.tail)]
             got = graph.neighbors(node)
@@ -327,7 +330,7 @@ class TestSampleSubgraph:
     def test_hop_bound(self):
         graph = self.chain()
         sub = kg.sample_subgraph(graph, ["n0"], hops=2)
-        heads = {t.head for t in sub}
+        heads = {graph.triplets[r].head for r in sub}
         assert heads == {"n0", "n1"}  # n2 sits at the boundary, not expanded
 
     def test_zero_hops_empty(self):
@@ -342,7 +345,7 @@ class TestSampleSubgraph:
             [Triplet("hub", "Causes", f"t{i}", float(i + 1)) for i in range(kg.FANOUT_CAP + 3)]
         )
         sub = kg.sample_subgraph(graph, ["hub"], hops=1)
-        assert sorted(t.weight for t in sub) == [float(w) for w in range(4, kg.FANOUT_CAP + 4)]
+        assert sorted(graph.triplets[r].weight for r in sub) == [float(w) for w in range(4, kg.FANOUT_CAP + 4)]
 
     def test_non_whitelisted_edges_never_traversed(self):
         """A graph holds household relations only, so sampling has no other
@@ -353,18 +356,18 @@ class TestSampleSubgraph:
     def test_deterministic(self, shower_graph):
         a = kg.sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
         b = kg.sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
-        assert a == b
+        assert a.tolist() == b.tolist()
 
-    def test_output_sorted_by_weight_then_lex(self, shower_graph):
+    def test_ranks_give_triplets_sorted_by_weight_then_lex(self, shower_graph):
         sub = kg.sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
-        keys = [(-t.weight, t.head, t.relation, t.tail) for t in sub]
+        keys = [(-t.weight, t.head, t.relation, t.tail) for t in map(shower_graph.triplets.__getitem__, sub)]
         assert keys == sorted(keys)
 
-    def test_hands_over_the_graphs_own_triplets(self, shower_graph):
+    def test_hands_over_sorted_distinct_int_ranks(self, shower_graph):
         sub = kg.sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
-        stored = {t.key: t for t in shower_graph.triplets}
-        assert type(sub) is tuple and sub
-        assert all(stored[t.key] is t for t in sub)
+        assert isinstance(sub, np.ndarray) and sub.ndim == 1 and sub.dtype.kind == "i"
+        assert len(sub) and 0 <= sub[0] and sub[-1] < shower_graph.edge_count
+        assert (np.diff(sub) > 0).all()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -386,11 +389,14 @@ class TestSampleSubgraph:
         # The graph holds only the household rows; the oracle sees all of
         # them and applies the whitelist itself.
         household = [t for t in triplets if t.relation in kg.HOUSEHOLD_RELATIONS]
+        graph = KnowledgeGraph(household)
         with mock.patch.object(kg, "FANOUT_CAP", cap):
-            sub = kg.sample_subgraph(KnowledgeGraph(household), anchors, hops)
+            ranks = kg.sample_subgraph(graph, anchors, hops)
         want, _ = oracles.sample_subgraph_oracle(
             triplets, anchors, hops, cap, kg.HOUSEHOLD_RELATIONS
         )
+        sub = [graph.triplets[r] for r in ranks]
+        assert len(ranks) == len(want)  # the count a trace reports as the subgraph's size
         assert [t.key for t in sub] == [t.key for t in want]
         assert [t.weight for t in sub] == [t.weight for t in want]
         # Whatever the cap, no triplet lies past the hop bound: one endpoint
@@ -434,3 +440,20 @@ def test_equal_keys_share_one_string(name, fmt):
         for text in (t.head, t.relation, t.tail):
             assert first.setdefault(text, text) is text, f"{text!r} is held by two string objects"
     assert len(first) < 3 * graph.edge_count  # some head, relation or tail repeats
+
+
+@pytest.mark.parametrize("name, fmt", [("shower_graph.tsv", "conceptnet-tsv"), ("tv_graph.jsonl", "jsonl")])
+def test_equal_weights_share_one_float(name, fmt):
+    graph = kg.ingest(fixture_path(name), fmt=fmt)
+    first = {}
+    for t in graph.triplets:
+        assert first.setdefault(t.weight, t.weight) is t.weight, f"weight {t.weight} is held by two floats"
+    assert len(first) < graph.edge_count  # some weight repeats
+
+
+def test_rank_order_columns_match_the_triplets(shower_graph):
+    triplets = shower_graph.triplets
+    assert shower_graph.weights.tolist() == [t.weight for t in triplets]
+    assert [shower_graph.node_keys[i] for i in shower_graph.tail_ids.tolist()] == [t.tail for t in triplets]
+    assert list(shower_graph.node_keys) == sorted({t.head for t in triplets} | {t.tail for t in triplets})
+    assert not shower_graph.weights.flags.writeable and not shower_graph.tail_ids.flags.writeable

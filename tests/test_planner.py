@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from nsplan import cli
+from nsplan import cli, kg
 from nsplan._files import write_json
 from nsplan.adaption import select
 from nsplan.admissible import AdmissibleSet, AdmissibleStep, translate_prompt
@@ -18,7 +21,8 @@ from nsplan.generation import (
     RemoteGenerator,
     ScriptedGenerator,
 )
-from nsplan.kg import AdaptedTriplet
+from nsplan.embeddings import HashEmbedding
+from nsplan.kg import AdaptedTriplet, KnowledgeGraph, Triplet
 from nsplan.planner import (
     TERMINATIONS,
     PlannerConfig,
@@ -344,6 +348,56 @@ class TestKnowledgeForTask:
             "juggle flaming torches", tv_graph, hash_embedder, SCRIPTED_CONFIG
         )
         assert list(prompt) == []
+
+
+ORACLE_NODES = ["soap", "towel", "tub", "sink", "hair", "water"]
+# "find soap", "Find soap" and "find soap!" embed to one vector: the lexicographic tie-break picks
+ORACLE_STEPS = ["find soap", "Find soap", "find soap!", "grab towel", "walk to sink", "wash hair",
+                "turn on water", "sit in tub", "use soap", "dry hair with towel"]
+
+
+@st.composite
+def plan_cases(draw):
+    """(task, triplets, admissible texts, schedule, config, fanout cap): a
+    graph over six nodes with weight ties, self-loops and repeated keys, a
+    cap of 1-3 most nodes exceed, admissible steps with equal embeddings,
+    and schedules and configs on both sides of theta and the gates."""
+    triplets = [
+        Triplet(*row)
+        for row in draw(st.lists(st.tuples(
+            st.sampled_from(ORACLE_NODES), st.sampled_from(sorted(kg.HOUSEHOLD_RELATIONS)),
+            st.sampled_from(ORACLE_NODES), st.sampled_from([0.5, 1.0, 2.0]),
+        ), min_size=1, max_size=24))
+    ]
+    nodes = sorted({t.head for t in triplets} | {t.tail for t in triplets})
+    anchors = draw(st.lists(st.sampled_from([*nodes, "ghost"]), min_size=1, max_size=3, unique=True))
+    texts = draw(st.lists(st.sampled_from(ORACLE_STEPS), min_size=1, max_size=6, unique=True))
+    schedule = tuple(draw(st.lists(st.sampled_from([1.0, 0.9, 0.7, 0.5, 0.0]), min_size=1, max_size=4)))
+    config = PlannerConfig(
+        theta=draw(st.sampled_from([0.0, 0.5, 0.7])),
+        max_steps=draw(st.integers(1, 6)),
+        hops=draw(st.integers(1, 3)),
+        top_k=draw(st.integers(1, 6)),
+        edge_threshold=draw(st.sampled_from([0.0, 0.0, 0.6, 1.5])),
+        concept_ratio=draw(st.integers(1, 3)),
+        cos_keep_threshold=draw(st.sampled_from([-1.0, -1.0, 0.0, 0.4])),
+    )
+    cap = draw(st.sampled_from([1, 2, 3, kg.FANOUT_CAP]))
+    return " and ".join(anchors), triplets, texts, schedule, config, cap
+
+
+class TestPlanOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(plan_cases())
+    def test_plan_matches_the_stage_oracles(self, case):
+        task, triplets, texts, schedule, config, cap = case
+        provider = HashEmbedding(dim=64)
+        admissible = AdmissibleSet([AdmissibleStep(text) for text in texts])
+        with mock.patch.object(kg, "FANOUT_CAP", cap):
+            got = plan(task, KnowledgeGraph(triplets), admissible, KnowledgeFollowerGenerator(schedule),
+                       provider, config)
+            want = oracles.plan_oracle(task, triplets, texts, schedule, config, provider)
+        assert got.to_json() == want
 
 
 class TestPlanResult:
