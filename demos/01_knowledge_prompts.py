@@ -29,8 +29,9 @@ graph = ingest(rows, fmt="jsonl")
 print(f"graph: {graph.node_count} nodes, {graph.edge_count} edges")
 
 # The graph ranks its triplets once, when it is built (weight descending,
-# then head, relation, tail), and sampling hands over the ranks of the
-# sampled ones as a sorted int array: graph.triplets[r] is rank r.
+# then head, relation, tail), and holds them only as columns in that
+# order. Sampling hands over the ranks of the sampled ones as a sorted int
+# array; graph.triplet(r) builds the triplet of rank r.
 ranks = sample_subgraph(graph, ["take_a_shower"], hops=3)
 print(f"subgraph around take_a_shower: {len(ranks)} triplets, ranks {ranks.tolist()}")
 

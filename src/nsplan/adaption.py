@@ -7,7 +7,8 @@ the original weight plus the cosine between the tail node's text and the
 task text. It gathers weights and tails from the graph's rank-order
 columns, scores every distinct tail with one matrix product and takes the
 exact cosine only for the tails that product cannot rule out, so its
-output is bit-equal to scoring each tail exactly. Selection then ranks
+output is bit-equal to scoring each tail exactly; it builds a triplet,
+through ``graph.triplet``, only for a rank it keeps. Selection then ranks
 tail nodes by their best incident adapted weight and keeps the top
 min(k, concept_ratio * task token count) nodes; it takes and returns a
 plain tuple of adapted triplets.
@@ -40,8 +41,8 @@ def adapt_weights(graph, ranks, task_text, provider, cfg):
     exactly. Only the tails of the triplets left, a few in a real plan, are
     scored with ``cosine``, and the gates are applied again to those exact
     values, so every kept triplet and adapted weight is bit-equal to a scan
-    that scores every tail. Only the kept triplets are read from
-    ``graph.triplets``.
+    that scores every tail. Only the kept triplets are built, by
+    ``graph.triplet``.
     """
     task_vec = embeddings.embed(provider, task_text)
     ranks = np.asarray(ranks, np.intp)
@@ -66,10 +67,8 @@ def adapt_weights(graph, ranks, task_text, provider, cfg):
     weight = weight[shortlist]
     adapted = weight + np.fromiter(map(exact.__getitem__, shortlist_rows), np.float64, len(shortlist_rows))
     kept = (adapted >= cfg.edge_threshold) & (adapted - weight >= cfg.cos_keep_threshold)
-    triplets = graph.triplets
     return tuple(
-        AdaptedTriplet(t.head, t.relation, t.tail, t.weight, a)
-        for t, a in zip(map(triplets.__getitem__, ranks[shortlist[kept]].tolist()), adapted[kept].tolist())
+        AdaptedTriplet(*graph.triplet(r), a) for r, a in zip(ranks[shortlist[kept]].tolist(), adapted[kept].tolist())
     )
 
 

@@ -359,7 +359,10 @@ def run_ingest(config):
     out_path = os.path.join(config.out, "graph.jsonl")
     write_jsonl(
         out_path,
-        ({"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight} for t in graph.triplets),
+        (
+            {"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight}
+            for t in map(graph.triplet, range(graph.edge_count))
+        ),
     )
     stats = graph.stats
     print(f"kept {graph.edge_count} triplets ({graph.node_count} nodes, {graph.edge_count} edges)")

@@ -1,7 +1,7 @@
 """Commonsense knowledge-graph store.
 
 Ingests weighted (head, relation, tail) triplets from ConceptNet-style TSV
-or from JSONL, indexes them for neighbor queries, and samples hop-bounded
+or from JSONL, indexes each node's incident edges, and samples hop-bounded
 task-relevant subgraphs as sorted arrays of edge ranks. ``AdaptedTriplet``,
 a triplet with its task-adapted weight, is made only by
 ``adaption.adapt_weights``.
@@ -10,14 +10,13 @@ A (head, relation, tail) key is stored once: of its copies the heaviest is
 kept, the first one on a tie, and the others are counted in
 ``IngestStats.duplicates``. The graph ranks its edges once, at
 construction: rank order is weight descending, then lexicographic on the
-key, and it is the order wherever an order is promised. ``triplets`` is the
-tuple of stored triplets in rank order; ``weights`` and ``tail_ids`` are
-their weights and tail node ids in the same order, as arrays, and
-``node_keys`` turns a node id back into its key. A CSR index gives each
+key, and it is the order wherever an order is promised. Edges are stored
+only as arrays in rank order (head, relation and tail ids, ``tail_ids``,
+and ``weights``); ``node_keys`` turns a node id back into its key, and
+``triplet(r)`` builds the ``Triplet`` of rank r. A CSR index gives each
 node one slice of the ranks of its incident edges (either direction, a
-self-loop once), ascending, so a node's neighbors and its ``FANOUT_CAP``
-heaviest edges are a slice. Sampling and adaption work on int ranks, and
-only the triplets that survive adaption's gates are read as objects.
+self-loop once), ascending, so a node's ``FANOUT_CAP`` heaviest edges are
+a slice. Sampling and adaption work on int ranks.
 
 Relations are plain strings. ``HOUSEHOLD_RELATIONS`` is the one table of
 the nine household relations: it maps each to its symbolic rule, a plain
@@ -25,12 +24,11 @@ the nine household relations: it maps each to its symbolic rule, a plain
 one of ``PHASES``. A graph holds only the relations the table names: the
 constructor rejects any other relation, and ``ingest`` drops such rows and
 counts them in ``IngestStats.dropped_relation``. Ingest interns node keys
-and relation names, so equal keys share one string, and weights, so the
-triplets of one weight share one float.
+and relation names, so equal keys share one string.
 
-A row whose weight is not a finite positive number (a string or a bool is
-not a number) is malformed. ``sample_subgraph`` follows the ``FANOUT_CAP``
-heaviest triplets of each node it expands.
+The row rule: head and tail are nonempty, the weight a finite positive
+number (a string or a bool is not a number). Ingest counts a row that
+breaks it as malformed; the constructor and ``Triplet`` raise ValueError.
 """
 
 from __future__ import annotations
@@ -39,6 +37,8 @@ import json
 import logging
 import math
 import sys
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,18 +73,27 @@ def surface(key):
     return key.replace("_", " ")
 
 
-@dataclass(frozen=True, slots=True)
-class Triplet:
-    head: str
-    relation: str
-    tail: str
-    weight: float = 1.0
+def _row(head, relation, tail, weight):
+    """The row rule: ``(head, relation, tail, weight)`` with the weight as a
+    float, or ValueError naming what is wrong."""
+    if type(weight) not in (int, float):
+        raise ValueError(f"weight must be a number, got {weight!r}")
+    weight = float(weight)
+    if not head or not tail:
+        raise ValueError("triplet head and tail must be nonempty")
+    if not 0 < weight < math.inf:
+        raise ValueError(f"triplet weight must be a finite positive number, got {weight}")
+    return head, relation, tail, weight
 
-    def __post_init__(self):
-        if not self.head or not self.tail:
-            raise ValueError("triplet head and tail must be nonempty")
-        if not 0 < self.weight < math.inf:
-            raise ValueError(f"triplet weight must be a finite positive number, got {self.weight}")
+
+class Triplet(namedtuple("Triplet", "head relation tail weight")):
+    """A (head, relation, tail, weight) row as a named tuple; making one
+    applies the row rule."""
+
+    __slots__ = ()
+
+    def __new__(cls, head, relation, tail, weight=1.0):
+        return super().__new__(cls, *_row(head, relation, tail, weight))
 
     @property
     def key(self):
@@ -128,43 +137,43 @@ class KnowledgeGraph:
     """Immutable after construction; all queries are read-only."""
 
     def __init__(self, triplets=(), stats=None):
+        """``triplets`` are (head, relation, tail, weight) rows, such as
+        ``Triplet``s; ``stats.duplicates`` becomes the count of rows that
+        repeat a stored key."""
         self.stats = stats if stats is not None else IngestStats()
-        triplets = list(triplets)
-        relations = [t.relation for t in triplets]
-        relation_id = {r: i for i, r in enumerate(sorted(set(relations)))}
-        if not HOUSEHOLD_RELATIONS.keys() >= relation_id.keys():
-            t = next(t for t in triplets if t.relation not in HOUSEHOLD_RELATIONS)
-            raise ValueError(f"{t}: {t.relation!r} is not a household relation")
-        # Each temporary is dropped as soon as it has been used, and the
-        # long-lived tuples of triplets and of node keys are built after
-        # the temporary arrays are freed: the arrays come from the C heap, and
-        # blocks left live above freed ones keep those pages resident. With
-        # glibc, building the two before the CSR index left 1.6 MiB more RSS
-        # after loading a 117k-row graph and running 4,000 plans, and other
-        # orders 3-6 MiB.
-        heads = [t.head for t in triplets]
-        tails = [t.tail for t in triplets]
-        nodes = sorted(set(heads).union(tails))
+        heads, relations, tails, weights = [], [], [], array("d")
+        for row in triplets:
+            head, relation, tail, weight = row = _row(*row)
+            if relation not in HOUSEHOLD_RELATIONS:
+                raise ValueError(f"{Triplet._make(row)}: {relation!r} is not a household relation")
+            heads.append(head)
+            relations.append(relation)
+            tails.append(tail)
+            weights.append(weight)
+        # each temporary is dropped once used, to keep the ingest peak low
+        relation_names = tuple(sorted(set(relations)))
+        relation_id = {r: i for i, r in enumerate(relation_names)}
+        nodes = tuple(sorted(set(heads).union(tails)))
         node_id = dict(zip(nodes, range(len(nodes))))
-        n = len(triplets)
+        n = len(heads)
         head = np.fromiter(map(node_id.__getitem__, heads), np.int32, n)
         tail = np.fromiter(map(node_id.__getitem__, tails), np.int32, n)
-        relation = np.fromiter(map(relation_id.__getitem__, relations), np.int32, n)
-        weight = np.fromiter([t.weight for t in triplets], np.float64, n)
-        del heads, tails, relations, nodes
+        relation = np.fromiter(map(relation_id.__getitem__, relations), np.int8, n)
+        weight = np.frombuffer(weights, np.float64)
+        del heads, tails, relations
         # key orders like (head, relation, tail), as ids follow sorted names;
         # it fits an int64 for fewer than about 10**9 nodes. Rank every copy;
         # the sort is stable, so the first copy of a key in rank order is its
         # heaviest, the first one on a tie, and it is the one kept.
         key = (head.astype(np.int64) * len(relation_id) + relation) * len(node_id) + tail
         order = np.lexsort((key, -weight))
-        del relation
         order = order[np.sort(np.unique(key[order], return_index=True)[1])]
         del key
-        weight = weight[order]
+        self.stats.duplicates = n - len(order)
+        weight, relation, head, tail = weight[order], relation[order], head[order], tail[order]
+        del weights
         # CSR index: node i's incident ranks are _ranks[_indptr[i]:_indptr[i + 1]],
         # ascending, a self-loop once; _other holds each entry's far endpoint
-        head, tail = head[order], tail[order]
         loop = head == tail
         endpoint = np.concatenate((head, tail[~loop]))
         ranks = np.concatenate(
@@ -174,20 +183,19 @@ class KnowledgeGraph:
         ranks = ranks[by_node]
         other = np.concatenate((tail, head[~loop]))[by_node]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(endpoint, minlength=len(node_id)))))
-        del head, loop, endpoint, by_node
-        order = order.tolist()
-        self._ordered = tuple(map(triplets.__getitem__, order))
-        del order, triplets
-        for column in (weight, tail, ranks, other, indptr):
+        del order, loop, endpoint, by_node
+        for column in (head, relation, tail, weight, ranks, other, indptr):
             column.setflags(write=False)
-        self._weights, self._tail_ids, self._nodes = weight, tail, tuple(node_id)
+        self._head_ids, self._relation_ids, self._tail_ids, self._weights = head, relation, tail, weight
         self._ranks, self._other, self._indptr = ranks, other, indptr
-        self._node_id = node_id
+        self._relation_names, self._nodes, self._node_id = relation_names, nodes, node_id
 
-    @property
-    def triplets(self):
-        """Every stored triplet, in rank order."""
-        return self._ordered
+    def triplet(self, rank):
+        """The stored triplet of rank ``rank``, built from the columns; its
+        row passed the row rule when the graph was built."""
+        nodes, relation = self._nodes, self._relation_names[self._relation_ids.item(rank)]
+        row = nodes[self._head_ids.item(rank)], relation, nodes[self._tail_ids.item(rank)], self._weights.item(rank)
+        return Triplet._make(row)
 
     @property
     def weights(self):
@@ -207,7 +215,7 @@ class KnowledgeGraph:
 
     @property
     def edge_count(self):
-        return len(self._ordered)
+        return len(self._weights)
 
     @property
     def node_count(self):
@@ -215,15 +223,6 @@ class KnowledgeGraph:
 
     def __contains__(self, node):
         return node in self._node_id
-
-    def neighbors(self, node):
-        """All triplets incident to ``node`` (either direction), in rank
-        order, as a new list. Unknown nodes yield an empty list."""
-        i = self._node_id.get(node)
-        if i is None:
-            return []
-        ordered = self._ordered
-        return [ordered[r] for r in self._ranks[self._indptr[i] : self._indptr[i + 1]].tolist()]
 
 
 def _parse_conceptnet_uri(uri, column):
@@ -234,16 +233,7 @@ def _parse_conceptnet_uri(uri, column):
     return parts[2], sys.intern(parts[3])
 
 
-def _weight(value, weights):
-    """A row's weight as a float, the one object ``weights`` holds for that
-    value; a string or a bool is not a weight."""
-    if type(value) not in (int, float):
-        raise ValueError(f"weight must be a number, got {value!r}")
-    value = float(value)
-    return weights.setdefault(value, value)
-
-
-def _parse_tsv_line(line, weights):
+def _parse_tsv_line(line):
     cols = line.split("\t")
     if len(cols) != 5:
         raise ValueError(f"expected 5 tab-separated columns, got {len(cols)}")
@@ -254,19 +244,33 @@ def _parse_tsv_line(line, weights):
     start_lang, head = _parse_conceptnet_uri(start_uri, 3)
     end_lang, tail = _parse_conceptnet_uri(end_uri, 4)
     try:
-        weight = _weight(json.loads(meta_json)["weight"], weights)
+        weight = json.loads(meta_json)["weight"]
     except (KeyError, TypeError, ValueError, RecursionError):
-        raise ValueError(f"metadata JSON lacks a numeric weight: {meta_json!r}") from None
+        weight = None
+    if type(weight) not in (int, float):  # a string or a bool is not a weight
+        raise ValueError(f"metadata JSON lacks a numeric weight: {meta_json!r}")
     if start_lang != "en" or end_lang != "en":
         return None  # not English: filtered, not malformed
-    return Triplet(head, relation, tail, weight)
+    return _row(head, relation, tail, weight)
 
 
-def _triplet_from_json(obj, weights):
+def _triplet_from_json(obj):
     head, relation, tail, weight = obj["head"], obj["relation"], obj["tail"], obj["weight"]
     if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)):
         raise ValueError(f"head, relation and tail must be strings: {obj!r}")
-    return Triplet(sys.intern(head), sys.intern(relation), sys.intern(tail), _weight(weight, weights))
+    return _row(sys.intern(head), sys.intern(relation), sys.intern(tail), weight)
+
+
+def _household(rows, stats):
+    """The rows in English with a household relation; the others are
+    counted in ``stats``."""
+    for row in rows:
+        if row is None:
+            stats.dropped_language += 1
+        elif row[1] not in HOUSEHOLD_RELATIONS:
+            stats.dropped_relation += 1
+        else:
+            yield row
 
 
 def ingest(source, fmt="conceptnet-tsv", strict=False):
@@ -284,28 +288,15 @@ def ingest(source, fmt="conceptnet-tsv", strict=False):
     if fmt not in ("conceptnet-tsv", "jsonl"):
         raise ValueError(f"unknown ingest format: {fmt!r}")
     bad = []
-    weights = {}  # a weight repeats across many rows: its triplets share one float
     if fmt == "conceptnet-tsv":
-        rows = read_lines(source, lambda line: _parse_tsv_line(line, weights), None if strict else bad)
+        rows = read_lines(source, _parse_tsv_line, None if strict else bad)
     else:
-        rows = read_jsonl(source, lambda obj: _triplet_from_json(obj, weights), None if strict else bad)
-
+        rows = read_jsonl(source, _triplet_from_json, None if strict else bad)
     stats = IngestStats()
-    triplets = []
-    for t in rows:
-        if t is None:
-            stats.dropped_language += 1
-            continue
-        if t.relation not in HOUSEHOLD_RELATIONS:
-            stats.dropped_relation += 1
-            continue
-        triplets.append(t)
+    graph = KnowledgeGraph(_household(rows, stats), stats=stats)
     for err in bad:
         log.debug("skipping malformed line: %s", err)
-
-    graph = KnowledgeGraph(triplets, stats=stats)
     stats.dropped_malformed = len(bad)
-    stats.duplicates = len(triplets) - graph.edge_count
     if graph.edge_count == 0:
         log.warning("ingestion produced an empty graph (%d lines dropped)", stats.dropped)
     return graph
@@ -321,7 +312,7 @@ def sample_subgraph(graph, anchors, hops):
     Traversal is undirected. Only nodes strictly closer than ``hops`` are
     expanded; at each expanded node only its first ``FANOUT_CAP`` incident
     edges in rank order are followed. Returns the ranks of the followed
-    edges as a sorted int array; ``graph.triplets[r]`` is the triplet of
+    edges as a sorted int array; ``graph.triplet(r)`` is the triplet of
     rank r.
 
     The search goes one level at a time: the nodes at distance d are

@@ -201,7 +201,7 @@ def test_criterion_05_adaption_properties():
             seen.add(key)
             triplets.append(Triplet(*key, rng.uniform(0.0, 8.0)))
         graph = KnowledgeGraph(triplets)
-        sub = graph.triplets
+        sub = [graph.triplet(r) for r in range(graph.edge_count)]
         task = " ".join(rng.choice(nodes).replace("_", " ") for _ in range(rng.randint(1, 4)))
 
         # the oracle's input: every triplet adapted, none gated

@@ -23,6 +23,11 @@ def _graph(rows):
     return KnowledgeGraph([Triplet(*row) for row in rows])
 
 
+def _triplets(graph):
+    """Every triplet of ``graph``, in rank order."""
+    return [graph.triplet(r) for r in range(graph.edge_count)]
+
+
 def _adapt(graph, task, provider, cfg):
     """``adapt_weights`` over every triplet of ``graph``, in rank order."""
     return adapt_weights(graph, np.arange(graph.edge_count), task, provider, cfg)
@@ -157,7 +162,7 @@ class TestAdaptWeights:
         leaves them one ulp below it, drops them, as the oracle does."""
         task = "take a shower"
         provider = HashEmbedding(dim=32)
-        ungated = _ungated(graph.triplets, task, provider)
+        ungated = _ungated(_triplets(graph), task, provider)
         candidates = [t for t in ungated if t.adapted_weight >= 0.0]  # edge_threshold >= 0
         assume(candidates)
         edge = data.draw(st.sampled_from([t.adapted_weight for t in candidates]))
@@ -223,7 +228,7 @@ def adaption_cases(draw):
                 draw(weights))
         for _ in range(draw(st.integers(min_value=0, max_value=10)))
     )
-    triplets = graph.triplets
+    triplets = _triplets(graph)
     task_vec = embed(provider, TASK)
     distinct = list(dict.fromkeys(t.tail for t in triplets))
     rows = np.array([embed(provider, surface(tail)) for tail in distinct]).reshape(len(distinct), dim)
@@ -263,7 +268,7 @@ class TestAdaptOracle:
             ranks = sorted(data.draw(st.sets(st.sampled_from(ranks))) if graph.edge_count else ())
         cfg = PlannerConfig(edge_threshold=edge_threshold, cos_keep_threshold=cos_keep_threshold)
         got = adapt_weights(graph, np.array(ranks, np.intp), TASK, provider, cfg)
-        want = oracles.adapt_oracle([graph.triplets[r] for r in ranks], TASK, provider, edge_threshold,
+        want = oracles.adapt_oracle([graph.triplet(r) for r in ranks], TASK, provider, edge_threshold,
                                     cos_keep_threshold)
         assert _hex((t.head, t.relation, t.tail, t.weight, t.adapted_weight) for t in got) == _hex(want)
 
@@ -285,7 +290,7 @@ class TestSelect:
         )
         got = select(_adapt(graph, task, provider, cfg), cfg, task)
         want = oracles.select_oracle(
-            _ungated(graph.triplets, task, provider),
+            _ungated(_triplets(graph), task, provider),
             tokenize(task),
             top_k=top_k,
             edge_threshold=edge_threshold,

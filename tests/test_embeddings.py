@@ -652,7 +652,7 @@ class TestEmbedContract:
             graph = KnowledgeGraph([Triplet("x", "AtLocation", "tiny", 2.0), Triplet("x", "AtLocation", "up", 2.0)])
             adapted = adapt_weights(graph, np.arange(graph.edge_count), "left", provider, cfg)
             got = [(t.tail, t.adapted_weight.hex()) for t in adapted]
-            want = oracles.adapt_oracle(graph.triplets, "left", provider, 0.0, threshold)
+            want = oracles.adapt_oracle([graph.triplet(r) for r in range(2)], "left", provider, 0.0, threshold)
             assert got == [(tail, adapted.hex()) for _, _, tail, _, adapted in want]
         texts, view = ["tiny", "up"], types.SimpleNamespace(vector=lambda text: embed(provider, text))
         matrix = np.array([embed(provider, t) for t in texts])

@@ -27,6 +27,16 @@ def jsonl_row(head, relation, tail, weight):
     return json.dumps({"head": head, "relation": relation, "tail": tail, "weight": weight})
 
 
+def every_triplet(graph):
+    return [graph.triplet(r) for r in range(graph.edge_count)]
+
+
+def incident(graph, node):
+    """The triplets that touch ``node``, in rank order: its first
+    ``FANOUT_CAP`` incident ranks, as a one-hop sample."""
+    return [graph.triplet(r) for r in kg.sample_subgraph(graph, [node], hops=1)]
+
+
 # Row-shaped lines whose fields range over wrong types and values, next to
 # arbitrary bytes: lenient ingest must count each bad one, never raise.
 _FIELDS = st.one_of(
@@ -60,6 +70,11 @@ class TestTriplet:
     def test_key(self):
         t = Triplet("soap", "UsedFor", "washing", 2.0)
         assert t.key == ("soap", "UsedFor", "washing")
+
+    def test_is_a_named_tuple_with_a_float_weight(self):
+        assert Triplet("soap", "UsedFor", "washing") == ("soap", "UsedFor", "washing", 1.0)
+        assert type(Triplet("soap", "UsedFor", "washing", 2).weight) is float
+        assert Triplet._fields == ("head", "relation", "tail", "weight")
 
 
 class TestIngest:
@@ -158,7 +173,7 @@ class TestIngest:
     )
     def test_lenient_ingest_of_arbitrary_lines_never_raises(self, fmt, lines):
         graph = kg.ingest(lines, fmt=fmt)
-        for t in graph.triplets:
+        for t in every_triplet(graph):
             assert all(isinstance(field, str) and field for field in t.key)
             assert type(t.weight) is float and 0 < t.weight < math.inf
 
@@ -187,17 +202,17 @@ class TestIngest:
         graph = kg.ingest(lines)
         assert graph.edge_count == 1
         assert graph.stats.duplicates == 2
-        assert graph.triplets[0].weight == 3.0
+        assert graph.triplet(0).weight == 3.0
         for node in ("a", "b"):
-            assert [(t.key, t.weight) for t in graph.neighbors(node)] == [
+            assert [(t.key, t.weight) for t in incident(graph, node)] == [
                 (("a", "UsedFor", "b"), 3.0)
             ]
 
     def test_duplicate_tie_keeps_first_copy(self):
         first, second = Triplet("a", "Causes", "b", 2.0), Triplet("a", "Causes", "b", 2.0)
         graph = KnowledgeGraph([first, second])
-        assert graph.triplets[0] is first
-        assert graph.neighbors("b")[0] is first
+        assert graph.triplet(0) == first and graph.stats.duplicates == 1
+        assert incident(graph, "b") == [first]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -220,10 +235,10 @@ class TestIngest:
         ingested = kg.ingest(lines, fmt="jsonl")
         built = KnowledgeGraph([Triplet(*row) for row in rows])
         for graph in (ingested, built):
-            assert [(-t.weight, *t.key) for t in graph.triplets] == want
+            assert [(-t.weight, *t.key) for t in every_triplet(graph)] == want
             for node in "abc":
-                incident = [k for k in want if node in (k[1], k[3])]
-                assert [(-t.weight, *t.key) for t in graph.neighbors(node)] == incident
+                touching = [k for k in want if node in (k[1], k[3])]
+                assert [(-t.weight, *t.key) for t in incident(graph, node)] == touching
         assert ingested.edge_count == len(best)
         assert ingested.edge_count + ingested.stats.duplicates == len(rows)
 
@@ -245,6 +260,56 @@ class TestIngest:
         assert kg.ingest(stream).edge_count == 1
 
 
+# Node keys a ConceptNet URI can carry (no "/", tab or line break), few
+# enough that heads, tails and whole keys repeat; tied weights; and bad rows
+# of each kind the row rule names.
+_KEYS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\t\r\n"), min_size=1, max_size=3)
+_BAD_ROWS = st.one_of(
+    st.tuples(st.just(""), st.sampled_from(["Causes", "UsedFor"]), _KEYS, st.just(1.0)),
+    st.tuples(_KEYS, st.sampled_from(["Causes", "UsedFor"]), _KEYS,
+              st.sampled_from([0, 0.0, -1.5, math.nan, math.inf, "3", True])),
+)
+
+
+@st.composite
+def _rows(draw):
+    """(rows, bad): good rows over a small node pool, some with a relation
+    outside the household table, and ``bad`` the indexes of bad rows."""
+    nodes = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+    good = st.tuples(
+        st.sampled_from(nodes), st.sampled_from([*sorted(kg.HOUSEHOLD_RELATIONS)[:3], "RelatedTo"]),
+        st.sampled_from(nodes), st.sampled_from([0.5, 1.0, 1.0, 2.25, 1e-300, 7e12]),
+    )
+    good, bad = good.map(lambda row: (row, False)), _BAD_ROWS.map(lambda row: (row, True))
+    tagged = draw(st.lists(st.one_of(good, good, good, bad), max_size=25))
+    return [row for row, _ in tagged], [i for i, (_, is_bad) in enumerate(tagged) if is_bad]
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(_rows())
+    def test_both_formats_and_the_constructor_build_one_graph(self, drawn):
+        """TSV and JSONL lines of the rows, and the constructor on the good
+        household rows, give the same triplets, columns and counts."""
+        rows, bad = drawn
+        good = [row for i, row in enumerate(rows) if i not in bad]
+        household = [row for row in good if row[1] in kg.HOUSEHOLD_RELATIONS]
+        built = KnowledgeGraph(household)
+        for i in bad:
+            with pytest.raises(ValueError):
+                KnowledgeGraph([rows[i]])
+        counts = kg.IngestStats(dropped_relation=len(good) - len(household), dropped_malformed=len(bad),
+                                duplicates=built.stats.duplicates)
+        assert built.stats == kg.IngestStats(duplicates=len(household) - built.edge_count)
+        for fmt, line in (("conceptnet-tsv", tsv_line), ("jsonl", jsonl_row)):
+            graph = kg.ingest([line(*row) for row in rows], fmt=fmt)
+            assert every_triplet(graph) == every_triplet(built)
+            assert graph.weights.tolist() == built.weights.tolist()
+            assert graph.tail_ids.tolist() == built.tail_ids.tolist()
+            assert graph.node_keys == built.node_keys
+            assert graph.stats == counts
+
+
 class TestShowerFixture:
     def test_counts(self, shower_graph):
         # 30 lines: one MotivatedByGoal filtered, one duplicate collapsed
@@ -254,7 +319,7 @@ class TestShowerFixture:
 
     def test_weights_survive_verbatim(self, shower_graph):
         t = next(
-            t for t in shower_graph.triplets
+            t for t in every_triplet(shower_graph)
             if t.key == ("take_a_shower", "HasPrerequisite", "take_out_your_clothes")
         )
         assert t.weight == 4.47
@@ -273,28 +338,23 @@ class TestNeighbors:
 
     def test_both_directions(self):
         graph = self.build()
-        keys = [t.key for t in graph.neighbors("a")]
+        keys = [t.key for t in incident(graph, "a")]
         assert ("x", "UsedFor", "a") in keys and ("a", "Causes", "b") in keys
 
     def test_ordering_weight_then_lex(self):
         graph = self.build()
-        assert [t.weight for t in graph.neighbors("a")] == [5.0, 3.0, 3.0]
-        tied = [t for t in graph.neighbors("a") if t.weight == 3.0]
+        assert [t.weight for t in incident(graph, "a")] == [5.0, 3.0, 3.0]
+        tied = [t for t in incident(graph, "a") if t.weight == 3.0]
         assert [t.relation for t in tied] == ["AtLocation", "Causes"]
 
     def test_unknown_node_empty(self):
-        assert self.build().neighbors("zzz") == []
+        assert incident(self.build(), "zzz") == []
 
-    def test_triplets_is_one_stored_tuple(self):
+    def test_sampled_ranks_are_a_fresh_array(self):
         graph = self.build()
-        assert graph.triplets is graph.triplets
-
-    def test_neighbors_is_a_fresh_list(self):
-        graph = self.build()
-        first = graph.neighbors("a")
-        assert first is not graph.neighbors("a")
-        first.clear()
-        assert len(graph.neighbors("a")) == 3
+        first = kg.sample_subgraph(graph, ["a"], hops=1)
+        first[:] = 0
+        assert [t.weight for t in incident(graph, "a")] == [5.0, 3.0, 3.0]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -312,13 +372,11 @@ class TestNeighbors:
         """Self-loops, weight ties and duplicate keys: a node's neighbors are
         the graph's triplets that touch it, in rank order, each once."""
         graph = KnowledgeGraph([Triplet(*row) for row in rows])
-        assert graph.weights.tolist() == [t.weight for t in graph.triplets]
-        assert [graph.node_keys[i] for i in graph.tail_ids.tolist()] == [t.tail for t in graph.triplets]
+        triplets = every_triplet(graph)
+        assert graph.weights.tolist() == [t.weight for t in triplets]
+        assert [graph.node_keys[i] for i in graph.tail_ids.tolist()] == [t.tail for t in triplets]
         for node in "abcde":
-            want = [t for t in graph.triplets if node in (t.head, t.tail)]
-            got = graph.neighbors(node)
-            assert got == want
-            assert all(a is b for a, b in zip(got, want))
+            assert incident(graph, node) == [t for t in triplets if node in (t.head, t.tail)]
 
 
 class TestSampleSubgraph:
@@ -330,7 +388,7 @@ class TestSampleSubgraph:
     def test_hop_bound(self):
         graph = self.chain()
         sub = kg.sample_subgraph(graph, ["n0"], hops=2)
-        heads = {graph.triplets[r].head for r in sub}
+        heads = {graph.triplet(r).head for r in sub}
         assert heads == {"n0", "n1"}  # n2 sits at the boundary, not expanded
 
     def test_zero_hops_empty(self):
@@ -345,7 +403,7 @@ class TestSampleSubgraph:
             [Triplet("hub", "Causes", f"t{i}", float(i + 1)) for i in range(kg.FANOUT_CAP + 3)]
         )
         sub = kg.sample_subgraph(graph, ["hub"], hops=1)
-        assert sorted(graph.triplets[r].weight for r in sub) == [float(w) for w in range(4, kg.FANOUT_CAP + 4)]
+        assert sorted(graph.triplet(r).weight for r in sub) == [float(w) for w in range(4, kg.FANOUT_CAP + 4)]
 
     def test_non_whitelisted_edges_never_traversed(self):
         """A graph holds household relations only, so sampling has no other
@@ -360,7 +418,7 @@ class TestSampleSubgraph:
 
     def test_ranks_give_triplets_sorted_by_weight_then_lex(self, shower_graph):
         sub = kg.sample_subgraph(shower_graph, ["take_a_shower"], hops=3)
-        keys = [(-t.weight, t.head, t.relation, t.tail) for t in map(shower_graph.triplets.__getitem__, sub)]
+        keys = [(-t.weight, t.head, t.relation, t.tail) for t in map(shower_graph.triplet, sub)]
         assert keys == sorted(keys)
 
     def test_hands_over_sorted_distinct_int_ranks(self, shower_graph):
@@ -395,7 +453,7 @@ class TestSampleSubgraph:
         want, _ = oracles.sample_subgraph_oracle(
             triplets, anchors, hops, cap, kg.HOUSEHOLD_RELATIONS
         )
-        sub = [graph.triplets[r] for r in ranks]
+        sub = [graph.triplet(r) for r in ranks]
         assert len(ranks) == len(want)  # the count a trace reports as the subgraph's size
         assert [t.key for t in sub] == [t.key for t in want]
         assert [t.weight for t in sub] == [t.weight for t in want]
@@ -413,7 +471,7 @@ def test_load_graph_roundtrip(tmp_path):
         json.dumps({"head": "a", "relation": "Causes", "tail": "b", "weight": 1.5}) + "\n"
     )
     graph = kg.load_graph(str(path), fmt="jsonl")
-    assert graph.triplets[0].key == ("a", "Causes", "b")
+    assert graph.triplet(0).key == ("a", "Causes", "b")
 
 
 def test_load_graph_counts_a_line_that_is_not_utf8(tmp_path):
@@ -436,23 +494,24 @@ def test_shower_fixture_loads_fast(shower_graph):
 def test_equal_keys_share_one_string(name, fmt):
     graph = kg.ingest(fixture_path(name), fmt=fmt)
     first = {}
-    for t in graph.triplets:
+    for t in every_triplet(graph):
         for text in (t.head, t.relation, t.tail):
             assert first.setdefault(text, text) is text, f"{text!r} is held by two string objects"
     assert len(first) < 3 * graph.edge_count  # some head, relation or tail repeats
 
 
-@pytest.mark.parametrize("name, fmt", [("shower_graph.tsv", "conceptnet-tsv"), ("tv_graph.jsonl", "jsonl")])
-def test_equal_weights_share_one_float(name, fmt):
-    graph = kg.ingest(fixture_path(name), fmt=fmt)
-    first = {}
-    for t in graph.triplets:
-        assert first.setdefault(t.weight, t.weight) is t.weight, f"weight {t.weight} is held by two floats"
-    assert len(first) < graph.edge_count  # some weight repeats
+def test_the_graph_holds_no_object_per_edge():
+    """Edges live in the rank-order arrays; every other thing the graph
+    holds has one entry per node or per relation at most."""
+    graph = KnowledgeGraph(Triplet(h, r, t, 1.0) for h in "abc" for r in kg.HOUSEHOLD_RELATIONS for t in "abc")
+    assert graph.edge_count == 81
+    for name, value in vars(graph).items():
+        if not isinstance(value, (np.ndarray, kg.IngestStats)):
+            assert len(value) <= len(kg.HOUSEHOLD_RELATIONS), name
 
 
 def test_rank_order_columns_match_the_triplets(shower_graph):
-    triplets = shower_graph.triplets
+    triplets = every_triplet(shower_graph)
     assert shower_graph.weights.tolist() == [t.weight for t in triplets]
     assert [shower_graph.node_keys[i] for i in shower_graph.tail_ids.tolist()] == [t.tail for t in triplets]
     assert list(shower_graph.node_keys) == sorted({t.head for t in triplets} | {t.tail for t in triplets})

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nsplan import cli, kg
+from nsplan import adaption, cli, kg
 from nsplan._files import write_json
 from nsplan.adaption import select
 from nsplan.admissible import AdmissibleSet, AdmissibleStep, translate_prompt
@@ -348,6 +348,32 @@ class TestKnowledgeForTask:
             "juggle flaming torches", tv_graph, hash_embedder, SCRIPTED_CONFIG
         )
         assert list(prompt) == []
+
+    def test_a_plan_builds_a_triplet_only_for_each_adapted_survivor(
+        self, shower_graph, household_admissible, hash_embedder, monkeypatch
+    ):
+        """The plan path reads the graph as columns: nothing on it builds
+        every edge, and adaption builds one Triplet per triplet it keeps."""
+        built, survivors = [], []
+        triplet, adapt_weights = KnowledgeGraph.triplet, adaption.adapt_weights
+
+        def counted_triplet(graph, rank):
+            built.append(rank)
+            return triplet(graph, rank)
+
+        def counted_adapt_weights(*args):
+            kept = adapt_weights(*args)
+            survivors.extend(kept)
+            return kept
+
+        monkeypatch.setattr(KnowledgeGraph, "triplet", counted_triplet)
+        monkeypatch.setattr(adaption, "adapt_weights", counted_adapt_weights)
+        # the task's cosines straddle the 0.1 gate on this fixture
+        config = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=0.1)
+        result = plan("bathe and get clean", shower_graph, household_admissible,
+                      KnowledgeFollowerGenerator(schedule=(1.0,)), hash_embedder, config=config)
+        assert result.steps
+        assert 0 < len(built) == len(survivors) < shower_graph.edge_count
 
 
 ORACLE_NODES = ["soap", "towel", "tub", "sink", "hair", "water"]

@@ -203,7 +203,7 @@ def test_regression_prompt_for_shower_fixture(shower_graph, fixture_path):
     adaption runs, so each adapted weight is the sampled weight."""
     from nsplan.kg import sample_subgraph
 
-    sub = [shower_graph.triplets[r] for r in sample_subgraph(shower_graph, ["take_a_shower"], hops=3)]
+    sub = [shower_graph.triplet(r) for r in sample_subgraph(shower_graph, ["take_a_shower"], hops=3)]
     prompt = build_knowledge_prompt(tuple(_t(*t.key, t.weight) for t in sub), max_depth=3)
     with open(fixture_path("pg_regression.txt"), encoding="utf-8") as fh:
         want = [line.rstrip("\n") for line in fh if line.strip()]
