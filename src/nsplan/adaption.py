@@ -5,13 +5,13 @@ turns the sampled triplets that pass both thresholds into
 ``AdaptedTriplet``s, the only place they are made: each adapted weight is
 the original weight plus the cosine between the tail node's text and the
 task text. It gathers weights and tails from the graph's rank-order
-columns, scores every distinct tail with one matrix product and takes the
-exact cosine only for the tails that product cannot rule out, so its
-output is bit-equal to scoring each tail exactly; it builds a triplet,
-through ``graph.triplet``, only for a rank it keeps. Selection then ranks
-tail nodes by their best incident adapted weight and keeps the top
-min(k, concept_ratio * task token count) nodes; it takes and returns a
-plain tuple of adapted triplets.
+columns ``weights`` and ``tail_ids``, scores every distinct tail with one
+matrix product and takes the exact cosine only for the tails that product
+cannot rule out, so its output is bit-equal to scoring each tail exactly;
+it builds a triplet, through ``graph.triplet``, only for a rank it keeps.
+Selection then ranks tail nodes by their best incident adapted weight and
+keeps the top min(k, concept_ratio * task token count) nodes; it takes and
+returns a plain tuple of adapted triplets.
 """
 
 from __future__ import annotations
@@ -32,17 +32,17 @@ def adapt_weights(graph, ranks, task_text, provider, cfg):
     A triplet is kept when its adapted weight is at least edge_threshold and
     its task-relevance cosine, recovered as adapted_weight - weight, is at
     least cos_keep_threshold. The weights and tail ids are gathered from the
-    graph's rank-order columns. The distinct tails, in order of first
-    appearance, are embedded with one ``embed_many`` and scored with one
-    matrix-vector product. By ``best_row``'s premise that score lies far
-    within SHORTLIST_MARGIN of the exact ``cosine``, so score + margin
-    bounds it from above, and both gates, rounding included, are monotone
-    in the cosine: a triplet that fails them at that ceiling fails them
-    exactly. Only the tails of the triplets left, a few in a real plan, are
-    scored with ``cosine``, and the gates are applied again to those exact
-    values, so every kept triplet and adapted weight is bit-equal to a scan
-    that scores every tail. Only the kept triplets are built, by
-    ``graph.triplet``.
+    graph's rank-order columns ``graph.weights`` and ``graph.tail_ids``. The
+    distinct tails, in order of first appearance, are embedded with one
+    ``embed_many`` and scored with one matrix-vector product. By
+    ``best_row``'s premise that score lies far within SHORTLIST_MARGIN of
+    the exact ``cosine``, so score + margin bounds it from above, and both
+    gates, rounding included, are monotone in the cosine: a triplet that
+    fails them at that ceiling fails them exactly. Only the tails of the
+    triplets left, a few in a real plan, are scored with ``cosine``, and the
+    gates are applied again to those exact values, so every kept triplet and
+    adapted weight is bit-equal to a scan that scores every tail. Only the
+    kept triplets are built, by ``graph.triplet``.
     """
     task_vec = embeddings.embed(provider, task_text)
     ranks = np.asarray(ranks, np.intp)

@@ -29,10 +29,6 @@ TABLES = ("p_d", "p_t_given_d", "p_sprev", "p_p_given_t_sprev", "p_s")
 _ROW_TOL = 1e-12
 
 
-class ZeroProbabilityEvent(ValueError):
-    """A conditional needed by the front-door sum is undefined."""
-
-
 def _check_rows(name, table):
     arr = np.asarray(table, dtype=np.float64)
     if np.any(arr < 0):
@@ -130,7 +126,7 @@ class ObservationalJoint:
         slice_t = self.table[ti].sum(axis=tuple(i for i in range(3) if i != axis))
         denom = slice_t.sum()
         if denom == 0.0:
-            raise ZeroProbabilityEvent(f"conditioning event T={t_value} has zero probability")
+            raise ValueError(f"conditioning event T={t_value} has zero probability")
         return dict(zip(self.supports[variable], (slice_t / denom).tolist()))
 
     def conditional_s_given_t(self, t_value):
@@ -203,8 +199,8 @@ def frontdoor_estimate(joint, do_assignments):
         pi(S | do(T=t*), do(S_prev=v*))
             = sum_p pi(p | t*, v*) sum_{t,v} pi(S | p, t, v) pi(t, v)
 
-    Raises ZeroProbabilityEvent, naming the event, when a conditional the
-    sum needs has a zero-probability conditioning set.
+    Raises ValueError, naming the event, when a conditional the sum needs
+    has a zero-probability conditioning set.
     """
     if set(do_assignments) != {"T", "S_prev"}:
         raise ValueError("front-door estimate expects do-assignments for exactly T and S_prev")
@@ -214,7 +210,7 @@ def frontdoor_estimate(joint, do_assignments):
     m_tv, denom_tvp, cond_s = _mediator_terms(table)
     denom_star = m_tv[ti, vi]
     if denom_star == 0.0:
-        raise ZeroProbabilityEvent(
+        raise ValueError(
             f"conditioning event T={do_assignments['T']}, "
             f"S_prev={do_assignments['S_prev']} has zero probability"
         )
@@ -224,7 +220,7 @@ def frontdoor_estimate(joint, do_assignments):
     undefined = needed & (denom_tvp == 0)
     if np.any(undefined):
         t_i, v_i, p_i = (int(i[0]) for i in np.nonzero(undefined))
-        raise ZeroProbabilityEvent(
+        raise ValueError(
             "conditioning event "
             f"T={joint.supports['T'][t_i]}, S_prev={joint.supports['S_prev'][v_i]}, "
             f"P={joint.supports['P'][p_i]} has zero probability"

@@ -82,6 +82,8 @@ class RunConfig(planner.PlannerConfig):
             raise ConfigError(f"embedding_dim: must be >= 1, got {self.embedding_dim}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         schedule = tuple(float(c) for c in self.follower_schedule)
         object.__setattr__(self, "follower_schedule", schedule)
         super().__post_init__()

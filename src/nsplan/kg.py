@@ -11,12 +11,13 @@ kept, the first one on a tie, and the others are counted in
 ``IngestStats.duplicates``. The graph ranks its edges once, at
 construction: rank order is weight descending, then lexicographic on the
 key, and it is the order wherever an order is promised. Edges are stored
-only as arrays in rank order (head, relation and tail ids, ``tail_ids``,
-and ``weights``); ``node_keys`` turns a node id back into its key, and
-``triplet(r)`` builds the ``Triplet`` of rank r. A CSR index gives each
-node one slice of the ranks of its incident edges (either direction, a
-self-loop once), ascending, so a node's ``FANOUT_CAP`` heaviest edges are
-a slice. Sampling and adaption work on int ranks.
+only as arrays in rank order: the attributes ``weights`` and ``tail_ids``
+and private head-id and relation-id columns. The attribute ``node_keys``
+turns a node id back into its key, and ``triplet(r)`` builds the
+``Triplet`` of rank r. A CSR index gives each node one slice of the ranks
+of its incident edges (either direction, a self-loop once), ascending, so
+a node's ``FANOUT_CAP`` heaviest edges are a slice. Sampling and adaption
+work on int ranks.
 
 Relations are plain strings. ``HOUSEHOLD_RELATIONS`` is the one table of
 the nine household relations: it maps each to its symbolic rule, a plain
@@ -28,7 +29,7 @@ and relation names, so equal keys share one string.
 
 The row rule: head and tail are nonempty, the weight a finite positive
 number (a string or a bool is not a number). Ingest counts a row that
-breaks it as malformed; the constructor and ``Triplet`` raise ValueError.
+breaks it as malformed; the constructor raises ValueError.
 """
 
 from __future__ import annotations
@@ -87,33 +88,23 @@ def _row(head, relation, tail, weight):
 
 
 class Triplet(namedtuple("Triplet", "head relation tail weight")):
-    """A (head, relation, tail, weight) row as a named tuple; making one
-    applies the row rule."""
+    """A stored (head, relation, tail, weight) row, as ``graph.triplet(r)``
+    builds it; the row passed the row rule when the graph was built."""
 
     __slots__ = ()
 
-    def __new__(cls, head, relation, tail, weight=1.0):
-        return super().__new__(cls, *_row(head, relation, tail, weight))
-
     @property
     def key(self):
         return (self.head, self.relation, self.tail)
 
 
-@dataclass(frozen=True)
-class AdaptedTriplet:
+class AdaptedTriplet(namedtuple("AdaptedTriplet", Triplet._fields + ("adapted_weight",))):
     """A sampled triplet with its task-adapted weight, as
     ``adaption.adapt_weights`` makes it."""
 
-    head: str
-    relation: str
-    tail: str
-    weight: float
-    adapted_weight: float
+    __slots__ = ()
 
-    @property
-    def key(self):
-        return (self.head, self.relation, self.tail)
+    key = Triplet.key
 
 
 def adapted_sort_key(t):
@@ -134,7 +125,14 @@ class IngestStats:
 
 
 class KnowledgeGraph:
-    """Immutable after construction; all queries are read-only."""
+    """Immutable after construction; all queries are read-only.
+
+    ``weights`` holds every stored triplet's weight in rank order, a
+    read-only float64 array. ``tail_ids`` holds every stored triplet's tail
+    node id in rank order, a read-only int32 array; node ids number the
+    node keys in sorted order. ``node_keys`` is the tuple of node keys,
+    sorted: ``node_keys[i]`` is the key of node id i.
+    """
 
     def __init__(self, triplets=(), stats=None):
         """``triplets`` are (head, relation, tail, weight) rows, such as
@@ -186,36 +184,20 @@ class KnowledgeGraph:
         del order, loop, endpoint, by_node
         for column in (head, relation, tail, weight, ranks, other, indptr):
             column.setflags(write=False)
-        self._head_ids, self._relation_ids, self._tail_ids, self._weights = head, relation, tail, weight
+        self._head_ids, self._relation_ids, self.tail_ids, self.weights = head, relation, tail, weight
         self._ranks, self._other, self._indptr = ranks, other, indptr
-        self._relation_names, self._nodes, self._node_id = relation_names, nodes, node_id
+        self._relation_names, self.node_keys, self._node_id = relation_names, nodes, node_id
 
     def triplet(self, rank):
         """The stored triplet of rank ``rank``, built from the columns; its
         row passed the row rule when the graph was built."""
-        nodes, relation = self._nodes, self._relation_names[self._relation_ids.item(rank)]
-        row = nodes[self._head_ids.item(rank)], relation, nodes[self._tail_ids.item(rank)], self._weights.item(rank)
+        nodes, relation = self.node_keys, self._relation_names[self._relation_ids.item(rank)]
+        row = nodes[self._head_ids.item(rank)], relation, nodes[self.tail_ids.item(rank)], self.weights.item(rank)
         return Triplet._make(row)
 
     @property
-    def weights(self):
-        """Every stored triplet's weight, in rank order: a read-only float64 array."""
-        return self._weights
-
-    @property
-    def tail_ids(self):
-        """Every stored triplet's tail node id, in rank order: a read-only
-        int32 array. Node ids number the node keys in sorted order."""
-        return self._tail_ids
-
-    @property
-    def node_keys(self):
-        """The tuple of node keys, sorted: ``node_keys[i]`` is the key of node id i."""
-        return self._nodes
-
-    @property
     def edge_count(self):
-        return len(self._weights)
+        return len(self.weights)
 
     @property
     def node_count(self):

@@ -29,10 +29,6 @@ from .entities import tokenize
 METRIC_NAMES = ("s_bleu", "rouge1_f1", "wmd_distance", "wmd_similarity", "embed_match_f1")
 
 
-class UndefinedCorrelationError(ValueError):
-    pass
-
-
 def plan_text(steps):
     """Join plan steps into one evaluable text."""
     return ". ".join(steps)
@@ -311,7 +307,7 @@ def pearson(xs, ys):
     sx = float(np.sqrt((dx * dx).sum()))
     sy = float(np.sqrt((dy * dy).sum()))
     if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError("correlation undefined: an input has zero variance")
+        raise ValueError("correlation undefined: an input has zero variance")
     r = float((dx * dy).sum()) / (sx * sy)
     return max(-1.0, min(1.0, r))
 

@@ -10,7 +10,6 @@ from nsplan.causal import (
     INTERVENABLE,
     VARIABLES,
     DiscreteSCM,
-    ZeroProbabilityEvent,
     confounded_example,
     from_mechanisms,
     front1_gap,
@@ -194,7 +193,7 @@ class TestZeroProbability:
             p_s_given_p_d=[[[1.0]]],
         )
         joint = scm.observational_joint()
-        with pytest.raises(ZeroProbabilityEvent, match=r"S_prev=v1"):
+        with pytest.raises(ValueError, match=r"T=t0, S_prev=v1 has zero probability"):
             frontdoor_estimate(joint, {"T": "t0", "S_prev": "v1"})
 
     def test_estimate_requires_exactly_t_and_sprev(self):
@@ -218,7 +217,7 @@ class TestZeroProbability:
             p_p_given_t_sprev=[[[1.0]], [[1.0]]],
             p_s_given_p_d=[[[1.0]]],
         )
-        with pytest.raises(ZeroProbabilityEvent):
+        with pytest.raises(ValueError, match=r"T=t1 has zero probability"):
             scm.observational_joint().conditional_s_given_t("t1")
 
 

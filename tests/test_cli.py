@@ -116,6 +116,7 @@ class TestConfigResolution:
             ({"edge_threshold": float("inf")}, "edge_threshold"),
             ({"cos_keep_threshold": float("nan")}, "cos_keep_threshold"),
             ({"cos_keep_threshold": float("-inf")}, "cos_keep_threshold"),
+            ({"seed": -3}, "seed"),
         ],
     )
     def test_config_file_value_of_wrong_type_is_exit_2(self, tmp_path, capsys, payload, key):
@@ -864,6 +865,12 @@ class TestFrontdoorCommand:
         assert report["trials"] == 25
         assert report["worst_gaps"]["frontdoor"] < 1e-9
         assert report["confounded_demo"]["conditional_vs_interventional"] >= 0.1
+
+    def test_negative_seed_is_exit_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "fd"
+        assert cli.main(["frontdoor-check", "--seed", "-3", "--trials", "2", "--out", str(out)]) == 2
+        assert "config error: seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInspectCommand:

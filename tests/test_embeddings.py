@@ -316,7 +316,7 @@ class TestNonFiniteVectors:
             translate("wash hair", AdmissibleSet([*steps, AdmissibleStep("towel")]), provider)
         for tail, task in [("towel", "wash hair"), ("hair", "towel")]:
             with pytest.raises(ValueError):
-                adapt_weights(KnowledgeGraph([Triplet("bathroom", "AtLocation", tail)]), np.arange(1), task,
+                adapt_weights(KnowledgeGraph([Triplet("bathroom", "AtLocation", tail, 1.0)]), np.arange(1), task,
                               provider, PlannerConfig())
         embed_match_f1("find", "soap", provider)  # the token table exists before the failures
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from nsplan import kg
 from nsplan.errors import InputError
-from nsplan.kg import KnowledgeGraph, Triplet
+from nsplan.kg import AdaptedTriplet, KnowledgeGraph, Triplet
 
 from conftest import fixture_path
 
@@ -55,26 +55,34 @@ _TSV_ROWS = st.builds(
 
 class TestTriplet:
     def test_rejects_empty_head(self):
-        with pytest.raises(ValueError):
-            Triplet("", "UsedFor", "soap")
+        with pytest.raises(ValueError, match="head and tail must be nonempty"):
+            KnowledgeGraph([("", "UsedFor", "soap", 1.0)])
 
     def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            Triplet("soap", "UsedFor", "washing", weight=0.0)
+        with pytest.raises(ValueError, match="finite positive number, got 0.0"):
+            KnowledgeGraph([("soap", "UsedFor", "washing", 0.0)])
 
     @pytest.mark.parametrize("weight", [math.inf, math.nan])
     def test_rejects_non_finite_weight(self, weight):
         with pytest.raises(ValueError, match="finite positive number"):
-            Triplet("soap", "UsedFor", "washing", weight=weight)
+            KnowledgeGraph([("soap", "UsedFor", "washing", weight)])
 
     def test_key(self):
         t = Triplet("soap", "UsedFor", "washing", 2.0)
         assert t.key == ("soap", "UsedFor", "washing")
 
     def test_is_a_named_tuple_with_a_float_weight(self):
-        assert Triplet("soap", "UsedFor", "washing") == ("soap", "UsedFor", "washing", 1.0)
-        assert type(Triplet("soap", "UsedFor", "washing", 2).weight) is float
         assert Triplet._fields == ("head", "relation", "tail", "weight")
+        assert Triplet("soap", "UsedFor", "washing", 1.0) == ("soap", "UsedFor", "washing", 1.0)
+        assert type(KnowledgeGraph([("soap", "UsedFor", "washing", 2)]).triplet(0).weight) is float
+
+    def test_adapted_triplet_is_a_triplet_with_an_adapted_weight(self):
+        assert issubclass(AdaptedTriplet, tuple)
+        assert AdaptedTriplet._fields == Triplet._fields + ("adapted_weight",)
+        assert AdaptedTriplet.key is Triplet.key
+        for record in (Triplet, AdaptedTriplet):
+            assert "__new__" not in vars(record) and "__init__" not in vars(record)
+        assert AdaptedTriplet("soap", "UsedFor", "washing", 1.0, 1.5).key == ("soap", "UsedFor", "washing")
 
 
 class TestIngest:

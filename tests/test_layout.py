@@ -158,7 +158,8 @@ def test_only_embed_calls_a_provider():
 def _defaulted_parameters(path):
     """(qualified function name, called name, parameter, position) for each
     parameter with a default; position is None for a keyword-only one and
-    does not count ``self`` or ``cls``. ``__init__`` is called by its class name."""
+    does not count ``self`` or ``cls``. ``__init__`` and ``__new__`` are called
+    by their class name."""
     found = []
 
     def visit(node, scope, owner):
@@ -170,7 +171,7 @@ def _defaulted_parameters(path):
                 positional = args.posonlyargs + args.args
                 skip = 1 if owner else 0  # the package has no static methods
                 first_default = len(positional) - len(args.defaults)
-                called = owner if child.name == "__init__" else child.name
+                called = owner if child.name in ("__init__", "__new__") else child.name
                 qualname = f"{scope}{child.name}"
                 for i, arg in enumerate(positional):
                     if i >= first_default:
