@@ -35,7 +35,7 @@ def adapt_weights(graph, ranks, task_text, provider, cfg):
     graph's rank-order columns ``graph.weights`` and ``graph.tail_ids``. The
     distinct tails, in order of first appearance, are embedded with one
     ``embed_many`` and scored with one matrix-vector product. By
-    ``best_row``'s premise that score lies far within SHORTLIST_MARGIN of
+    ``best_rows``' premise that score lies far within SHORTLIST_MARGIN of
     the exact ``cosine``, so score + margin bounds it from above, and both
     gates, rounding included, are monotone in the cosine: a triplet that
     fails them at that ceiling fails them exactly. Only the tails of the

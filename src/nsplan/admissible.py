@@ -2,15 +2,27 @@
 
 Translation is a cosine argmax over the whole set, so whatever the upstream
 model produced, the output is always a member: the closed-world guarantee
-the planner relies on. Ties break lexicographically on step text. The set
-keeps a read-only matrix of step embeddings; ``translate``
-scores it with one matrix-vector product and re-scores only a shortlist
-row by row (``embeddings.best_row``), so the result is bit-equal to a plain
-per-candidate np.dot scan.
+the planner relies on. Ties break lexicographically on step text.
+
+For the provider last asked about, the set keeps a read-only matrix of step
+embeddings and a translation memo from text to (index, cosine). Translation
+is a pure function of the text, the set and the provider, so the memo is
+exact; the provider, its matrix and its memo are replaced together, as one
+tuple, so a thread never pairs one provider's matrix with another's memo.
+The memo is an ``embeddings.Memo`` bounded by ``MEMO_BUDGET_BYTES`` as
+``embed``'s is (an insert that would go over the budget clears it first),
+and its hit and miss counts are exact under threads.
+
+``translate`` and ``translate_prompt`` share one path: the distinct texts
+the memo lacks, in order of first appearance, are embedded with one
+``embed_many`` and scored by one ``embeddings.best_rows``, which re-scores
+only each text's shortlist row by row, so every result is bit-equal to a
+plain per-candidate np.dot scan.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -34,11 +46,12 @@ class AdmissibleStep:
 
 
 class AdmissibleSet:
-    """Fixed list of admissible steps plus an embedding cache for the
-    provider last asked about. ``objects`` are the objects a set built from
-    actions and objects was rendered from (empty for a flat step list).
+    """Fixed list of admissible steps plus an embedding matrix and a
+    translation memo for the provider last asked about. ``objects`` are the
+    objects a set built from actions and objects was rendered from (empty
+    for a flat step list).
 
-    The cache is warmed lazily under a lock; a warm matrix is read-only and
+    The matrix is warmed lazily under a lock; a warm matrix is read-only and
     safe to share across threads.
     """
 
@@ -52,9 +65,8 @@ class AdmissibleSet:
         self.steps = tuple(unique.values())
         self.texts = tuple(unique)  # texts[i] is steps[i].text
         self.objects = tuple(objects)
-        self._matrix = None
-        self._provider = None
         self._lock = threading.Lock()
+        self._grounding = (None, None, None)  # (provider, matrix, translation memo)
 
     def __len__(self):
         return len(self.steps)
@@ -68,12 +80,26 @@ class AdmissibleSet:
     def vectors(self, provider):
         """The read-only (N, d) float64 matrix whose row i embeds
         ``steps[i]`` under ``provider``; re-embedded when the provider changes."""
-        with self._lock:
-            if self._provider is not provider:
-                self._matrix = embeddings.embed_many(provider, self.texts)
-                self._matrix.setflags(write=False)
-                self._provider = provider
-            return self._matrix
+        return self._grounding_for(provider)[1]
+
+    def memo_counts(self, provider):
+        """{"hits": ..., "misses": ...} of the translation memo kept for
+        ``provider``; zero while the set holds no memo of it."""
+        held, _, memo = self._grounding
+        return memo.counts() if held is provider else {"hits": 0, "misses": 0}
+
+    def _grounding_for(self, provider):
+        """(provider, matrix, translation memo), made afresh, all three at
+        once, when the set held another provider's."""
+        grounding = self._grounding
+        if grounding[0] is not provider:
+            with self._lock:
+                grounding = self._grounding
+                if grounding[0] is not provider:
+                    matrix = embeddings.embed_many(provider, self.texts)
+                    matrix.setflags(write=False)
+                    grounding = self._grounding = (provider, matrix, embeddings.Memo(self._lock))
+        return grounding
 
 
 def build_admissible_set(actions, objects, templates=None):
@@ -116,16 +142,35 @@ def load_admissible_set(path):
                       f'{{"actions": [str], "objects": [str], "templates"?: {{str: str}}}}')
 
 
+def _ground(texts, admissible, provider):
+    """(index, cosine) of the step each of ``texts`` translates to. The
+    memo answers the texts it holds; the distinct others, in order of first
+    appearance, are embedded with one ``embed_many`` and scored with one
+    ``best_rows``, then memoized. Each text asked for counts once, as a hit
+    or, for the first of each distinct text scored here, a miss."""
+    _, matrix, memo = admissible._grounding_for(provider)
+    with memo.lock:
+        found = {text: memo.entries.get(text) for text in texts}
+        missing = [text for text, hit in found.items() if hit is None]
+        memo.hits += len(texts) - len(missing)
+        memo.misses += len(missing)
+    if missing:
+        rows = embeddings.best_rows(embeddings.embed_many(provider, missing), matrix, admissible.texts)
+        with memo.lock:
+            for text, hit in zip(missing, rows):
+                found[text] = hit
+                memo.insert(text, hit, sum(map(sys.getsizeof, (text, hit, *hit))))
+    return [found[text] for text in texts]
+
+
 def translate(text, admissible, provider):
     """Map free text onto the closest admissible step.
 
     Returns (step, confidence) where confidence is the winning cosine, ties
-    to the lexicographically smallest text. ``embeddings.best_row`` scores
-    the whole set with one matrix-vector product and returns the argmax
-    bit-equal to a per-candidate np.dot scan.
+    to the lexicographically smallest text, bit-equal to a per-candidate
+    np.dot scan.
     """
-    query = embeddings.embed(provider, text)
-    index, cos = embeddings.best_row(query, admissible.vectors(provider), admissible.texts)
+    [(index, cos)] = _ground((text,), admissible, provider)
     return admissible.steps[index], cos
 
 
@@ -134,8 +179,8 @@ def translate_prompt(prompt, admissible, provider):
     preserving order and collapsing consecutive duplicates only (repeats
     further apart are meaningful)."""
     out = []
-    for line in prompt:
-        step, _ = translate(line, admissible, provider)
-        if not out or out[-1] != step.text:
-            out.append(step.text)
+    for index, _ in _ground(prompt, admissible, provider):
+        text = admissible.texts[index]
+        if not out or out[-1] != text:
+            out.append(text)
     return tuple(out)

@@ -279,6 +279,7 @@ def run_plan(config):
             "started": datetime.datetime.fromtimestamp(started, datetime.timezone.utc).isoformat(),
             "elapsed_s": round(time.time() - started, 3),
             "embedding": embedding,
+            "translation": admissible.memo_counts(embedder),
         },
         "tasks": entries,
     }

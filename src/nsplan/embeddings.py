@@ -22,11 +22,12 @@ scaled first), or zero for a zero vector (the empty string embeds to zero).
 ``embed_many(provider, texts)`` is its batch form: a (len(texts), dim)
 matrix whose row i is bit-equal to ``embed`` of texts[i]; it unpacks the
 memo hits together and hands each miss to ``embed``. Any cosine against a
-zero vector is 0. Two callers score a matrix of such vectors with one
-matrix-vector product and rest on one premise: the vectors have norm 1 to within rounding, so a matmul entry lies
+zero vector is 0. Two callers score a matrix of such vectors with
+matrix-vector products and rest on one premise: the vectors have norm 1 to within
+rounding, so a matmul entry lies
 within about d * 2**-53 of the exact score, far inside ``SHORTLIST_MARGIN``
-(1e-9). ``best_row`` finds the row nearest a query, as a row scan would,
-re-scoring only the entries within the margin of the best;
+(1e-9). ``best_rows`` finds the row nearest each of a batch of queries, as
+a row scan would, re-scoring only the entries within the margin of each best;
 ``adaption.adapt_weights`` takes the exact ``cosine`` only for the tails
 whose score plus the margin clears its gates.
 
@@ -37,7 +38,8 @@ their int64 indexes. A hit rebuilds the first result bit for bit,
 ``-0.0`` included, as a fresh array, so plans that share a provider embed
 a repeated tail concept without asking the provider again. The memo is
 bounded by the bytes its keys and entries hold (``MEMO_BUDGET_BYTES``): an
-insert that would go over the budget clears it first. ``memo_counts``
+insert that would go over the budget clears it first (``Memo``, which
+``admissible`` reuses for its translations). ``memo_counts``
 reports the hits and misses: each text asked for, through ``embed`` or
 a batch, is one of them, exactly, under threads too. A miss is a text the
 memo did not hold, which the provider was asked to embed.
@@ -189,16 +191,30 @@ class RemoteEmbedding:
         return vec
 
 
-class _Memo:
-    """One provider's texts -> packed vectors, with their byte total and the
-    hit and miss counts, all guarded by ``lock``."""
+class Memo:
+    """Texts -> entries, with their byte total and the hit and miss counts,
+    all guarded by ``lock`` (threads of a --jobs run share one memo)."""
 
-    def __init__(self):
+    def __init__(self, lock):
         self.entries = {}
         self.nbytes = 0
         self.hits = 0
         self.misses = 0
-        self.lock = threading.Lock()  # threads of a --jobs run share one provider
+        self.lock = lock
+
+    def insert(self, text, entry, cost):
+        """Store ``entry`` for ``text`` unless it is held already, at ``cost``
+        bytes; clear the memo first when it would go over
+        ``MEMO_BUDGET_BYTES``. The caller holds ``lock``."""
+        if self.nbytes + cost > MEMO_BUDGET_BYTES:
+            self.entries.clear()
+            self.nbytes = 0
+        if self.entries.setdefault(text, entry) is entry:
+            self.nbytes += cost
+
+    def counts(self):
+        with self.lock:
+            return {"hits": self.hits, "misses": self.misses}
 
 
 _MEMOS = weakref.WeakKeyDictionary()
@@ -209,15 +225,13 @@ def _memo(provider):
     memo = _MEMOS.get(provider)
     if memo is None:
         with _MEMOS_LOCK:
-            memo = _MEMOS.setdefault(provider, _Memo())
+            memo = _MEMOS.setdefault(provider, Memo(threading.Lock()))
     return memo
 
 
 def memo_counts(provider):
     """{"hits": ..., "misses": ...} of ``embed``'s memo for ``provider``."""
-    memo = _memo(provider)
-    with memo.lock:
-        return {"hits": memo.hits, "misses": memo.misses}
+    return _memo(provider).counts()
 
 
 # Norms whose sum of squares is good to rounding: underflow lost under an ulp of it, nothing overflowed
@@ -260,11 +274,7 @@ def embed(provider, text):
     entry = unit[index].tobytes() + index.astype(np.int64, copy=False).tobytes()
     cost = sys.getsizeof(text) + sys.getsizeof(entry)
     with memo.lock:
-        if memo.nbytes + cost > MEMO_BUDGET_BYTES:
-            memo.entries.clear()
-            memo.nbytes = 0
-        if memo.entries.setdefault(text, entry) is entry:
-            memo.nbytes += cost
+        memo.insert(text, entry, cost)
     return unit
 
 
@@ -303,31 +313,38 @@ def embed_many(provider, texts):
 SHORTLIST_MARGIN = 1e-9
 
 
-def best_row(query, matrix, keys):
-    """Return (index, cosine) of the row of ``matrix`` closest to ``query``,
-    ties broken by the smallest ``keys[index]``, bit-equal to a scan of every
-    row in order that takes float(np.dot(query, row)) clamped to [-1, 1],
-    or 0 when the query or the row is zero.
+def best_rows(queries, matrix, keys):
+    """For each row of ``queries``, (index, cosine) of the row of ``matrix``
+    closest to it, ties broken by the smallest ``keys[index]``, bit-equal to
+    a scan of every row in order that takes float(np.dot(query, row))
+    clamped to [-1, 1], or 0 when the query or the row is zero.
 
-    One ``matrix @ query`` scores every row; only the rows whose clamped
-    score lies within SHORTLIST_MARGIN of the best are re-scored row by row.
-    Query and rows must be finite with norm at most 1 + 1e-9; ``embed`` hands
-    out norm 1 to within rounding, or 0. So either sum of a row lies within
-    about d * 2**-53 (3e-14 for d = 256) of the exact dot product, far inside
-    the margin: the scan's winner, and every row tied with it, is always on
-    the shortlist. A zero row scores exactly 0 both ways, and a zero query
-    shortlists every row.
+    One ``matrix @ query`` per query scores every row; only the rows whose
+    clamped score lies within SHORTLIST_MARGIN of the best are re-scored row
+    by row. (One ``queries @ matrix.T`` for the whole batch is a matrix
+    product that OpenBLAS spreads over its worker threads: over a 480-step,
+    256-dimension set on two cores it doubled the CPU time of a first pass
+    over 400 plans and saved no wall time, where the matrix-vector products
+    kept CPU time equal to wall time.) Queries and rows must be finite with
+    norm at most
+    1 + 1e-9; ``embed`` hands out norm 1 to within rounding, or 0. So any sum
+    of products lies within about d * 2**-53 (3e-14 for d = 256) of the exact
+    dot product, far inside the margin: the scan's winner, and every row
+    tied with it, is always on the shortlist. A zero row scores exactly 0
+    both ways, and a zero query shortlists every row.
     """
-    clamped = np.clip(matrix @ query, -1.0, 1.0)
-    rows = np.flatnonzero(clamped >= clamped.max() - SHORTLIST_MARGIN)
-    nonzero_query = query.any()
-    best, best_cos = None, None
-    for i in rows:
-        vec = matrix[i]
-        cos = max(-1.0, min(1.0, float(np.dot(query, vec)))) if nonzero_query and vec.any() else 0.0
-        if best is None or cos > best_cos or (cos == best_cos and keys[i] < keys[best]):
-            best, best_cos = i, cos
-    return int(best), best_cos
+    out = []
+    for query in queries:
+        clamped = np.clip(matrix @ query, -1.0, 1.0)
+        nonzero_query = query.any()
+        best, best_cos = None, None
+        for i in np.flatnonzero(clamped >= clamped.max() - SHORTLIST_MARGIN):
+            vec = matrix[i]
+            cos = max(-1.0, min(1.0, float(np.dot(query, vec)))) if nonzero_query and vec.any() else 0.0
+            if best is None or cos > best_cos or (cos == best_cos and keys[i] < keys[best]):
+                best, best_cos = i, cos
+        out.append((int(best), best_cos))
+    return out
 
 
 def cosine(a, b):

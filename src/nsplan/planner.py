@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import adaption, entities, kg, verbalize
 from .admissible import translate, translate_prompt
@@ -62,26 +63,81 @@ class PlanStep:
         return {"text": self.text, "confidence": self.confidence}
 
 
-@dataclass(frozen=True)
+def _effective(generation_confidence, translation_cosine):
+    """The confidence a step is accepted on: the generator's times the
+    translation cosine, floored at 0."""
+    return generation_confidence * max(translation_cosine, 0.0)
+
+
+class Iteration(NamedTuple):
+    """One pass of the loop, as a plan keeps it: the generated candidate,
+    its translation, and whether it was accepted."""
+
+    generated_text: str
+    generation_confidence: float
+    translated_text: str
+    translation_cosine: float
+    accepted: bool
+    confidence_defaulted: bool
+
+    @property
+    def effective_confidence(self):
+        return _effective(self.generation_confidence, self.translation_cosine)
+
+    def entry(self, iteration):
+        """The trace dict of this pass, the ``iteration``-th of its plan. It
+        holds ``"confidence_defaulted": True`` only when the generation
+        confidence was defaulted, so offline plan files keep their bytes."""
+        entry = {
+            "iteration": iteration,
+            "generated_text": self.generated_text,
+            "generation_confidence": self.generation_confidence,
+            "translated_text": self.translated_text,
+            "translation_cosine": self.translation_cosine,
+            "effective_confidence": self.effective_confidence,
+            "accepted": self.accepted,
+        }
+        if self.confidence_defaulted:
+            entry["confidence_defaulted"] = True
+        return entry
+
+
+def _entries(iterations):
+    return tuple(it.entry(i) for i, it in enumerate(iterations, 1))
+
+
+@dataclass(frozen=True, slots=True)
 class PlanResult:
+    """A plan as its ``Iteration`` records. ``steps`` (the accepted
+    translations) and ``trace`` (one fresh dict per iteration) are built
+    from them on each access, so a kept plan holds only the records and a
+    caller that edits a trace dict leaves the plan as it was."""
+
     task: str
-    steps: tuple
+    iterations: tuple
     termination: str
-    trace: tuple = ()
 
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
             raise ValueError(f"unknown termination {self.termination!r}")
 
+    @property
+    def steps(self):
+        return tuple(PlanStep(it.translated_text, it.effective_confidence) for it in self.iterations if it.accepted)
+
+    @property
+    def trace(self):
+        return _entries(self.iterations)
+
     def __len__(self):
-        return len(self.steps)
+        return sum(it.accepted for it in self.iterations)
 
     def to_json(self):
         return {
             "task": self.task,
             "steps": [s.to_json() for s in self.steps],
             "termination": self.termination,
-            "trace": [dict(entry) for entry in self.trace],
+            "trace": list(self.trace),
         }
 
     def dumps(self):
@@ -112,40 +168,23 @@ def plan(task, graph, admissible, generator, embedder, config=None):
     knowledge = knowledge_for_task(task, graph, embedder, config)
     grounded = translate_prompt(knowledge, admissible, embedder)
 
-    steps = []
-    trace = []
+    iterations = []  # all accepted: a rejected pass ends the loop
     termination = "MaxSteps"
-    while len(steps) < config.max_steps:
-        request = GenerationRequest(task, grounded, tuple(s.text for s in steps))
+    while len(iterations) < config.max_steps:
+        request = GenerationRequest(task, grounded, tuple(it.translated_text for it in iterations))
         try:
             result = next_step(generator, request)
         except TransportError as err:
-            err.partial_trace = tuple(trace)
+            err.partial_trace = _entries(iterations)
             raise
         if not result.text:
             termination = "GeneratorExhausted"
             break
         step, cos = translate(result.text, admissible, embedder)
-        effective = result.confidence * max(cos, 0.0)
-        entry = {
-            "iteration": len(steps) + 1,
-            "generated_text": result.text,
-            "generation_confidence": result.confidence,
-            "translated_text": step.text,
-            "translation_cosine": cos,
-            "effective_confidence": effective,
-            "accepted": effective >= config.theta,
-        }
-        if result.flagged:
-            # the service sent no logprobs; the key is absent otherwise, so
-            # offline plan files keep their bytes
-            entry["confidence_defaulted"] = True
-        trace.append(entry)
-        if effective < config.theta:
+        accepted = _effective(result.confidence, cos) >= config.theta
+        iterations.append(Iteration(result.text, result.confidence, step.text, cos, accepted, result.flagged))
+        if not accepted:
             termination = "BelowThreshold"
             break
-        steps.append(PlanStep(text=step.text, confidence=effective))
 
-    return PlanResult(
-        task=task, steps=tuple(steps), termination=termination, trace=tuple(trace)
-    )
+    return PlanResult(task=task, iterations=tuple(iterations), termination=termination)

@@ -2,6 +2,8 @@
 
 import json
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from nsplan.admissible import (
     translate,
     translate_prompt,
 )
-from nsplan.embeddings import HashEmbedding, best_row, embed
+from nsplan import embeddings
+from nsplan.embeddings import HashEmbedding, best_rows, embed
 from nsplan.errors import ConfigError
 
 
@@ -58,15 +61,17 @@ def _assert_matches_scan_oracle(text, steps, provider):
     assert got_cos.hex() == want_cos.hex()
 
 
-def _assert_best_row_matches_scan(text, texts, table):
-    """``best_row`` over the raw rows, with no ``embed`` in between, picks
-    the scan's row with the same cosine bit for bit."""
+def _assert_best_rows_match_scan(queries, texts, table):
+    """``best_rows`` over the raw rows, with no ``embed`` in between, picks
+    the scan's row for each query with the same cosine bit for bit."""
     matrix = np.array([table.rows[t] for t in texts])
-    index, cos = best_row(table.rows[text], matrix, texts)
-    want_text, want_cos = oracles.translate_scan_oracle(text, texts, table)
-    assert texts[index] == want_text
-    assert cos.hex() == want_cos.hex()
-    return index, cos
+    found = best_rows(np.array([table.rows[q] for q in queries]), matrix, texts)
+    assert len(found) == len(queries)
+    for query, (index, cos) in zip(queries, found):
+        want_text, want_cos = oracles.translate_scan_oracle(query, texts, table)
+        assert texts[index] == want_text
+        assert cos.hex() == want_cos.hex()
+    return found
 
 
 @st.composite
@@ -74,7 +79,7 @@ def _tables(draw):
     """A table provider over up to 480 steps and a query ("?") whose rows
     are a few ulps apart from one unit vector, so many scores tie to within
     rounding. Some draws scale rows by up to 1 +- 9e-10 (``embed`` divides
-    that out; fed raw to ``best_row``, cosines beyond +-1 clamp and tie),
+    that out; fed raw to ``best_rows``, cosines beyond +-1 clamp and tie),
     repeat rows under other texts, or zero rows or the query."""
     n = draw(st.sampled_from([1, 2, 3, 8, 40, 480]))
     dim = draw(st.integers(2, 24))
@@ -220,21 +225,20 @@ class TestTranslate:
 
     @given(_tables())
     @settings(max_examples=150, deadline=None)
-    def test_best_row_on_raw_rows_matches_the_scan_oracle(self, table):
+    def test_best_rows_on_raw_rows_matches_the_scan_oracle(self, table):
         texts, provider = table
-        _assert_best_row_matches_scan("?", texts, provider)
-        _assert_best_row_matches_scan(texts[-1], texts, provider)
+        _assert_best_rows_match_scan(["?", texts[-1], "?"], texts, provider)
 
     @pytest.mark.parametrize(
         "sign, scale_a, scale_b", [(1.0, 1 - 8e-10, 1 + 9e-10), (-1.0, 1 + 9e-10, 1 - 8e-10)]
     )
     def test_cosines_beyond_one_clamp_and_tie(self, sign, scale_a, scale_b):
-        # rows of norm 1 +- 9e-10, inside best_row's premise; both raw
+        # rows of norm 1 +- 9e-10, inside best_rows' premise; both raw
         # cosines lie beyond +-1, 1.7e-9 apart, with "b" the larger:
         # clamped, they tie and "a" wins
         u = np.full(4, 0.5)
         provider = _Table({"?": u * (1 + 9e-10), "a": sign * scale_a * u, "b": sign * scale_b * u})
-        assert _assert_best_row_matches_scan("?", ["b", "a"], provider) == (1, sign)
+        assert _assert_best_rows_match_scan(["?"], ["b", "a"], provider) == [(1, sign)]
 
     def test_ties_break_lexicographically(self):
         class Constant:
@@ -276,3 +280,104 @@ class TestTranslatePrompt:
         prompt = ("turn on the water", "wash your hair", "dry off")
         out = translate_prompt(prompt, household_admissible, hash_embedder)
         assert all(line in household_admissible for line in out)
+
+
+def _collapsed(texts):
+    """``translate_prompt``'s collapse of consecutive duplicates."""
+    return tuple(t for i, t in enumerate(texts) if i == 0 or texts[i - 1] != t)
+
+
+def _oracle(queries, texts, rows):
+    """The scan oracle composed line by line, over a provider of its own so
+    that its ``embed`` calls leave the provider under test cold."""
+    view = _OracleView(_Table(rows))
+    return [oracles.translate_scan_oracle(q, texts, view) for q in queries]
+
+
+def _assert_translations_match(queries, steps, provider, want):
+    for query, (want_text, want_cos) in zip(queries, want):
+        step, cos = translate(query, steps, provider)
+        assert (step.text, cos.hex()) == (want_text, want_cos.hex())
+
+
+class TestTranslationMemo:
+    """The memo keeps ``translate`` and ``translate_prompt`` bit-equal to
+    the scan oracle, cold or warm, per provider, and counts every text."""
+
+    @given(_tables(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_cold_warm_and_repeated_texts_match_the_scan_oracle(self, table, data):
+        texts, provider = table
+        steps = AdmissibleSet(AdmissibleStep(t) for t in texts)
+        queries = data.draw(st.lists(st.sampled_from(texts + ["?"]), max_size=12), label="queries")
+        want = _oracle(queries, texts, provider.rows)
+        if data.draw(st.booleans(), label="prompt first"):
+            assert translate_prompt(queries, steps, provider) == _collapsed([t for t, _ in want])
+            _assert_translations_match(queries, steps, provider, want)
+        else:
+            _assert_translations_match(queries, steps, provider, want)
+            assert translate_prompt(queries, steps, provider) == _collapsed([t for t, _ in want])
+        _assert_translations_match(queries, steps, provider, want)  # warm
+        counts = steps.memo_counts(provider)
+        assert counts["misses"] == len(set(queries))
+        assert counts["hits"] + counts["misses"] == 3 * len(queries)
+
+    @given(_tables(), st.lists(st.integers(0, 5), min_size=1, max_size=8))
+    @settings(max_examples=120, deadline=None)
+    def test_alternating_providers_match_the_scan_oracle(self, table, picks):
+        # the second provider gives each text the row of another, so the
+        # same text mostly translates differently under the two
+        texts, first = table
+        second = _Table({**dict(zip(texts, [first.rows[t] for t in reversed(texts)])), "?": first.rows["?"]})
+        steps = AdmissibleSet(AdmissibleStep(t) for t in texts)
+        queries = (texts[-1], "?", texts[0])
+        want = {p: _oracle(queries, texts, p.rows) for p in (first, second)}
+        for pick in picks:
+            provider = (first, second)[pick % 2]
+            if pick < 2:
+                _assert_translations_match(queries, steps, provider, want[provider])
+            else:
+                assert translate_prompt(queries, steps, provider) == _collapsed([t for t, _ in want[provider]])
+            assert steps.memo_counts((second, first)[pick % 2]) == {"hits": 0, "misses": 0}
+
+    def test_counts_exact_under_threads(self):
+        steps = build_admissible_set(["walk to", "find", "grab"], ["sofa", "tv", "soap", "towel"])
+        provider = HashEmbedding(dim=16)
+        pool = [f"go {a} the {b}" for a in ("to", "find", "get", "use", "near") for b in ("sofa", "tv", "soap", "towel")]
+        serial = AdmissibleSet(list(steps))
+        want = {text: translate(text, serial, HashEmbedding(dim=16)) for text in pool}
+        jobs, per_job = 8, 60
+
+        def work(i):
+            got = []
+            for j in range(per_job):
+                lines = [pool[(i * 7 + j * k) % len(pool)] for k in range(1, 4)]
+                if j % 2:
+                    got.append(translate_prompt(lines, steps, provider) == _collapsed([want[t][0].text for t in lines]))
+                else:
+                    got.extend(translate(t, steps, provider) == want[t] for t in lines)
+            return all(got)
+
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                assert all(executor.map(work, range(jobs)))
+            finally:
+                sys.setswitchinterval(interval)
+        counts = steps.memo_counts(provider)
+        assert counts["hits"] + counts["misses"] == jobs * per_job * 3
+        # each worker thread misses a text at most once: its own insert keeps it
+        assert len(pool) <= counts["misses"] <= 4 * len(pool)
+
+    def test_memo_is_bounded_and_cleared_when_full(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 600)  # a few entries
+        steps = build_admissible_set(["walk to", "find"], ["sofa", "tv", "soap"])
+        provider = HashEmbedding(dim=16)
+        lines = [f"walk to the {w} {i}" for i in range(10) for w in ("sofa", "tv")]
+        want = _collapsed([translate(t, AdmissibleSet(list(steps)), HashEmbedding(dim=16))[0].text for t in lines])
+        for _ in range(3):
+            assert translate_prompt(lines, steps, provider) == want
+            memo = steps._grounding[2]
+            assert 0 < memo.nbytes <= 600 and len(memo.entries) < len(lines)
+        assert steps.memo_counts(provider)["hits"] + steps.memo_counts(provider)["misses"] == 3 * len(lines)

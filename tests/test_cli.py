@@ -283,10 +283,15 @@ class TestPlanCommand:
         extra = ["--embedding-path", _fixture("table_embeddings.jsonl")] if embedding == "table" else []
         assert cli.main(_plan_argv(out, extra)) == 0
         with open(out / "manifest.json") as fh:
-            counts = json.load(fh)["timing"]["embedding"]
-        # the counts of per-text embed calls, which batch embedding keeps
-        want = {"hits": 26, "misses": 324} | ({"table_misses": 321} if embedding == "table" else {})
-        assert counts == want
+            timing = json.load(fh)["timing"]
+        # the counts of per-text embed calls, which batch embedding keeps; a
+        # translation memo hit asks for no embedding, so the two memos' hits
+        # sum to the 26 embedding hits of a run without the translation memo
+        translation = {"hash": {"hits": 8, "misses": 10}, "table": {"hits": 7, "misses": 11}}[embedding]
+        want = {"hits": 26 - translation["hits"], "misses": 324}
+        want |= {"table_misses": 321} if embedding == "table" else {}
+        assert timing["embedding"] == want
+        assert timing["translation"] == translation
 
     def test_embedding_traffic_of_a_fixture_run_is_pinned(self, tmp_path, monkeypatch):
         """The texts the provider is asked to embed, in order, and the memo's
@@ -308,7 +313,7 @@ class TestPlanCommand:
         assert cli.main(_plan_argv(out)) == 0
         with open(out / "manifest.json") as fh:
             counts = json.load(fh)["timing"]["embedding"]
-        assert counts == embeddings.memo_counts(built[0]) == {"hits": 26, "misses": 324}
+        assert counts == embeddings.memo_counts(built[0]) == {"hits": 18, "misses": 324}
         assert len(asked) == 324
         assert hashlib.sha256("\n".join(asked).encode()).hexdigest()[:16] == "2fe3e072bb67fdef"
 

@@ -656,8 +656,9 @@ class TestEmbedContract:
             assert got == [(tail, adapted.hex()) for _, _, tail, _, adapted in want]
         texts, view = ["tiny", "up"], types.SimpleNamespace(vector=lambda text: embed(provider, text))
         matrix = np.array([embed(provider, t) for t in texts])
-        for query in ("left", "tiny", "up"):
-            index, best = embeddings.best_row(embed(provider, query), matrix, texts)
+        queries = ("left", "tiny", "up")
+        found = embeddings.best_rows(np.array([embed(provider, q) for q in queries]), matrix, texts)
+        for query, (index, best) in zip(queries, found):
             want_text, want_cos = oracles.translate_scan_oracle(query, texts, view)
             assert texts[index] == want_text and best.hex() == want_cos.hex()
 

@@ -1,7 +1,9 @@
 """Planner loop: config, prompt aggregation, termination, determinism."""
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -25,6 +27,7 @@ from nsplan.embeddings import HashEmbedding
 from nsplan.kg import AdaptedTriplet, KnowledgeGraph, Triplet
 from nsplan.planner import (
     TERMINATIONS,
+    Iteration,
     PlannerConfig,
     PlanResult,
     PlanStep,
@@ -430,9 +433,11 @@ class TestPlanResult:
     def _result(self):
         return PlanResult(
             task="T",
-            steps=(PlanStep("walk", 0.9), PlanStep("sit", 0.8)),
+            iterations=(
+                Iteration("go walk", 1.0, "walk", 0.9, True, False),
+                Iteration("sit down", 0.8, "sit", 1.0, True, True),
+            ),
             termination="MaxSteps",
-            trace=({"iteration": 1, "accepted": True},),
         )
 
     def test_dumps_holds_every_field(self):
@@ -440,8 +445,37 @@ class TestPlanResult:
             "task": "T",
             "steps": [{"text": "walk", "confidence": 0.9}, {"text": "sit", "confidence": 0.8}],
             "termination": "MaxSteps",
-            "trace": [{"iteration": 1, "accepted": True}],
+            "trace": [
+                {"iteration": 1, "generated_text": "go walk", "generation_confidence": 1.0,
+                 "translated_text": "walk", "translation_cosine": 0.9, "effective_confidence": 0.9,
+                 "accepted": True},
+                {"iteration": 2, "generated_text": "sit down", "generation_confidence": 0.8,
+                 "translated_text": "sit", "translation_cosine": 1.0, "effective_confidence": 0.8,
+                 "accepted": True, "confidence_defaulted": True},
+            ],
         }
+
+    def test_steps_are_the_accepted_iterations(self):
+        rejected = Iteration("stand", 0.5, "stand up", -0.3, False, False)
+        result = dataclasses.replace(
+            self._result(), iterations=self._result().iterations + (rejected,), termination="BelowThreshold"
+        )
+        assert result.steps == (PlanStep("walk", 0.9), PlanStep("sit", 0.8))
+        assert len(result) == 2 and len(result.trace) == 3
+        assert result.trace[-1]["accepted"] is False and result.trace[-1]["effective_confidence"] == 0.0
+
+    def test_editing_a_trace_leaves_the_plan_as_it_was(self, tv_graph, household_admissible, hash_embedder):
+        config = PlannerConfig(theta=0.7, cos_keep_threshold=-1.0, edge_threshold=0.0)
+        result = plan("Watch TV", tv_graph, household_admissible, KnowledgeFollowerGenerator(), hash_embedder, config)
+        before = result.dumps()
+        result.trace[0]["accepted"] = False
+        result.trace[1]["translated_text"] = "fly"
+        result.to_json()["trace"][0]["iteration"] = 7
+        for entry in result.trace:
+            entry.clear()
+        assert result.dumps() == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.termination = "GeneratorExhausted"
 
     def test_plan_file_reads_back_through_the_eval_reader(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -450,7 +484,34 @@ class TestPlanResult:
 
     def test_rejects_unknown_termination(self):
         with pytest.raises(ValueError):
-            PlanResult(task="T", steps=(), termination="GaveUp")
+            PlanResult(task="T", iterations=(), termination="GaveUp")
+
+    def test_a_kept_plan_retains_few_bytes_per_trace_entry(self, tv_graph, household_admissible, hash_embedder):
+        # a benchmark keeps every plan it makes, so a larger plan shows as
+        # resident memory; the records take about 125 B an entry, where
+        # a dict per entry and a stored step took about 400
+        texts = [s.text for s in household_admissible][::13][:24]
+        graph = KnowledgeGraph(
+            [tv_graph.triplet(r) for r in range(tv_graph.edge_count)]
+            + [Triplet("watch_tv", "HasSubevent", t.replace(" ", "_"), 1.0 + i / 10) for i, t in enumerate(texts)]
+        )
+        config = PlannerConfig(theta=0.0, cos_keep_threshold=-1.0, edge_threshold=0.0, top_k=30, concept_ratio=15)
+
+        def follow():
+            return plan("Watch TV", graph, household_admissible, KnowledgeFollowerGenerator(), hash_embedder, config)
+
+        follow()  # warms the memos, which a kept plan does not own
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = follow()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert result.termination == "MaxSteps" and len(result.trace) == 20
+        assert retained <= 160 * len(result.trace)
 
     def test_terminations_tuple(self):
         assert TERMINATIONS == ("MaxSteps", "BelowThreshold", "GeneratorExhausted")
