@@ -88,6 +88,12 @@ class AdmissibleSet:
         held, _, memo = self._grounding
         return memo.counts() if held is provider else {"hits": 0, "misses": 0}
 
+    def memo_clears(self, provider):
+        """How many times the translation memo kept for ``provider`` cleared
+        at its budget; zero while the set holds no memo of it."""
+        held, _, memo = self._grounding
+        return memo.clears if held is provider else 0
+
     def _grounding_for(self, provider):
         """(provider, matrix, translation memo), made afresh, all three at
         once, when the set held another provider's."""

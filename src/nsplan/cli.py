@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import __version__, causal, counterfactual, embeddings, entities, kg, planner, programs
+from . import __version__, adaption, causal, counterfactual, embeddings, entities, kg, planner, programs
 from ._files import read_json, write_json, write_jsonl, write_text
 from .admissible import load_admissible_set, translate_prompt
 from .embeddings import HashEmbedding, RemoteEmbedding, TableEmbedding
@@ -280,6 +280,11 @@ def run_plan(config):
             "elapsed_s": round(time.time() - started, 3),
             "embedding": embedding,
             "translation": admissible.memo_counts(embedder),
+            "memo_clears": {
+                "embedding": embeddings.memo_clears(embedder),
+                "translation": admissible.memo_clears(embedder),
+                "nodes": adaption.store_clears(graph, embedder),
+            },
         },
         "tasks": entries,
     }

@@ -22,14 +22,17 @@ scaled first), or zero for a zero vector (the empty string embeds to zero).
 ``embed_many(provider, texts)`` is its batch form: a (len(texts), dim)
 matrix whose row i is bit-equal to ``embed`` of texts[i]; it unpacks the
 memo hits together and hands each miss to ``embed``. Any cosine against a
-zero vector is 0. Two callers score a matrix of such vectors with
-matrix-vector products and rest on one premise: the vectors have norm 1 to within
-rounding, so a matmul entry lies
-within about d * 2**-53 of the exact score, far inside ``SHORTLIST_MARGIN``
-(1e-9). ``best_rows`` finds the row nearest each of a batch of queries, as
-a row scan would, re-scoring only the entries within the margin of each best;
-``adaption.adapt_weights`` takes the exact ``cosine`` only for the tails
-whose score plus the margin clears its gates.
+zero vector is 0. Two callers score many such vectors against one with
+sums of products in some order and rest on one premise: the vectors have
+norm 1 to within rounding, so such a sum lies within about d * 2**-53 of
+the exact score, far inside ``SHORTLIST_MARGIN`` (1e-9). ``best_rows``
+finds the row nearest each of a batch of queries with matrix-vector
+products, as a row scan would, re-scoring only the entries within the
+margin of each best. ``adaption.adapt_weights`` scores the tails with one
+gather over their stored nonzero entries, from a per-graph node store
+that ``embed_many`` fills once per node and ``MEMO_BUDGET_BYTES`` bounds,
+and takes the exact ``cosine`` only for the tails whose score plus the
+margin clears its gates.
 
 ``embed`` memoizes per provider (held weakly, so a provider must be hashable
 and weak-referenceable). Each text maps to one ``bytes`` object: the float64
@@ -42,7 +45,8 @@ insert that would go over the budget clears it first (``Memo``, which
 ``admissible`` reuses for its translations). ``memo_counts``
 reports the hits and misses: each text asked for, through ``embed`` or
 a batch, is one of them, exactly, under threads too. A miss is a text the
-memo did not hold, which the provider was asked to embed.
+memo did not hold, which the provider was asked to embed. ``memo_clears``
+reports how many times the memo cleared at its budget.
 
 ``token_table`` keeps a second per-provider store, also held weakly, for
 the metrics, which score single tokens against each other. It holds each
@@ -192,23 +196,26 @@ class RemoteEmbedding:
 
 
 class Memo:
-    """Texts -> entries, with their byte total and the hit and miss counts,
-    all guarded by ``lock`` (threads of a --jobs run share one memo)."""
+    """Texts -> entries, with their byte total, the hit and miss counts and
+    the count of clears, all guarded by ``lock`` (threads of a --jobs run
+    share one memo)."""
 
     def __init__(self, lock):
         self.entries = {}
         self.nbytes = 0
         self.hits = 0
         self.misses = 0
+        self.clears = 0
         self.lock = lock
 
     def insert(self, text, entry, cost):
         """Store ``entry`` for ``text`` unless it is held already, at ``cost``
-        bytes; clear the memo first when it would go over
-        ``MEMO_BUDGET_BYTES``. The caller holds ``lock``."""
-        if self.nbytes + cost > MEMO_BUDGET_BYTES:
+        bytes; clear the memo first, and count the clear, when it would go
+        over ``MEMO_BUDGET_BYTES``. The caller holds ``lock``."""
+        if self.entries and self.nbytes + cost > MEMO_BUDGET_BYTES:
             self.entries.clear()
             self.nbytes = 0
+            self.clears += 1
         if self.entries.setdefault(text, entry) is entry:
             self.nbytes += cost
 
@@ -232,6 +239,11 @@ def _memo(provider):
 def memo_counts(provider):
     """{"hits": ..., "misses": ...} of ``embed``'s memo for ``provider``."""
     return _memo(provider).counts()
+
+
+def memo_clears(provider):
+    """How many times ``embed``'s memo for ``provider`` cleared at its budget."""
+    return _memo(provider).clears
 
 
 # Norms whose sum of squares is good to rounding: underflow lost under an ulp of it, nothing overflowed

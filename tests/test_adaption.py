@@ -1,6 +1,10 @@
 """Edge-wise adaption: weight shifts, selection oracle, invariances."""
 
 import math
+import random
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +12,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nsplan import adaption, embeddings
 from nsplan.adaption import adapt_weights, select, surface
+from nsplan.admissible import load_admissible_set
 from nsplan.embeddings import HashEmbedding, cosine, embed
 from nsplan.entities import tokenize
+from nsplan.errors import TransportError
+from nsplan.generation import KnowledgeFollowerGenerator
 from nsplan.kg import AdaptedTriplet, KnowledgeGraph, Triplet
-from nsplan.planner import PlannerConfig
+from nsplan.planner import PlannerConfig, plan
 
 
 def _adapted(head, relation, tail, weight, adapted_weight):
@@ -271,6 +279,194 @@ class TestAdaptOracle:
         want = oracles.adapt_oracle([graph.triplet(r) for r in ranks], TASK, provider, edge_threshold,
                                     cos_keep_threshold)
         assert _hex((t.head, t.relation, t.tail, t.weight, t.adapted_weight) for t in got) == _hex(want)
+
+
+TASKS = ["take a shower", "wash hair", "dry off with a towel", "turn on tap", "rinse body with water"]
+
+
+def _odd_vector(rng, dim):
+    """A dense raw vector of one scale, tiny, unit or huge, with some
+    entries -0.0 and some 0.0."""
+    vec = rng.uniform(-1.0, 1.0, dim) * rng.choice([1e-300, 1.0, 1e300])
+    vec[rng.random(dim) < 0.2] = -0.0
+    vec[rng.random(dim) < 0.1] = 0.0
+    return vec
+
+
+@st.composite
+def warm_cases(draw):
+    """(graph, calls, budget): a graph over TAILS and 2-8 adaption calls on
+    it, each (provider, task, ranks), by two providers of one dimension
+    alternating: a table-like one whose drawn texts hold tiny, huge and
+    -0.0 entries, and a hash one. ``budget`` is None, for the default, or
+    a few dense rows' bytes."""
+    dim = draw(st.sampled_from([3, 16]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    texts = [*TASKS, *(surface(t) for t in TAILS)]
+    providers = (_Drawn(dim, {t: _odd_vector(rng, dim) for t in texts if draw(st.booleans())}),
+                 HashEmbedding(dim=dim))
+    graph = KnowledgeGraph(
+        Triplet(draw(NODES), draw(st.sampled_from(["HasSubevent", "UsedFor"])), draw(st.sampled_from(TAILS)),
+                draw(st.sampled_from([1e-300, 0.5, 1.0, 2.5])))
+        for _ in range(draw(st.integers(min_value=1, max_value=12)))
+    )
+    all_ranks = range(graph.edge_count)
+    ranks = st.one_of(st.just(list(all_ranks)), st.sets(st.sampled_from(all_ranks)).map(sorted))
+    calls = draw(st.lists(st.tuples(st.sampled_from(providers), st.sampled_from(TASKS), ranks),
+                          min_size=2, max_size=8))
+    return graph, calls, draw(st.sampled_from([None, 400, 1500]))
+
+
+def _store(graph):
+    """The node store ``graph`` holds."""
+    return adaption._STORES[graph]
+
+
+class TestNodeStore:
+    @given(warm_cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_warm_store_matches_the_per_triplet_scan(self, case, data):
+        """Calls in sequence on one graph, so later ones read the rows that
+        earlier ones filled, with thresholds at exact scores of the call."""
+        graph, calls, budget = case
+        with mock.patch.object(embeddings, "MEMO_BUDGET_BYTES", budget or embeddings.MEMO_BUDGET_BYTES):
+            for provider, task, ranks in calls:
+                triplets = [graph.triplet(r) for r in ranks]
+                ungated = oracles.adapt_oracle(triplets, task, provider, -math.inf, -math.inf)
+                edge = data.draw(st.sampled_from([0.0, *(a for *_, a in ungated if a >= 0.0)]))
+                shift = data.draw(st.sampled_from([-1.0, *(a - w for *_, w, a in ungated)]))
+                cfg = PlannerConfig(edge_threshold=edge, cos_keep_threshold=shift)
+                got = adapt_weights(graph, np.array(ranks, np.intp), task, provider, cfg)
+                want = oracles.adapt_oracle(triplets, task, provider, edge, shift)
+                assert _hex(got) == _hex(want)
+                store = _store(graph)
+                assert store.provider is provider and store.nbytes <= embeddings.MEMO_BUDGET_BYTES
+                for node in np.flatnonzero(store.start >= 0):
+                    _, _, values, dims = store.take(np.array([node]))
+                    row = np.zeros(provider.dim)
+                    row[dims] = values
+                    assert row.tobytes() == embed(provider, surface(graph.node_keys[node])).tobytes()
+
+    def test_a_store_that_would_pass_the_budget_is_replaced_whole(self, shower_graph, monkeypatch):
+        """Each call asks for four ranks' tails, so the filled nodes pass a
+        budget of six dense rows: the store is replaced by one that holds
+        the calling tails alone, or nothing when they do not fit, and every
+        output stays bit-equal to the scan."""
+        graph = KnowledgeGraph(shower_graph.triplet(r) for r in range(shower_graph.edge_count))
+        rng = np.random.default_rng(5)
+        provider = _Drawn(16, {surface(key): _odd_vector(rng, 16) for key in graph.node_keys})
+        cfg = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0)
+        budget = 8 * graph.node_count + 12 * 16 * 6
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", budget)
+        replaced = 0
+        for first in [*range(0, graph.edge_count - 4), 0, 20, 7]:
+            ranks = np.arange(first, first + 4)
+            before = adaption._STORES.get(graph)
+            got = adapt_weights(graph, ranks, TASK, provider, cfg)
+            want = oracles.adapt_oracle([graph.triplet(r) for r in ranks], TASK, provider, 0.0, -1.0)
+            assert _hex(got) == _hex(want)
+            store = _store(graph)
+            assert store.nbytes <= budget
+            if before is not None and store.clears > before.clears:
+                assert store is not before and store.clears == before.clears + 1
+                filled = set(np.flatnonzero(store.start >= 0).tolist())
+                assert filled in (set(graph.tail_ids[ranks].tolist()), set())
+                replaced += 1
+        assert adaption.store_clears(graph, provider) == replaced > 0
+        assert adaption.store_clears(graph, HashEmbedding(dim=16)) == 0
+
+    def test_another_provider_replaces_the_store(self, tv_graph):
+        graph = KnowledgeGraph(tv_graph.triplet(r) for r in range(tv_graph.edge_count))
+        first, second = HashEmbedding(dim=16), HashEmbedding(dim=16, seed=1)
+        for provider in (first, second, first):
+            adapt_weights(graph, np.arange(graph.edge_count), "watch tv", provider, KEEP_ALL)
+            assert _store(graph).provider is provider
+            assert (_store(graph).start[graph.tail_ids] >= 0).all()
+
+    def test_a_failing_fill_leaves_the_store_as_it_was(self, tv_graph):
+        class FailsOnce(HashEmbedding):
+            fail = True
+
+            def embed(self, text):
+                if text == "television":
+                    self.fail, fail = False, self.fail
+                    if fail:
+                        raise TransportError("down", endpoint="loopback")
+                return super().embed(text)
+
+        graph = KnowledgeGraph(tv_graph.triplet(r) for r in range(tv_graph.edge_count))
+        provider = FailsOnce(dim=16)
+        adapt_weights(graph, np.array([0]), "watch tv", provider, KEEP_ALL)
+        before = _store(graph)
+        held = before.start.copy()
+        with pytest.raises(TransportError):
+            _adapt(graph, "watch tv", provider, KEEP_ALL)
+        assert _store(graph) is before and (before.start == held).all()
+        got = _adapt(graph, "watch tv", provider, KEEP_ALL)
+        want = oracles.adapt_oracle(_triplets(graph), "watch tv", provider, 0.0, -1.0)
+        assert _hex(got) == _hex(want)
+
+
+def _synthetic_graph():
+    """A seeded graph of household nouns and noun pairs: each noun has 40
+    edges to pair nodes, and each pair node 3 edges to other pairs."""
+    rng = random.Random(11)
+    nouns = "dish cup plate bowl pan sink table towel lamp sofa door window shirt book phone chair".split()
+    pairs = [f"{a}_{b}" for a in nouns for b in nouns if a != b]
+    relations = ["HasSubevent", "UsedFor", "AtLocation", "HasPrerequisite", "CapableOf"]
+    rows = {}
+    for head, fanout in [*((n, 40) for n in nouns), *((p, 3) for p in pairs)]:
+        for tail in rng.sample(pairs, fanout):
+            rows[head, rng.choice(relations), tail] = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0])
+    tasks = [f"{rng.choice(['wash', 'clean', 'fix', 'check'])} the {rng.choice(nouns)} and the {rng.choice(nouns)}"
+             for _ in range(120)]
+    return KnowledgeGraph((*key, w) for key, w in rows.items()), tasks
+
+
+@pytest.mark.parametrize("budget", [None, 10_000], ids=["default", "small-budget"])
+def test_threads_sharing_a_graph_plan_as_one_thread_does(fixture_path, monkeypatch, budget):
+    """Four threads that plan disjoint slices of one task list on one fresh
+    graph and provider fill one node store together, switching as often as
+    the interpreter allows; each plan equals a one-thread run's, in each of
+    three trials. (Without the fill lock, about half the runs of this test
+    see a plan differ.)"""
+    if budget is not None:
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", budget)
+
+    def setup():
+        graph, tasks = _synthetic_graph()
+        return graph, tasks, load_admissible_set(fixture_path("admissible_household.json")), HashEmbedding(dim=64)
+
+    def run(graph, task, admissible, provider):
+        return plan(task, graph, admissible, KnowledgeFollowerGenerator(), provider).dumps()
+
+    graph, tasks, admissible, provider = setup()
+    serial = [run(graph, task, admissible, provider) for task in tasks]
+    threads = 4
+    for trial in range(3):
+        graph, tasks, admissible, provider = setup()
+        got = [None] * len(tasks)
+        start = threading.Barrier(threads, timeout=30)
+
+        def work(i):
+            start.wait()
+            for j in range(i, len(tasks), threads):
+                got[j] = run(graph, tasks[j], admissible, provider)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        assert got == serial, f"trial {trial}"
+        if budget is not None:
+            assert adaption.store_clears(graph, provider) > 0
 
 
 class TestSelect:

@@ -317,6 +317,19 @@ class TestPlanCommand:
         assert len(asked) == 324
         assert hashlib.sha256("\n".join(asked).encode()).hexdigest()[:16] == "2fe3e072bb67fdef"
 
+    def test_manifest_counts_the_memo_clears_of_a_tiny_budget(self, tmp_path, monkeypatch):
+        """A run within the budget clears nothing; a run over a tiny budget
+        clears each memo and replaces the node store, and writes the same plans."""
+        roomy, tiny = tmp_path / "roomy", tmp_path / "tiny"
+        assert cli.main(_plan_argv(roomy)) == 0
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 600)  # a few entries of each
+        assert cli.main(_plan_argv(tiny)) == 0
+        runs = _read_tree(roomy), _read_tree(tiny)
+        clears = [json.loads(tree.pop("manifest.json"))["timing"]["memo_clears"] for tree in runs]
+        assert clears[0] == {"embedding": 0, "translation": 0, "nodes": 0}
+        assert set(clears[1]) == set(clears[0]) and all(count > 0 for count in clears[1].values())
+        assert runs[0] == runs[1]
+
     def test_rerun_is_byte_identical_modulo_timing(self, tmp_path):
         out = tmp_path / "run"
         assert cli.main(_plan_argv(out)) == 0
