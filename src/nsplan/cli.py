@@ -365,13 +365,7 @@ def run_ingest(config):
     graph = kg.ingest(config.graph, fmt=config.graph_format, strict=config.strict)
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, "graph.jsonl")
-    write_jsonl(
-        out_path,
-        (
-            {"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight}
-            for t in map(graph.triplet, range(graph.edge_count))
-        ),
-    )
+    write_text(out_path, graph.to_jsonl())
     stats = graph.stats
     print(f"kept {graph.edge_count} triplets ({graph.node_count} nodes, {graph.edge_count} edges)")
     print(

@@ -28,8 +28,13 @@ counts them in ``IngestStats.dropped_relation``. Ingest interns node keys
 and relation names, so equal keys share one string.
 
 The row rule: head and tail are nonempty, the weight a finite positive
-number (a string or a bool is not a number). Ingest counts a row that
-breaks it as malformed; the constructor raises ValueError.
+number (a string or a bool is not a number). It is applied once per row,
+where rows enter the program: ingest's parsers apply it per line and count
+a row that breaks it as malformed, then hand the rows that pass to the
+column-building body unchecked; the constructor applies it, and the
+household check, to each row it is given and raises ValueError. JSONL
+lines are parsed a chunk at a time by ``_files.read_jsonl``, and
+``to_jsonl`` writes the graph back as JSONL from its columns.
 """
 
 from __future__ import annotations
@@ -134,16 +139,26 @@ class KnowledgeGraph:
     sorted: ``node_keys[i]`` is the key of node id i.
     """
 
-    def __init__(self, triplets=(), stats=None):
+    def __init__(self, triplets):
         """``triplets`` are (head, relation, tail, weight) rows, such as
-        ``Triplet``s; ``stats.duplicates`` becomes the count of rows that
-        repeat a stored key."""
-        self.stats = stats if stats is not None else IngestStats()
+        ``Triplet``s, each checked by the row rule and the household table;
+        ``stats.duplicates`` counts the rows that repeat a stored key."""
+        self._build(_checked(triplets), IngestStats())
+
+    @classmethod
+    def _of_checked(cls, rows, stats):
+        """The graph of ``rows`` that already passed the row rule and hold a
+        household relation: ingest's rows, so each row is checked once."""
+        graph = cls.__new__(cls)
+        graph._build(rows, stats)
+        return graph
+
+    def _build(self, rows, stats):
+        """Fill the columns and the index from ``rows``; ``stats`` becomes
+        the graph's, its ``duplicates`` set here."""
+        self.stats = stats
         heads, relations, tails, weights = [], [], [], array("d")
-        for row in triplets:
-            head, relation, tail, weight = row = _row(*row)
-            if relation not in HOUSEHOLD_RELATIONS:
-                raise ValueError(f"{Triplet._make(row)}: {relation!r} is not a household relation")
+        for head, relation, tail, weight in rows:
             heads.append(head)
             relations.append(relation)
             tails.append(tail)
@@ -195,6 +210,20 @@ class KnowledgeGraph:
         row = nodes[self._head_ids.item(rank)], relation, nodes[self.tail_ids.item(rank)], self.weights.item(rank)
         return Triplet._make(row)
 
+    def to_jsonl(self):
+        """The stored triplets in rank order as JSONL text: line r is
+        ``json.dumps(row, sort_keys=True)`` of rank r's row, a dict of its
+        head, relation, tail and weight. Each node key and relation is
+        encoded once, and a weight is written as JSON writes a finite
+        float, by ``float.__repr__``."""
+        keys = [json.dumps(key) for key in self.node_keys]
+        relations = [json.dumps(name) for name in self._relation_names]
+        columns = self._head_ids.tolist(), self._relation_ids.tolist(), self.tail_ids.tolist(), self.weights.tolist()
+        return "".join(
+            f'{{"head": {keys[h]}, "relation": {relations[r]}, "tail": {keys[t]}, "weight": {w!r}}}\n'
+            for h, r, t, w in zip(*columns)
+        )
+
     @property
     def edge_count(self):
         return len(self.weights)
@@ -205,6 +234,16 @@ class KnowledgeGraph:
 
     def __contains__(self, node):
         return node in self._node_id
+
+
+def _checked(rows):
+    """``rows`` under the row rule, each holding a household relation; the
+    first row that breaks either raises ValueError."""
+    for row in rows:
+        row = _row(*row)
+        if row[1] not in HOUSEHOLD_RELATIONS:
+            raise ValueError(f"{Triplet._make(row)}: {row[1]!r} is not a household relation")
+        yield row
 
 
 def _parse_conceptnet_uri(uri, column):
@@ -275,7 +314,7 @@ def ingest(source, fmt="conceptnet-tsv", strict=False):
     else:
         rows = read_jsonl(source, _triplet_from_json, None if strict else bad)
     stats = IngestStats()
-    graph = KnowledgeGraph(_household(rows, stats), stats=stats)
+    graph = KnowledgeGraph._of_checked(_household(rows, stats), stats)
     for err in bad:
         log.debug("skipping malformed line: %s", err)
     stats.dropped_malformed = len(bad)

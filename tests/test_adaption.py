@@ -144,7 +144,7 @@ class TestAdaptWeights:
         assert len(shifts) == 1
 
     def test_no_ranks(self, hash_embedder):
-        assert _adapt(KnowledgeGraph(), "task", hash_embedder, KEEP_ALL) == ()
+        assert _adapt(KnowledgeGraph(()), "task", hash_embedder, KEEP_ALL) == ()
         graph = _graph([("a", "UsedFor", "b", 1.0)])
         assert adapt_weights(graph, np.arange(0), "task", hash_embedder, KEEP_ALL) == ()
 
@@ -374,6 +374,42 @@ class TestNodeStore:
                 replaced += 1
         assert adaption.store_clears(graph, provider) == replaced > 0
         assert adaption.store_clears(graph, HashEmbedding(dim=16)) == 0
+
+    def test_a_start_is_set_only_after_its_entries_are_published(self, shower_graph, monkeypatch):
+        """A reader that reads a node's start reads the entry arrays after
+        it, so the arrays that hold the node's row must be published first.
+        Every store's ``start`` checks that at each write, while the store
+        grows by doubling and is replaced whole past a small budget."""
+        writes = []
+
+        class Starts(np.ndarray):
+            store = None
+
+            def __setitem__(self, nodes, starts):
+                length = self.store.length[nodes]
+                end = np.asarray(starts) + length
+                published = min(len(entries) for entries in self.store.entries)
+                assert (np.asarray(starts) >= 0).all() and (end <= published).all(), "start set before its entries"
+                writes.append(len(self.store.entries[0]))
+                super().__setitem__(nodes, starts)
+
+        class Store(adaption.NodeStore):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.start = self.start.view(Starts)
+                self.start.store = self
+
+        monkeypatch.setattr(adaption, "NodeStore", Store)
+        graph = KnowledgeGraph(shower_graph.triplet(r) for r in range(shower_graph.edge_count))
+        rng = np.random.default_rng(5)
+        provider = _Drawn(16, {surface(key): _odd_vector(rng, 16) for key in graph.node_keys})
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 8 * graph.node_count + 12 * 16 * 6)
+        cfg = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0)
+        for first in [*range(0, graph.edge_count - 4), 0, 20, 7]:
+            ranks = np.arange(first, first + 4)
+            got = adapt_weights(graph, ranks, TASK, provider, cfg)
+            assert _hex(got) == _hex(oracles.adapt_oracle([graph.triplet(r) for r in ranks], TASK, provider, 0.0, -1.0))
+        assert len(set(writes)) > 2 and adaption.store_clears(graph, provider) > 0  # grown and replaced
 
     def test_another_provider_replaces_the_store(self, tv_graph):
         graph = KnowledgeGraph(tv_graph.triplet(r) for r in range(tv_graph.edge_count))

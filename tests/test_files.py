@@ -3,12 +3,14 @@ table holds, each reader either parses it or raises an InputError that
 names the file and that line. No other error type escapes a reader."""
 
 import json
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsplan import kg, programs
+from nsplan import _files, kg, programs
 from nsplan.embeddings import TableEmbedding
 from nsplan.errors import InputError
 
@@ -64,3 +66,131 @@ def test_a_strict_reader_raises_only_an_input_error_naming_the_line(tmp_path_fac
         assert err.line_no == 2
         assert str(err).startswith(f"{path}, line 2: ")
 
+
+# Chunked JSONL reading: one json.loads per chunk of lines, where a guard
+# proves the chunk's objects are its lines' own; otherwise the per-line path.
+
+_ROW = '{"head": "c", "relation": "UsedFor", "tail": "d", "weight": 1.0}'
+# three lines that one json.loads of their join reads as three objects,
+# though no line parses alone: an array, then an object, spans two lines
+COUNTEREXAMPLES = {
+    "array": ['{"head": "a", "relation": "UsedFor", "tail": "b", "weight": 1.0, "x": [{}', "{}]}", f"{_ROW}, {_ROW}"],
+    "object": ['{"head": "a", "relation": "UsedFor", "tail": "b", "weight": 1.0, "x": {"y": 1}', '"z": 2}',
+               f"{_ROW}, {_ROW}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTEREXAMPLES))
+def test_lines_that_parse_only_joined_are_bad_lines(tmp_path, name):
+    lines = COUNTEREXAMPLES[name]
+    with pytest.raises(ValueError) as first:
+        json.loads(lines[0])
+    path = tmp_path / "graph.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        kg.ingest(str(path), fmt="jsonl", strict=True)
+    assert err.value.line_no == 1
+    assert str(err.value) == f"{path}, line 1: {first.value}"
+    graph = kg.ingest(str(path), fmt="jsonl")
+    assert graph.edge_count == 0 and graph.stats.dropped_malformed == 3
+
+
+def _per_line(source, build, bad):
+    """The per-line JSONL reader: one json.loads per line."""
+
+    def parse(line):
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError("line is not a JSON object")
+        return build(obj)
+
+    return _files.read_lines(source, parse, bad)
+
+
+def _build(obj):
+    value = obj["k"]
+    if type(value) is not int:
+        raise ValueError(f"k must be an int, got {value!r}")
+    return value
+
+
+def _nest(depth):
+    return '{"k": 1, "n": ' * depth + "0" + "}" * depth
+
+
+def _deepest_nest():
+    """The deepest ``_nest`` that json.loads parses when called from here."""
+    lo, hi = 0, sys.getrecursionlimit()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            json.loads(_nest(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid - 1
+    return lo
+
+
+_JSONL_LINES = st.one_of(
+    st.dictionaries(st.sampled_from(["k", "n", "s"]),
+                    st.one_of(st.integers(), st.text(max_size=4), st.sampled_from(["{", "}", "[", "{{", "\\"])),
+                    max_size=3).map(json.dumps),
+    st.sampled_from(["", "   ", "\t", '  {"k": 2}', '{"k": 3}]', '{"k": "x"}', '{"n": 1}', "[1]", "7", '"s"', "null",
+                     '{"k": 4', '{"k": 5}, {"k": 6}', '{"k": [1]}', '{"k": {"k": 1}}', "\x0c", "{" * 40]),
+    st.integers(min_value=1, max_value=40).map(_nest),
+).map(lambda line: [line.encode("utf-8", "surrogatepass")])
+# a group of lines: one line, a counterexample's three, or (an int k) a
+# nest k levels deeper than json.loads parses from the test, where a
+# joined parse one level deeper or shallower would read otherwise
+_JSONL_GROUPS = st.one_of(
+    _JSONL_LINES, _JSONL_LINES, _JSONL_LINES,
+    st.sampled_from([[line.encode() for line in lines] for lines in COUNTEREXAMPLES.values()]),
+    st.one_of(st.just(b"\xff{}"), st.binary(max_size=8)).map(lambda line: [line]),
+    st.integers(min_value=-8, max_value=8).map(lambda k: [k]),
+)
+_JSONL_FILES = st.lists(st.tuples(_JSONL_GROUPS, st.sampled_from([b"\n", b"\r\n", b"\r\r\n"])), max_size=8)
+
+
+def _read(reader, source, build, strict):
+    """(rows, bad errors) of a lenient read, or the error of a strict one."""
+    bad = None if strict else []
+    try:
+        rows = list(reader(source, build, bad))
+    except InputError as err:
+        return str(err), err.line_no
+    return rows, [(str(err), err.line_no) for err in bad or ()]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, _files.CHUNK_LINES])
+@settings(max_examples=200, deadline=None)
+@given(groups=_JSONL_FILES, text=st.booleans(), strict=st.booleans())
+def test_chunked_jsonl_reads_what_the_per_line_reader_reads(chunk, groups, text, strict):
+    """Rows, bad lines, messages and line numbers, from byte or str lines,
+    with blank lines, CRLF endings, non-UTF-8 bytes and deep nests."""
+    deepest = _deepest_nest()
+    lines = [
+        (_nest(deepest + line).encode() if isinstance(line, int) else line.replace(b"\n", b" ")) + end
+        for group, end in groups for line in group
+    ]
+    source = [line.decode("utf-8", "surrogateescape") for line in lines] if text else lines
+    with mock.patch.object(_files, "CHUNK_LINES", chunk):
+        got = _read(_files.read_jsonl, source, _build, strict)
+    assert got == _read(_per_line, source, _build, strict)
+
+
+@pytest.mark.parametrize("chunk", [4, _files.CHUNK_LINES])
+@pytest.mark.parametrize("row", ['{{"k": {i}}}', '{{"k": {i}, "list": [1]}}'])  # the bulk and the per-line path
+def test_read_jsonl_reads_at_most_one_chunk_ahead(monkeypatch, chunk, row):
+    monkeypatch.setattr(_files, "CHUNK_LINES", chunk)
+    consumed = 0
+
+    def source():
+        nonlocal consumed
+        for i in range(3 * chunk + 2):
+            consumed += 1
+            yield row.format(i=i) + "\n"
+
+    for yielded, value in enumerate(_files.read_jsonl(source(), _build), start=1):
+        assert value == yielded - 1
+        assert consumed <= -(-yielded // chunk) * chunk  # the chunks that hold the rows yielded so far
+    assert consumed == 3 * chunk + 2

@@ -524,3 +524,39 @@ def test_rank_order_columns_match_the_triplets(shower_graph):
     assert [shower_graph.node_keys[i] for i in shower_graph.tail_ids.tolist()] == [t.tail for t in triplets]
     assert list(shower_graph.node_keys) == sorted({t.head for t in triplets} | {t.tail for t in triplets})
     assert not shower_graph.weights.flags.writeable and not shower_graph.tail_ids.flags.writeable
+
+
+@pytest.mark.parametrize("fmt, line", [("conceptnet-tsv", tsv_line), ("jsonl", jsonl_row)])
+def test_ingest_applies_the_row_rule_once_per_row(fmt, line):
+    rows = [("a", "Causes", "b", 1.0), ("b", "UsedFor", "c", 2.0), ("a", "Causes", "b", 3.0), ("c", "Causes", "d", 0.0)]
+    with mock.patch.object(kg, "_row", wraps=kg._row) as rule:
+        graph = kg.ingest([line(*row) for row in rows], fmt=fmt)
+    assert rule.call_count == len(rows)
+    assert graph.edge_count == 2 and graph.stats.dropped_malformed == 1
+
+
+# keys with non-ASCII text, quotes, backslashes and control characters
+_WRITTEN_KEYS = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7f é漢')),
+                        min_size=1, max_size=6)
+_WRITTEN_WEIGHTS = st.one_of(
+    st.sampled_from([5e-324, 1e16, 0.30000000000000004, 1.0, 2.5, 1e-7, 1.7976931348623157e308]),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_WRITTEN_KEYS, st.sampled_from(sorted(kg.HOUSEHOLD_RELATIONS)), _WRITTEN_KEYS,
+                          _WRITTEN_WEIGHTS), max_size=12))
+def test_to_jsonl_writes_what_json_dumps_writes(rows):
+    """``to_jsonl`` is byte-equal to ``json.dumps(row, sort_keys=True)`` per
+    rank, and its text ingests back to the same graph."""
+    graph = KnowledgeGraph(rows)
+    text = graph.to_jsonl()
+    want = "".join(
+        json.dumps({"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight}, sort_keys=True) + "\n"
+        for t in every_triplet(graph)
+    )
+    assert text == want
+    again = kg.ingest(io.BytesIO(text.encode("utf-8")), fmt="jsonl", strict=True)
+    assert every_triplet(again) == every_triplet(graph)
+    assert again.weights.tobytes() == graph.weights.tobytes() and again.node_keys == graph.node_keys
