@@ -29,12 +29,22 @@ and relation names, so equal keys share one string.
 
 The row rule: head and tail are nonempty, the weight a finite positive
 number (a string or a bool is not a number). It is applied once per row,
-where rows enter the program: ingest's parsers apply it per line and count
-a row that breaks it as malformed, then hand the rows that pass to the
+where rows enter the program: ingest applies it to each parsed row, as the
+``build`` of ``_files.read_chunks``, counts a row that breaks it as
+malformed at its own line, and hands the rows that pass to the
 column-building body unchecked; the constructor applies it, and the
-household check, to each row it is given and raises ValueError. JSONL
-lines are parsed a chunk at a time by ``_files.read_jsonl``, and
-``to_jsonl`` writes the graph back as JSONL from its columns.
+household check, to each row it is given and raises ValueError.
+
+Both formats are parsed a chunk at a time by ``_files.read_chunks``: JSONL
+by ``read_jsonl``'s one ``json.loads`` per chunk, ConceptNet TSV by
+``_tsv_chunk``, which reads the chunk's lines with ``_tsv_fields`` and
+decodes each metadata cell with ``_files.json_object``. ``_tsv_fields``
+holds the line rules once: the per-line path, ``_parse_tsv_line``, runs
+it on a list of one line, with ``json.loads``. A chunk with a line that
+fails there, a cell that ``json_object`` leaves to ``json.loads``
+included, is read by the per-line path, so bad-line messages and line
+numbers are the per-line reader's. ``to_jsonl`` writes the graph back as
+JSONL from its columns.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import read_jsonl, read_lines
+from ._files import json_object, read_chunks, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -166,7 +176,9 @@ class KnowledgeGraph:
         # each temporary is dropped once used, to keep the ingest peak low
         relation_names = tuple(sorted(set(relations)))
         relation_id = {r: i for i, r in enumerate(relation_names)}
-        nodes = tuple(sorted(set(heads).union(tails)))
+        nodes = set(heads)
+        nodes.update(tails)  # in place: the union holds one set, not two
+        nodes = tuple(sorted(nodes))
         node_id = dict(zip(nodes, range(len(nodes))))
         n = len(heads)
         head = np.fromiter(map(node_id.__getitem__, heads), np.int32, n)
@@ -254,25 +266,55 @@ def _parse_conceptnet_uri(uri, column):
     return parts[2], sys.intern(parts[3])
 
 
+def _tsv_fields(lines, decode):
+    """(head, relation, tail, weight) of each of ``lines``, TSV lines, before
+    the row rule, or None for a row not in English; the first bad line
+    raises ValueError saying what is bad. ``decode`` reads a metadata cell:
+    ``json.loads`` on the per-line path, ``json_object`` on the chunk path,
+    where a cell it gives None for is bad. Each distinct relation URI is
+    checked once."""
+    relations, fields = {}, []
+    for line in lines:
+        cols = line.split("\t")
+        if len(cols) != 5:
+            raise ValueError(f"expected 5 tab-separated columns, got {len(cols)}")
+        _, rel_uri, start_uri, end_uri, meta_json = cols
+        relation = relations.get(rel_uri)
+        if relation is None:
+            if not rel_uri.startswith("/r/") or len(rel_uri) <= 3:
+                raise ValueError(f"bad relation URI: {rel_uri!r}")
+            relation = relations[rel_uri] = sys.intern(rel_uri[3:].split("/")[0])
+        start_lang, head = _parse_conceptnet_uri(start_uri, 3)
+        end_lang, tail = _parse_conceptnet_uri(end_uri, 4)
+        try:
+            weight = decode(meta_json)["weight"]
+        except (KeyError, TypeError, ValueError, RecursionError):
+            weight = None
+        if type(weight) not in (int, float):  # a string or a bool is not a weight
+            raise ValueError(f"metadata JSON lacks a numeric weight: {meta_json!r}")
+        # not English: filtered, not malformed
+        fields.append(None if start_lang != "en" or end_lang != "en" else (head, relation, tail, weight))
+    return fields
+
+
+def _tsv_row(fields):
+    """The row of ``_tsv_fields``' fields, under the row rule; None stays None."""
+    return None if fields is None else _row(*fields)
+
+
 def _parse_tsv_line(line):
-    cols = line.split("\t")
-    if len(cols) != 5:
-        raise ValueError(f"expected 5 tab-separated columns, got {len(cols)}")
-    _, rel_uri, start_uri, end_uri, meta_json = cols
-    if not rel_uri.startswith("/r/") or len(rel_uri) <= 3:
-        raise ValueError(f"bad relation URI: {rel_uri!r}")
-    relation = sys.intern(rel_uri[3:].split("/")[0])
-    start_lang, head = _parse_conceptnet_uri(start_uri, 3)
-    end_lang, tail = _parse_conceptnet_uri(end_uri, 4)
+    """The row of one TSV line, or None for a row not in English: the
+    per-line path."""
+    return _tsv_row(_tsv_fields([line], json.loads)[0])
+
+
+def _tsv_chunk(lines):
+    """``_tsv_fields`` of ``lines``, a chunk of TSV lines; None when one is
+    bad, and the chunk then takes the per-line path."""
     try:
-        weight = json.loads(meta_json)["weight"]
-    except (KeyError, TypeError, ValueError, RecursionError):
-        weight = None
-    if type(weight) not in (int, float):  # a string or a bool is not a weight
-        raise ValueError(f"metadata JSON lacks a numeric weight: {meta_json!r}")
-    if start_lang != "en" or end_lang != "en":
-        return None  # not English: filtered, not malformed
-    return _row(head, relation, tail, weight)
+        return _tsv_fields(lines, json_object)
+    except ValueError:
+        return None
 
 
 def _triplet_from_json(obj):
@@ -310,7 +352,7 @@ def ingest(source, fmt="conceptnet-tsv", strict=False):
         raise ValueError(f"unknown ingest format: {fmt!r}")
     bad = []
     if fmt == "conceptnet-tsv":
-        rows = read_lines(source, _parse_tsv_line, None if strict else bad)
+        rows = read_chunks(source, _tsv_chunk, _tsv_row, _parse_tsv_line, None if strict else bad)
     else:
         rows = read_jsonl(source, _triplet_from_json, None if strict else bad)
     stats = IngestStats()

@@ -84,6 +84,12 @@ def parse_robothow_step(line):
     """Parse one structured step line into a StructuredStep, raising
     StepParseError with a column position on the first mismatch."""
     m = _STEP.match(line)
+    # The groups nest, so a matched "rp" means every group matched, and
+    # only these four checks can fail; the ordered checks name a failure.
+    if m["rp"] is not None and m.end() == len(line):
+        action, obj = m["action"].strip(), m["object"].strip()
+        if action and obj and (instance := int(m["instance"])) >= 1:
+            return StructuredStep(action=action, object=obj, instance=instance)
     for group, message in _PARTS:
         if m[group] is None:
             raise StepParseError(message, column=m.end() + 1)

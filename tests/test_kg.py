@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nsplan import kg
+from nsplan import _files, kg
 from nsplan.errors import InputError
 from nsplan.kg import AdaptedTriplet, KnowledgeGraph, Triplet
 
@@ -533,6 +533,18 @@ def test_ingest_applies_the_row_rule_once_per_row(fmt, line):
         graph = kg.ingest([line(*row) for row in rows], fmt=fmt)
     assert rule.call_count == len(rows)
     assert graph.edge_count == 2 and graph.stats.dropped_malformed == 1
+
+
+@pytest.mark.parametrize("fmt, line", [("conceptnet-tsv", tsv_line), ("jsonl", jsonl_row)])
+def test_a_chunk_of_good_rows_meets_the_row_rule_once_each(fmt, line):
+    """All rows pass, so the chunk is read a chunk at a time, never line by
+    line, and the count is the chunk path's own."""
+    rows = [("a", "Causes", "b", 1.0), ("b", "UsedFor", "c", 2.0), ("a", "Causes", "b", 3.0), ("c", "Causes", "d", 4)]
+    with mock.patch.object(kg, "_row", wraps=kg._row) as rule, \
+            mock.patch.object(_files, "_parse_lines", wraps=_files._parse_lines) as per_line:
+        graph = kg.ingest([line(*row) for row in rows], fmt=fmt, strict=True)
+    assert rule.call_count == len(rows) and per_line.call_count == 0
+    assert graph.edge_count == 3 and graph.stats.duplicates == 1
 
 
 # keys with non-ASCII text, quotes, backslashes and control characters

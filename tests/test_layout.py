@@ -6,14 +6,15 @@ module needs (the planner and the CLI never pull in the metrics module;
 ``nsplan eval`` imports it when it runs). No module loads scipy, which only
 the tests use, nor an HTTP client: only ``_http.py`` imports ``urllib``,
 ``http`` or ``socket``, and only inside the one function that sends.
-Only ``_files.py`` opens files (one module reads and writes every file),
-only ``cli.py`` prints (library code writes nothing to stdout), within
-``embeddings.py`` only ``embed`` and ``cosine`` take a norm (providers hand
-out raw vectors, ``embed`` alone normalizes them, and every cosine, the
-token table's included, is ``cosine``'s arithmetic), only ``embed`` (and
-the table's hash fallback) calls a provider's own ``.embed``, so no caller
-skips the memo or the vector contract, every parameter
-with a default is set by some call in the program (an option that only
+Only ``_files.py`` opens files (one module reads and writes every file) and
+calls ``raw_decode`` (one JSON fast path, bounded to give what
+``json.loads`` gives), only ``cli.py`` prints (library code writes nothing
+to stdout), within ``embeddings.py`` only ``embed`` and ``cosine`` take a
+norm (providers hand out raw vectors, ``embed`` alone normalizes them, and
+every cosine, the token table's included, is ``cosine``'s arithmetic), only
+``embed`` (and the table's hash fallback) calls a provider's own
+``.embed``, so no caller skips the memo or the vector contract, every
+parameter with a default is set by some call in the program (an option that only
 tests set is a constant or goes), and no error the package defines or
 raises is a ``LookupError`` (``str(KeyError(m))`` is ``repr(m)``, so its
 message would print quoted), each household relation is named, as a string
@@ -133,7 +134,7 @@ def test_only_http_imports_the_network():
     assert not offenders, f"modules other than _http.py import {sorted(NETWORK_MODULES)}: {offenders}"
 
 
-@pytest.mark.parametrize("name, owner", [("open", "_files.py"), ("print", "cli.py")])
+@pytest.mark.parametrize("name, owner", [("open", "_files.py"), ("raw_decode", "_files.py"), ("print", "cli.py")])
 def test_only_the_owner_module_calls(name, owner):
     offenders = {
         p.name: lines for p in MODULES if p.name != owner and (lines := _calls(p, name))

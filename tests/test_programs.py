@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsplan import programs
 from nsplan.errors import InputError
 from nsplan.programs import (
     StepParseError,
@@ -42,6 +43,30 @@ _FIELD_TEXT = st.text(st.characters(exclude_characters="]>"), min_size=1).filter
 
 ACTIONS = ["Walk", "Find", "Grab", "Sit", "SwitchOn", "SwitchOff", "Watch", "LookAt"]
 OBJECTS = ["TELEVISION", "SOFA", "COMPUTER", "HOME_OFFICE", "LIGHT_SWITCH", "CHAIR"]
+
+
+def _ordered_parse(line):
+    """The step parser with only the ordered checks: each group in grammar
+    order, then trailing text, then the instance."""
+    m = programs._STEP.match(line)
+    for group, message in programs._PARTS:
+        if m[group] is None:
+            raise StepParseError(message, column=m.end() + 1)
+        if not m[group].strip():
+            raise StepParseError(message, column=m.start(group) + 1)
+    if m.end() < len(line):
+        raise StepParseError("trailing text after step", column=m.end() + 1)
+    instance = int(m["instance"])
+    if instance < 1:
+        raise StepParseError("instance must be a positive integer", column=m.start("instance") + 1)
+    return StructuredStep(action=m["action"].strip(), object=m["object"].strip(), instance=instance)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except StepParseError as err:
+        return str(err), err.column
 
 
 class TestParse:
@@ -134,6 +159,19 @@ class TestParse:
     def test_rendered_step_parses_back_behind_any_index_prefix(self, prefix, space, action, obj, instance):
         step = StructuredStep(action, obj, instance)
         assert parse_robothow_step(f"{space}{prefix}{space}{render_step(step, style='dataset')}") == step
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.lists(st.one_of(st.sampled_from(_STEP_FRAGMENTS), st.text(max_size=3)), max_size=12).map("".join),
+        st.tuples(st.sampled_from(["", " ", "2. "]), st.sampled_from(["Walk", " ", "", " TV "]),
+                  st.sampled_from(["SOFA", "\t", "", "a b"]), st.sampled_from(["1", "0", "00", "007", "9" * 30]),
+                  st.sampled_from(["", " ", "x", " )", "\u2003"]))
+        .map(lambda t: f"{t[0]}[{t[1]}] <{t[2]}> ({t[3]}){t[4]}"),
+    ))
+    def test_parse_gives_the_ordered_checks_result_or_error(self, line):
+        """The parser's early return for a well-formed step changes no
+        result and no (message, column) of the ordered checks alone."""
+        assert _outcome(parse_robothow_step, line) == _outcome(_ordered_parse, line)
 
     def test_round_trip_with_index_prefix(self):
         step = StructuredStep("Watch", "TELEVISION", 1)
