@@ -31,8 +31,19 @@ products, as a row scan would, re-scoring only the entries within the
 margin of each best. ``adaption.adapt_weights`` scores the tails with one
 gather over their stored nonzero entries, from a per-graph node store
 that ``embed_many`` fills once per node and ``MEMO_BUDGET_BYTES`` bounds,
-and takes the exact ``cosine`` only for the tails whose score plus the
+and takes the exact cosine only for the tails whose score plus the
 margin clears its gates.
+
+``cosine``'s arithmetic lives in one place. ``cosine(a, b)`` checks its
+arguments and takes the two norms, ``np.linalg.norm`` of each; then
+``cosine_of_dot(np.dot(a, b), na, nb)`` gives 0 when either norm is 0,
+else the dot over the product of the norms, clamped to [-1, 1]. Callers
+that score one vector many times keep its norm: ``row_norms`` takes
+``np.linalg.norm`` of each row of a matrix, one call per row (a norm over
+an axis sums the squares in another order), so a stored norm is the one
+``cosine`` would take. Adaption's exact pass keeps each node's norm in its
+node store and the token table keeps each token's, and both score a pair
+with ``cosine_of_dot``, bit-equal to ``cosine``.
 
 ``embed`` memoizes per provider (held weakly, so a provider must be hashable
 and weak-referenceable). Each text maps to one ``bytes`` object: the float64
@@ -50,15 +61,17 @@ reports how many times the memo cleared at its budget.
 
 ``token_table`` keeps a second per-provider store, also held weakly, for
 the metrics, which score single tokens against each other. It holds each
-token's vector, taken from ``embed_many``, and two tables over token pairs:
-``cosine`` of the two vectors and their Euclidean distance, ``np.sqrt`` of
-``(d * d).sum()`` over ``d = a - b``. Both are symmetric bit for bit, so a
-pair is scored with that arithmetic once, the first time a caller asks for
-it in either order, and read back from either cell after: a gathered block
-is bit-equal to scoring the pair of texts directly, and a new token costs
-only the pairs asked for. The tables grow by doubling their capacity and
-are bounded by the same ``MEMO_BUDGET_BYTES``: an insert whose rows would
-not fit starts a table of the caller's tokens alone. A grown table is
+token's vector, taken from ``embed_many``, with its ``row_norms`` norm,
+and two tables over token pairs: ``cosine`` of the two vectors, scored by
+``cosine_of_dot`` over the stored norms, and their Euclidean distance,
+``np.sqrt`` of ``(d * d).sum()`` over ``d = a - b``. Both are symmetric
+bit for bit, so a pair is scored with that arithmetic once, the first
+time a caller asks for it in either order, and read back from either
+cell after: a gathered block is bit-equal to scoring the pair of texts
+directly, and a new token costs only the pairs asked for. The rows, their
+norms and the tables grow by doubling their capacity and are bounded by
+the same ``MEMO_BUDGET_BYTES``: an insert whose rows would not fit starts
+a table of the caller's tokens alone. A grown table is
 published whole, by one store, so a thread reads either the table before
 an insert or the one after it.
 """
@@ -365,25 +378,41 @@ def cosine(a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    return cosine_of_dot(np.dot(a, b), np.linalg.norm(a), np.linalg.norm(b))
+
+
+def cosine_of_dot(dot, na, nb):
+    """``cosine``'s arithmetic given ``dot``, ``np.dot(a, b)`` (a float64
+    scalar, so a zero product of norms divides as numpy does), and the two
+    norms: 0 when either norm is 0, else their quotient clamped to [-1, 1]."""
     if na == 0.0 or nb == 0.0:
         return 0.0
-    value = float(np.dot(a, b) / (na * nb))
+    value = float(dot / (na * nb))
     return max(-1.0, min(1.0, value))
+
+
+def row_norms(rows):
+    """``np.linalg.norm`` of each row of ``rows``, one call per row, as a
+    float64 array: bit-equal to the norm ``cosine`` takes of that row.
+    (``np.linalg.norm(rows, axis=1)`` sums the squares in another order
+    and can give other bits.)"""
+    return np.fromiter((np.linalg.norm(row) for row in rows), np.float64, len(rows))
 
 
 class TokenTable:
     """One provider's tokens and the scores of the token pairs asked for so
-    far. ``index`` maps a token to its row of ``vectors``; ``cos[i, j]`` is
-    ``cosine`` of row ``i``'s vector and row ``j``'s, and ``dist[i, j]``
-    their Euclidean distance, both symmetric, or NaN while no caller has
-    asked for the pair. Rows from ``len(index)`` on are spare capacity.
-    Threads that score one pair at once write the same bits, so filling a
-    pair, ``[i, j]`` and ``[j, i]``, needs no lock."""
+    far. ``index`` maps a token to its row of ``vectors``, and ``norms[i]``
+    is ``row_norms`` of row ``i``, the norm ``cosine`` would take of it;
+    ``cos[i, j]`` is ``cosine`` of row ``i``'s vector and row ``j``'s, and
+    ``dist[i, j]`` their Euclidean distance, both symmetric, or NaN while no
+    caller has asked for the pair. Rows from ``len(index)`` on are spare
+    capacity. Threads that score one pair at once write the same bits, so
+    filling a pair, ``[i, j]`` and ``[j, i]``, needs no lock."""
 
-    def __init__(self, index, vectors, cos, dist):
+    def __init__(self, index, vectors, norms, cos, dist):
         self.index = index
         self.vectors = vectors
+        self.norms = norms
         self.cos = cos
         self.dist = dist
         # next() is atomic, so one insert alone may fill the spare rows in place
@@ -391,12 +420,14 @@ class TokenTable:
 
     def cosines(self, a, b):
         """``cosine`` of each row in ``a`` with each row in ``b``, as a fresh
-        array; each unordered pair is computed once, then read from ``cos``."""
+        array; each unordered pair is computed once, by ``cosine_of_dot``
+        over the stored norms, then read from ``cos``."""
         block = self.cos[np.ix_(a, b)]
+        vectors, norms = self.vectors, self.norms
         for i, j in zip(*np.nonzero(np.isnan(block))):
             p, q = a[i], b[j]
             if math.isnan(self.cos[p, q]):  # not filled above as the mirror of another cell
-                self.cos[p, q] = self.cos[q, p] = cosine(self.vectors[p], self.vectors[q])
+                self.cos[p, q] = self.cos[q, p] = cosine_of_dot(np.dot(vectors[p], vectors[q]), norms[p], norms[q])
             block[i, j] = self.cos[p, q]
         return block
 
@@ -415,7 +446,7 @@ _TABLES = weakref.WeakKeyDictionary()
 
 
 def _empty_table(dim):
-    return TokenTable({}, np.zeros((0, dim)), np.zeros((0, 0)), np.zeros((0, 0)))
+    return TokenTable({}, np.zeros((0, dim)), np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def token_table(provider, tokens):
@@ -435,21 +466,24 @@ def token_table(provider, tokens):
     new = [t for t in tokens if t not in table.index]
     if not new:
         return table
-    # the most rows whose arrays, 8 * fit * (2 * fit + dim) bytes, stay within the budget
-    fit = (math.isqrt(dim * dim + MEMO_BUDGET_BYTES) - dim) // 4
+    # the most rows whose arrays, 8 * fit * (2 * fit + dim + 1) bytes, stay within the budget
+    fit = (math.isqrt((dim + 1) ** 2 + MEMO_BUDGET_BYTES) - dim - 1) // 4
     if len(table.index) + len(new) > fit:
         table, new = _empty_table(dim), tokens
     vectors = embed_many(provider, new)
     size, need = len(table.index), len(table.index) + len(new)
     if need <= len(table.vectors) and next(table.spare_claims) == 0:
-        rows, cos, dist = table.vectors, table.cos, table.dist
+        rows, norms, cos, dist = table.vectors, table.norms, table.cos, table.dist
     else:
         cap = max(need, min(2 * len(table.vectors), fit))
-        rows, cos, dist = np.zeros((cap, dim)), np.full((cap, cap), np.nan), np.full((cap, cap), np.nan)
+        rows, norms = np.zeros((cap, dim)), np.zeros(cap)
+        cos, dist = np.full((cap, cap), np.nan), np.full((cap, cap), np.nan)
         rows[:size] = table.vectors[:size]
+        norms[:size] = table.norms[:size]
         cos[:size, :size] = table.cos[:size, :size]
         dist[:size, :size] = table.dist[:size, :size]
     rows[size:need] = vectors
-    table = TokenTable({**table.index, **dict(zip(new, range(size, need)))}, rows, cos, dist)
+    norms[size:need] = row_norms(vectors)
+    table = TokenTable({**table.index, **dict(zip(new, range(size, need)))}, rows, norms, cos, dist)
     _TABLES[provider] = table
     return table

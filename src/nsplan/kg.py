@@ -4,7 +4,7 @@ Ingests weighted (head, relation, tail) triplets from ConceptNet-style TSV
 or from JSONL, indexes each node's incident edges, and samples hop-bounded
 task-relevant subgraphs as sorted arrays of edge ranks. ``AdaptedTriplet``,
 a triplet with its task-adapted weight, is made only by
-``adaption.adapt_weights``.
+``adaption.adapt_weights``, through ``triplets``.
 
 A (head, relation, tail) key is stored once: of its copies the heaviest is
 kept, the first one on a tie, and the others are counted in
@@ -13,8 +13,9 @@ construction: rank order is weight descending, then lexicographic on the
 key, and it is the order wherever an order is promised. Edges are stored
 only as arrays in rank order: the attributes ``weights`` and ``tail_ids``
 and private head-id and relation-id columns. The attribute ``node_keys``
-turns a node id back into its key, and ``triplet(r)`` builds the
-``Triplet`` of rank r. A CSR index gives each node one slice of the ranks
+turns a node id back into its key, ``triplets(ranks)`` builds the
+``Triplet``s of many ranks with one gather per column, and ``triplet(r)``
+is its one-rank case. A CSR index gives each node one slice of the ranks
 of its incident edges (either direction, a self-loop once), ascending, so
 a node's ``FANOUT_CAP`` heaviest edges are a slice. Sampling and adaption
 work on int ranks.
@@ -103,7 +104,7 @@ def _row(head, relation, tail, weight):
 
 
 class Triplet(namedtuple("Triplet", "head relation tail weight")):
-    """A stored (head, relation, tail, weight) row, as ``graph.triplet(r)``
+    """A stored (head, relation, tail, weight) row, as ``graph.triplets``
     builds it; the row passed the row rule when the graph was built."""
 
     __slots__ = ()
@@ -216,11 +217,27 @@ class KnowledgeGraph:
         self._relation_names, self.node_keys, self._node_id = relation_names, nodes, node_id
 
     def triplet(self, rank):
-        """The stored triplet of rank ``rank``, built from the columns; its
-        row passed the row rule when the graph was built."""
-        nodes, relation = self.node_keys, self._relation_names[self._relation_ids.item(rank)]
-        row = nodes[self._head_ids.item(rank)], relation, nodes[self.tail_ids.item(rank)], self.weights.item(rank)
-        return Triplet._make(row)
+        """The stored triplet of rank ``rank``: ``triplets`` of one rank."""
+        return self.triplets([rank])[0]
+
+    def triplets(self, ranks, adapted=None):
+        """The stored triplets of ``ranks``, in their order, as a list of
+        ``Triplet``s built from the columns: the head, relation, tail and
+        weight columns are read with one gather and one ``tolist`` each.
+        Each row passed the row rule when the graph was built. Given
+        ``adapted``, the adapted weight of each rank, the rows are
+        ``AdaptedTriplet``s: ``adaption.adapt_weights`` builds its kept
+        triplets so."""
+        nodes, relations = self.node_keys, self._relation_names
+        columns = (
+            map(nodes.__getitem__, self._head_ids[ranks].tolist()),
+            map(relations.__getitem__, self._relation_ids[ranks].tolist()),
+            map(nodes.__getitem__, self.tail_ids[ranks].tolist()),
+            self.weights[ranks].tolist(),
+        )
+        if adapted is None:
+            return list(map(Triplet._make, zip(*columns)))
+        return list(map(AdaptedTriplet._make, zip(*columns, adapted)))
 
     def to_jsonl(self):
         """The stored triplets in rank order as JSONL text: line r is

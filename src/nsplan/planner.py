@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,12 +107,36 @@ def _entries(iterations):
     return tuple(it.entry(i) for i, it in enumerate(iterations, 1))
 
 
+RECORDS_CAP = 4096
+_RECORDS = {}  # Iteration -> the first record kept equal to it
+
+
+def _shared(record):
+    """``record``, or the record kept earlier whose every field is the same
+    object as ``record``'s, so plans that repeat a pass hold one record of
+    it: a repeated plan keeps about 170 B, not 96 B a pass more. Equal
+    values that are other objects (``0.0`` and ``-0.0``, ``1`` and ``1.0``,
+    the same text of another admissible set) are never shared: ``record``
+    takes the kept one's place. The table is cleared when it reaches
+    ``RECORDS_CAP``; threads of a --jobs run share it, and each step is one
+    dict call."""
+    if len(_RECORDS) >= RECORDS_CAP:
+        _RECORDS.clear()
+    kept = _RECORDS.setdefault(record, record)
+    if all(map(operator.is_, kept, record)):
+        return kept
+    _RECORDS.pop(record, None)
+    _RECORDS[record] = record
+    return record
+
+
 @dataclass(frozen=True, slots=True)
 class PlanResult:
     """A plan as its ``Iteration`` records. ``steps`` (the accepted
     translations) and ``trace`` (one fresh dict per iteration) are built
-    from them on each access, so a kept plan holds only the records and a
-    caller that edits a trace dict leaves the plan as it was."""
+    from them on each access, so a kept plan holds only the records, which
+    it shares with earlier plans that made the same ones (``_shared``), and
+    a caller that edits a trace dict leaves the plan as it was."""
 
     task: str
     iterations: tuple
@@ -182,7 +207,7 @@ def plan(task, graph, admissible, generator, embedder, config=None):
             break
         step, cos = translate(result.text, admissible, embedder)
         accepted = _effective(result.confidence, cos) >= config.theta
-        iterations.append(Iteration(result.text, result.confidence, step.text, cos, accepted, result.flagged))
+        iterations.append(_shared(Iteration(result.text, result.confidence, step.text, cos, accepted, result.flagged)))
         if not accepted:
             termination = "BelowThreshold"
             break

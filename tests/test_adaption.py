@@ -342,10 +342,11 @@ class TestNodeStore:
                 store = _store(graph)
                 assert store.provider is provider and store.nbytes <= embeddings.MEMO_BUDGET_BYTES
                 for node in np.flatnonzero(store.start >= 0):
-                    _, _, values, dims = store.take(np.array([node]))
+                    _, _, (norm,), values, dims = store.take(np.array([node]))
                     row = np.zeros(provider.dim)
                     row[dims] = values
                     assert row.tobytes() == embed(provider, surface(graph.node_keys[node])).tobytes()
+                    assert norm.tobytes() == np.linalg.norm(row).tobytes()
 
     def test_a_store_that_would_pass_the_budget_is_replaced_whole(self, shower_graph, monkeypatch):
         """Each call asks for four ranks' tails, so the filled nodes pass a

@@ -1,7 +1,9 @@
 """Embedding providers: hash determinism, table lookup, the remote provider over loopback HTTP."""
 
 import json
+import pathlib
 import sys
+import tempfile
 import threading
 import types
 
@@ -177,6 +179,36 @@ class TestSymmetry:
         backward = second.distances(rows[::-1], rows[:1])
         assert forward.tobytes() == backward.T[:, ::-1].tobytes()
         assert first.cosines(rows[:1], rows[1:])[0, 0].hex() == second.cosines(rows[1:], rows[:1])[0, 0].hex()
+
+
+# entries that are tiny (subnormal too), huge, zero or -0.0, or plain
+ODD_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-300, 1e300, -1.7e308]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _odd_rows(draw):
+    """1-6 table rows of one dimension (1-64) drawn from ``ODD_ENTRIES``."""
+    dim = draw(st.integers(1, 64))
+    return draw(st.lists(st.lists(ODD_ENTRIES, min_size=dim, max_size=dim), min_size=1, max_size=6))
+
+
+class TestStoredNorms:
+    """Adaption and the token table score a pair with ``cosine_of_dot``
+    over norms that ``row_norms`` took once per vector; that must be
+    ``cosine`` of the two vectors, bit for bit."""
+
+    @given(_odd_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_stored_norms_give_cosine_bit_for_bit(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            provider = TableEmbedding(_table_file(pathlib.Path(tmp), {f"t{i}": row for i, row in enumerate(rows)}))
+        # "" is not in the table and embeds to zero through the fallback: a zero task vector
+        vectors = embeddings.embed_many(provider, [*(f"t{i}" for i in range(len(rows))), ""])
+        norms = embeddings.row_norms(vectors)
+        assert norms.tobytes() == np.array([np.linalg.norm(v) for v in vectors]).tobytes()
+        for a, na in zip(vectors, norms):
+            for b, nb in zip(vectors, norms):
+                assert embeddings.cosine_of_dot(np.dot(a, b), na, nb).hex() == cosine(a, b).hex()
 
 
 class TestTableEmbedding:

@@ -9,9 +9,11 @@ the tests use, nor an HTTP client: only ``_http.py`` imports ``urllib``,
 Only ``_files.py`` opens files (one module reads and writes every file) and
 calls ``raw_decode`` (one JSON fast path, bounded to give what
 ``json.loads`` gives), only ``cli.py`` prints (library code writes nothing
-to stdout), within ``embeddings.py`` only ``embed`` and ``cosine`` take a
-norm (providers hand out raw vectors, ``embed`` alone normalizes them, and
-every cosine, the token table's included, is ``cosine``'s arithmetic), only
+to stdout), in the whole package only ``embeddings.embed``, ``cosine`` and
+``row_norms`` take a norm (providers hand out raw vectors, ``embed`` alone
+normalizes them, and every cosine, the token table's and adaption's with
+their stored norms included, is ``cosine_of_dot`` over norms that
+``cosine`` or ``row_norms`` took, so no module takes a norm of its own), only
 ``embed`` (and the table's hash fallback) calls a provider's own
 ``.embed``, so no caller skips the memo or the vector contract, every
 parameter with a default is set by some call in the program (an option that only
@@ -143,10 +145,12 @@ def test_only_the_owner_module_calls(name, owner):
 
 
 def test_only_embed_and_the_cosines_take_a_norm():
-    allowed = {"embed", "cosine"}
-    callers = _callers(PACKAGE / "embeddings.py", lambda call: _called(call) == "norm")
+    allowed = {"embeddings.embed", "embeddings.cosine", "embeddings.row_norms"}
+    callers = {
+        f"{p.stem}.{caller}" for p in MODULES for caller in _callers(p, lambda call: _called(call) == "norm")
+    }
     assert callers <= allowed, f"norm() is called outside {sorted(allowed)}: {callers - allowed}"
-    assert "embed" in callers
+    assert {"embeddings.embed", "embeddings.row_norms"} <= callers
 
 
 def test_only_embed_calls_a_provider():

@@ -367,8 +367,8 @@ def _tensor_cost(pred, ref, provider):
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-# 8 * 3 * (2 * 3 + 32) bytes: three rows of a dim-32 table, so most calls clear it
-THREE_ROWS = 912
+# 8 * 3 * (2 * 3 + 32 + 1) bytes: three rows of a dim-32 table, their norms included, so most calls clear it
+THREE_ROWS = 936
 
 
 class TestTokenTable:
@@ -394,6 +394,17 @@ class TestTokenTable:
         assert [len(t.vectors) for t in tables] == [1, 2, 4, 4, 8]
         assert tables[3].cos is tables[2].cos and tables[4].cos is not tables[3].cos
         assert [len(t.index) for t in tables] == [1, 2, 3, 4, 5]
+
+    def test_cosines_after_a_growth_equal_cosine(self):
+        # the table grows at the second, third and fifth token, so the
+        # first tokens' norms are read from copies
+        provider, words = HashEmbedding(dim=16), ["soap", "hair", "sofa", "tv", "walk"]
+        for word in words:
+            table = embeddings.token_table(provider, [word])
+        assert len(table.vectors) == 8
+        rows = [table.index[w] for w in words]
+        want = [[cosine(embed(provider, a), embed(provider, b)) for b in words] for a in words]
+        assert table.cosines(rows, rows).tobytes() == np.array(want).tobytes()
 
     def test_a_budget_clear_keeps_the_callers_tokens_alone(self, monkeypatch):
         provider = HashEmbedding(dim=32)
@@ -427,14 +438,17 @@ class TestTokenTable:
         provider = _circle(wash=0, hair=30, dry=70, off=140)
         token_of = {embed(provider, t).tobytes(): t for t in ["wash", "hair", "dry", "off"]}
         want = [oracles.embed_match_f1_oracle(tokenize(p), tokenize(r), provider) for p, r in [(pred, ref), (ref, pred)]]
-        calls = []
-        monkeypatch.setattr(embeddings, "cosine", lambda a, b: calls.append((a, b)) or cosine(a, b))
+        calls, cosine_of_dot = [], embeddings.cosine_of_dot
+        monkeypatch.setattr(embeddings, "cosine_of_dot", lambda *args: calls.append(args) or cosine_of_dot(*args))
         assert embed_match_f1(pred, ref, provider) == want[0]
         wmd_transport(pred, ref, provider)
         assert embed_match_f1(ref, pred, provider) == want[1]
-        scored = [frozenset((token_of[a.tobytes()], token_of[b.tobytes()])) for a, b in calls]
-        assert len(scored) == len(set(scored)) == 8
-        assert set(scored) == {frozenset((p, r)) for p in tokenize(pred) for r in tokenize(ref)}
+        table = embeddings.token_table(provider, [])
+        vectors = table.vectors[: len(table.index)]
+        scored = {frozenset((token_of[vectors[i].tobytes()], token_of[vectors[j].tobytes()]))
+                  for i, j in zip(*np.nonzero(~np.isnan(table.cos[: len(vectors), : len(vectors)])))}
+        assert len(calls) == len(scored) == 8
+        assert scored == {frozenset((p, r)) for p in tokenize(pred) for r in tokenize(ref)}
 
     def test_cost_is_a_fresh_array(self, hash_embedder):
         t = wmd_transport("find soap", "wash hair", hash_embedder)

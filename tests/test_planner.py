@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nsplan import adaption, cli, kg
+from nsplan import adaption, cli, kg, planner
 from nsplan._files import write_json
 from nsplan.adaption import select
 from nsplan.admissible import AdmissibleSet, AdmissibleStep, translate_prompt
@@ -358,18 +358,18 @@ class TestKnowledgeForTask:
         """The plan path reads the graph as columns: nothing on it builds
         every edge, and adaption builds one Triplet per triplet it keeps."""
         built, survivors = [], []
-        triplet, adapt_weights = KnowledgeGraph.triplet, adaption.adapt_weights
+        triplets, adapt_weights = KnowledgeGraph.triplets, adaption.adapt_weights
 
-        def counted_triplet(graph, rank):
-            built.append(rank)
-            return triplet(graph, rank)
+        def counted_triplets(graph, ranks, *adapted):
+            built.extend(ranks)
+            return triplets(graph, ranks, *adapted)
 
         def counted_adapt_weights(*args):
             kept = adapt_weights(*args)
             survivors.extend(kept)
             return kept
 
-        monkeypatch.setattr(KnowledgeGraph, "triplet", counted_triplet)
+        monkeypatch.setattr(KnowledgeGraph, "triplets", counted_triplets)
         monkeypatch.setattr(adaption, "adapt_weights", counted_adapt_weights)
         # the task's cosines straddle the 0.1 gate on this fixture
         config = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=0.1)
@@ -512,6 +512,36 @@ class TestPlanResult:
             tracemalloc.stop()
         assert result.termination == "MaxSteps" and len(result.trace) == 20
         assert retained <= 160 * len(result.trace)
+
+    def test_a_repeated_plan_holds_the_records_of_the_first(self, tv_graph, household_admissible, hash_embedder):
+        config = PlannerConfig(theta=0.7, cos_keep_threshold=-1.0, edge_threshold=0.0)
+        first, again = (
+            plan("Watch TV", tv_graph, household_admissible, KnowledgeFollowerGenerator(), hash_embedder, config)
+            for _ in range(2)
+        )
+        assert again.iterations and again.dumps() == first.dumps()
+        assert all(a is b for a, b in zip(again.iterations, first.iterations))
+
+    def test_records_equal_in_value_but_not_in_object_are_not_shared(self):
+        def record(confidence, cosine):
+            return Iteration("go walk", confidence, "walk", cosine, False, False)
+
+        with mock.patch.dict(planner._RECORDS, clear=True):
+            assert planner._shared(record(0.0, 0.5)).generation_confidence == 0.0
+            negative = record(-0.0, 0.5)
+            assert planner._shared(negative) is negative
+            assert json.loads(PlanResult("T", (negative,), "BelowThreshold").dumps())["trace"][0][
+                "generation_confidence"] == -0.0
+            whole = record(1, 0.5)
+            assert planner._shared(record(1.0, 0.5)) == whole and planner._shared(whole) is whole
+            assert planner._shared(record(1, 0.5)) is whole  # the newer record took the older one's place
+
+    def test_the_record_table_is_cleared_at_its_cap(self):
+        with mock.patch.dict(planner._RECORDS, clear=True), mock.patch.object(planner, "RECORDS_CAP", 2):
+            records = [Iteration(f"step {i}", 1.0, "walk", 0.5, True, False) for i in range(3)]
+            for r in records:
+                assert planner._shared(r) is r
+            assert list(planner._RECORDS) == records[2:]
 
     def test_terminations_tuple(self):
         assert TERMINATIONS == ("MaxSteps", "BelowThreshold", "GeneratorExhausted")
