@@ -284,6 +284,7 @@ def run_plan(config):
                 "embedding": embeddings.memo_clears(embedder),
                 "translation": admissible.memo_clears(embedder),
                 "nodes": adaption.store_clears(graph, embedder),
+                "balls": kg.ball_clears(graph),
             },
         },
         "tasks": entries,

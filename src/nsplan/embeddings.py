@@ -53,7 +53,8 @@ their int64 indexes. A hit rebuilds the first result bit for bit,
 a repeated tail concept without asking the provider again. The memo is
 bounded by the bytes its keys and entries hold (``MEMO_BUDGET_BYTES``): an
 insert that would go over the budget clears it first (``Memo``, which
-``admissible`` reuses for its translations). ``memo_counts``
+``admissible`` reuses for its translations and ``kg`` for its sampled
+balls). ``memo_counts``
 reports the hits and misses: each text asked for, through ``embed`` or
 a batch, is one of them, exactly, under threads too. A miss is a text the
 memo did not hold, which the provider was asked to embed. ``memo_clears``

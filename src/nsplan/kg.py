@@ -20,6 +20,17 @@ of its incident edges (either direction, a self-loop once), ascending, so
 a node's ``FANOUT_CAP`` heaviest edges are a slice. Sampling and adaption
 work on int ranks.
 
+A sample is the sorted distinct union of its anchors' balls, the sample of
+each anchor alone: a node is expanded when it is fewer than ``hops`` steps
+from the anchor set, its least distance to any anchor, so the expanded
+nodes, and the capped slices they follow, are the union of each anchor's.
+Each graph keeps a table of balls, keyed weakly by graph and filled under
+one lock, so an anchor that many tasks share is walked once per ``hops``
+and cap. The table is an ``embeddings.Memo`` bounded by
+``embeddings.MEMO_BUDGET_BYTES``: an entry costs its ranks' bytes plus
+``_BALL_ENTRY_BYTES``, an insert that would pass the bound clears the
+table whole first, and ``ball_clears`` counts those clears.
+
 Relations are plain strings. ``HOUSEHOLD_RELATIONS`` is the one table of
 the nine household relations: it maps each to its symbolic rule, a plain
 ``(template, recursive, phase)`` tuple that ``verbalize`` reads, the phase
@@ -54,12 +65,15 @@ import json
 import logging
 import math
 import sys
+import threading
+import weakref
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import embeddings
 from ._files import json_object, read_chunks, read_jsonl
 
 log = logging.getLogger(__name__)
@@ -392,18 +406,45 @@ def sample_subgraph(graph, anchors, hops):
     Traversal is undirected. Only nodes strictly closer than ``hops`` are
     expanded; at each expanded node only its first ``FANOUT_CAP`` incident
     edges in rank order are followed. Returns the ranks of the followed
-    edges as a sorted int array; ``graph.triplet(r)`` is the triplet of
-    rank r.
+    edges as a sorted int array, the caller's own; ``graph.triplet(r)`` is
+    the triplet of rank r.
+
+    The sample is the sorted distinct union of the anchors' balls, a ball
+    being the sample of one anchor. That union is exact: the followed edges
+    are the capped slices of the expanded nodes, a node is expanded when it
+    is fewer than ``hops`` steps from the anchor set, and a node's distance
+    to a set is its least distance to any member. Each ball is read from
+    the graph's table, keyed by (node id, ``hops``, ``FANOUT_CAP``) with the
+    cap read at this call; a ball the table lacks is walked by ``_ball``
+    and stored.
+    """
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
+    node_id = graph._node_id
+    keys = [(node, hops, FANOUT_CAP) for node in {node_id[a] for a in anchors if a in node_id}]
+    table = _balls(graph)
+    with table.lock:
+        balls = [table.entries.get(key) for key in keys]
+    for i, key in enumerate(keys):
+        if balls[i] is None:
+            balls[i] = _ball(graph, *key)
+            with table.lock:
+                table.insert(key, balls[i], balls[i].nbytes + _BALL_ENTRY_BYTES)
+    if len(balls) == 1:
+        return balls[0].copy()
+    return _sorted_unique(np.concatenate(balls)) if balls else np.empty(0, graph._ranks.dtype)
+
+
+def _ball(graph, node, hops, cap):
+    """The ranks the sample of node id ``node`` alone follows, sorted,
+    distinct and read-only, each expanded node following its first ``cap``
+    ranks.
 
     The search goes one level at a time: the nodes at distance d are
     expanded together, by gathering their capped CSR slices at once, and
     the far endpoints not yet seen form the next level.
     """
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
-
-    node_id = graph._node_id
-    frontier = np.array(sorted({node_id[a] for a in anchors if a in node_id}), np.intp)
+    frontier = np.array([node], np.intp)
     indptr, ranks, other = graph._indptr, graph._ranks, graph._other
     seen = np.zeros(graph.node_count, bool)
     seen[frontier] = True
@@ -412,7 +453,7 @@ def sample_subgraph(graph, anchors, hops):
         if not frontier.size:
             break
         lo = indptr[frontier]
-        count = np.minimum(indptr[frontier + 1] - lo, FANOUT_CAP)
+        count = np.minimum(indptr[frontier + 1] - lo, cap)
         end = np.cumsum(count)
         # the positions lo[i] .. lo[i] + count[i] - 1 of every slice, in one array
         at = np.arange(end[-1]) + np.repeat(lo - (end - count), count)
@@ -421,7 +462,31 @@ def sample_subgraph(graph, anchors, hops):
             far = other[at]
             frontier = _sorted_unique(far[~seen[far]])
             seen[frontier] = True
-    return _sorted_unique(np.concatenate(followed)) if followed else np.empty(0, ranks.dtype)
+    ball = _sorted_unique(np.concatenate(followed)) if followed else np.empty(0, ranks.dtype)
+    ball.setflags(write=False)
+    return ball
+
+
+_BALLS = weakref.WeakKeyDictionary()  # graph -> its table of balls, an embeddings.Memo
+_BALLS_LOCK = threading.Lock()
+# a table entry's bytes besides its ranks: its key, its dict slot and the
+# array's header; tracemalloc read 214-232 B an entry on 64-bit CPython 3.11
+_BALL_ENTRY_BYTES = 240
+
+
+def _balls(graph):
+    """``graph``'s table of balls, made empty on first use."""
+    table = _BALLS.get(graph)
+    if table is None:
+        with _BALLS_LOCK:
+            table = _BALLS.setdefault(graph, embeddings.Memo(_BALLS_LOCK))
+    return table
+
+
+def ball_clears(graph):
+    """How many times ``graph``'s table of balls cleared at ``MEMO_BUDGET_BYTES``."""
+    table = _BALLS.get(graph)
+    return table.clears if table is not None else 0
 
 
 def _sorted_unique(values):

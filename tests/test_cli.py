@@ -319,15 +319,17 @@ class TestPlanCommand:
 
     def test_manifest_counts_the_memo_clears_of_a_tiny_budget(self, tmp_path, monkeypatch):
         """A run within the budget clears nothing; a run over a tiny budget
-        clears each memo and replaces the node store, and writes the same plans."""
+        clears each memo and the table of balls and replaces the node store,
+        and writes the same plans."""
         roomy, tiny = tmp_path / "roomy", tmp_path / "tiny"
         assert cli.main(_plan_argv(roomy)) == 0
         monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 600)  # a few entries of each
         assert cli.main(_plan_argv(tiny)) == 0
         runs = _read_tree(roomy), _read_tree(tiny)
         clears = [json.loads(tree.pop("manifest.json"))["timing"]["memo_clears"] for tree in runs]
-        assert clears[0] == {"embedding": 0, "translation": 0, "nodes": 0}
-        assert set(clears[1]) == set(clears[0]) and all(count > 0 for count in clears[1].values())
+        assert clears[0] == {"embedding": 0, "translation": 0, "nodes": 0, "balls": 0}
+        assert set(clears[1]) == {"embedding", "translation", "nodes", "balls"}
+        assert all(count > 0 for count in clears[1].values())
         assert runs[0] == runs[1]
 
     def test_rerun_is_byte_identical_modulo_timing(self, tmp_path):

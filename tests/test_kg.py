@@ -1,6 +1,11 @@
+import gc
 import io
 import json
 import math
+import random
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nsplan import _files, kg
+from nsplan import _files, embeddings, kg
 from nsplan.errors import InputError
 from nsplan.kg import AdaptedTriplet, KnowledgeGraph, Triplet
 
@@ -471,6 +476,146 @@ class TestSampleSubgraph:
             triplets, anchors, hops, len(triplets) + 1, kg.HOUSEHOLD_RELATIONS
         )
         assert all(min(reach.get(t.head, hops), reach.get(t.tail, hops)) < hops for t in sub)
+
+
+def _mesh(nodes=40, seed=0):
+    """A seeded graph of ``4 * nodes`` rows over ``nodes`` nodes, whose
+    neighbourhoods overlap."""
+    rng = random.Random(seed)
+    relations = sorted(kg.HOUSEHOLD_RELATIONS)
+    return KnowledgeGraph(
+        Triplet(f"n{rng.randrange(nodes)}", rng.choice(relations), f"n{rng.randrange(nodes)}",
+                rng.choice([0.5, 1.0, 2.0]))
+        for _ in range(4 * nodes)
+    )
+
+
+# overlapping anchor sets, an unknown anchor and a repeated one among them
+_MESH_CALLS = [([f"n{i}", f"n{(i + 1) % 40}", f"n{3 * i % 40}", "ghost"], 2 + i % 2) for i in range(40)]
+_MESH_CALLS += [([f"n{i}", f"n{i}"], 3) for i in range(0, 40, 5)]
+
+
+class TestBallTable:
+    """Each graph keeps a table of per-anchor balls; a sample is their union."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.dictionaries(
+            st.tuples(
+                st.sampled_from("abcdef"),
+                st.sampled_from(["Causes", "UsedFor", "HasSubevent"]),
+                st.sampled_from("abcdef"),
+            ),
+            st.sampled_from([0.5, 1.0, 2.0, 3.5]),
+            max_size=20,
+        ),
+        calls=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("abcdefz"), max_size=4),
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=1, max_value=3),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_a_sequence_of_calls_gets_the_samples_of_an_empty_table(self, rows, calls):
+        """One graph answers calls with repeated, overlapping and unknown
+        anchors, hops of 0 and a cap patched per call: each sample is the
+        oracle's and the sample of a fresh copy of the graph, whose table is
+        empty, and writing into it changes no later sample."""
+        triplets = [Triplet(h, r, t, w) for (h, r, t), w in rows.items()]
+        graph = KnowledgeGraph(triplets)
+        for anchors, hops, cap in calls:
+            with mock.patch.object(kg, "FANOUT_CAP", cap):
+                ranks = kg.sample_subgraph(graph, anchors, hops)
+                fresh = kg.sample_subgraph(KnowledgeGraph(triplets), anchors, hops)
+            want, _ = oracles.sample_subgraph_oracle(triplets, anchors, hops, cap, kg.HOUSEHOLD_RELATIONS)
+            assert ranks.tolist() == fresh.tolist()
+            assert [graph.triplet(r).key for r in ranks] == [t.key for t in want]
+            ranks[:] = 0  # the caller's own array
+
+    def test_an_anchor_is_walked_once_per_hops_and_cap(self):
+        graph = _mesh()
+        ids = graph._node_id
+        with mock.patch.object(kg, "_ball", wraps=kg._ball) as walk:
+            for _ in range(3):
+                kg.sample_subgraph(graph, ["n1", "n2"], 2)
+            kg.sample_subgraph(graph, ["n2", "n3", "n3"], 2)
+            kg.sample_subgraph(graph, ["n2"], 3)
+            with mock.patch.object(kg, "FANOUT_CAP", 1):
+                kg.sample_subgraph(graph, ["n2"], 2)
+        walked = sorted(call.args[1:] for call in walk.call_args_list)
+        cap = kg.FANOUT_CAP
+        assert walked == sorted([(ids["n1"], 2, cap), (ids["n2"], 2, cap), (ids["n3"], 2, cap),
+                                 (ids["n2"], 3, cap), (ids["n2"], 2, 1)])
+
+    def test_a_tiny_budget_clears_the_table_and_keeps_the_samples(self, monkeypatch):
+        graph = _mesh()
+        want = [kg.sample_subgraph(graph, anchors, hops).tolist() for anchors, hops in _MESH_CALLS]
+        assert kg.ball_clears(graph) == 0
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 2 * kg._BALL_ENTRY_BYTES)
+        graph = _mesh()
+        half = len(_MESH_CALLS) // 2
+        got = [kg.sample_subgraph(graph, anchors, hops).tolist() for anchors, hops in _MESH_CALLS[:half]]
+        clears = kg.ball_clears(graph)
+        got += [kg.sample_subgraph(graph, anchors, hops).tolist() for anchors, hops in _MESH_CALLS[half:]]
+        assert got == want
+        assert 0 < clears < kg.ball_clears(graph)
+
+    @pytest.mark.parametrize("budget", [None, 1_000], ids=["default", "small-budget"])
+    def test_threads_sharing_a_graph_sample_as_one_thread_does(self, monkeypatch, budget):
+        """Four threads sample overlapping anchor sets on one fresh graph,
+        switching as often as the interpreter allows; each sample equals a
+        one-thread run's, in each of three trials."""
+        if budget is not None:
+            monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", budget)
+        calls = _MESH_CALLS * 3
+        serial = [kg.sample_subgraph(_mesh(), anchors, hops).tolist() for anchors, hops in calls]
+        threads = 4
+        for trial in range(3):
+            graph = _mesh()
+            got = [None] * len(calls)
+            start = threading.Barrier(threads, timeout=30)
+
+            def work(i):
+                start.wait()
+                for j in range(i, len(calls), threads):
+                    got[j] = kg.sample_subgraph(graph, *calls[j]).tolist()
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in pool)
+            assert got == serial, f"trial {trial}"
+            if budget is not None:
+                assert kg.ball_clears(graph) > 0
+
+    def test_the_table_counts_the_bytes_it_holds(self):
+        """The table's byte count, ranks plus ``_BALL_ENTRY_BYTES`` an entry,
+        covers what tracemalloc sees it hold, and not by much more."""
+        graph = _mesh(nodes=3000)
+        kg.sample_subgraph(graph, [], 2)  # the table exists
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(2000):
+                kg.sample_subgraph(graph, [f"n{i}"], 2)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        table = kg._BALLS[graph]
+        assert len(table.entries) == 2000
+        assert held <= table.nbytes <= 1.25 * held
 
 
 def test_load_graph_roundtrip(tmp_path):
