@@ -10,7 +10,7 @@ is a pure function of the text, the set and the provider, so the memo is
 exact; the provider, its matrix and its memo are replaced together, as one
 tuple, so a thread never pairs one provider's matrix with another's memo.
 The memo is an ``embeddings.Memo`` bounded by ``MEMO_BUDGET_BYTES`` as
-``embed``'s is (an insert that would go over the budget clears it first),
+the vector store is (an insert that would go over the budget clears it first),
 and its hit and miss counts are exact under threads.
 
 ``translate`` and ``translate_prompt`` share one path: the distinct texts

@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import __version__, adaption, causal, counterfactual, embeddings, entities, kg, planner, programs
+from . import __version__, causal, counterfactual, embeddings, entities, kg, planner, programs
 from ._files import read_json, write_json, write_jsonl, write_text
 from .admissible import load_admissible_set, translate_prompt
 from .embeddings import HashEmbedding, RemoteEmbedding, TableEmbedding
@@ -283,7 +283,6 @@ def run_plan(config):
             "memo_clears": {
                 "embedding": embeddings.memo_clears(embedder),
                 "translation": admissible.memo_clears(embedder),
-                "nodes": adaption.store_clears(graph, embedder),
                 "balls": kg.ball_clears(graph),
             },
         },

@@ -15,24 +15,19 @@ Three providers share one small interface (``.dim``, ``.kind``,
 * remote: POST {"input": [text]} to an embedding service, one request per
   call; the provider keeps no cache of its own.
 
-Callers embed through ``embed``, which holds the vector contract: it
-refuses a vector of the wrong shape or with a NaN or infinite entry and
-hands out a fresh float64 array, L2-normalized (tiny or huge entries are
-scaled first), or zero for a zero vector (the empty string embeds to zero).
-``embed_many(provider, texts)`` is its batch form: a (len(texts), dim)
-matrix whose row i is bit-equal to ``embed`` of texts[i]; it unpacks the
-memo hits together and hands each miss to ``embed``. Any cosine against a
-zero vector is 0. Two callers score many such vectors against one with
-sums of products in some order and rest on one premise: the vectors have
-norm 1 to within rounding, so such a sum lies within about d * 2**-53 of
-the exact score, far inside ``SHORTLIST_MARGIN`` (1e-9). ``best_rows``
-finds the row nearest each of a batch of queries with matrix-vector
-products, as a row scan would, re-scoring only the entries within the
-margin of each best. ``adaption.adapt_weights`` scores the tails with one
-gather over their stored nonzero entries, from a per-graph node store
-that ``embed_many`` fills once per node and ``MEMO_BUDGET_BYTES`` bounds,
-and takes the exact cosine only for the tails whose score plus the
-margin clears its gates.
+Callers embed through ``embed_rows`` (rows of the vector store),
+``embed_many`` (a matrix) or ``embed`` (one vector), which hold the
+vector contract: see ``embed_rows``. The empty string embeds to zero,
+and any cosine against a zero vector is 0. Two callers score many such
+vectors against one with sums of products in some order and rest on one
+premise: the vectors have norm 1 to within rounding, so such a sum lies
+within about d * 2**-53 of the exact score, far inside
+``SHORTLIST_MARGIN`` (1e-9). ``best_rows`` finds the row nearest each of
+a batch of queries with matrix-vector products, as a row scan would,
+re-scoring only the entries within the margin of each best.
+``adaption.adapt_weights`` scores its tails with one gather over their
+rows in the vector store and takes the exact cosine only for the tails
+whose score plus the margin clears its gates.
 
 ``cosine``'s arithmetic lives in one place. ``cosine(a, b)`` checks its
 arguments and takes the two norms, ``np.linalg.norm`` of each; then
@@ -41,24 +36,26 @@ else the dot over the product of the norms, clamped to [-1, 1]. Callers
 that score one vector many times keep its norm: ``row_norms`` takes
 ``np.linalg.norm`` of each row of a matrix, one call per row (a norm over
 an axis sums the squares in another order), so a stored norm is the one
-``cosine`` would take. Adaption's exact pass keeps each node's norm in its
-node store and the token table keeps each token's, and both score a pair
-with ``cosine_of_dot``, bit-equal to ``cosine``.
+``cosine`` would take. The vector store keeps each row's norm and the
+token table each token's, and adaption and the metrics score a pair with
+``cosine_of_dot`` over them, bit-equal to ``cosine``.
 
-``embed`` memoizes per provider (held weakly, so a provider must be hashable
-and weak-referenceable). Each text maps to one ``bytes`` object: the float64
-values of the normalized vector's entries whose bits are not all zero, then
-their int64 indexes. A hit rebuilds the first result bit for bit,
-``-0.0`` included, as a fresh array, so plans that share a provider embed
-a repeated tail concept without asking the provider again. The memo is
-bounded by the bytes its keys and entries hold (``MEMO_BUDGET_BYTES``): an
-insert that would go over the budget clears it first (``Memo``, which
-``admissible`` reuses for its translations and ``kg`` for its sampled
-balls). ``memo_counts``
-reports the hits and misses: each text asked for, through ``embed`` or
-a batch, is one of them, exactly, under threads too. A miss is a text the
-memo did not hold, which the provider was asked to embed. ``memo_clears``
-reports how many times the memo cleared at its budget.
+Each provider has one ``VectorStore`` (held weakly, so a provider must be
+hashable and weak-referenceable), the only copy of its unit vectors, in
+compressed rows as in Saad, *Iterative Methods for Sparse Linear Systems*
+(2003), section 3.4: a dict from text to row, and flat arrays of row
+offsets, norms, and the float64 values and int32 dimensions of the
+entries whose bits are not all zero (``-0.0`` included), so a row rebuilt
+into zeros is the first result bit for bit. Plans that share a provider
+embed a repeated text without asking the provider again, and adaption
+reads a graph's tails from the same rows by node id. The store is bounded
+by the bytes its texts and arrays hold (``MEMO_BUDGET_BYTES``): an insert
+that would go over the budget clears it first, the rule of ``Memo``,
+which ``admissible`` keeps for its translations and ``kg`` for its
+sampled balls. ``memo_counts`` reports the hits and misses: each text
+asked for, alone or in a batch, is one of them, exactly, under threads
+too; a miss is a text the store did not hold, which the provider was
+asked to embed. ``memo_clears`` reports how many times the store cleared.
 
 ``token_table`` keeps a second per-provider store, also held weakly, for
 the metrics, which score single tokens against each other. It holds each
@@ -141,7 +138,7 @@ class TableEmbedding:
 
     Every row is checked once, at load. Texts absent from the table embed
     through a hash fallback of the same dimension; ``miss_count`` counts
-    every fallback. Through ``embed``, whose memo answers a repeated text,
+    every fallback. Through ``embed``, whose store answers a repeated text,
     it counts only the misses that reach the fallback.
     """
 
@@ -181,7 +178,7 @@ class TableEmbedding:
 class RemoteEmbedding:
     """HTTP provider speaking {"input": [texts]} -> {"data": [{"embedding"}]}.
 
-    Each call is one request; ``embed``'s memo spares the repeats. An
+    Each call is one request; the vector store spares the repeats. An
     embedding that is not a list of ``dim`` numbers is a TransportError
     naming the endpoint.
     """
@@ -238,102 +235,199 @@ class Memo:
             return {"hits": self.hits, "misses": self.misses}
 
 
-_MEMOS = weakref.WeakKeyDictionary()
-_MEMOS_LOCK = threading.Lock()
+def positions(start, length):
+    """The positions start[i] .. start[i] + length[i] - 1 of every slice i,
+    in one array: the entries of compressed rows, or a graph's edge slices."""
+    end = np.cumsum(length)
+    return np.arange(end[-1] if len(end) else 0) + np.repeat(start - (end - length), length)
 
 
-def _memo(provider):
-    memo = _MEMOS.get(provider)
-    if memo is None:
-        with _MEMOS_LOCK:
-            memo = _MEMOS.setdefault(provider, Memo(threading.Lock()))
-    return memo
+class VectorStore:
+    """One provider's unit vectors in compressed rows, with their norms.
+
+    ``index`` maps each text held to its row. ``state`` is ``(clears,
+    indptr, norms, values, dims)``, published by one store: row r's entries
+    whose bits are not all zero are ``values[indptr[r]:indptr[r + 1]]`` at
+    the dimensions ``dims[indptr[r]:indptr[r + 1]]``, every other entry is
+    +0.0, ``norms[r]`` is ``row_norms`` of the row, and ``clears`` counts
+    the clears before this state. Past the rows held the arrays are spare;
+    a held row never changes. ``lock`` guards ``index``, the counts and
+    every write.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.hits = self.misses = 0
+        self._clear(0)
+
+    def _clear(self, clears):
+        self.index, self.text_bytes = {}, 0
+        self.state = (clears, np.zeros(1, np.int64), np.empty(0), np.empty(0), np.empty(0, np.int32))
+
+    def insert(self, texts, units):
+        """The rows of ``texts``, distinct, once each is held. The rows of
+        ``units`` (unit vectors) of the texts not held are appended in one
+        pass; when they would take the store past ``MEMO_BUDGET_BYTES`` it is
+        cleared first and every one of ``texts`` is appended. The caller
+        holds ``lock``."""
+        new = [i for i, text in enumerate(texts) if text not in self.index]
+        if new and not self._append([texts[i] for i in new], units[new]):
+            self._clear(self.state[0] + 1)
+            self._append(texts, units)
+        return np.fromiter(map(self.index.__getitem__, texts), np.int64, len(texts))
+
+    def _append(self, texts, units):
+        """Append ``units`` as the rows of ``texts``, none held, and return
+        True; or, when the store holds rows and would pass the budget, write
+        nothing and return False. An array too small is copied into one
+        twice as long, or as long as the budget allows, or as long as it
+        must be. Entries and norms are written, and the state published,
+        before ``index`` names a new row."""
+        clears, *arrays = self.state
+        held = units.view(np.int64) != 0  # -0.0 has a set bit
+        at, dims = np.nonzero(held)
+        size, used = len(self.index), int(arrays[0][len(self.index)])
+        start = (size + 1, size, used, used)  # of indptr, norms, values and dims
+        stop = [n + k for n, k in zip(start, (len(texts), len(texts), len(at), len(at)))]
+        text_bytes = self.text_bytes + sum(map(sys.getsizeof, texts))
+        spare = MEMO_BUDGET_BYTES - text_bytes - sum(max(len(a), n) * a.itemsize for a, n in zip(arrays, stop))
+        if size and spare < 0:
+            return False
+        for k, (a, n) in enumerate(zip(arrays, stop)):
+            if n > len(a):
+                cap = max(n, min(2 * len(a), n + spare // a.itemsize))
+                spare -= (cap - n) * a.itemsize
+                arrays[k] = np.empty(cap, a.dtype)
+                arrays[k][:start[k]] = a[:start[k]]
+        indptr, norms, values, dims_of = arrays
+        values[used:stop[2]] = units[held]
+        dims_of[used:stop[3]] = dims
+        norms[size:stop[1]] = row_norms(units)
+        indptr[size + 1:stop[0]] = used + np.bincount(at, minlength=len(texts)).cumsum()
+        self.state = (clears, *arrays)
+        self.text_bytes = text_bytes
+        self.index.update(zip(texts, range(size, stop[1])))
+        return True
+
+
+_STORES = weakref.WeakKeyDictionary()  # provider -> its VectorStore
+_STORES_LOCK = threading.Lock()
+
+
+def vector_store(provider):
+    """``provider``'s ``VectorStore``, made empty on first use."""
+    store = _STORES.get(provider)
+    if store is None:
+        with _STORES_LOCK:
+            store = _STORES.setdefault(provider, VectorStore())
+    return store
 
 
 def memo_counts(provider):
-    """{"hits": ..., "misses": ...} of ``embed``'s memo for ``provider``."""
-    return _memo(provider).counts()
+    """{"hits": ..., "misses": ...} of the texts asked of ``provider``'s store."""
+    store = vector_store(provider)
+    with store.lock:
+        return {"hits": store.hits, "misses": store.misses}
 
 
 def memo_clears(provider):
-    """How many times ``embed``'s memo for ``provider`` cleared at its budget."""
-    return _memo(provider).clears
+    """How many times ``provider``'s store cleared at its budget."""
+    return vector_store(provider).state[0]
 
 
 # Norms whose sum of squares is good to rounding: underflow lost under an ulp of it, nothing overflowed
 _TRUSTED_NORMS = (math.sqrt(np.finfo(float).tiny / np.finfo(float).eps), math.sqrt(np.finfo(float).max))
 
 
-def embed(provider, text):
-    """Embed through any provider, enforcing the vector contract: a fresh
-    float64 array of the provider's dimension, L2-normalized (divided by its
-    largest magnitude first if its norm is outside ``_TRUSTED_NORMS``), or
-    zero when the provider's vector is zero. A NaN or infinite entry is
-    refused. A repeated text is answered from the memo, bit-equal to its
-    first result."""
-    memo = _memo(provider)
-    with memo.lock:
-        entry = memo.entries.get(text)
-        if entry is None:
-            memo.misses += 1
-        else:
-            memo.hits += 1
-    if entry is not None:
-        packed = np.frombuffer(entry, np.float64)
-        n = len(packed) // 2
-        vec = np.zeros(provider.dim)
-        vec[packed[n:].view(np.int64)] = packed[:n]
-        return vec
-    vec = np.asarray(provider.embed(text), dtype=np.float64)
-    if vec.shape != (provider.dim,):
-        raise ValueError(f"provider returned shape {vec.shape}, expected ({provider.dim},)")
-    with np.errstate(over="ignore"):  # a sum of squares past the float range is scaled below
-        norm = np.linalg.norm(vec)
-    if not _TRUSTED_NORMS[0] <= norm <= _TRUSTED_NORMS[1]:  # zero and NaN too
-        if not np.isfinite(vec).all():
-            raise ValueError(f"provider returned a vector of norm {norm} for {text!r}")
-        if vec.any():
-            vec = vec / np.abs(vec).max()
-            norm = np.linalg.norm(vec)
-    unit = vec / norm if norm > 0 else np.zeros(provider.dim)
-    index = np.flatnonzero(unit.view(np.int64))  # -0.0 has a set bit
-    entry = unit[index].tobytes() + index.astype(np.int64, copy=False).tobytes()
-    cost = sys.getsizeof(text) + sys.getsizeof(entry)
-    with memo.lock:
-        memo.insert(text, entry, cost)
-    return unit
+def embed_rows(provider, texts):
+    """(state, rows, matrix): a ``state`` of ``provider``'s store that holds
+    every one of ``texts``, ``rows[i]`` the row of ``texts[i]`` in it, and,
+    when the call asked the provider, the fresh (len(texts), dim) matrix of
+    the texts' vectors it built on the way, else None.
+
+    Each distinct text the store lacks is a miss: the provider is asked for
+    it once, in order of first appearance, and its vector, which must have
+    the provider's dimension and no NaN or infinite entry, is L2-normalized
+    (divided by its largest magnitude first if its norm is outside
+    ``_TRUSTED_NORMS``), or left zero. The misses are stored with one
+    insert, which holds the batch's hits too, so a clear keeps every row
+    returned. Every other text counts as a hit once every miss is made: a
+    batch that raises counts only the provider calls made, and keeps the
+    vectors made.
+    """
+    store = vector_store(provider)
+    with store.lock:
+        rows = list(map(store.index.get, texts, itertools.repeat(-1)))
+        state = store.state
+        if -1 not in rows:
+            store.hits += len(texts)
+            return state, np.array(rows, np.int64), None
+    found = dict(zip(texts, rows))  # each distinct text, in order of first appearance -> its row or -1
+    batch, found = list(found), list(found.values())
+    units = np.zeros((len(batch), provider.dim))
+    hits = [i for i, row in enumerate(found) if row >= 0]
+    if hits:
+        units[hits] = _rebuilt(state, np.array(found)[hits], provider.dim)
+    misses = [i for i, row in enumerate(found) if row < 0]
+    try:
+        for made, i in enumerate(misses):
+            with store.lock:
+                store.misses += 1
+            vec = np.asarray(provider.embed(batch[i]), dtype=np.float64)
+            if vec.shape != (provider.dim,):
+                raise ValueError(f"provider returned shape {vec.shape}, expected ({provider.dim},)")
+            with np.errstate(over="ignore"):  # a sum of squares past the float range is scaled below
+                norm = np.linalg.norm(vec)
+            if not _TRUSTED_NORMS[0] <= norm <= _TRUSTED_NORMS[1]:  # zero and NaN too
+                if not np.isfinite(vec).all():
+                    raise ValueError(f"provider returned a vector of norm {norm} for {batch[i]!r}")
+                if vec.any():
+                    vec = vec / np.abs(vec).max()
+                    norm = np.linalg.norm(vec)
+            if norm > 0:
+                units[i] = vec / norm
+    except BaseException:
+        with store.lock:
+            store.insert([batch[i] for i in misses[:made]], units[misses[:made]])
+        raise
+    with store.lock:
+        held = store.insert(batch, units)
+        store.hits += len(texts) - len(misses)
+        state = store.state
+    if len(batch) < len(texts):  # a text repeats
+        slot = list(map(dict(zip(batch, itertools.count())).__getitem__, texts))
+        held, units = held[slot], units[slot]
+    return state, held, units
+
+
+def _rebuilt(state, rows, dim):
+    """The (len(rows), dim) matrix of ``rows`` of ``state``, bit for bit."""
+    _, indptr, _, values, dims = state
+    start = indptr[rows]
+    length = indptr[rows + 1] - start
+    at = positions(start, length)
+    out = np.zeros((len(rows), dim))
+    out[np.repeat(np.arange(len(rows)), length), dims[at]] = values[at]
+    return out
 
 
 def embed_many(provider, texts):
-    """The (len(texts), dim) matrix whose row i is bit-equal to
-    ``embed(provider, texts[i])``.
+    """The (len(texts), dim) matrix whose row i is ``embed`` of ``texts[i]``:
+    the one ``embed_rows`` built, or else rebuilt from the store with one
+    scatter."""
+    state, rows, matrix = embed_rows(provider, texts)
+    return _rebuilt(state, rows, provider.dim) if matrix is None else matrix
 
-    The memo hits are unpacked together: their packed bytes are joined and
-    scattered into a zero matrix at once. Each miss goes through ``embed``,
-    which counts it. Every text counts once, as a hit or a miss: the hits
-    found here are counted after every miss is embedded, so a batch that
-    raises counts only the ``embed`` calls it made.
-    """
-    memo = _memo(provider)
-    with memo.lock:
-        entries = [memo.entries.get(text) for text in texts]
-    out = np.zeros((len(entries), provider.dim))
-    hits = []
-    for i, entry in enumerate(entries):
-        if entry is None:
-            out[i] = embed(provider, texts[i])
-        else:
-            hits.append(i)
-    if hits:
-        found = [entries[i] for i in hits]
-        words = np.fromiter(map(len, found), np.int64, len(found)) // 8  # n values, then n indexes
-        packed = np.frombuffer(b"".join(found), np.float64)
-        offset = np.arange(len(packed)) - np.repeat(np.cumsum(words) - words, words)  # within its entry
-        is_value = offset < np.repeat(words // 2, words)
-        out[np.repeat(hits, words)[is_value], packed.view(np.int64)[~is_value]] = packed[is_value]
-    with memo.lock:
-        memo.hits += len(hits)
-    return out
+
+def embed(provider, text):
+    """``embed_many`` of one text: ``provider``'s unit vector of ``text``,
+    held to the vector contract (see ``embed_rows``), as a fresh float64
+    array, rebuilt from its row's slice of the store."""
+    (_, indptr, _, values, dims), rows, _ = embed_rows(provider, [text])
+    start, stop = indptr[rows[0]:rows[0] + 2].tolist()
+    vec = np.zeros(provider.dim)
+    vec[dims[start:stop]] = values[start:stop]
+    return vec
 
 
 SHORTLIST_MARGIN = 1e-9

@@ -453,10 +453,7 @@ def _ball(graph, node, hops, cap):
         if not frontier.size:
             break
         lo = indptr[frontier]
-        count = np.minimum(indptr[frontier + 1] - lo, cap)
-        end = np.cumsum(count)
-        # the positions lo[i] .. lo[i] + count[i] - 1 of every slice, in one array
-        at = np.arange(end[-1]) + np.repeat(lo - (end - count), count)
+        at = embeddings.positions(lo, np.minimum(indptr[frontier + 1] - lo, cap))
         followed.append(ranks[at])
         if depth + 1 < hops:
             far = other[at]

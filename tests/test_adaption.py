@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -317,18 +318,50 @@ def warm_cases(draw):
     return graph, calls, draw(st.sampled_from([None, 400, 1500]))
 
 
-def _store(graph):
-    """The node store ``graph`` holds."""
-    return adaption._STORES[graph]
+def _rebuilt(state, row, dim):
+    """Row ``row`` of a vector store's ``state``, as a dense vector."""
+    _, indptr, _, values, dims = state
+    vec = np.zeros(dim)
+    vec[dims[indptr[row]:indptr[row + 1]]] = values[indptr[row]:indptr[row + 1]]
+    return vec
 
 
-class TestNodeStore:
+def _named(graph, dim):
+    """(store, [(text, row, norm), ...]): the vector store that ``graph``'s
+    table is tagged with, and for each node the table names, its text, its
+    row rebuilt from the store's state and its stored norm. A stale table
+    names nothing."""
+    store, clears, rows = adaption._TABLES[graph]
+    state = store.state
+    if clears != state[0]:
+        return store, []
+    return store, [(surface(graph.node_keys[node]), _rebuilt(state, rows[node], dim), state[2][rows[node]])
+                   for node in np.flatnonzero(rows >= 0).tolist()]
+
+
+def _drawn_graph(shower_graph):
+    """A fresh copy of ``shower_graph`` and a provider with an odd dense
+    vector for each of its nodes."""
+    graph = KnowledgeGraph(shower_graph.triplet(r) for r in range(shower_graph.edge_count))
+    rng = np.random.default_rng(5)
+    return graph, _Drawn(16, {surface(key): _odd_vector(rng, 16) for key in graph.node_keys})
+
+
+# Each rank window's four tails, with the task, fit; the store holds about six dense 16-dimension rows
+SIX_ROWS = 6 * (64 + 16 + 12 * 16)
+WINDOWS = [*range(0, 24), 0, 20, 7]
+
+
+class TestStoreRows:
     @given(warm_cases(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_a_warm_store_matches_the_per_triplet_scan(self, case, data):
         """Calls in sequence on one graph, so later ones read the rows that
-        earlier ones filled, with thresholds at exact scores of the call."""
+        earlier ones filled, with thresholds at exact scores of the call.
+        After each call, every row the graph's table names is ``embed`` of
+        its node's text, and its stored norm is ``np.linalg.norm`` of it."""
         graph, calls, budget = case
+        providers = {id(provider): provider for provider, _, _ in calls}.values()
         with mock.patch.object(embeddings, "MEMO_BUDGET_BYTES", budget or embeddings.MEMO_BUDGET_BYTES):
             for provider, task, ranks in calls:
                 triplets = [graph.triplet(r) for r in ranks]
@@ -337,90 +370,91 @@ class TestNodeStore:
                 shift = data.draw(st.sampled_from([-1.0, *(a - w for *_, w, a in ungated)]))
                 cfg = PlannerConfig(edge_threshold=edge, cos_keep_threshold=shift)
                 got = adapt_weights(graph, np.array(ranks, np.intp), task, provider, cfg)
+                if graph in adaption._TABLES:  # not before a call with some rank
+                    store, named = _named(graph, provider.dim)
+                    owner = next(p for p in providers if embeddings.vector_store(p) is store)
+                    for text, row, norm in named:
+                        assert row.tobytes() == embed(owner, text).tobytes()
+                        assert norm.tobytes() == np.linalg.norm(row).tobytes()
                 want = oracles.adapt_oracle(triplets, task, provider, edge, shift)
                 assert _hex(got) == _hex(want)
-                store = _store(graph)
-                assert store.provider is provider and store.nbytes <= embeddings.MEMO_BUDGET_BYTES
-                for node in np.flatnonzero(store.start >= 0):
-                    _, _, (norm,), values, dims = store.take(np.array([node]))
-                    row = np.zeros(provider.dim)
-                    row[dims] = values
-                    assert row.tobytes() == embed(provider, surface(graph.node_keys[node])).tobytes()
-                    assert norm.tobytes() == np.linalg.norm(row).tobytes()
 
-    def test_a_store_that_would_pass_the_budget_is_replaced_whole(self, shower_graph, monkeypatch):
-        """Each call asks for four ranks' tails, so the filled nodes pass a
-        budget of six dense rows: the store is replaced by one that holds
-        the calling tails alone, or nothing when they do not fit, and every
-        output stays bit-equal to the scan."""
-        graph = KnowledgeGraph(shower_graph.triplet(r) for r in range(shower_graph.edge_count))
-        rng = np.random.default_rng(5)
-        provider = _Drawn(16, {surface(key): _odd_vector(rng, 16) for key in graph.node_keys})
-        cfg = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0)
-        budget = 8 * graph.node_count + 12 * 16 * 6
-        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", budget)
-        replaced = 0
-        for first in [*range(0, graph.edge_count - 4), 0, 20, 7]:
+    def test_a_store_past_its_budget_clears_and_stays_exact(self, shower_graph, monkeypatch):
+        """Each call asks for four ranks' tails, and the budget holds about
+        six dense rows: the store clears, its bytes stay within the budget,
+        the graph's table names at least the call's own tails after each
+        call, and every output stays bit-equal to the scan."""
+        graph, provider = _drawn_graph(shower_graph)
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", SIX_ROWS)
+        for first in WINDOWS:
             ranks = np.arange(first, first + 4)
-            before = adaption._STORES.get(graph)
-            got = adapt_weights(graph, ranks, TASK, provider, cfg)
+            got = adapt_weights(graph, ranks, TASK, provider, KEEP_ALL)
+            store, named = _named(graph, 16)
+            assert store is embeddings.vector_store(provider)
+            assert store.text_bytes + sum(a.nbytes for a in store.state[1:]) <= SIX_ROWS
+            assert {surface(graph.node_keys[node]) for node in graph.tail_ids[ranks]} <= {text for text, *_ in named}
             want = oracles.adapt_oracle([graph.triplet(r) for r in ranks], TASK, provider, 0.0, -1.0)
             assert _hex(got) == _hex(want)
-            store = _store(graph)
-            assert store.nbytes <= budget
-            if before is not None and store.clears > before.clears:
-                assert store is not before and store.clears == before.clears + 1
-                filled = set(np.flatnonzero(store.start >= 0).tolist())
-                assert filled in (set(graph.tail_ids[ranks].tolist()), set())
-                replaced += 1
-        assert adaption.store_clears(graph, provider) == replaced > 0
-        assert adaption.store_clears(graph, HashEmbedding(dim=16)) == 0
+        assert embeddings.memo_clears(provider) > 0
 
-    def test_a_start_is_set_only_after_its_entries_are_published(self, shower_graph, monkeypatch):
-        """A reader that reads a node's start reads the entry arrays after
-        it, so the arrays that hold the node's row must be published first.
-        Every store's ``start`` checks that at each write, while the store
-        grows by doubling and is replaced whole past a small budget."""
-        writes = []
+    def test_a_row_is_published_before_it_is_named(self, shower_graph, monkeypatch):
+        """A reader finds a row through the store's index or a graph's table
+        and then reads the store's state, so the state that holds a row's
+        entries and norm must be published before either names the row. The
+        index and the table of graphs check that at each write, while the
+        store grows by doubling and clears past a small budget."""
+        graph, provider = _drawn_graph(shower_graph)
+        reference = _Drawn(16, provider.vectors)
+        embeddings.vector_store(reference)  # a plain store, which checks nothing
+        capacities = []
 
-        class Starts(np.ndarray):
-            store = None
+        def check(store, text, row):
+            state = store.state
+            vec = _rebuilt(state, row, 16)
+            assert vec.tobytes() == embed(reference, text).tobytes(), f"{text!r} named before its row was published"
+            assert state[2][row].tobytes() == np.linalg.norm(vec).tobytes()
+            capacities.append(len(state[3]))
 
-            def __setitem__(self, nodes, starts):
-                length = self.store.length[nodes]
-                end = np.asarray(starts) + length
-                published = min(len(entries) for entries in self.store.entries)
-                assert (np.asarray(starts) >= 0).all() and (end <= published).all(), "start set before its entries"
-                writes.append(len(self.store.entries[0]))
-                super().__setitem__(nodes, starts)
+        class Index(dict):
+            def __init__(self, store, held):
+                super().__init__(held)
+                self.store = store
 
-        class Store(adaption.NodeStore):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.start = self.start.view(Starts)
-                self.start.store = self
+            def update(self, pairs):
+                for text, row in pairs:
+                    check(self.store, text, row)
+                    self[text] = row
 
-        monkeypatch.setattr(adaption, "NodeStore", Store)
-        graph = KnowledgeGraph(shower_graph.triplet(r) for r in range(shower_graph.edge_count))
-        rng = np.random.default_rng(5)
-        provider = _Drawn(16, {surface(key): _odd_vector(rng, 16) for key in graph.node_keys})
-        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 8 * graph.node_count + 12 * 16 * 6)
-        cfg = PlannerConfig(edge_threshold=0.0, cos_keep_threshold=-1.0)
-        for first in [*range(0, graph.edge_count - 4), 0, 20, 7]:
+        class Store(embeddings.VectorStore):
+            def __setattr__(self, name, value):
+                super().__setattr__(name, Index(self, value) if name == "index" else value)
+
+        class Tables(weakref.WeakKeyDictionary):
+            def __setitem__(self, key, table):
+                store, _, rows = table
+                for node in np.flatnonzero(rows >= 0).tolist():
+                    check(store, surface(key.node_keys[node]), rows[node])
+                super().__setitem__(key, table)
+
+        monkeypatch.setattr(embeddings, "VectorStore", Store)
+        monkeypatch.setattr(adaption, "_TABLES", Tables())
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", SIX_ROWS)
+        for first in WINDOWS:
             ranks = np.arange(first, first + 4)
-            got = adapt_weights(graph, ranks, TASK, provider, cfg)
+            got = adapt_weights(graph, ranks, TASK, provider, KEEP_ALL)
             assert _hex(got) == _hex(oracles.adapt_oracle([graph.triplet(r) for r in ranks], TASK, provider, 0.0, -1.0))
-        assert len(set(writes)) > 2 and adaption.store_clears(graph, provider) > 0  # grown and replaced
+        assert len(set(capacities)) > 2 and embeddings.memo_clears(provider) > 0  # grown and cleared
 
-    def test_another_provider_replaces_the_store(self, tv_graph):
+    def test_another_provider_replaces_the_table(self, tv_graph):
         graph = KnowledgeGraph(tv_graph.triplet(r) for r in range(tv_graph.edge_count))
         first, second = HashEmbedding(dim=16), HashEmbedding(dim=16, seed=1)
         for provider in (first, second, first):
             adapt_weights(graph, np.arange(graph.edge_count), "watch tv", provider, KEEP_ALL)
-            assert _store(graph).provider is provider
-            assert (_store(graph).start[graph.tail_ids] >= 0).all()
+            store, _, rows = adaption._TABLES[graph]
+            assert store is embeddings.vector_store(provider)
+            assert (rows[graph.tail_ids] >= 0).all()
 
-    def test_a_failing_fill_leaves_the_store_as_it_was(self, tv_graph):
+    def test_a_failing_fill_leaves_the_table_as_it_was(self, tv_graph):
         class FailsOnce(HashEmbedding):
             fail = True
 
@@ -434,14 +468,38 @@ class TestNodeStore:
         graph = KnowledgeGraph(tv_graph.triplet(r) for r in range(tv_graph.edge_count))
         provider = FailsOnce(dim=16)
         adapt_weights(graph, np.array([0]), "watch tv", provider, KEEP_ALL)
-        before = _store(graph)
-        held = before.start.copy()
+        before = adaption._TABLES[graph]
+        held = before[2].copy()
         with pytest.raises(TransportError):
             _adapt(graph, "watch tv", provider, KEEP_ALL)
-        assert _store(graph) is before and (before.start == held).all()
+        assert adaption._TABLES[graph] is before and (before[2] == held).all()
         got = _adapt(graph, "watch tv", provider, KEEP_ALL)
         want = oracles.adapt_oracle(_triplets(graph), "watch tv", provider, 0.0, -1.0)
         assert _hex(got) == _hex(want)
+
+    def test_a_store_cleared_between_calls_is_asked_again(self, tv_graph, monkeypatch):
+        """Other texts embedded between two calls on one graph clear the
+        store, so the graph's table is stale: the second call asks the store
+        for the task and for each distinct tail once, as a warm call asks
+        only for the task, and its triplets stay bit-equal to the scan."""
+        graph = KnowledgeGraph(tv_graph.triplet(r) for r in range(tv_graph.edge_count))
+        provider = HashEmbedding(dim=16)
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 4000)  # the task and every tail fit
+
+        def asked(call):
+            before = sum(embeddings.memo_counts(provider).values())
+            got = call()
+            return sum(embeddings.memo_counts(provider).values()) - before, got
+
+        _adapt(graph, "watch tv", provider, KEEP_ALL)
+        assert asked(lambda: _adapt(graph, "watch tv", provider, KEEP_ALL))[0] == 1
+        clears = embeddings.memo_clears(provider)
+        embeddings.embed_many(provider, [f"other text {i}" for i in range(40)])
+        assert embeddings.memo_clears(provider) > clears
+        count, got = asked(lambda: _adapt(graph, "watch tv", provider, KEEP_ALL))
+        assert count == 1 + len(set(graph.tail_ids.tolist()))
+        assert _hex(got) == _hex(oracles.adapt_oracle(_triplets(graph), "watch tv", provider, 0.0, -1.0))
+        assert asked(lambda: _adapt(graph, "watch tv", provider, KEEP_ALL))[0] == 1  # the table is current again
 
 
 def _synthetic_graph():
@@ -463,10 +521,9 @@ def _synthetic_graph():
 @pytest.mark.parametrize("budget", [None, 10_000], ids=["default", "small-budget"])
 def test_threads_sharing_a_graph_plan_as_one_thread_does(fixture_path, monkeypatch, budget):
     """Four threads that plan disjoint slices of one task list on one fresh
-    graph and provider fill one node store together, switching as often as
-    the interpreter allows; each plan equals a one-thread run's, in each of
-    three trials. (Without the fill lock, about half the runs of this test
-    see a plan differ.)"""
+    graph and provider fill the provider's vector store and the graph's
+    table of rows together, switching as often as the interpreter allows;
+    each plan equals a one-thread run's, in each of three trials."""
     if budget is not None:
         monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", budget)
 
@@ -503,7 +560,7 @@ def test_threads_sharing_a_graph_plan_as_one_thread_does(fixture_path, monkeypat
         assert not any(t.is_alive() for t in pool)
         assert got == serial, f"trial {trial}"
         if budget is not None:
-            assert adaption.store_clears(graph, provider) > 0
+            assert embeddings.memo_clears(provider) > 0
 
 
 class TestSelect:

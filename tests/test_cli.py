@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from nsplan import _files, cli, embeddings
+from nsplan import _files, cli, embeddings, kg
 from nsplan.embeddings import HashEmbedding
 from nsplan.errors import ConfigError
 from nsplan.generation import ScriptedGenerator
@@ -317,18 +317,40 @@ class TestPlanCommand:
         assert len(asked) == 324
         assert hashlib.sha256("\n".join(asked).encode()).hexdigest()[:16] == "2fe3e072bb67fdef"
 
+    def test_a_fixture_run_holds_one_row_per_miss(self, tmp_path, monkeypatch):
+        """Each vector is held once: after a run at the default budget the
+        provider's store holds one row per miss, adaption's tails included,
+        and ``embed`` of a tail's text is a hit."""
+        built = []
+
+        def build(config):
+            built.append(HashEmbedding(dim=config.embedding_dim, seed=config.seed or 0))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_embedder", build)
+        assert cli.main(_plan_argv(tmp_path / "run")) == 0
+        provider, = built
+        store = embeddings.vector_store(provider)
+        assert len(store.index) == embeddings.memo_counts(provider)["misses"] == 324
+        graph = kg.load_graph(_fixture("tv_graph.jsonl"), fmt="jsonl")
+        tails = {kg.surface(graph.node_keys[node]) for node in graph.tail_ids}
+        assert tails <= store.index.keys()
+        before = embeddings.memo_counts(provider)
+        embeddings.embed(provider, min(tails))
+        assert embeddings.memo_counts(provider) == {"hits": before["hits"] + 1, "misses": 324}
+
     def test_manifest_counts_the_memo_clears_of_a_tiny_budget(self, tmp_path, monkeypatch):
         """A run within the budget clears nothing; a run over a tiny budget
-        clears each memo and the table of balls and replaces the node store,
-        and writes the same plans."""
+        clears the vector store, the translation memo and the table of
+        balls, and writes the same plans."""
         roomy, tiny = tmp_path / "roomy", tmp_path / "tiny"
         assert cli.main(_plan_argv(roomy)) == 0
         monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 600)  # a few entries of each
         assert cli.main(_plan_argv(tiny)) == 0
         runs = _read_tree(roomy), _read_tree(tiny)
         clears = [json.loads(tree.pop("manifest.json"))["timing"]["memo_clears"] for tree in runs]
-        assert clears[0] == {"embedding": 0, "translation": 0, "nodes": 0, "balls": 0}
-        assert set(clears[1]) == {"embedding", "translation", "nodes", "balls"}
+        assert clears[0] == {"embedding": 0, "translation": 0, "balls": 0}
+        assert set(clears[1]) == {"embedding", "translation", "balls"}
         assert all(count > 0 for count in clears[1].values())
         assert runs[0] == runs[1]
 

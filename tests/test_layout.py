@@ -9,13 +9,13 @@ the tests use, nor an HTTP client: only ``_http.py`` imports ``urllib``,
 Only ``_files.py`` opens files (one module reads and writes every file) and
 calls ``raw_decode`` (one JSON fast path, bounded to give what
 ``json.loads`` gives), only ``cli.py`` prints (library code writes nothing
-to stdout), in the whole package only ``embeddings.embed``, ``cosine`` and
-``row_norms`` take a norm (providers hand out raw vectors, ``embed`` alone
-normalizes them, and every cosine, the token table's and adaption's with
+to stdout), in the whole package only ``embeddings.embed_rows``, ``cosine``
+and ``row_norms`` take a norm (providers hand out raw vectors, ``embed_rows``
+alone normalizes them, and every cosine, the token table's and adaption's with
 their stored norms included, is ``cosine_of_dot`` over norms that
 ``cosine`` or ``row_norms`` took, so no module takes a norm of its own), only
-``embed`` (and the table's hash fallback) calls a provider's own
-``.embed``, so no caller skips the memo or the vector contract, every
+``embed_rows`` (and the table's hash fallback) calls a provider's own
+``.embed``, so no caller skips the vector store or the vector contract, every
 parameter with a default is set by some call in the program (an option that only
 tests set is a constant or goes), and no error the package defines or
 raises is a ``LookupError`` (``str(KeyError(m))`` is ``repr(m)``, so its
@@ -145,18 +145,18 @@ def test_only_the_owner_module_calls(name, owner):
 
 
 def test_only_embed_and_the_cosines_take_a_norm():
-    allowed = {"embeddings.embed", "embeddings.cosine", "embeddings.row_norms"}
+    allowed = {"embeddings.embed_rows", "embeddings.cosine", "embeddings.row_norms"}
     callers = {
         f"{p.stem}.{caller}" for p in MODULES for caller in _callers(p, lambda call: _called(call) == "norm")
     }
     assert callers <= allowed, f"norm() is called outside {sorted(allowed)}: {callers - allowed}"
-    assert {"embeddings.embed", "embeddings.row_norms"} <= callers
+    assert {"embeddings.embed_rows", "embeddings.row_norms"} <= callers
 
 
 def test_only_embed_calls_a_provider():
     callers = {p.name: found for p in MODULES if (found := _callers(p, _provider_embed))}
-    assert callers == {"embeddings.py": {"embed", "TableEmbedding.embed"}}, (
-        f"a provider's .embed() is called outside embeddings.embed: {callers}"
+    assert callers == {"embeddings.py": {"embed_rows", "TableEmbedding.embed"}}, (
+        f"a provider's .embed() is called outside embeddings.embed_rows: {callers}"
     )
 
 
