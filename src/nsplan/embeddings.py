@@ -346,14 +346,15 @@ def embed_rows(provider, texts):
     the texts' vectors it built on the way, else None.
 
     Each distinct text the store lacks is a miss: the provider is asked for
-    it once, in order of first appearance, and its vector, which must have
-    the provider's dimension and no NaN or infinite entry, is L2-normalized
-    (divided by its largest magnitude first if its norm is outside
-    ``_TRUSTED_NORMS``), or left zero. The misses are stored with one
-    insert, which holds the batch's hits too, so a clear keeps every row
-    returned. Every other text counts as a hit once every miss is made: a
-    batch that raises counts only the provider calls made, and keeps the
-    vectors made.
+    it once, in order of first appearance, and its vector must have the
+    provider's dimension. Once the calls are made, each vector, which must
+    have no NaN or infinite entry, is L2-normalized (divided by its largest
+    magnitude first if its norm is outside ``_TRUSTED_NORMS``), or left
+    zero. The misses are stored with one insert, which holds the batch's
+    hits too, so a clear keeps every row returned; the calls are counted
+    under the same lock. Every other text counts as a hit once every miss
+    is made: a batch that raises counts only the provider calls made, and
+    keeps the vectors normalized before the first that failed.
     """
     store = vector_store(provider)
     with store.lock:
@@ -369,29 +370,36 @@ def embed_rows(provider, texts):
     if hits:
         units[hits] = _rebuilt(state, np.array(found)[hits], provider.dim)
     misses = [i for i, row in enumerate(found) if row < 0]
+    vectors, calls, made = [], 0, 0
     try:
-        for made, i in enumerate(misses):
-            with store.lock:
-                store.misses += 1
-            vec = np.asarray(provider.embed(batch[i]), dtype=np.float64)
-            if vec.shape != (provider.dim,):
-                raise ValueError(f"provider returned shape {vec.shape}, expected ({provider.dim},)")
+        try:
+            for i in misses:
+                calls += 1
+                vec = np.asarray(provider.embed(batch[i]), dtype=np.float64)
+                if vec.shape != (provider.dim,):
+                    raise ValueError(f"provider returned shape {vec.shape}, expected ({provider.dim},)")
+                vectors.append(vec)
+        finally:  # the vectors made are normalized even when a call raised
             with np.errstate(over="ignore"):  # a sum of squares past the float range is scaled below
-                norm = np.linalg.norm(vec)
-            if not _TRUSTED_NORMS[0] <= norm <= _TRUSTED_NORMS[1]:  # zero and NaN too
-                if not np.isfinite(vec).all():
-                    raise ValueError(f"provider returned a vector of norm {norm} for {batch[i]!r}")
-                if vec.any():
-                    vec = vec / np.abs(vec).max()
+                for i, vec in zip(misses, vectors):
                     norm = np.linalg.norm(vec)
-            if norm > 0:
-                units[i] = vec / norm
+                    if not _TRUSTED_NORMS[0] <= norm <= _TRUSTED_NORMS[1]:  # zero and NaN too
+                        if not np.isfinite(vec).all():
+                            raise ValueError(f"provider returned a vector of norm {norm} for {batch[i]!r}")
+                        if vec.any():
+                            vec = vec / np.abs(vec).max()
+                            norm = np.linalg.norm(vec)
+                    if norm > 0:
+                        units[i] = vec / norm
+                    made += 1
     except BaseException:
         with store.lock:
+            store.misses += calls
             store.insert([batch[i] for i in misses[:made]], units[misses[:made]])
         raise
     with store.lock:
         held = store.insert(batch, units)
+        store.misses += calls
         store.hits += len(texts) - len(misses)
         state = store.state
     if len(batch) < len(texts):  # a text repeats

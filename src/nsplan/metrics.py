@@ -13,10 +13,18 @@ run of degenerate pivots. The marginals are integer token counts scaled to
 a common total, so every flow is an exact integer and the plan depends only
 on the input. Both embedding scorers score each unordered token pair once,
 in the provider's ``token_table``.
+
+Every scorer reads a text through two caches of the last four texts,
+``_toks`` (its tokens) and ``_bag`` (its bag of words), so a pair
+tokenizes each text once and builds each bag once. They hold only
+tuples, so no caller can alter a shared entry, and four texts, so they
+reuse a text only within a pair and a one-pass run gains as much as a
+repeated one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,8 +42,22 @@ def plan_text(steps):
     return ". ".join(steps)
 
 
+@functools.lru_cache(maxsize=4)
+def _toks(text):
+    """The tokens of ``text``, as a tuple."""
+    return tuple(tokenize(text))
+
+
+@functools.lru_cache(maxsize=4)
+def _bag(text):
+    """The sorted vocabulary of ``text`` and the integer count of each word, as two tuples."""
+    counts = Counter(_toks(text))
+    vocab = tuple(sorted(counts))
+    return vocab, tuple(map(counts.__getitem__, vocab))
+
+
 def _ngram_counts(tokens, n):
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[k:] for k in range(n)]))
 
 
 def sentence_bleu(pred, ref):
@@ -43,16 +65,13 @@ def sentence_bleu(pred, ref):
     smoothed to 1e-9 so short near-misses stay comparable; the order is
     capped at the prediction length so one-word predictions do not zero out
     on missing 4-grams."""
-    pred_tokens = tokenize(pred)
-    ref_tokens = tokenize(ref)
+    pred_tokens, ref_tokens = _toks(pred), _toks(ref)
     if not pred_tokens:
         return 0.0
     max_order = min(4, len(pred_tokens))
     log_sum = 0.0
     for n in range(1, max_order + 1):
-        pred_counts = _ngram_counts(pred_tokens, n)
-        ref_counts = _ngram_counts(ref_tokens, n)
-        clipped = sum(min(c, ref_counts[g]) for g, c in pred_counts.items())
+        clipped = sum((_ngram_counts(pred_tokens, n) & _ngram_counts(ref_tokens, n)).values())
         total = max(len(pred_tokens) - n + 1, 1)
         log_sum += math.log(max(clipped, 1e-9) / total)
     geo_mean = math.exp(log_sum / max_order)
@@ -61,13 +80,10 @@ def sentence_bleu(pred, ref):
 
 
 def rouge1_f1(pred, ref):
-    pred_counts = Counter(tokenize(pred))
-    ref_counts = Counter(tokenize(ref))
-    overlap = sum(min(c, ref_counts[t]) for t, c in pred_counts.items())
-    p_total = sum(pred_counts.values())
-    r_total = sum(ref_counts.values())
-    precision = overlap / p_total if p_total else 0.0
-    recall = overlap / r_total if r_total else 0.0
+    pred_tokens, ref_tokens = _toks(pred), _toks(ref)
+    overlap = sum((Counter(pred_tokens) & Counter(ref_tokens)).values())
+    precision = overlap / len(pred_tokens) if pred_tokens else 0.0
+    recall = overlap / len(ref_tokens) if ref_tokens else 0.0
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -75,7 +91,7 @@ def rouge1_f1(pred, ref):
 
 def _tokens(pred, ref, scorer):
     """The tokens of both texts; an empty side is a ValueError naming ``scorer``."""
-    pred_tokens, ref_tokens = tokenize(pred), tokenize(ref)
+    pred_tokens, ref_tokens = _toks(pred), _toks(ref)
     if not pred_tokens or not ref_tokens:
         raise ValueError(f"{scorer} needs nonempty texts on both sides")
     return pred_tokens, ref_tokens
@@ -88,13 +104,6 @@ class TransportPlan:
     cost: np.ndarray
     plan: np.ndarray
     distance: float
-
-
-def _nbow(tokens):
-    """Sorted vocabulary and the integer count of each word."""
-    counts = Counter(tokens)
-    vocab = sorted(counts)
-    return vocab, [counts[t] for t in vocab]
 
 
 # A cell enters the basis only when its reduced cost is below -REDUCED_COST_TOL.
@@ -234,8 +243,7 @@ def wmd_transport(pred, ref, provider):
     ``token_table`` into a fresh array. Returns the full plan so
     feasibility can be checked downstream."""
     pred_tokens, ref_tokens = _tokens(pred, ref, "word mover's distance")
-    vocab_p, counts_p = _nbow(pred_tokens)
-    vocab_r, counts_r = _nbow(ref_tokens)
+    (vocab_p, counts_p), (vocab_r, counts_r) = _bag(pred), _bag(ref)
     n_p, n_r = len(pred_tokens), len(ref_tokens)
     table = token_table(provider, vocab_p + vocab_r)
     cost = table.distances([table.index[t] for t in vocab_p], [table.index[t] for t in vocab_r])
@@ -260,10 +268,9 @@ def wmd(pred, ref, provider):
     distributions short-circuit to distance zero.
     """
     pred_tokens, ref_tokens = _tokens(pred, ref, "word mover's distance")
-    vocab_p, counts_p = _nbow(pred_tokens)
-    vocab_r, counts_r = _nbow(ref_tokens)
-    key_p = (tuple(vocab_p), tuple(c / len(pred_tokens) for c in counts_p))
-    key_r = (tuple(vocab_r), tuple(c / len(ref_tokens) for c in counts_r))
+    (vocab_p, counts_p), (vocab_r, counts_r) = _bag(pred), _bag(ref)
+    key_p = (vocab_p, tuple(c / len(pred_tokens) for c in counts_p))
+    key_r = (vocab_r, tuple(c / len(ref_tokens) for c in counts_r))
     if key_p == key_r:
         return 0.0, 1.0
     first, second = (pred, ref) if key_p <= key_r else (ref, pred)

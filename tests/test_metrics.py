@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -563,3 +565,79 @@ def test_math_isfinite_everywhere(hash_embedder):
     for pred, ref in [("walk", "walk to"), ("a b c", "c b a"), ("x", "y")]:
         row = evaluate_pair(pred, ref, hash_embedder)
         assert all(math.isfinite(v) for v in row.values())
+
+
+# Texts that recur across pairs: one-token sides, repeated n-grams, and
+# texts that differ only in case and punctuation, so they share tokens.
+READ_POOL = [
+    "soap",
+    "walk",
+    "walk to the walk to the walk",
+    "wash hair. wash hair. wash hair",
+    "Wash hair, wash hair!",
+    "find soap. wash hair. dry off",
+    "dry off. wash hair. find soap",
+    "sit on sofa and turn tv on",
+    "the the the the",
+    "walk to the bathroom. find soap. walk to the bathroom",
+]
+
+
+@st.composite
+def _interleaved_pairs(draw):
+    """(pred, ref) pairs over ``READ_POOL``, each followed at random by its swap."""
+    pairs = []
+    for pred, ref in draw(st.lists(st.tuples(st.sampled_from(READ_POOL), st.sampled_from(READ_POOL)), max_size=12)):
+        pairs.append((pred, ref))
+        if draw(st.booleans()):
+            pairs.append((ref, pred))
+    return pairs
+
+
+class TestEachTextReadOnce:
+    """The scorers read each text through a cache of the last four; a stale
+    entry would show as a score off its oracle or an extra tokenize call."""
+
+    @given(_interleaved_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_scores_in_sequence_equal_the_oracles(self, hash_embedder, pairs):
+        for pred, ref in pairs:
+            pred_tokens, ref_tokens = tokenize(pred), tokenize(ref)
+            assert sentence_bleu(pred, ref) == oracles.bleu_oracle(pred_tokens, ref_tokens)
+            assert rouge1_f1(pred, ref) == oracles.rouge1_oracle(pred_tokens, ref_tokens)
+            want = oracles.embed_match_f1_oracle(pred_tokens, ref_tokens, hash_embedder)
+            assert embed_match_f1(pred, ref, hash_embedder) == want
+
+    @pytest.mark.parametrize(
+        "pred,ref,solves",
+        [
+            ("find the towel in the linen closet. dry off", "walk to the bathroom. grab the towel", True),
+            ("rinse the cup, then dry the cup", "dry the cup. then rinse the cup", False),  # one bag: no solve
+        ],
+        ids=["solve", "short-circuit"],
+    )
+    def test_a_pair_tokenizes_each_text_once(self, monkeypatch, hash_embedder, pred, ref, solves):
+        for pair in [("walk", "soap"), ("sit", "dry")]:  # four texts: the cache holds no other
+            evaluate_pair(*pair, hash_embedder)
+        calls = []
+        monkeypatch.setattr(metrics, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        row = evaluate_pair(pred, ref, hash_embedder)
+        assert sorted(calls) == sorted([pred, ref])
+        assert (row["wmd_distance"] > 0) == solves
+        evaluate_pair(ref, pred, hash_embedder)
+        assert len(calls) == 2
+
+    def test_threads_sharing_one_provider_score_as_a_serial_run(self):
+        rng = random.Random(11)
+        pairs = [(rng.choice(READ_POOL), rng.choice(READ_POOL)) for _ in range(300)]
+        alone, shared = HashEmbedding(), HashEmbedding()
+        serial = [evaluate_pair(pred, ref, alone) for pred, ref in pairs]
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = list(executor.map(lambda pair: evaluate_pair(*pair, shared), pairs))
+            finally:
+                sys.setswitchinterval(interval)
+        bits = [[float.hex(row[m]) for m in METRIC_NAMES] for row in serial]
+        assert [[float.hex(row[m]) for m in METRIC_NAMES] for row in got] == bits
