@@ -9,10 +9,11 @@ columns ``weights`` and ``tail_ids``, reads each distinct tail's row by
 node id from the provider's vector store, scores every distinct tail with one
 gather and takes the exact cosine only for the tails that score cannot
 rule out, so its output is bit-equal to scoring each tail exactly. The
-exact pass rebuilds those tails' rows into one block with one scatter and
-takes one ``np.dot`` per row: ``embeddings.cosine_of_dot`` over that dot,
-the node's stored norm and the task vector's norm, taken once per call,
-is ``cosine`` of the two vectors bit for bit. It builds triplets, with
+exact pass rebuilds those tails' rows into one block with
+``embeddings._rebuilt`` and takes one ``np.dot`` per row:
+``embeddings.cosine_of_dot`` over that dot, the node's stored norm and
+the task vector's norm, taken once per call, is ``cosine`` of the two
+vectors bit for bit. It builds triplets, with
 one ``graph.triplets`` gather, only for the ranks it keeps.
 Selection then ranks tail nodes by their best incident adapted weight and
 keeps the top min(k, concept_ratio * task token count) nodes; it takes and
@@ -120,7 +121,8 @@ def adapt_weights(graph, ranks, task_text, provider, cfg):
     is_first = first == at
     tail_row = (np.cumsum(is_first) - 1)[first]
     nodes = tails[is_first]
-    (_, indptr, norms, values, dims), rows = _rows(graph, provider, nodes)
+    state, rows = _rows(graph, provider, nodes)
+    _, indptr, norms, values, dims = state
     start = indptr[rows]
     length = indptr[rows + 1] - start
     norm = norms[rows]
@@ -134,9 +136,7 @@ def adapt_weights(graph, ranks, task_text, provider, cfg):
     shortlisted = np.zeros(len(nodes), bool)
     shortlisted[shortlist_rows] = True
     exact_rows = np.flatnonzero(shortlisted)
-    block = np.zeros((len(exact_rows), len(task_vec)))
-    entries = embeddings.positions(start[exact_rows], length[exact_rows])
-    block[np.repeat(np.arange(len(exact_rows)), length[exact_rows]), dims[entries]] = values[entries]
+    block = embeddings._rebuilt(state, rows[exact_rows], len(task_vec))
     task_norm = embeddings.row_norms(task_vec[np.newaxis]).item()
     exact = np.empty(len(nodes))
     exact[exact_rows] = [

@@ -36,19 +36,21 @@ else the dot over the product of the norms, clamped to [-1, 1]. Callers
 that score one vector many times keep its norm: ``row_norms`` takes
 ``np.linalg.norm`` of each row of a matrix, one call per row (a norm over
 an axis sums the squares in another order), so a stored norm is the one
-``cosine`` would take. The vector store keeps each row's norm and the
-token table each token's, and adaption and the metrics score a pair with
-``cosine_of_dot`` over them, bit-equal to ``cosine``.
+``cosine`` would take. The vector store keeps each row's norm, and
+adaption and the token table score a pair with ``cosine_of_dot`` over
+the stored norms, bit-equal to ``cosine``.
 
 Each provider has one ``VectorStore`` (held weakly, so a provider must be
-hashable and weak-referenceable), the only copy of its unit vectors, in
-compressed rows as in Saad, *Iterative Methods for Sparse Linear Systems*
-(2003), section 3.4: a dict from text to row, and flat arrays of row
-offsets, norms, and the float64 values and int32 dimensions of the
-entries whose bits are not all zero (``-0.0`` included), so a row rebuilt
-into zeros is the first result bit for bit. Plans that share a provider
-embed a repeated text without asking the provider again, and adaption
-reads a graph's tails from the same rows by node id. The store is bounded
+hashable and weak-referenceable), the only copy of its unit vectors but
+one: each admissible set keeps its steps' dense matrix from ``embed_many``
+for BLAS products. The store holds them in compressed rows as in Saad,
+*Iterative Methods for Sparse Linear Systems* (2003), section 3.4: a dict
+from text to row, and flat arrays of row offsets, norms, and the float64
+values and int32 dimensions of the entries whose bits are not all zero
+(``-0.0`` included), so a row rebuilt into zeros is the first result bit
+for bit. Plans that share a provider embed a repeated text without
+asking the provider again, and adaption reads a graph's tails from the
+same rows by node id. The store is bounded
 by the bytes its texts and arrays hold (``MEMO_BUDGET_BYTES``): an insert
 that would go over the budget clears it first, the rule of ``Memo``,
 which ``admissible`` keeps for its translations and ``kg`` for its
@@ -57,21 +59,21 @@ asked for, alone or in a batch, is one of them, exactly, under threads
 too; a miss is a text the store did not hold, which the provider was
 asked to embed. ``memo_clears`` reports how many times the store cleared.
 
-``token_table`` keeps a second per-provider store, also held weakly, for
-the metrics, which score single tokens against each other. It holds each
-token's vector, taken from ``embed_many``, with its ``row_norms`` norm,
-and two tables over token pairs: ``cosine`` of the two vectors, scored by
-``cosine_of_dot`` over the stored norms, and their Euclidean distance,
-``np.sqrt`` of ``(d * d).sum()`` over ``d = a - b``. Both are symmetric
-bit for bit, so a pair is scored with that arithmetic once, the first
-time a caller asks for it in either order, and read back from either
-cell after: a gathered block is bit-equal to scoring the pair of texts
-directly, and a new token costs only the pairs asked for. The rows, their
-norms and the tables grow by doubling their capacity and are bounded by
-the same ``MEMO_BUDGET_BYTES``: an insert whose rows would not fit starts
-a table of the caller's tokens alone. A grown table is
-published whole, by one store, so a thread reads either the table before
-an insert or the one after it.
+``token_table`` keeps, per provider and also held weakly, the scores of
+the token pairs the metrics ask for, and no vector: a token's vector and
+norm are read from the store, with one ``embed_rows`` per fill. Of the
+two tables over token pairs, one holds ``cosine`` of the two vectors,
+scored by ``cosine_of_dot`` over the stored norms, the other their
+Euclidean distance, ``np.sqrt`` of ``(d * d).sum()`` over ``d = a - b``.
+Both are symmetric bit for bit, so a pair is scored with that arithmetic
+once, the first time a caller asks for it in either order, and read back
+from either cell after: a gathered block is bit-equal to scoring the pair
+of texts directly, and a new token costs only the pairs asked for. The
+tables grow by doubling their capacity and are bounded by the same
+``MEMO_BUDGET_BYTES``, which n rows fit when 16 * n**2 bytes do: an
+insert whose rows would not fit starts a table of the caller's tokens
+alone. A grown table is published whole, by one store, so a thread reads
+either the table before an insert or the one after it.
 """
 
 from __future__ import annotations
@@ -504,89 +506,83 @@ def row_norms(rows):
 
 class TokenTable:
     """One provider's tokens and the scores of the token pairs asked for so
-    far. ``index`` maps a token to its row of ``vectors``, and ``norms[i]``
-    is ``row_norms`` of row ``i``, the norm ``cosine`` would take of it;
-    ``cos[i, j]`` is ``cosine`` of row ``i``'s vector and row ``j``'s, and
-    ``dist[i, j]`` their Euclidean distance, both symmetric, or NaN while no
-    caller has asked for the pair. Rows from ``len(index)`` on are spare
-    capacity. Threads that score one pair at once write the same bits, so
-    filling a pair, ``[i, j]`` and ``[j, i]``, needs no lock."""
+    far. ``tokens[i]`` is the token of row ``i`` and ``index`` maps it back;
+    ``cos[i, j]`` is ``cosine`` of the two tokens' vectors and ``dist[i,
+    j]`` their Euclidean distance, both symmetric, or NaN while no caller
+    has asked for the pair. Rows from ``len(index)`` on are spare capacity.
+    The vectors are read from the vector store when a pair is scored.
+    Threads that score one pair at once write the same bits, so filling a
+    pair, ``[i, j]`` and ``[j, i]``, needs no lock."""
 
-    def __init__(self, index, vectors, norms, cos, dist):
+    def __init__(self, tokens, index, cos, dist):
+        self.tokens = tokens
         self.index = index
-        self.vectors = vectors
-        self.norms = norms
         self.cos = cos
         self.dist = dist
         # next() is atomic, so one insert alone may fill the spare rows in place
         self.spare_claims = itertools.count()
 
-    def cosines(self, a, b):
-        """``cosine`` of each row in ``a`` with each row in ``b``, as a fresh
-        array; each unordered pair is computed once, by ``cosine_of_dot``
-        over the stored norms, then read from ``cos``."""
-        block = self.cos[np.ix_(a, b)]
-        vectors, norms = self.vectors, self.norms
-        for i, j in zip(*np.nonzero(np.isnan(block))):
-            p, q = a[i], b[j]
-            if math.isnan(self.cos[p, q]):  # not filled above as the mirror of another cell
-                self.cos[p, q] = self.cos[q, p] = cosine_of_dot(np.dot(vectors[p], vectors[q]), norms[p], norms[q])
-            block[i, j] = self.cos[p, q]
-        return block
+    def cosines(self, provider, a, b):
+        """``cosine`` of each row in ``a`` with each row in ``b``, as a fresh array."""
+        return self._scores(provider, self.cos, a, b)
 
-    def distances(self, a, b):
-        """The Euclidean distance of each row in ``a`` to each row in ``b``,
-        as a fresh array. A row of the block with a pair not asked for
-        before is computed whole, over ``d = a - b``, into its row and column."""
-        block = self.dist[np.ix_(a, b)]
-        for i in np.flatnonzero(np.isnan(block).any(axis=1)):
-            d = self.vectors[a[i]] - self.vectors[b]
-            block[i] = self.dist[a[i], b] = self.dist[b, a[i]] = np.sqrt((d * d).sum(axis=1))
-        return block
+    def distances(self, provider, a, b):
+        """The Euclidean distance of each row in ``a`` to each row in ``b``, as a fresh array."""
+        return self._scores(provider, self.dist, a, b)
+
+    def _scores(self, provider, scores, a, b):
+        """The block of ``scores``, ``cos`` or ``dist``, over rows ``a`` and
+        ``b``, as a fresh array. Each row of ``a`` with a pair not asked for
+        before is filled in both tables from the tokens' rows of
+        ``provider``'s store and their stored norms, read with one
+        ``embed_rows``: the distances over ``d = a - b`` into its row and
+        column, and each unordered pair's ``cosine_of_dot`` once."""
+        block = scores[np.ix_(a, b)]
+        filled = [a[i] for i in np.flatnonzero(np.isnan(block).any(axis=1))]
+        if not filled:
+            return block
+        state, rows, _ = embed_rows(provider, [self.tokens[p] for p in (*b, *filled)])
+        vectors, norms = _rebuilt(state, rows, provider.dim), state[2][rows].tolist()
+        cos, dist, width = self.cos, self.dist, len(b)
+        for k, p in enumerate(filled, start=width):
+            for j, q in enumerate(b):
+                if math.isnan(cos[p, q]):  # not filled above as the mirror of another cell
+                    cos[p, q] = cos[q, p] = cosine_of_dot(np.dot(vectors[k], vectors[j]), norms[k], norms[j])
+            d = vectors[k] - vectors[:width]
+            dist[p, b] = dist[b, p] = np.sqrt((d * d).sum(axis=1))
+        return scores[np.ix_(a, b)]
 
 
 _TABLES = weakref.WeakKeyDictionary()
-
-
-def _empty_table(dim):
-    return TokenTable({}, np.zeros((0, dim)), np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
+_NO_TOKENS = TokenTable((), {}, np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def token_table(provider, tokens):
     """A ``TokenTable`` of ``provider`` that holds every one of ``tokens``.
 
-    Missing tokens are embedded before anything is written, so a provider
-    that fails leaves the table as it was. Their vectors then go to spare
-    rows: in place when the capacity suffices and no other insert has
-    claimed those rows, else into a copy twice as large, or as large as
-    ``MEMO_BUDGET_BYTES`` allows. When even that is too small the new table
-    holds ``tokens`` alone. The result is stored with one assignment, and
-    its first ``len(index)`` rows never change but for NaN scores filled in.
+    Missing tokens take spare rows: in place when the capacity suffices and
+    no other insert has claimed those rows, else in a copy twice as large,
+    or as large as ``MEMO_BUDGET_BYTES`` allows. When even that is too small
+    the new table holds ``tokens`` alone. The result is stored with one
+    assignment, and its first ``len(index)`` rows never change but for NaN
+    scores filled in.
     """
-    dim = provider.dim
-    table = _TABLES.get(provider) or _empty_table(dim)
+    table = _TABLES.get(provider, _NO_TOKENS)
     tokens = list(dict.fromkeys(tokens))
     new = [t for t in tokens if t not in table.index]
     if not new:
         return table
-    # the most rows whose arrays, 8 * fit * (2 * fit + dim + 1) bytes, stay within the budget
-    fit = (math.isqrt((dim + 1) ** 2 + MEMO_BUDGET_BYTES) - dim - 1) // 4
+    fit = math.isqrt(MEMO_BUDGET_BYTES // 16)  # the most rows whose two tables, 16 * fit**2 B, fit the budget
     if len(table.index) + len(new) > fit:
-        table, new = _empty_table(dim), tokens
-    vectors = embed_many(provider, new)
+        table, new = _NO_TOKENS, tokens
     size, need = len(table.index), len(table.index) + len(new)
-    if need <= len(table.vectors) and next(table.spare_claims) == 0:
-        rows, norms, cos, dist = table.vectors, table.norms, table.cos, table.dist
+    if need <= len(table.cos) and next(table.spare_claims) == 0:
+        cos, dist = table.cos, table.dist
     else:
-        cap = max(need, min(2 * len(table.vectors), fit))
-        rows, norms = np.zeros((cap, dim)), np.zeros(cap)
+        cap = max(need, min(2 * len(table.cos), fit))
         cos, dist = np.full((cap, cap), np.nan), np.full((cap, cap), np.nan)
-        rows[:size] = table.vectors[:size]
-        norms[:size] = table.norms[:size]
         cos[:size, :size] = table.cos[:size, :size]
         dist[:size, :size] = table.dist[:size, :size]
-    rows[size:need] = vectors
-    norms[size:need] = row_norms(vectors)
-    table = TokenTable({**table.index, **dict(zip(new, range(size, need)))}, rows, norms, cos, dist)
+    table = TokenTable((*table.tokens, *new), {**table.index, **dict(zip(new, range(size, need)))}, cos, dist)
     _TABLES[provider] = table
     return table

@@ -109,7 +109,10 @@ def _row(head, relation, tail, weight):
     float, or ValueError naming what is wrong."""
     if type(weight) not in (int, float):
         raise ValueError(f"weight must be a number, got {weight!r}")
-    weight = float(weight)
+    try:
+        weight = float(weight)
+    except OverflowError:  # an int past the float range, not printed: its str() can raise too
+        raise ValueError("triplet weight must be a finite positive number, got an int past the float range") from None
     if not head or not tail:
         raise ValueError("triplet head and tail must be nonempty")
     if not 0 < weight < math.inf:

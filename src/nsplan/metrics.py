@@ -246,7 +246,7 @@ def wmd_transport(pred, ref, provider):
     (vocab_p, counts_p), (vocab_r, counts_r) = _bag(pred), _bag(ref)
     n_p, n_r = len(pred_tokens), len(ref_tokens)
     table = token_table(provider, vocab_p + vocab_r)
-    cost = table.distances([table.index[t] for t in vocab_p], [table.index[t] for t in vocab_r])
+    cost = table.distances(provider, [table.index[t] for t in vocab_p], [table.index[t] for t in vocab_r])
 
     flow = _transport_simplex([c * n_r for c in counts_p], [c * n_p for c in counts_r], cost)
     plan = flow / (n_p * n_r)
@@ -290,7 +290,7 @@ def embed_match_f1(pred, ref, provider):
     pred_tokens, ref_tokens = _tokens(pred, ref, "embedding-match F1")
     vocab_p, vocab_r = list(dict.fromkeys(pred_tokens)), list(dict.fromkeys(ref_tokens))
     table = token_table(provider, vocab_p + vocab_r)
-    block = table.cosines([table.index[t] for t in vocab_p], [table.index[t] for t in vocab_r])
+    block = table.cosines(provider, [table.index[t] for t in vocab_p], [table.index[t] for t in vocab_r])
     best_p = dict(zip(vocab_p, block.max(axis=1).tolist()))
     best_r = dict(zip(vocab_r, block.max(axis=0).tolist()))
     precision = sum(best_p[t] for t in pred_tokens) / len(pred_tokens)

@@ -173,12 +173,14 @@ class TestSymmetry:
     @settings(max_examples=200, deadline=None)
     def test_row_distance_is_symmetric(self, pair):
         # two fresh tables, so neither block is read back from the other
-        first, second = (embeddings.token_table(_Rows({"a": pair[0], "b": pair[1]}), ["a", "b"]) for _ in range(2))
+        providers = [_Rows({"a": pair[0], "b": pair[1]}) for _ in range(2)]
+        first, second = (embeddings.token_table(provider, ["a", "b"]) for provider in providers)
         rows = [first.index["a"], first.index["b"]]
-        forward = first.distances(rows[:1], rows)
-        backward = second.distances(rows[::-1], rows[:1])
+        forward = first.distances(providers[0], rows[:1], rows)
+        backward = second.distances(providers[1], rows[::-1], rows[:1])
         assert forward.tobytes() == backward.T[:, ::-1].tobytes()
-        assert first.cosines(rows[:1], rows[1:])[0, 0].hex() == second.cosines(rows[1:], rows[:1])[0, 0].hex()
+        assert (first.cosines(providers[0], rows[:1], rows[1:])[0, 0].hex()
+                == second.cosines(providers[1], rows[1:], rows[:1])[0, 0].hex())
 
 
 # entries that are tiny (subnormal too), huge, zero or -0.0, or plain

@@ -179,6 +179,17 @@ class TestIngest:
             kg.ingest(lines, fmt=fmt, strict=True)
         assert err.value.line_no == 2
 
+    def test_an_int_weight_past_the_float_range_is_a_value_error(self):
+        # the message must not print the int: str() of one over 4,300 digits raises on its own
+        with pytest.raises(ValueError, match="int past the float range") as err:
+            KnowledgeGraph([("a", "Causes", "b", 10**400)])
+        assert "0" * 400 not in str(err.value)
+        for fmt, row in [("jsonl", jsonl_row), ("conceptnet-tsv", tsv_line)]:
+            lines = [row("a", "UsedFor", "b", 1.0), row("c", "Causes", "d", 1.0).replace("1.0", "1" + "0" * 400)]
+            with pytest.raises(InputError, match="int past the float range") as err:
+                kg.ingest(lines, fmt=fmt, strict=True)
+            assert err.value.line_no == 2 and "0" * 400 not in str(err.value)
+
     @settings(max_examples=300, deadline=None)
     @given(
         fmt=st.sampled_from(["jsonl", "conceptnet-tsv"]),

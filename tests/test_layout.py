@@ -14,6 +14,8 @@ and ``row_norms`` take a norm (providers hand out raw vectors, ``embed_rows``
 alone normalizes them, and every cosine, the token table's and adaption's with
 their stored norms included, is ``cosine_of_dot`` over norms that
 ``cosine`` or ``row_norms`` took, so no module takes a norm of its own), only
+the vector store's ``_append`` and ``adaption.adapt_weights`` call
+``row_norms`` (the store keeps the only copy of each row's norm), only
 ``embed_rows`` (and the table's hash fallback) calls a provider's own
 ``.embed``, so no caller skips the vector store or the vector contract, every
 parameter with a default is set by some call in the program (an option that only
@@ -151,6 +153,15 @@ def test_only_embed_and_the_cosines_take_a_norm():
     }
     assert callers <= allowed, f"norm() is called outside {sorted(allowed)}: {callers - allowed}"
     assert {"embeddings.embed_rows", "embeddings.row_norms"} <= callers
+
+
+def test_only_the_store_and_adaption_take_stored_norms():
+    """The store keeps each row's norm and adaption takes its task vector's:
+    no other module keeps a second copy of the stored norms."""
+    callers = {
+        f"{p.stem}.{caller}" for p in MODULES for caller in _callers(p, lambda call: _called(call) == "row_norms")
+    }
+    assert callers == {"embeddings.VectorStore._append", "adaption.adapt_weights"}, callers
 
 
 def test_only_embed_calls_a_provider():

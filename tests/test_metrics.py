@@ -369,8 +369,8 @@ def _tensor_cost(pred, ref, provider):
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-# 8 * 3 * (2 * 3 + 32 + 1) bytes: three rows of a dim-32 table, their norms included, so most calls clear it
-THREE_ROWS = 936
+# 16 * 3**2 bytes: the two pair tables of three rows, so most calls clear it
+THREE_ROWS = 144
 
 
 class TestTokenTable:
@@ -393,20 +393,20 @@ class TestTokenTable:
     def test_grows_by_doubling_and_shares_rows_until_then(self):
         provider = HashEmbedding(dim=8)
         tables = [embeddings.token_table(provider, WORDS[: i + 1]) for i in range(5)]
-        assert [len(t.vectors) for t in tables] == [1, 2, 4, 4, 8]
+        assert [len(t.cos) for t in tables] == [1, 2, 4, 4, 8]
         assert tables[3].cos is tables[2].cos and tables[4].cos is not tables[3].cos
         assert [len(t.index) for t in tables] == [1, 2, 3, 4, 5]
 
     def test_cosines_after_a_growth_equal_cosine(self):
         # the table grows at the second, third and fifth token, so the
-        # first tokens' norms are read from copies
+        # first tokens' rows are read from copies
         provider, words = HashEmbedding(dim=16), ["soap", "hair", "sofa", "tv", "walk"]
         for word in words:
             table = embeddings.token_table(provider, [word])
-        assert len(table.vectors) == 8
+        assert len(table.cos) == 8
         rows = [table.index[w] for w in words]
         want = [[cosine(embed(provider, a), embed(provider, b)) for b in words] for a in words]
-        assert table.cosines(rows, rows).tobytes() == np.array(want).tobytes()
+        assert table.cosines(provider, rows, rows).tobytes() == np.array(want).tobytes()
 
     def test_a_budget_clear_keeps_the_callers_tokens_alone(self, monkeypatch):
         provider = HashEmbedding(dim=32)
@@ -431,14 +431,13 @@ class TestTokenTable:
         assert first.index["tv"] == second.index["walk"] == 3
         for table, token in [(first, "tv"), (second, "walk")]:
             vec = embed(provider, token)
-            assert table.cosines([3], [1])[0, 0] == cosine(vec, embed(provider, "hair"))
+            assert table.cosines(provider, [3], [1])[0, 0] == cosine(vec, embed(provider, "hair"))
 
     def test_each_unordered_pair_is_scored_by_one_cosine_call(self, monkeypatch):
         # the two sides share "hair" and "dry", so the block holds both
         # (hair, dry) and (dry, hair); each pair is scored once, in either order
         pred, ref = "wash hair dry hair", "dry off hair"
         provider = _circle(wash=0, hair=30, dry=70, off=140)
-        token_of = {embed(provider, t).tobytes(): t for t in ["wash", "hair", "dry", "off"]}
         want = [oracles.embed_match_f1_oracle(tokenize(p), tokenize(r), provider) for p, r in [(pred, ref), (ref, pred)]]
         calls, cosine_of_dot = [], embeddings.cosine_of_dot
         monkeypatch.setattr(embeddings, "cosine_of_dot", lambda *args: calls.append(args) or cosine_of_dot(*args))
@@ -446,11 +445,56 @@ class TestTokenTable:
         wmd_transport(pred, ref, provider)
         assert embed_match_f1(ref, pred, provider) == want[1]
         table = embeddings.token_table(provider, [])
-        vectors = table.vectors[: len(table.index)]
-        scored = {frozenset((token_of[vectors[i].tobytes()], token_of[vectors[j].tobytes()]))
-                  for i, j in zip(*np.nonzero(~np.isnan(table.cos[: len(vectors), : len(vectors)])))}
+        size = len(table.index)
+        scored = {frozenset((table.tokens[i], table.tokens[j]))
+                  for i, j in zip(*np.nonzero(~np.isnan(table.cos[:size, :size])))}
         assert len(calls) == len(scored) == 8
         assert scored == {frozenset((p, r)) for p in tokenize(pred) for r in tokenize(ref)}
+
+    @given(_growing_calls())
+    @settings(max_examples=40, deadline=None)
+    def test_both_tables_hold_the_same_pairs_in_both_orders(self, calls):
+        provider = HashEmbedding(dim=8)
+        for pred, ref in calls:
+            embed_match_f1(pred, ref, provider)
+            wmd_transport(pred, ref, provider)
+        table = embeddings.token_table(provider, [])
+        size = len(table.index)
+        filled = ~np.isnan(table.cos[:size, :size])
+        assert (filled == filled.T).all()
+        assert (filled == ~np.isnan(table.dist[:size, :size])).all()
+
+    def test_the_vector_store_is_the_only_copy_of_a_token_vector(self):
+        # a table of these few tokens never has 48 rows, so only a vector has 48 entries
+        provider = HashEmbedding(dim=48)
+        pairs = [(" ".join(WORDS[i:i + 4]), " ".join(WORDS[i + 2:i + 9:2])) for i in range(0, 12, 3)]
+        for pred, ref in pairs:
+            embed_match_f1(pred, ref, provider)
+            wmd_transport(pred, ref, provider)
+        tokens = {t for pair in pairs for text in pair for t in tokenize(text)}
+        assert embeddings.memo_counts(provider)["misses"] == len(tokens)
+        table = embeddings.token_table(provider, [])
+        assert set(table.index) == tokens
+        held = {name: value.shape for name, value in vars(table).items() if isinstance(value, np.ndarray)}
+        assert held and not [name for name, shape in held.items() if 48 in shape], held
+
+    @pytest.mark.parametrize("scorer", ["embed_match_f1", "wmd_transport"])
+    def test_a_fill_whose_store_clears_matches_the_oracles(self, monkeypatch, scorer):
+        # the store is full of other texts, so the fill's one embed_rows
+        # call misses every token and clears the store to take them
+        pred, ref = "wash hair dry", "dry off hair"
+        reference = HashEmbedding(dim=32)
+        want = {
+            "embed_match_f1": oracles.embed_match_f1_oracle(tokenize(pred), tokenize(ref), reference),
+            "wmd_transport": _tensor_cost(pred, ref, reference).tobytes(),
+        }[scorer]
+        provider = HashEmbedding(dim=32)
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", 4 * THREE_ROWS)  # a table of 6 tokens
+        embeddings.embed_many(provider, ["one other text of many words", "and a second one like it"])
+        clears = embeddings.memo_clears(provider)
+        got = getattr(metrics, scorer)(pred, ref, provider)
+        assert embeddings.memo_clears(provider) > clears
+        assert (got if scorer == "embed_match_f1" else got.cost.tobytes()) == want
 
     def test_cost_is_a_fresh_array(self, hash_embedder):
         t = wmd_transport("find soap", "wash hair", hash_embedder)
