@@ -28,6 +28,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -81,7 +82,8 @@ def sentence_bleu(pred, ref):
 
 def rouge1_f1(pred, ref):
     pred_tokens, ref_tokens = _toks(pred), _toks(ref)
-    overlap = sum((Counter(pred_tokens) & Counter(ref_tokens)).values())
+    (vocab_p, counts_p), (vocab_r, counts_r) = _bag(pred), _bag(ref)
+    overlap = sum(map(min, counts_p, map(dict(zip(vocab_r, counts_r)).get, vocab_p, repeat(0))))
     precision = overlap / len(pred_tokens) if pred_tokens else 0.0
     recall = overlap / len(ref_tokens) if ref_tokens else 0.0
     if precision + recall == 0.0:

@@ -9,6 +9,14 @@ after optional whitespace and an optional index prefix "3.", "3:" or
 N is at least 1. ACTION runs to the first "]" and OBJECT to the first ">";
 each is stripped of edge whitespace, must not be blank, and keeps its case.
 WS is any run of whitespace, possibly empty.
+
+Parsing a line and rendering a step in natural style are pure, and a
+dataset repeats few distinct lines many times, so each is memoized:
+``parse_robothow_step`` by the line and the natural render by the step's
+action and object. Each memo holds at most ``STEP_CACHE_LINES`` entries,
+only strings and frozen steps, so no caller can alter a shared entry. A
+raise is not cached: a bad line is parsed again, and raises the same error,
+each time it is met.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ from importlib import resources
 from ._files import read_jsonl
 
 log = logging.getLogger(__name__)
+
+# The bound of each step memo, in entries: a few hundred bytes each.
+STEP_CACHE_LINES = 4096
 
 
 class StepParseError(ValueError):
@@ -80,6 +91,7 @@ _PARTS = (
 )
 
 
+@lru_cache(maxsize=STEP_CACHE_LINES)
 def parse_robothow_step(line):
     """Parse one structured step line into a StructuredStep, raising
     StepParseError with a column position on the first mismatch."""
@@ -119,14 +131,22 @@ def render_step(step, style="dataset"):
         return f"[{step.action}] <{step.object}> ({step.instance})"
     if style != "natural":
         raise ValueError(f"unknown render style {style!r}")
+    return _natural(step.action, step.object)
+
+
+# Keyed by the two fields the natural style reads. The dataset style is not
+# memoized: it reads the instance, and StructuredStep(a, o, 1) equals
+# StructuredStep(a, o, True), so a memo of whole steps would hand "(1)" out
+# for "(True)".
+@lru_cache(maxsize=STEP_CACHE_LINES)
+def _natural(action, obj):
     templates = action_templates()
-    key = step.action.lower().replace(" ", "").replace("_", "")
+    key = action.lower().replace(" ", "").replace("_", "")
     pattern = templates.get(key)
     if pattern is None:
         known = ", ".join(sorted(templates))
-        raise ValueError(f"no natural template for action {step.action!r}; known actions: {known}")
-    obj = step.object.lower().replace("_", " ")
-    return pattern.format(object=obj)
+        raise ValueError(f"no natural template for action {action!r}; known actions: {known}")
+    return pattern.format(object=obj.lower().replace("_", " "))
 
 
 def is_str_list(value):

@@ -23,8 +23,9 @@ tests set is a constant or goes), and no error the package defines or
 raises is a ``LookupError`` (``str(KeyError(m))`` is ``repr(m)``, so its
 message would print quoted), each household relation is named, as a string
 constant outside docstrings, in one module only (its rule table's), and
-every module parses as Python 3.10, the oldest version ``pyproject.toml``
-supports.
+every ``functools`` cache is an ``lru_cache`` with an int maxsize (no cache
+grows for the life of the process), and every module parses as Python 3.10,
+the oldest version ``pyproject.toml`` supports.
 """
 
 import ast
@@ -278,6 +279,49 @@ def test_each_household_relation_is_named_in_one_module():
     naming = {r: sorted(name for name, found in constants.items() if r in found) for r in HOUSEHOLD_RELATIONS}
     spelled_twice = {r: names for r, names in naming.items() if len(names) != 1}
     assert not spelled_twice, f"household relations named in more or fewer than one module: {spelled_twice}"
+
+
+def _cache_bounds(path):
+    """The bound of each ``functools`` cache ``path`` makes, by line: the
+    int that a ``lru_cache(...)`` call's maxsize reads, as a literal or a
+    module-level constant, and None for any other use of ``lru_cache`` or
+    ``cache`` (a bare decorator, a maxsize of None or of another value)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools" for alias in node.names}
+    ints = {target.id: node.value.value for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+            for target in node.targets if isinstance(target, ast.Name)}
+
+    def cache(node):
+        if isinstance(node, ast.Name):
+            name = imported.get(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            name = node.attr
+        else:
+            return None
+        return name if name in ("lru_cache", "cache") else None
+
+    bounds, called = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and cache(node.func) == "lru_cache":
+            called.add(node.func)
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            size = sizes[0] if sizes else None
+            value = ints.get(size.id) if isinstance(size, ast.Name) else getattr(size, "value", None)
+            bounds.append((node.lineno, value if type(value) is int else None))
+    bounds += [(node.lineno, None) for node in ast.walk(tree) if cache(node) and node not in called]
+    return bounds
+
+
+def test_every_functools_cache_is_bounded():
+    """No cache grows for the life of the process: every ``lru_cache``
+    names an int maxsize, and nothing uses ``functools.cache``."""
+    bounds = {path.name: _cache_bounds(path) for path in MODULES}
+    unbounded = [f"{name}:{line}" for name, found in bounds.items() for line, size in found if size is None]
+    assert unbounded == []
+    # the scanner sees the caches of the metrics, the lexicon and the step grammar
+    assert {name for name, found in bounds.items() if found} >= {"metrics.py", "entities.py", "programs.py"}
 
 
 def test_every_module_parses_as_python_3_10():

@@ -1,13 +1,16 @@
 """Structured step grammar and task dataset loading."""
 
 import json
+import logging
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsplan import programs
+from nsplan import cli, programs
 from nsplan.errors import InputError
 from nsplan.programs import (
     StepParseError,
@@ -62,11 +65,23 @@ def _ordered_parse(line):
     return StructuredStep(action=m["action"].strip(), object=m["object"].strip(), instance=instance)
 
 
-def _outcome(parse, line):
+def _clear_memos():
+    parse_robothow_step.cache_clear()
+    programs._natural.cache_clear()
+
+
+def _dataset(path, plans):
+    path.write_text("".join(json.dumps({"task": f"T{i}", "steps": steps}) + "\n" for i, steps in enumerate(plans)))
+    return path
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type, message and column of the
+    ValueError it raises."""
     try:
-        return parse(line)
-    except StepParseError as err:
-        return str(err), err.column
+        return fn(*args)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "column", None)
 
 
 class TestParse:
@@ -211,6 +226,88 @@ class TestRender:
     def test_templates_is_cached_dict(self):
         assert action_templates() is action_templates()
         assert action_templates()["walk"] == "walk to {object}"
+
+
+# Whole step lines: near misses, and well-formed lines sharing actions,
+# objects and lengths, with an action that has no template.
+_STEP_LINES = st.one_of(
+    st.lists(st.one_of(st.sampled_from(_STEP_FRAGMENTS), st.text(max_size=3)), max_size=12).map("".join),
+    st.builds(
+        lambda prefix, action, obj, instance: f"{prefix}[{action}] <{obj}> ({instance})",
+        st.sampled_from(["", "2. "]), st.sampled_from(ACTIONS + ["Teleport"]), st.sampled_from(OBJECTS),
+        st.integers(1, 3),
+    ),
+)
+
+
+class TestStepMemo:
+    """Parsing and the natural render are memoized by their inputs; a stale
+    or shared entry would show as a result off the unmemoized function's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_STEP_LINES, min_size=1, max_size=5, unique=True).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=20)))
+    @example(["[Walk] <SOFA> (1)", "[Walk] <CHAIR> (1)", "[Walk] <SOFA> (2)", "[Walk] <SOFA> (1)"])
+    def test_memoized_parse_and_render_equal_the_unmemoized_ones(self, lines):
+        _clear_memos()
+        for line in lines:
+            step = _outcome(parse_robothow_step, line)
+            assert step == _outcome(parse_robothow_step.__wrapped__, line)
+            if isinstance(step, StructuredStep):
+                want = _outcome(programs._natural.__wrapped__, step.action, step.object)
+                assert _outcome(render_step, step, "natural") == want
+
+    def test_each_distinct_line_is_parsed_once_by_a_load_and_its_references(self, tmp_path):
+        plans = [
+            ["[Walk] <SOFA> (1)", "[Sit] <SOFA> (1)", "[Walk] <SOFA> (1)"],
+            ["1. [Walk] <SOFA> (1)", "[Walk] <SOFA> (2)", "[Sit] <SOFA> (1)"],
+            ["[Walk] <SOFA> (1)", "[Walk] <CHAIR> (1)"],
+        ]
+        path = _dataset(tmp_path / "d.jsonl", plans)
+        _clear_memos()
+        texts = [cli._reference_text(sample) for sample in load_task_dataset(path)]
+        assert texts[1] == "walk to sofa. walk to sofa. sit on sofa"
+        lines = [line for steps in plans for line in steps]
+        distinct = len(set(lines))  # 5: an index prefix makes another line
+        pairs = len({(s.action, s.object) for s in map(parse_robothow_step.__wrapped__, lines)})  # 3
+        parses = parse_robothow_step.cache_info()
+        assert (parses.misses, parses.hits) == (distinct, 2 * len(lines) - distinct)
+        renders = programs._natural.cache_info()
+        assert (renders.misses, renders.hits) == (pairs, len(lines) - pairs)
+
+    def test_a_repeated_bad_line_is_reported_at_each_of_its_lines(self, tmp_path, caplog):
+        bad = "[Walk] <SOFA> (0)"
+        path = _dataset(tmp_path / "d.jsonl", [["[Sit] <SOFA> (1)"], [bad], ["[Sit] <SOFA> (1)", bad], [bad]])
+        _clear_memos()
+        with caplog.at_level(logging.WARNING, logger="nsplan.programs"):
+            samples = load_task_dataset(path, strict=False)
+        assert [s.task for s in samples] == ["T0"]
+        error = "column 16: instance must be a positive integer"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping dataset line: {path}, line {n}: {error}" for n in (2, 3, 4)
+        ]
+        with pytest.raises(InputError) as err:
+            load_task_dataset(path, strict=True)
+        assert str(err.value) == f"{path}, line 2: {error}"
+
+    def test_threads_render_the_references_as_a_serial_run(self, tmp_path):
+        rng = random.Random(7)
+        plans = [
+            [f"[{rng.choice(ACTIONS)}] <{rng.choice(OBJECTS)}> ({rng.randint(1, 2)})" for _ in range(rng.randint(1, 12))]
+            for _ in range(300)
+        ]
+        samples = load_task_dataset(_dataset(tmp_path / "d.jsonl", plans))
+        _clear_memos()
+        serial = [cli._reference_text(sample) for sample in samples]
+        _clear_memos()
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = list(executor.map(cli._reference_text, samples, timeout=60))
+            finally:
+                sys.setswitchinterval(interval)
+        assert got == serial
 
 
 class TestLoadRobothow:
