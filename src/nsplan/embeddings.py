@@ -25,9 +25,9 @@ within about d * 2**-53 of the exact score, far inside
 ``SHORTLIST_MARGIN`` (1e-9). ``best_rows`` finds the row nearest each of
 a batch of queries with matrix-vector products, as a row scan would,
 re-scoring only the entries within the margin of each best.
-``adaption.adapt_weights`` scores its tails with one gather over their
-rows in the vector store and takes the exact cosine only for the tails
-whose score plus the margin clears its gates.
+``adaption`` scores its tails' rows in the vector store with one gather,
+``row_dots``, and takes their exact ``cosine``, ``row_cosines``, only for
+the tails whose score plus the margin clears its gates.
 
 ``cosine``'s arithmetic lives in one place. ``cosine(a, b)`` checks its
 arguments and takes the two norms, ``np.linalg.norm`` of each; then
@@ -37,8 +37,8 @@ that score one vector many times keep its norm: ``row_norms`` takes
 ``np.linalg.norm`` of each row of a matrix, one call per row (a norm over
 an axis sums the squares in another order), so a stored norm is the one
 ``cosine`` would take. The vector store keeps each row's norm, and
-adaption and the token table score a pair with ``cosine_of_dot`` over
-the stored norms, bit-equal to ``cosine``.
+``row_cosines`` and the token table score a pair with ``cosine_of_dot``
+over the stored norms, bit-equal to ``cosine``.
 
 Each provider has one ``VectorStore`` (held weakly, so a provider must be
 hashable and weak-referenceable), the only copy of its unit vectors but
@@ -49,8 +49,7 @@ from text to row, and flat arrays of row offsets, norms, and the float64
 values and int32 dimensions of the entries whose bits are not all zero
 (``-0.0`` included), so a row rebuilt into zeros is the first result bit
 for bit. Plans that share a provider embed a repeated text without
-asking the provider again, and adaption reads a graph's tails from the
-same rows by node id. The store is bounded
+asking the provider again. The store is bounded
 by the bytes its texts and arrays hold (``MEMO_BUDGET_BYTES``): an insert
 that would go over the budget clears it first, the rule of ``Memo``,
 which ``admissible`` keeps for its translations and ``kg`` for its
@@ -59,9 +58,19 @@ asked for, alone or in a batch, is one of them, exactly, under threads
 too; a miss is a text the store did not hold, which the provider was
 asked to embed. ``memo_clears`` reports how many times the store cleared.
 
-``token_table`` keeps, per provider and also held weakly, the scores of
-the token pairs the metrics ask for, and no vector: a token's vector and
-norm are read from the store, with one ``embed_rows`` per fill. Of the
+The store is the provider's one cache object, and only this module
+reads its layout. For each graph adaption reads it also holds, weakly, a
+table from node id to row (4 B a node, outside the budget), filled by
+``node_rows`` the first time a node is a tail; a clear drops these
+tables with their rows. Threads share them: a table and the state are
+read together under the store's lock, and a fill writes under it only
+while the store has not cleared since, so a table names only rows of
+the current state. Held rows never change, so reading them needs no lock.
+
+``token_table`` keeps, in the provider's store and across its clears,
+the scores of the token pairs the metrics ask for, and no
+vector: a token's vector and norm are read from the store, with one
+``embed_rows`` per fill. Of the
 two tables over token pairs, one holds ``cosine`` of the two vectors,
 scored by ``cosine_of_dot`` over the stored norms, the other their
 Euclidean distance, ``np.sqrt`` of ``(d * d).sum()`` over ``d = a - b``.
@@ -253,17 +262,21 @@ class VectorStore:
     the dimensions ``dims[indptr[r]:indptr[r + 1]]``, every other entry is
     +0.0, ``norms[r]`` is ``row_norms`` of the row, and ``clears`` counts
     the clears before this state. Past the rows held the arrays are spare;
-    a held row never changes. ``lock`` guards ``index``, the counts and
-    every write.
+    a held row never changes. ``node_tables`` maps each graph, weakly, to
+    its int32 table from node id to row, -1 until filled, and a clear drops
+    them; ``token_table``, which holds no row, outlives a clear. ``lock``
+    guards ``index``, the counts, ``node_tables`` and every write.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
         self.hits = self.misses = 0
+        self.token_table = _NO_TOKENS
         self._clear(0)
 
     def _clear(self, clears):
         self.index, self.text_bytes = {}, 0
+        self.node_tables = weakref.WeakKeyDictionary()
         self.state = (clears, np.zeros(1, np.int64), np.empty(0), np.empty(0), np.empty(0, np.int32))
 
     def insert(self, texts, units):
@@ -410,15 +423,53 @@ def embed_rows(provider, texts):
     return state, held, units
 
 
-def _rebuilt(state, rows, dim):
-    """The (len(rows), dim) matrix of ``rows`` of ``state``, bit for bit."""
+def _entries(state, rows):
+    """(at, dims, values): the stored entries of ``rows`` of ``state``,
+    ``at`` the index in ``rows`` of each entry's row."""
     _, indptr, _, values, dims = state
     start = indptr[rows]
     length = indptr[rows + 1] - start
-    at = positions(start, length)
+    pos = positions(start, length)
+    return np.repeat(np.arange(len(rows)), length), dims[pos], values[pos]
+
+
+def _rebuilt(state, rows, dim):
+    """The (len(rows), dim) matrix of ``rows`` of ``state``, bit for bit."""
+    at, dims, values = _entries(state, rows)
     out = np.zeros((len(rows), dim))
-    out[np.repeat(np.arange(len(rows)), length), dims[at]] = values[at]
+    out[at, dims] = values
     return out
+
+
+def node_rows(provider, graph, nodes, text):
+    """(state, rows): a state of ``provider``'s store and the row there of
+    each of ``nodes``, distinct node ids of ``graph`` (``text(i)`` is the
+    text of node i). The nodes the store's table for ``graph`` lacks are
+    filled with one ``embed_rows`` in the order of ``nodes``; when the
+    store clears during that call, every node is asked again. The table,
+    made at the graph's first fill, takes the rows while the store has not
+    cleared since their state."""
+    store = vector_store(provider)
+    with store.lock:
+        table = store.node_tables.get(graph)
+        rows = np.full(len(nodes), -1, np.int32) if table is None else table[nodes]
+        state = store.state
+    missing = rows < 0
+    if not missing.any():
+        return state, rows
+    filled, got, _ = embed_rows(provider, [text(i) for i in nodes[missing].tolist()])
+    if filled[0] == state[0] or missing.all():
+        state, rows[missing] = filled, got
+    else:  # the store cleared, and the rows read from the table went with it
+        state, rows, _ = embed_rows(provider, [text(i) for i in nodes.tolist()])
+    with store.lock:
+        if store.state[0] == state[0]:
+            table = store.node_tables.get(graph)
+            if table is None:
+                table = np.full(graph.node_count, -1, np.int32)
+            table[nodes] = rows
+            store.node_tables[graph] = table
+    return state, rows
 
 
 def embed_many(provider, texts):
@@ -504,6 +555,25 @@ def row_norms(rows):
     return np.fromiter((np.linalg.norm(row) for row in rows), np.float64, len(rows))
 
 
+def row_dots(state, rows, query):
+    """The dot product of each of ``rows`` of ``state`` with ``query``, by
+    one gather: ``np.bincount`` sums each row's stored entries times the
+    query's entries at their dimensions. For unit vectors that sum lies far
+    within SHORTLIST_MARGIN of their exact ``cosine``."""
+    at, dims, values = _entries(state, rows)
+    return np.bincount(at, values * query[dims], len(rows))
+
+
+def row_cosines(state, rows, query):
+    """``cosine`` of each of ``rows`` of ``state`` with ``query``, bit for
+    bit: the rows are rebuilt into one block, and each is scored by
+    ``cosine_of_dot`` over one ``np.dot`` with ``query``, the row's stored
+    norm and the query's ``row_norms`` norm, taken once."""
+    query_norm = row_norms(query[np.newaxis]).item()
+    pairs = zip(_rebuilt(state, rows, len(query)), state[2][rows].tolist())
+    return np.array([cosine_of_dot(np.dot(row, query), norm, query_norm) for row, norm in pairs], np.float64)
+
+
 class TokenTable:
     """One provider's tokens and the scores of the token pairs asked for so
     far. ``tokens[i]`` is the token of row ``i`` and ``index`` maps it back;
@@ -553,7 +623,6 @@ class TokenTable:
         return scores[np.ix_(a, b)]
 
 
-_TABLES = weakref.WeakKeyDictionary()
 _NO_TOKENS = TokenTable((), {}, np.zeros((0, 0)), np.zeros((0, 0)))
 
 
@@ -567,7 +636,8 @@ def token_table(provider, tokens):
     assignment, and its first ``len(index)`` rows never change but for NaN
     scores filled in.
     """
-    table = _TABLES.get(provider, _NO_TOKENS)
+    store = vector_store(provider)
+    table = store.token_table
     tokens = list(dict.fromkeys(tokens))
     new = [t for t in tokens if t not in table.index]
     if not new:
@@ -584,5 +654,5 @@ def token_table(provider, tokens):
         cos[:size, :size] = table.cos[:size, :size]
         dist[:size, :size] = table.dist[:size, :size]
     table = TokenTable((*table.tokens, *new), {**table.index, **dict(zip(new, range(size, need)))}, cos, dist)
-    _TABLES[provider] = table
+    store.token_table = table
     return table

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nsplan import adaption, embeddings
+from nsplan import embeddings
 from nsplan.adaption import adapt_weights, select, surface
 from nsplan.admissible import load_admissible_set
 from nsplan.embeddings import HashEmbedding, cosine, embed
@@ -326,17 +326,13 @@ def _rebuilt(state, row, dim):
     return vec
 
 
-def _named(graph, dim):
-    """(store, [(text, row, norm), ...]): the vector store that ``graph``'s
-    table is tagged with, and for each node the table names, its text, its
-    row rebuilt from the store's state and its stored norm. A stale table
-    names nothing."""
-    store, clears, rows = adaption._TABLES[graph]
-    state = store.state
-    if clears != state[0]:
-        return store, []
-    return store, [(surface(graph.node_keys[node]), _rebuilt(state, rows[node], dim), state[2][rows[node]])
-                   for node in np.flatnonzero(rows >= 0).tolist()]
+def _named(store, graph, dim):
+    """[(text, row, norm), ...]: for each node that ``store``'s table for
+    ``graph`` names, its text, its row rebuilt from the store's state and
+    its stored norm. A store with no table for ``graph`` names nothing."""
+    rows, state = store.node_tables.get(graph, np.zeros(0, np.int32)), store.state
+    return [(surface(graph.node_keys[node]), _rebuilt(state, rows[node], dim), state[2][rows[node]])
+            for node in np.flatnonzero(rows >= 0).tolist()]
 
 
 def _drawn_graph(shower_graph):
@@ -358,8 +354,9 @@ class TestStoreRows:
     def test_a_warm_store_matches_the_per_triplet_scan(self, case, data):
         """Calls in sequence on one graph, so later ones read the rows that
         earlier ones filled, with thresholds at exact scores of the call.
-        After each call, every row the graph's table names is ``embed`` of
-        its node's text, and its stored norm is ``np.linalg.norm`` of it."""
+        After each call, every row each provider's table for the graph names
+        is ``embed`` of its node's text, and its stored norm is
+        ``np.linalg.norm`` of it."""
         graph, calls, budget = case
         providers = {id(provider): provider for provider, _, _ in calls}.values()
         with mock.patch.object(embeddings, "MEMO_BUDGET_BYTES", budget or embeddings.MEMO_BUDGET_BYTES):
@@ -370,10 +367,8 @@ class TestStoreRows:
                 shift = data.draw(st.sampled_from([-1.0, *(a - w for *_, w, a in ungated)]))
                 cfg = PlannerConfig(edge_threshold=edge, cos_keep_threshold=shift)
                 got = adapt_weights(graph, np.array(ranks, np.intp), task, provider, cfg)
-                if graph in adaption._TABLES:  # not before a call with some rank
-                    store, named = _named(graph, provider.dim)
-                    owner = next(p for p in providers if embeddings.vector_store(p) is store)
-                    for text, row, norm in named:
+                for owner in providers:
+                    for text, row, norm in _named(embeddings.vector_store(owner), graph, owner.dim):
                         assert row.tobytes() == embed(owner, text).tobytes()
                         assert norm.tobytes() == np.linalg.norm(row).tobytes()
                 want = oracles.adapt_oracle(triplets, task, provider, edge, shift)
@@ -389,8 +384,8 @@ class TestStoreRows:
         for first in WINDOWS:
             ranks = np.arange(first, first + 4)
             got = adapt_weights(graph, ranks, TASK, provider, KEEP_ALL)
-            store, named = _named(graph, 16)
-            assert store is embeddings.vector_store(provider)
+            store = embeddings.vector_store(provider)
+            named = _named(store, graph, 16)
             assert store.text_bytes + sum(a.nbytes for a in store.state[1:]) <= SIX_ROWS
             assert {surface(graph.node_keys[node]) for node in graph.tail_ids[ranks]} <= {text for text, *_ in named}
             want = oracles.adapt_oracle([graph.triplet(r) for r in ranks], TASK, provider, 0.0, -1.0)
@@ -425,19 +420,25 @@ class TestStoreRows:
                     check(self.store, text, row)
                     self[text] = row
 
+        class Tables(weakref.WeakKeyDictionary):
+            def __init__(self, store):
+                super().__init__()
+                self.store = store
+
+            def __setitem__(self, key, rows):
+                for node in np.flatnonzero(rows >= 0).tolist():
+                    check(self.store, surface(key.node_keys[node]), rows[node])
+                super().__setitem__(key, rows)
+
         class Store(embeddings.VectorStore):
             def __setattr__(self, name, value):
-                super().__setattr__(name, Index(self, value) if name == "index" else value)
-
-        class Tables(weakref.WeakKeyDictionary):
-            def __setitem__(self, key, table):
-                store, _, rows = table
-                for node in np.flatnonzero(rows >= 0).tolist():
-                    check(store, surface(key.node_keys[node]), rows[node])
-                super().__setitem__(key, table)
+                if name == "index":
+                    value = Index(self, value)
+                elif name == "node_tables":
+                    value = Tables(self)
+                super().__setattr__(name, value)
 
         monkeypatch.setattr(embeddings, "VectorStore", Store)
-        monkeypatch.setattr(adaption, "_TABLES", Tables())
         monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", SIX_ROWS)
         for first in WINDOWS:
             ranks = np.arange(first, first + 4)
@@ -445,14 +446,20 @@ class TestStoreRows:
             assert _hex(got) == _hex(oracles.adapt_oracle([graph.triplet(r) for r in ranks], TASK, provider, 0.0, -1.0))
         assert len(set(capacities)) > 2 and embeddings.memo_clears(provider) > 0  # grown and cleared
 
-    def test_another_provider_replaces_the_table(self, tv_graph):
+    def test_another_provider_leaves_the_table_warm(self, tv_graph):
+        """Each provider's store keeps its own table for a graph: after
+        calls by A and then B, A's next call asks its store for the task
+        alone, as a warm call does, and stays bit-equal to the scan."""
         graph = KnowledgeGraph(tv_graph.triplet(r) for r in range(tv_graph.edge_count))
         first, second = HashEmbedding(dim=16), HashEmbedding(dim=16, seed=1)
-        for provider in (first, second, first):
-            adapt_weights(graph, np.arange(graph.edge_count), "watch tv", provider, KEEP_ALL)
-            store, _, rows = adaption._TABLES[graph]
-            assert store is embeddings.vector_store(provider)
-            assert (rows[graph.tail_ids] >= 0).all()
+        _adapt(graph, "watch tv", first, KEEP_ALL)
+        _adapt(graph, "watch tv", second, KEEP_ALL)
+        before = sum(embeddings.memo_counts(first).values())
+        got = _adapt(graph, "watch tv", first, KEEP_ALL)
+        assert sum(embeddings.memo_counts(first).values()) - before == 1
+        assert _hex(got) == _hex(oracles.adapt_oracle(_triplets(graph), "watch tv", first, 0.0, -1.0))
+        for provider in (first, second):
+            assert (embeddings.vector_store(provider).node_tables[graph][graph.tail_ids] >= 0).all()
 
     def test_a_failing_fill_leaves_the_table_as_it_was(self, tv_graph):
         class FailsOnce(HashEmbedding):
@@ -468,11 +475,12 @@ class TestStoreRows:
         graph = KnowledgeGraph(tv_graph.triplet(r) for r in range(tv_graph.edge_count))
         provider = FailsOnce(dim=16)
         adapt_weights(graph, np.array([0]), "watch tv", provider, KEEP_ALL)
-        before = adaption._TABLES[graph]
-        held = before[2].copy()
+        tables = embeddings.vector_store(provider).node_tables
+        before = tables[graph]
+        held = before.copy()
         with pytest.raises(TransportError):
             _adapt(graph, "watch tv", provider, KEEP_ALL)
-        assert adaption._TABLES[graph] is before and (before[2] == held).all()
+        assert tables[graph] is before and (before == held).all()
         got = _adapt(graph, "watch tv", provider, KEEP_ALL)
         want = oracles.adapt_oracle(_triplets(graph), "watch tv", provider, 0.0, -1.0)
         assert _hex(got) == _hex(want)
@@ -561,6 +569,56 @@ def test_threads_sharing_a_graph_plan_as_one_thread_does(fixture_path, monkeypat
         assert got == serial, f"trial {trial}"
         if budget is not None:
             assert embeddings.memo_clears(provider) > 0
+
+
+@pytest.mark.parametrize("budget", [None, 10_000], ids=["default", "small-budget"])
+def test_threads_alternating_two_providers_plan_as_one_thread_does(fixture_path, monkeypatch, budget):
+    """Four threads plan disjoint slices of one task list on one fresh
+    graph, each switching between two providers from one task to the next,
+    so both providers' stores fill a table for the graph at once; each
+    plan equals a one-thread run's with its provider, in each of three
+    trials."""
+    if budget is not None:
+        monkeypatch.setattr(embeddings, "MEMO_BUDGET_BYTES", budget)
+    threads = 4
+
+    def setup():
+        graph, tasks = _synthetic_graph()
+        providers = (HashEmbedding(dim=64), HashEmbedding(dim=64, seed=1))
+        return graph, tasks, load_admissible_set(fixture_path("admissible_household.json")), providers
+
+    def run(graph, tasks, j, admissible, providers):
+        provider = providers[j // threads % 2]  # thread j % threads alternates providers
+        return plan(tasks[j], graph, admissible, KnowledgeFollowerGenerator(), provider).dumps()
+
+    graph, tasks, admissible, providers = setup()
+    serial = [run(graph, tasks, j, admissible, providers) for j in range(len(tasks))]
+    for trial in range(3):
+        graph, tasks, admissible, providers = setup()
+        got = [None] * len(tasks)
+        start = threading.Barrier(threads, timeout=30)
+
+        def work(i):
+            start.wait()
+            for j in range(i, len(tasks), threads):
+                got[j] = run(graph, tasks, j, admissible, providers)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        assert got == serial, f"trial {trial}"
+        if budget is None:
+            assert all(graph in embeddings.vector_store(p).node_tables for p in providers)
+        else:
+            assert all(embeddings.memo_clears(p) > 0 for p in providers)
 
 
 class TestSelect:

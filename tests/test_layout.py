@@ -11,12 +11,14 @@ calls ``raw_decode`` (one JSON fast path, bounded to give what
 ``json.loads`` gives), only ``cli.py`` prints (library code writes nothing
 to stdout), in the whole package only ``embeddings.embed_rows``, ``cosine``
 and ``row_norms`` take a norm (providers hand out raw vectors, ``embed_rows``
-alone normalizes them, and every cosine, the token table's and adaption's with
-their stored norms included, is ``cosine_of_dot`` over norms that
-``cosine`` or ``row_norms`` took, so no module takes a norm of its own), only
-the vector store's ``_append`` and ``adaption.adapt_weights`` call
+alone normalizes them, and every cosine, the token table's and
+``row_cosines``' with their stored norms included, is ``cosine_of_dot`` over
+norms that ``cosine`` or ``row_norms`` took, so no module takes a norm of its
+own), only the vector store's ``_append`` and ``embeddings.row_cosines`` call
 ``row_norms`` (the store keeps the only copy of each row's norm), only
-``embed_rows`` (and the table's hash fallback) calls a provider's own
+``embeddings`` reaches a vector store and reads its layout (no other module
+names ``vector_store``, ``VectorStore`` or ``_rebuilt`` or reads a ``.state``),
+only ``embed_rows`` (and the table's hash fallback) calls a provider's own
 ``.embed``, so no caller skips the vector store or the vector contract, every
 parameter with a default is set by some call in the program (an option that only
 tests set is a constant or goes), and no error the package defines or
@@ -156,13 +158,37 @@ def test_only_embed_and_the_cosines_take_a_norm():
     assert {"embeddings.embed_rows", "embeddings.row_norms"} <= callers
 
 
-def test_only_the_store_and_adaption_take_stored_norms():
-    """The store keeps each row's norm and adaption takes its task vector's:
+def test_only_embeddings_takes_stored_norms():
+    """The store keeps each row's norm and ``row_cosines`` takes its query's:
     no other module keeps a second copy of the stored norms."""
     callers = {
         f"{p.stem}.{caller}" for p in MODULES for caller in _callers(p, lambda call: _called(call) == "row_norms")
     }
-    assert callers == {"embeddings.VectorStore._append", "adaption.adapt_weights"}, callers
+    assert callers == {"embeddings.VectorStore._append", "embeddings.row_cosines"}, callers
+
+
+STORE_NAMES = {"vector_store", "VectorStore", "_rebuilt"}
+
+
+def _store_reads(path):
+    """Line numbers where ``path`` names a vector store or its row rebuild,
+    as a name or an attribute, or reads a ``.state`` attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in STORE_NAMES)
+        or (isinstance(node, ast.Attribute) and node.attr in STORE_NAMES | {"state"})
+        or (isinstance(node, ast.alias) and node.name in STORE_NAMES)
+    )
+
+
+def test_only_embeddings_reads_the_vector_store():
+    """The store is each provider's one cache object: its rows, its node
+    tables and its token table are reached through ``embeddings``'
+    functions, so no other module depends on its layout."""
+    assert _store_reads(PACKAGE / "embeddings.py")  # the scanner sees the owner's own reads
+    offenders = {p.name: lines for p in MODULES if p.name != "embeddings.py" and (lines := _store_reads(p))}
+    assert not offenders, f"modules other than embeddings.py that read the vector store: {offenders}"
 
 
 def test_only_embed_calls_a_provider():

@@ -425,7 +425,7 @@ class TestTokenTable:
         for token in ["soap", "hair", "sofa"]:
             base = embeddings.token_table(provider, [token])  # 3 rows of 4
         first = embeddings.token_table(provider, ["tv"])
-        embeddings._TABLES[provider] = base
+        embeddings.vector_store(provider).token_table = base
         second = embeddings.token_table(provider, ["walk"])
         assert first.cos is base.cos and second.cos is not base.cos
         assert first.index["tv"] == second.index["walk"] == 3
